@@ -85,6 +85,13 @@ def _load(args) -> "ExperimentConfig":
     return config_from_dict(raw)
 
 
+def _parse_grid(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"--n-grid needs comma-separated integers, got {text!r}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -95,9 +102,7 @@ def main(argv=None) -> int:
             print(f"wrote {len(paths['traces'])} trace(s) under {out}")
             return EXIT_OK
         if args.verb == "rate-study":
-            grid = None
-            if args.n_grid:
-                grid = [int(tok) for tok in args.n_grid.split(",")]
+            grid = _parse_grid(args.n_grid) if args.n_grid else None
             report = slln_rate_study(config, n_grid=grid)
             write_rate_report(report, out)
             for f in report.functions:

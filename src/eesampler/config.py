@@ -8,6 +8,17 @@ validates every cross-reference; all failures raise
 Seeding rule: replicate ``i`` of a run with master seed ``s`` draws from
 ``numpy.random.SeedSequence([s, i])``, whose spawned children seed the
 per-chain generators in chain order.
+
+The rate study steps all R replicates in lockstep and has its own stream
+contract: ``numpy.random.SeedSequence([s, LOCKSTEP_SALT])`` spawns one
+generator per chain level, in chain order, shared by the replicates. Each
+round every active level draws one block of (R,)-vectors of uniforms,
+whatever branch each replicate takes: chain 0 draws (proposal, MH coin),
+an interacting chain (branch coin, feeder draw, swap coin, proposal,
+MH coin); see :mod:`eesampler.kernels`. Rate-study
+numbers at a given seed therefore differ from those of the per-replicate
+streams above (and from releases before the lockstep engine); reruns stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from .state_space import (
 )
 
 VARIANTS = ("selection-mutation", "ee-jump")
+LOCKSTEP_SALT = 0x10C5
 STABILITY_POLICIES = ("warn", "abort")
 
 
@@ -94,6 +106,9 @@ class ExperimentConfig:
 
     def replicate_seed_seq(self, replicate: int) -> np.random.SeedSequence:
         return np.random.SeedSequence([self.seed, int(replicate)])
+
+    def lockstep_seed_seq(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence([self.seed, LOCKSTEP_SALT])
 
 
 def _gaussian_mixture_logpdf(means, scales, weights) -> Callable:

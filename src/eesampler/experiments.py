@@ -20,7 +20,7 @@ from . import exact
 from .config import ExperimentConfig
 from .errors import ConfigurationError
 from .measures import EmpiricalMeasure, tv_distance
-from .sampler import ChainEnsemble, run, run_frozen_feeder
+from .sampler import LockstepEnsemble, run, run_frozen_feeder
 from .state_space import FiniteSpace
 
 SLOPE_PASS_BAND = (-0.65, -0.35)
@@ -158,7 +158,9 @@ def slln_rate_study(
 
     The average S_n^2(f) runs over post-activation rounds N_1..n, matching
     the error normalization; the slope fit uses only n >= 2 N_1 and passes
-    when it falls in the band around -1/2.
+    when it falls in the band around -1/2. All replicates run together in
+    one :class:`LockstepEnsemble`, under the lockstep stream contract
+    described in :mod:`eesampler.config`.
     """
     if not isinstance(config.space, FiniteSpace):
         raise ConfigurationError("the rate study needs a finite space (exact pi_2)")
@@ -180,33 +182,30 @@ def slln_rate_study(
             raise ConfigurationError("total_rounds too short for the default grid")
         n_grid = 2 ** np.arange(7, top + 1)
     grid = np.array(sorted(int(n) for n in n_grid))
+    if np.any(np.diff(grid) == 0):
+        raise ConfigurationError(f"grid rounds must be distinct, got {grid.tolist()}")
     burn = config.activation_threshold(1)
     if grid[0] <= burn:
         raise ConfigurationError(
             f"smallest grid round {grid[0]} must exceed the burn-in N_1={burn}"
         )
     pi_target = config.ladder.density_table()[-1]
-    fvecs = [f.vector for f in config.test_functions]
-    targets = [float(v @ pi_target) for v in fvecs]
+    fvecs = np.array([f.vector for f in config.test_functions])  # (F, S)
+    targets = fvecs @ pi_target
 
-    total = int(grid[-1])
+    ens = LockstepEnsemble(config)
+    sums = np.zeros((len(fvecs), config.replicates))
     errs = np.zeros((config.replicates, len(grid), len(fvecs)))
-    for rep in range(config.replicates):
-        ens = ChainEnsemble(config, replicate=rep, record_trace=False)
-        sums = np.zeros(len(fvecs))
-        count = 0
-        gi = 0
-        for n in range(1, total + 1):
-            ens.step_round()
-            if n >= burn:
-                x = int(ens.states[1])
-                for j, v in enumerate(fvecs):
-                    sums[j] += v[x]
-                count += 1
-            if gi < len(grid) and n == grid[gi]:
-                for j in range(len(fvecs)):
-                    errs[rep, gi, j] = sums[j] / count - targets[j]
-                gi += 1
+    count = 0
+    gi = 0
+    for n in range(1, int(grid[-1]) + 1):
+        ens.step_round()
+        if n >= burn:
+            sums += fvecs[:, ens.states[:, 1]]
+            count += 1
+        if n == grid[gi]:
+            errs[:, gi, :] = (sums / count - targets[:, None]).T
+            gi += 1
 
     functions = []
     fit_mask = grid >= 2 * burn
@@ -217,7 +216,7 @@ def slln_rate_study(
         se = abs_err.std(axis=0, ddof=1) / np.sqrt(config.replicates)
         if np.all(m1 < 1e-14):  # constant functions: error identically zero
             functions.append(
-                FunctionRate(f.name, targets[j], m1, m2, se, None, None, True, True)
+                FunctionRate(f.name, float(targets[j]), m1, m2, se, None, None, True, True)
             )
             continue
         xs = np.log(grid[fit_mask] - burn + 1.0)
@@ -229,7 +228,7 @@ def slln_rate_study(
         functions.append(
             FunctionRate(
                 f.name,
-                targets[j],
+                float(targets[j]),
                 m1,
                 m2,
                 se,

@@ -22,12 +22,27 @@ takes the interaction branch, without consuming a draw.
 If the feeder measure holds no atoms in the current state's ring, the
 interaction branch falls back to the local kernel and flags the event; the
 caller logs it as a stability fallback.
+
+Lockstep steps (``mh_step_lockstep``, ``interacting_step_lockstep``) make
+the same moves on finite spaces for R replicates at once: states are an
+(R,) int array and each replicate's feeder is a row of an (R, S) count
+array, so the uniform draw with multiplicity from ring(x) becomes a
+categorical draw over the ring's states weighted by their counts. They
+draw whole (R,)-vectors in a fixed order, whatever branch each replicate
+takes: the MH step draws a (2, R) block of uniforms on [0, 1), rows
+(proposal, MH coin); the interacting step a (5, R) block, rows (branch
+coin, feeder draw, swap coin, proposal, MH coin), for both variants and
+every epsilon. The branch takes the interaction when its coin is below
+epsilon, so epsilon 0 and 1 need no special case. A uniform proposal maps
+its uniform u to state floor(S u), uniform on 0..S-1 up to a bias below
+S 2^-53; a neighbour proposal holds for u < 1/2 and steps up for u < 3/4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -222,3 +237,56 @@ class KernelSet:
         if variant == "ee-jump":
             return self.ee_jump_step(level, x, feeder, rng)
         raise ConfigurationError(f"unknown kernel variant {variant!r}")
+
+    # -- lockstep steps on finite spaces -----------------------------------------------
+    @cached_property
+    def ring_table(self) -> np.ndarray:
+        """(S,) ring index of every state; finite spaces only."""
+        if self._logw is None:
+            raise ConfigurationError("lockstep steps need a finite space")
+        return np.array([self.partition.assign(s) for s in range(self.ladder.space.size)])
+
+    def _mh_lockstep(self, level: int, x: np.ndarray, u_prop: np.ndarray, u_mh: np.ndarray):
+        """MH moves from the states x, given proposal uniforms and MH coins."""
+        size = self.ladder.space.size
+        if isinstance(self.proposals[level], UniformProposal):
+            y = (u_prop * size).astype(np.intp)
+        else:
+            y = (x + np.where(u_prop < 0.5, 0, np.where(u_prop < 0.75, 1, -1))) % size
+        logw = self._logw[level]
+        return np.where(u_mh < np.exp(np.minimum(0.0, logw[y] - logw[x])), y, x)
+
+    def mh_step_lockstep(self, level: int, x: np.ndarray, rng: np.random.Generator):
+        """One MH move targeting `level` for each entry of the (R,) state array."""
+        if self._logw is None:
+            raise ConfigurationError("lockstep steps need a finite space")
+        u_prop, u_mh = rng.random((2, x.shape[0]))
+        return self._mh_lockstep(level, x, u_prop, u_mh)
+
+    def interacting_step_lockstep(
+        self, level: int, x: np.ndarray, feeder_counts: np.ndarray,
+        rng: np.random.Generator, variant: str,
+    ):
+        """One interacting move per replicate: x is (R,), feeder_counts is
+        (R, S), row i the counts of replicate i's feeder measure. Keeps the
+        semantics of `interacting_step`, including the local fallback when
+        a replicate's ring holds no feeder atoms."""
+        if variant not in ("selection-mutation", "ee-jump"):
+            raise ConfigurationError(f"unknown kernel variant {variant!r}")
+        if level < 1:
+            raise ConfigurationError("interacting steps need a feeder level below them")
+        rings = self.ring_table
+        u_branch, u_feed, u_swap, u_prop, u_mh = rng.random((5, x.shape[0]))
+
+        # categorical draw over ring(x), weighted by the feeder's counts
+        cum = np.cumsum(np.where(rings == rings[x][:, None], feeder_counts, 0), axis=1)
+        held = cum[:, -1]
+        z = np.argmax(cum > (u_feed * held)[:, None], axis=1)
+        lf, li = self._logw[level - 1], self._logw[level]
+        alpha = np.exp(np.minimum(0.0, li[z] + lf[x] - li[x] - lf[z]))
+        take = (u_branch < self.epsilons[level]) & (held > 0)
+        accepted = take & (u_swap < alpha)
+        if variant == "ee-jump":
+            local = self._mh_lockstep(level, x, u_prop, u_mh)
+            return np.where(take, np.where(accepted, z, x), local)
+        return self._mh_lockstep(level, np.where(accepted, z, x), u_prop, u_mh)

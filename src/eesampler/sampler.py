@@ -14,6 +14,11 @@ Freezing: in frozen-feeder mode chain 0 and its measure stop updating after
 the freeze round, so the interacting chain runs against a fixed feeder
 measure from then on; this is the regime whose long-run bias the oracle can
 predict exactly.
+
+Lockstep: :class:`LockstepEnsemble` runs the same schedule for all
+replicates of a finite-space run at once, with numpy arrays of states and
+measure counts; the rate study uses it. :class:`ChainEnsemble` stays the
+reference engine for traced runs and frozen feeders.
 """
 
 from __future__ import annotations
@@ -93,7 +98,6 @@ class ChainEnsemble:
         self,
         config: ExperimentConfig,
         replicate: int = 0,
-        record_trace: bool = True,
         freeze_feeder_after: int | None = None,
         fixed_feeder_atoms=None,
     ):
@@ -124,11 +128,10 @@ class ChainEnsemble:
             self.thresholds[1] = 0  # the interacting chain starts immediately
 
         state_dim = 0 if isinstance(config.space, FiniteSpace) else config.space.dim
-        self.trace = Trace(r=self.r, state_dim=state_dim) if record_trace else None
-        if self.trace is not None:
-            for k, x in enumerate(self.states):
-                ring = config.partition.assign(x)
-                self.trace.record(k, 0, x, ring, "init", None, 0)
+        self.trace = Trace(r=self.r, state_dim=state_dim)
+        for k, x in enumerate(self.states):
+            ring = config.partition.assign(x)
+            self.trace.record(k, 0, x, ring, "init", None, 0)
 
     # -- schedule -------------------------------------------------------------
     def chain_active(self, chain: int, rnd: int | None = None) -> bool:
@@ -153,9 +156,8 @@ class ChainEnsemble:
             feeder_views = [m.snapshot() for m in self.measures]
         for k in range(self.r):
             if not self.chain_active(k):
-                if self.trace is not None:
-                    ring = cfg.partition.assign(self.states[k])
-                    self.trace.record(k, self.n, self.states[k], ring, "hold", None, 1)
+                ring = cfg.partition.assign(self.states[k])
+                self.trace.record(k, self.n, self.states[k], ring, "hold", None, 1)
                 continue
             rng = self.rngs[k]
             if k == 0:
@@ -170,14 +172,12 @@ class ChainEnsemble:
             self.measures[k].insert(new_state)
             ring = cfg.partition.assign(new_state)
             if info.fallback:
-                if self.trace is not None:
-                    self.trace.events.append((self.n, k, "fallback", ring))
+                self.trace.events.append((self.n, k, "fallback", ring))
                 self._fallbacks += 1
-            if self.trace is not None:
-                self.trace.record(k, self.n, new_state, ring, info.branch,
-                                  info.swap_accepted, 0)
+            self.trace.record(k, self.n, new_state, ring, info.branch,
+                              info.swap_accepted, 0)
         self._monitor_feeders()
-        if self.trace is not None and self.n % cfg.snapshot_every == 0:
+        if self.n % cfg.snapshot_every == 0:
             for k in range(self.r):
                 self.trace.snapshot_masses(self.n, k, self.measures[k].masses())
 
@@ -186,9 +186,8 @@ class ChainEnsemble:
         for k in range(self.r - 1):
             if self.chain_active(k + 1):
                 fresh = self.monitor.check(self.measures[k], self.n, chain=k)
-                if fresh and self.trace is not None:
-                    for v in fresh:
-                        self.trace.events.append((self.n, k, "low_mass", v.ring))
+                for v in fresh:
+                    self.trace.events.append((self.n, k, "low_mass", v.ring))
                 if fresh and self.config.stability_policy == "abort":
                     v = fresh[0]
                     raise StabilityError(
@@ -201,8 +200,6 @@ class ChainEnsemble:
             self.step_round()
 
     def finalize_trace(self, replicate: int = 0) -> Trace:
-        if self.trace is None:
-            raise ConfigurationError("ensemble was created without trace recording")
         if self.n % self.config.snapshot_every != 0:
             for k in range(self.r):
                 self.trace.snapshot_masses(self.n, k, self.measures[k].masses())
@@ -260,3 +257,85 @@ def run_frozen_feeder(
     )
     ens.run_rounds(config.total_rounds)
     return ens.finalize_trace(replicate)
+
+
+class LockstepEnsemble:
+    """All replicates of a finite-space run, stepped together with numpy.
+
+    States are an (R, r) int array and chain k's empirical measure in
+    replicate i is the count vector ``counts[i, k]`` over the S states;
+    ``ring_counts`` holds the same measures summed per ring for the
+    stability monitor. Memory is O(R r S) whatever the number of rounds.
+    The activation schedule, the chain-order updates within a round, strict
+    snapshots and the stability policy are those of :class:`ChainEnsemble`;
+    there is no trace and no frozen feeder.
+
+    Stream contract: ``config.lockstep_seed_seq()`` spawns one generator per
+    chain level, shared by all replicates. Each round, every active level
+    draws the fixed set of (R,)-vectors documented in :mod:`.kernels`, in
+    chain order, so reruns are bit-reproducible per (config, seed). The
+    numbers differ from those of per-replicate ChainEnsemble runs.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        if not isinstance(config.space, FiniteSpace):
+            raise ConfigurationError("lockstep ensembles need a finite space")
+        self.config = config
+        self.kernels = config.kernels
+        self.r = config.r
+        self.n = 0
+        self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
+        self.rngs = [np.random.default_rng(c) for c in config.lockstep_seed_seq().spawn(self.r)]
+        self.violations = 0
+        self.min_mass_seen = np.inf
+
+        reps, chains = config.replicates, np.arange(self.r)
+        self._rows = np.arange(reps)
+        self._rings = self.kernels.ring_table
+        initial = np.array(config.initial_states, dtype=np.intp)
+        self.states = np.tile(initial, (reps, 1))
+        self.counts = np.zeros((reps, self.r, config.space.size), dtype=np.int64)
+        self.counts[:, chains, initial] = 1
+        self.ring_counts = np.zeros((reps, self.r, config.partition.d), dtype=np.int64)
+        self.ring_counts[:, chains, self._rings[initial]] = 1
+
+    def step_round(self) -> None:
+        """Advance every active chain of every replicate by one move."""
+        cfg = self.config
+        self.n += 1
+        feeders = self.counts.copy() if cfg.strict_snapshot else self.counts
+        for k in range(self.r):
+            if self.n <= self.thresholds[k]:
+                continue
+            x = self.states[:, k]
+            if k == 0:
+                new = self.kernels.mh_step_lockstep(0, x, self.rngs[0])
+            else:
+                new = self.kernels.interacting_step_lockstep(
+                    k, x, feeders[:, k - 1], self.rngs[k], cfg.variant
+                )
+            self.states[:, k] = new
+            self.counts[self._rows, k, new] += 1
+            self.ring_counts[self._rows, k, self._rings[new]] += 1
+        self._monitor_feeders()
+
+    def _monitor_feeders(self) -> None:
+        """A1 watch on each feeding chain once its consumer runs; chain k
+        then holds n - threshold_k + 1 atoms in every replicate."""
+        theta = self.config.theta
+        for k in range(self.r - 1):
+            if self.n <= self.thresholds[k + 1]:
+                continue
+            masses = self.ring_counts[:, k] / (self.n - self.thresholds[k] + 1)
+            lo = float(masses.min())
+            self.min_mass_seen = min(self.min_mass_seen, lo)
+            if lo >= theta:
+                continue
+            low = masses < theta
+            self.violations += int(low.sum())
+            if self.config.stability_policy == "abort":
+                rep, ring = (int(i) for i in np.argwhere(low)[0])
+                raise StabilityError(
+                    f"round {self.n}: replicate {rep} chain {k} ring {ring} "
+                    f"mass {masses[rep, ring]:.4f} below theta={theta}"
+                )

@@ -136,6 +136,16 @@ def test_fixed_point_keystone(four_model, eps):
     np.testing.assert_allclose(exact.stationary(P), dens[1], atol=1e-10)
 
 
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_ee_jump_fixed_point(four_model, eight_model, eps):
+    # the jump kernel fed pi_1 also keeps pi_2; at eps = 1 it never leaves
+    # ring(x), so that kernel is reducible and has no unique stationary vector
+    for model in (four_model, eight_model):
+        dens = model.ladder.density_table()
+        P = exact.ee_jump_matrix(model, 1, dens[0], eps)
+        np.testing.assert_allclose(exact.stationary(P), dens[1], atol=1e-10)
+
+
 def test_stationary_rejects_non_stochastic():
     with pytest.raises(NumericalError):
         exact.stationary(np.array([[0.5, 0.4], [0.3, 0.7]]))

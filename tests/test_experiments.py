@@ -104,6 +104,19 @@ def test_rate_study_grid_validation():
         slln_rate_study(cfg, n_grid=[8, 16], min_replicates=2)  # below burn-in
 
 
+def test_rate_study_rejects_duplicate_grid_points():
+    cfg = four_state_config(replicates=2, schedule={"offsets": [10], "total_rounds": 512})
+    with pytest.raises(ConfigurationError, match="distinct"):
+        slln_rate_study(cfg, n_grid=[128, 256, 256, 512], min_replicates=2)
+
+
+def test_rate_study_rerun_identical():
+    cfg = four_state_config(replicates=3, schedule={"offsets": [10], "total_rounds": 256})
+    a = slln_rate_study(cfg, n_grid=[64, 128, 256], min_replicates=2)
+    b = slln_rate_study(cfg, n_grid=[64, 128, 256], min_replicates=2)
+    assert a.to_dict() == b.to_dict()
+
+
 def test_rate_report_artifacts(tmp_path):
     cfg = four_state_config(replicates=4, schedule={"offsets": [10], "total_rounds": 256})
     report = slln_rate_study(cfg, n_grid=[64, 128, 256], min_replicates=2)
@@ -255,6 +268,17 @@ def test_cli_stability_abort_exits_3(tmp_path):
          "--abort-on-stability"]
     )
     assert code == 3
+
+
+def test_cli_rate_study_malformed_grid_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, four_state_raw(replicates=50))
+    out = tmp_path / "never"
+    code = cli.main(
+        ["rate-study", "--config", cfg_path, "--out", str(out), "--n-grid", "128,abc"]
+    )
+    assert code == 2
+    assert "--n-grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_numerical_error_exits_4(tmp_path, monkeypatch):

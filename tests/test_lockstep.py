@@ -1,0 +1,209 @@
+"""Lockstep engine: vectorised finite-space kernels against the exact oracle,
+and the all-replicates ensemble's schedule, snapshots and stability policy."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eesampler import exact
+from eesampler.config import config_from_dict, four_state_config, four_state_raw
+from eesampler.errors import ConfigurationError, StabilityError
+from eesampler.kernels import KernelSet, NeighborProposal, UniformProposal
+from eesampler.sampler import LockstepEnsemble
+from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
+
+R = 100_000
+CRITERION_7_FEEDER = (0, 1, 1, 2, 3, 3, 0, 2, 3, 1)
+PROPOSALS = {"uniform": UniformProposal, "neighbor": NeighborProposal}
+
+
+def four_model(proposal: str, eps: float = 0.5) -> KernelSet:
+    space = FiniteSpace(4)
+    ladder = DensityLadder(space, [np.zeros(4), np.log([1.0, 1.0, 2.0, 4.0])])
+    partition = RingPartition(space, labels=[0, 0, 1, 1])
+    return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, epsilon=eps)
+
+
+def oracle(model, variant, mu, eps):
+    build = exact.ee_jump_matrix if variant == "ee-jump" else exact.nonlinear_matrix
+    return build(model, 1, mu, eps, empty_ring_fallback=True)
+
+
+def worst_z(P, step, rng) -> float:
+    """Max |z| of one-step frequencies from every start state, R draws each,
+    under criterion 7's rule (3 s.e. of a binomial proportion)."""
+    worst = 0.0
+    for x0 in range(P.shape[0]):
+        freq = np.bincount(step(np.full(R, x0), rng), minlength=P.shape[0]) / R
+        se = np.sqrt(P[x0] * (1.0 - P[x0]) / R)
+        worst = max(worst, float((np.abs(freq - P[x0]) / np.maximum(se, 1e-12)).max()))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("proposal", sorted(PROPOSALS))
+@pytest.mark.parametrize("level", [0, 1])
+def test_mh_step_lockstep_matches_k_matrix(proposal, level):
+    model = four_model(proposal)
+    rng = np.random.default_rng([71, level])
+    z = worst_z(exact.k_matrix(model, level),
+                lambda x, g: model.mh_step_lockstep(level, x, g), rng)
+    assert z <= 3.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("proposal", sorted(PROPOSALS))
+@pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
+def test_interacting_step_lockstep_matches_oracle(variant, proposal, eps):
+    model = four_model(proposal, eps)
+    mu = np.bincount(CRITERION_7_FEEDER, minlength=4) / len(CRITERION_7_FEEDER)
+    counts = np.tile(np.bincount(CRITERION_7_FEEDER, minlength=4), (R, 1))
+    rng = np.random.default_rng(72)
+    z = worst_z(oracle(model, variant, mu, eps),
+                lambda x, g: model.interacting_step_lockstep(1, x, counts, g, variant), rng)
+    assert z <= 3.0
+
+
+@pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
+def test_interacting_step_lockstep_empty_ring_falls_back(variant):
+    model = four_model("uniform")
+    atoms = (0, 1, 1, 0)  # ring {2, 3} holds no feeder atoms
+    mu = np.bincount(atoms, minlength=4) / len(atoms)
+    counts = np.tile(np.bincount(atoms, minlength=4), (R, 1))
+    P = oracle(model, variant, mu, 0.5)
+    np.testing.assert_allclose(P[2:], exact.k_matrix(model, 1)[2:])
+    rng = np.random.default_rng(73)
+    z = worst_z(P, lambda x, g: model.interacting_step_lockstep(1, x, counts, g, variant), rng)
+    assert z <= 3.0
+
+
+def test_interacting_step_lockstep_reads_each_replicates_own_feeder():
+    # replicate 0's feeder holds only state 3, replicate 1's only state 2; with
+    # equal levels every swap is accepted, so an ee-jump lands on that atom
+    space = FiniteSpace(4)
+    logw = np.log([1.0, 1.0, 2.0, 4.0])
+    partition = RingPartition(space, labels=[0, 0, 1, 1])
+    model = KernelSet(DensityLadder(space, [logw, logw]), partition,
+                      [UniformProposal()] * 2, epsilon=1.0)
+    counts = np.array([[5, 0, 0, 7], [0, 9, 4, 0]])
+    rng = np.random.default_rng(74)
+    for _ in range(20):
+        out = model.interacting_step_lockstep(1, np.array([2, 3]), counts, rng, "ee-jump")
+        assert out.tolist() == [3, 2]
+
+
+def test_lockstep_steps_need_finite_space_and_known_variant():
+    model = four_model("uniform")
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigurationError):
+        model.interacting_step_lockstep(1, np.zeros(3, dtype=int), np.ones((3, 4)), rng, "x")
+    with pytest.raises(ConfigurationError):
+        model.interacting_step_lockstep(0, np.zeros(3, dtype=int), np.ones((3, 4)), rng, "ee-jump")
+    box = config_from_dict(json.loads(
+        (Path(__file__).resolve().parent.parent / "configs" / "double_well.json").read_text()
+    ))
+    with pytest.raises(ConfigurationError):
+        box.kernels.mh_step_lockstep(0, np.zeros(3, dtype=int), rng)
+    with pytest.raises(ConfigurationError):
+        LockstepEnsemble(box)
+
+
+# ---------------------------------------------------------------------------
+# ensemble
+# ---------------------------------------------------------------------------
+
+def three_chain_config(**overrides):
+    raw = four_state_raw(
+        ladder={"weights": [[1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 2, 4]]},
+        schedule={"offsets": [5, 7], "total_rounds": 40},
+        initial_states=[0, 1, 2],
+        replicates=6,
+        seed=11,
+    )
+    raw.update(overrides)
+    return config_from_dict(raw)
+
+
+def test_chain_one_holds_through_burn_in():
+    cfg = four_state_config(replicates=8, schedule={"offsets": [20], "total_rounds": 64})
+    ens = LockstepEnsemble(cfg)
+    for _ in range(20):
+        ens.step_round()
+        assert np.all(ens.states[:, 1] == 0)
+        assert np.all(ens.counts[:, 1] == [1, 0, 0, 0])
+    ens.step_round()
+    assert np.all(ens.counts[:, 1].sum(axis=1) == 2)
+
+
+def test_each_active_chain_adds_one_atom_per_round():
+    cfg = three_chain_config()
+    ens = LockstepEnsemble(cfg)
+    onehot = np.eye(2, dtype=np.int64)[[0, 0, 1, 1]]  # state -> ring
+    for n in range(1, 31):
+        ens.step_round()
+        for k, threshold in enumerate((0, 5, 12)):
+            assert np.all(ens.counts[:, k].sum(axis=1) == 1 + max(0, n - threshold))
+            np.testing.assert_array_equal(ens.ring_counts[:, k], ens.counts[:, k] @ onehot)
+            assert np.all(ens.counts[np.arange(6), k, ens.states[:, k]] >= 1)
+
+
+def test_rerun_identical_and_replicates_differ():
+    cfg = three_chain_config()
+    a, b = LockstepEnsemble(cfg), LockstepEnsemble(cfg)
+    for _ in range(30):
+        a.step_round()
+        b.step_round()
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert len({row.tobytes() for row in a.counts}) > 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_strict_snapshot_reads_round_start_counts(strict, monkeypatch):
+    raw = four_state_raw(replicates=4, schedule={"offsets": [3], "total_rounds": 64})
+    raw["trace"] = {"snapshot_every": 256, "strict_snapshot": strict}
+    cfg = config_from_dict(raw)
+    ens = LockstepEnsemble(cfg)
+    seen = []
+    step = cfg.kernels.interacting_step_lockstep
+
+    def spy(level, x, feeder_counts, rng, variant):
+        seen.append(feeder_counts.copy())
+        return step(level, x, feeder_counts, rng, variant)
+
+    monkeypatch.setattr(cfg.kernels, "interacting_step_lockstep", spy)
+    for _ in range(10):
+        start = ens.counts[:, 0].copy()
+        ens.step_round()
+        if ens.n > 3:
+            expected = start if strict else ens.counts[:, 0]
+            np.testing.assert_array_equal(seen[-1], expected)
+            assert np.all(seen[-1].sum(axis=1) == ens.n + (0 if strict else 1))
+    assert len(seen) == 7
+
+
+def test_abort_policy_raises_with_round_replicate_ring_and_mass():
+    # two rings cannot both hold mass >= 0.9, so the monitor trips as soon
+    # as chain 1 activates at round 11
+    cfg = four_state_config(replicates=5, schedule={"offsets": [10], "total_rounds": 64},
+                            stability={"theta": 0.9, "policy": "abort"})
+    ens = LockstepEnsemble(cfg)
+    for _ in range(10):
+        ens.step_round()
+    with pytest.raises(StabilityError, match=r"round 11: replicate 0 chain 0 ring \d mass 0\."):
+        ens.step_round()
+
+
+def test_warn_policy_only_records():
+    cfg = four_state_config(replicates=5, schedule={"offsets": [10], "total_rounds": 64},
+                            stability={"theta": 0.9, "policy": "warn"})
+    ens = LockstepEnsemble(cfg)
+    for _ in range(40):
+        ens.step_round()
+    assert ens.violations >= 5 * 30
+    assert ens.min_mass_seen < 0.9
