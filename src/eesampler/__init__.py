@@ -29,14 +29,8 @@ from .kernels import (
     StepInfo,
     UniformProposal,
 )
-from .measures import (
-    EmpiricalMeasure,
-    MeasureSnapshot,
-    RestrictedMeasure,
-    StabilityMonitor,
-    tv_distance,
-)
-from .sampler import ChainEnsemble, Trace, init_ensemble, run, run_frozen_feeder
+from .measures import EmpiricalMeasure, StabilityMonitor, tv_distance
+from .sampler import ChainEnsemble, Trace, run, run_frozen_feeder
 from .state_space import (
     BoxSpace,
     DensityLadder,
@@ -60,11 +54,9 @@ __all__ = [
     "FiniteSpace",
     "GaussianWalkProposal",
     "KernelSet",
-    "MeasureSnapshot",
     "NeighborProposal",
     "NumericalError",
     "RateReport",
-    "RestrictedMeasure",
     "RingPartition",
     "StabilityError",
     "StabilityMonitor",
@@ -78,7 +70,6 @@ __all__ = [
     "fluctuation_bound_battery",
     "four_state_config",
     "four_state_raw",
-    "init_ensemble",
     "ladder_masses",
     "load_config",
     "run",

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .kernels import (
     GaussianWalkProposal,
     KernelSet,
@@ -241,13 +241,24 @@ def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Resolve and validate a configuration dict."""
+    """Resolve and validate a configuration dict.
+
+    A missing key, or a value of the wrong type or form (say a string where
+    a number belongs), raises :class:`ConfigurationError` like every other
+    invalid config, so the CLI exits with 2 rather than a traceback.
+    """
     try:
-        space = _build_space(raw["space"])
-        ladder = _build_ladder(raw["ladder"], space)
-        partition = _build_partition(raw["partition"], space, ladder)
-    except KeyError as exc:
-        raise ConfigurationError(f"missing config section: {exc}") from exc
+        return _resolve(raw)
+    except (ConfigurationError, DomainError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed config ({type(exc).__name__}: {exc})") from exc
+
+
+def _resolve(raw: dict) -> ExperimentConfig:
+    space = _build_space(raw["space"])
+    ladder = _build_ladder(raw["ladder"], space)
+    partition = _build_partition(raw["partition"], space, ladder)
 
     kernel_spec = raw.get("kernel", {})
     variant = kernel_spec.get("variant", "selection-mutation")

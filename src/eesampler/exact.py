@@ -102,6 +102,14 @@ def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = F
     return masses, W
 
 
+def _empty_ring_fallback(model: KernelSet, P: np.ndarray, K: np.ndarray, masses) -> None:
+    """Give every state whose ring carries no feeder mass the local K row,
+    as the sampler falls back to its local move. A no-op unless
+    ring_conditionals was allowed to return an empty ring."""
+    empty = masses[model.partition.labels()] <= 0.0
+    P[empty] = K[empty]
+
+
 def q_matrix(
     model: KernelSet, level: int, mu: np.ndarray, *, empty_ring_fallback: bool = False
 ) -> np.ndarray:
@@ -118,10 +126,7 @@ def q_matrix(
     A = swap_alpha(model, level)
     WA = W * A
     Q = WA @ K + (1.0 - WA.sum(axis=1))[:, None] * K
-    if empty_ring_fallback:
-        labels = model.partition.labels()
-        for x in np.nonzero(masses[labels] <= 0.0)[0]:
-            Q[x] = K[x]
+    _empty_ring_fallback(model, Q, K, masses)
     assert_row_stochastic(Q)
     return Q
 
@@ -141,10 +146,7 @@ def ee_jump_matrix(
     A = swap_alpha(model, level)
     J = W * A
     J = J + np.diag(1.0 - J.sum(axis=1))
-    if empty_ring_fallback:
-        labels = model.partition.labels()
-        for x in np.nonzero(masses[labels] <= 0.0)[0]:
-            J[x] = K[x]
+    _empty_ring_fallback(model, J, K, masses)
     P = (1.0 - eps) * K + eps * J
     assert_row_stochastic(P)
     return P

@@ -19,7 +19,7 @@ import numpy as np
 from . import exact
 from .config import ExperimentConfig
 from .errors import ConfigurationError
-from .measures import EmpiricalMeasure, tv_distance
+from .measures import tv_distance
 from .sampler import LockstepEnsemble, run, run_frozen_feeder
 from .state_space import FiniteSpace
 
@@ -31,15 +31,6 @@ _BATTERY_SALT = 0xF1AC
 # ---------------------------------------------------------------------------
 # artifact writers
 # ---------------------------------------------------------------------------
-
-def write_measure_dump(measure: EmpiricalMeasure, path) -> None:
-    """Columnar text dump (step, state, ring) of an empirical measure."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "state", "ring"])
-        for step, state, ring in measure.dump_rows():
-            writer.writerow([step, state, ring])
-
 
 def _write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -412,28 +403,27 @@ def fluctuation_bound_battery(
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_salt]))
     fs = rng.uniform(-1.0, 1.0, size=(n_funcs, size))
 
-    # seed one atom per ring so every restricted mean exists from the start
+    # the empirical measure as counts: one atom per ring to start, so every
+    # restricted mean exists from the first step
     first_of_ring = [int(np.nonzero(labels == j)[0][0]) for j in range(d)]
-    measure = EmpiricalMeasure(config.partition)
-    for s in first_of_ring:
-        measure.insert(s)
     ring_sums = np.zeros((d, n_funcs))
     ring_counts = np.zeros(d, dtype=int)
     for s in first_of_ring:
         ring_sums[labels[s]] += fs[:, s]
         ring_counts[labels[s]] += 1
+    total = d
 
-    theta_obs = measure.masses().min()
+    theta_obs = ring_counts.min() / total
     worst = 0.0
     stream = rng.integers(size, size=steps)
     for x in stream:
-        m_plus_2 = measure.total_count + 1  # S_m holds m+1 atoms; bound uses m+2
+        m_plus_2 = total + 1  # S_m holds m+1 atoms; bound uses m+2
         before = ring_sums[labels[x]] / ring_counts[labels[x]]
-        measure.insert(int(x))
         ring_sums[labels[x]] += fs[:, x]
         ring_counts[labels[x]] += 1
+        total += 1
         after = ring_sums[labels[x]] / ring_counts[labels[x]]
-        theta_obs = min(theta_obs, measure.masses().min())
+        theta_obs = min(theta_obs, ring_counts.min() / total)
         bound = (1.0 / theta_obs + 1.0 / theta_obs**2) / m_plus_2
         ratio = float(np.abs(after - before).max()) / bound
         worst = max(worst, ratio)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -128,6 +127,7 @@ class KernelSet:
             if not finite and not isinstance(p, GaussianWalkProposal):
                 raise ConfigurationError(f"level {i}: box spaces need a gaussian walk proposal")
         self._logw = ladder.log_table() if finite else None
+        self._rings = partition.labels() if finite else None
 
     # -- local Metropolis-Hastings ------------------------------------------------
     def _logpi(self, level: int, x) -> float:
@@ -193,39 +193,49 @@ class KernelSet:
         return x, y, False
 
     # -- interaction moves -----------------------------------------------------------
+    def _interacts(self, level: int, rng: np.random.Generator) -> bool:
+        """The epsilon branch coin: True takes the interaction branch.
+        Epsilon 0 and 1 decide without consuming a draw."""
+        eps = self.epsilons[level]
+        if eps >= 1.0:
+            return True
+        return eps > 0.0 and rng.random() < eps
+
+    def _feeder_atom(self, x, feeder, rng: np.random.Generator):
+        """A uniform draw from the feeder's atoms in ring(x), or None when
+        that ring holds none (the caller then falls back to the local move)."""
+        ring = self.partition.assign(x)
+        if feeder.ring_count(ring) == 0:
+            return None
+        return feeder.draw(ring, rng)
+
     def selection_step(self, level: int, x, feeder, rng: np.random.Generator):
         """Selection/mutation move: draw z from the feeder restricted to
         ring(x), attempt the swap, then one local move from the first
         post-swap coordinate. Falls back to the local kernel when the ring
         holds no feeder atoms."""
-        ring = self.partition.assign(x)
-        if feeder.ring_count(ring) == 0:
+        z = self._feeder_atom(x, feeder, rng)
+        if z is None:
             return self.mh_step(level, x, rng), StepInfo("local", fallback=True)
-        z = feeder.draw(ring, rng)
         x2, _, accepted = self.swap_step(level, x, z, rng)
         out = self.mh_step(level, x2, rng)
         return out, StepInfo("selection", swap_accepted=accepted)
 
     def nonlinear_step(self, level: int, x, feeder, rng: np.random.Generator):
         """(1 - eps) local + eps selection; the branch uses its own draw."""
-        eps = self.epsilons[level]
-        if eps >= 1.0:
+        if self._interacts(level, rng):
             return self.selection_step(level, x, feeder, rng)
-        if eps <= 0.0 or rng.random() >= eps:
-            return self.mh_step(level, x, rng), StepInfo("local")
-        return self.selection_step(level, x, feeder, rng)
+        return self.mh_step(level, x, rng), StepInfo("local")
 
     def ee_jump_step(self, level: int, x, feeder, rng: np.random.Generator):
         """Original equi-energy variant: the interaction branch proposes a
         feeder atom from ring(x) and accepts it with the swap probability,
         with no trailing local move. The jump never leaves ring(x)."""
-        eps = self.epsilons[level]
-        if eps < 1.0 and (eps <= 0.0 or rng.random() >= eps):
+        if not self._interacts(level, rng):
             return self.mh_step(level, x, rng), StepInfo("local")
-        ring = self.partition.assign(x)
-        if feeder.ring_count(ring) == 0:
+        z = self._feeder_atom(x, feeder, rng)
+        if z is None:
             return self.mh_step(level, x, rng), StepInfo("local", fallback=True)
-        z = feeder.draw(ring, rng)
         alpha = self.swap_accept_prob(level, x, z)
         if rng.random() < alpha:
             return z, StepInfo("jump", swap_accepted=True)
@@ -239,13 +249,6 @@ class KernelSet:
         raise ConfigurationError(f"unknown kernel variant {variant!r}")
 
     # -- lockstep steps on finite spaces -----------------------------------------------
-    @cached_property
-    def ring_table(self) -> np.ndarray:
-        """(S,) ring index of every state; finite spaces only."""
-        if self._logw is None:
-            raise ConfigurationError("lockstep steps need a finite space")
-        return np.array([self.partition.assign(s) for s in range(self.ladder.space.size)])
-
     def _mh_lockstep(self, level: int, x: np.ndarray, u_prop: np.ndarray, u_mh: np.ndarray):
         """MH moves from the states x, given proposal uniforms and MH coins."""
         size = self.ladder.space.size
@@ -275,7 +278,9 @@ class KernelSet:
             raise ConfigurationError(f"unknown kernel variant {variant!r}")
         if level < 1:
             raise ConfigurationError("interacting steps need a feeder level below them")
-        rings = self.ring_table
+        if self._rings is None:
+            raise ConfigurationError("lockstep steps need a finite space")
+        rings = self._rings
         u_branch, u_feed, u_swap, u_prop, u_mh = rng.random((5, x.shape[0]))
 
         # categorical draw over ring(x), weighted by the feeder's counts

@@ -1,4 +1,4 @@
-"""Running empirical measures, ring-restricted conditioning, and stability.
+"""Running empirical measures, their snapshots, stability, and TV distance.
 
 An :class:`EmpiricalMeasure` stores every atom a chain has visited, grouped
 by energy ring at insertion time, with multiplicity (no weight collapsing):
@@ -8,6 +8,8 @@ kernel conditions on, and uniform draws stay O(1). Each atom carries weight
 
 Snapshots are prefix views: atoms are append-only, so freezing the per-ring
 counts yields a zero-copy, immutable picture of the measure at a past step.
+The conditional measure mu_x of the interaction kernel is the ring of x:
+``draw(ring, rng)`` samples it and ``atoms(ring)`` lists it.
 """
 
 from __future__ import annotations
@@ -26,90 +28,25 @@ class EmpiricalMeasure:
     def __init__(self, partition: RingPartition):
         self.partition = partition
         self._ring_atoms: list[list] = [[] for _ in range(partition.d)]
-        self._order: list[tuple[int, object]] = []  # (ring, state) in insertion order
+        self._counts: list[int] = [0] * partition.d
         self._total = 0
+        self._frozen = False
 
     # -- update ------------------------------------------------------------
     def insert(self, x) -> None:
         """Append one atom; equivalent to the convex update
         S_n = S_{n-1} + 1/(n+1) [delta_x - S_{n-1}]."""
+        if self._frozen:
+            raise StabilityError("cannot insert into a measure snapshot")
         ring = self.partition.assign(x)
         self._ring_atoms[ring].append(x)
-        self._order.append((ring, x))
+        self._counts[ring] += 1
         self._total += 1
 
     # -- mass queries --------------------------------------------------------
     @property
     def d(self) -> int:
         return self.partition.d
-
-    @property
-    def total_count(self) -> int:
-        return self._total
-
-    def ring_count(self, ring: int) -> int:
-        return len(self._ring_atoms[ring])
-
-    def ring_mass(self, ring: int) -> float:
-        if self._total == 0:
-            return 0.0
-        return len(self._ring_atoms[ring]) / self._total
-
-    def masses(self) -> np.ndarray:
-        if self._total == 0:
-            return np.zeros(self.d)
-        return np.array([len(a) for a in self._ring_atoms], dtype=float) / self._total
-
-    # -- sampling and conditioning --------------------------------------------
-    def draw(self, ring: int, rng: np.random.Generator):
-        """Uniform draw (with multiplicity) from the stored atoms of a ring."""
-        atoms = self._ring_atoms[ring]
-        if not atoms:
-            raise StabilityError(f"ring {ring} holds no atoms")
-        return atoms[int(rng.integers(len(atoms)))]
-
-    def restrict(self, x) -> "RestrictedMeasure":
-        """The conditional measure mu_x: this measure given the ring of x."""
-        ring = self.partition.assign(x)
-        n = len(self._ring_atoms[ring])
-        if n == 0:
-            raise StabilityError(f"ring {ring} of state {x!r} holds no atoms")
-        return RestrictedMeasure(self, ring, n)
-
-    def snapshot(self) -> "MeasureSnapshot":
-        """Immutable prefix view of the measure as it stands now."""
-        return MeasureSnapshot(self, tuple(len(a) for a in self._ring_atoms), self._total)
-
-    def atoms(self, ring: int):
-        return iter(self._ring_atoms[ring])
-
-    # -- finite-space vector form ----------------------------------------------
-    def as_vector(self, space: FiniteSpace) -> np.ndarray:
-        """Probability vector over an enumerated space (finite spaces only)."""
-        if self._total == 0:
-            raise StabilityError("empty measure has no probability vector")
-        v = np.zeros(space.size)
-        for _, x in self._order:
-            v[int(x)] += 1.0
-        return v / self._total
-
-    def dump_rows(self):
-        """(step, state, ring) rows in insertion order, for the text dump."""
-        for step, (ring, x) in enumerate(self._order):
-            yield step, x, ring
-
-
-class MeasureSnapshot:
-    """Frozen prefix of an EmpiricalMeasure: counts fixed, storage shared."""
-
-    def __init__(self, source: EmpiricalMeasure, ring_counts: tuple[int, ...], total: int):
-        self._source = source
-        self._counts = ring_counts
-        self._total = total
-
-    @property
-    def d(self) -> int:
-        return self._source.d
 
     @property
     def total_count(self) -> int:
@@ -128,55 +65,39 @@ class MeasureSnapshot:
             return np.zeros(self.d)
         return np.array(self._counts, dtype=float) / self._total
 
+    # -- sampling ----------------------------------------------------------------
     def draw(self, ring: int, rng: np.random.Generator):
+        """Uniform draw (with multiplicity) from the stored atoms of a ring."""
         n = self._counts[ring]
         if n == 0:
-            raise StabilityError(f"ring {ring} holds no atoms in snapshot")
-        return self._source._ring_atoms[ring][int(rng.integers(n))]
+            raise StabilityError(f"ring {ring} holds no atoms")
+        return self._ring_atoms[ring][int(rng.integers(n))]
 
-    def restrict(self, x) -> "RestrictedMeasure":
-        ring = self._source.partition.assign(x)
-        n = self._counts[ring]
-        if n == 0:
-            raise StabilityError(f"ring {ring} of state {x!r} holds no atoms in snapshot")
-        return RestrictedMeasure(self._source, ring, n)
+    def snapshot(self) -> "EmpiricalMeasure":
+        """Immutable prefix view of the measure as it stands now: an
+        EmpiricalMeasure sharing the atom lists, with frozen counts, that
+        raises on insert."""
+        snap = EmpiricalMeasure.__new__(EmpiricalMeasure)
+        snap.partition = self.partition
+        snap._ring_atoms = self._ring_atoms
+        snap._counts = list(self._counts)
+        snap._total = self._total
+        snap._frozen = True
+        return snap
 
+    def atoms(self, ring: int):
+        return iter(self._ring_atoms[ring][: self._counts[ring]])
+
+    # -- finite-space vector form ----------------------------------------------
     def as_vector(self, space: FiniteSpace) -> np.ndarray:
+        """Probability vector over an enumerated space (finite spaces only)."""
         if self._total == 0:
-            raise StabilityError("empty snapshot has no probability vector")
+            raise StabilityError("empty measure has no probability vector")
         v = np.zeros(space.size)
-        for ring, x in self._source._order[: self._total]:
-            v[int(x)] += 1.0
+        for ring, count in enumerate(self._counts):
+            for x in self._ring_atoms[ring][:count]:
+                v[int(x)] += 1.0
         return v / self._total
-
-
-@dataclass(frozen=True)
-class RestrictedMeasure:
-    """mu_x: uniform (with multiplicity) over one ring's first `count` atoms."""
-
-    source: EmpiricalMeasure
-    ring: int
-    count: int
-
-    def draw(self, rng: np.random.Generator):
-        return self.source._ring_atoms[self.ring][int(rng.integers(self.count))]
-
-    def mean(self, f) -> float:
-        """Average of f over the restricted atoms: S_{m,x}(f)."""
-        atoms = self.source._ring_atoms[self.ring][: self.count]
-        return float(sum(f(a) for a in atoms)) / self.count
-
-    def measure_of(self, states) -> float:
-        """mu_x(A) for an atom set A (membership counted with multiplicity)."""
-        members = set(states)
-        atoms = self.source._ring_atoms[self.ring][: self.count]
-        return sum(1 for a in atoms if a in members) / self.count
-
-    def as_vector(self, space: FiniteSpace) -> np.ndarray:
-        v = np.zeros(space.size)
-        for a in self.source._ring_atoms[self.ring][: self.count]:
-            v[int(a)] += 1.0
-        return v / self.count
 
 
 @dataclass

@@ -53,9 +53,6 @@ class Trace:
         for ring, mass in enumerate(masses):
             self.mass_snapshots.append((rnd, chain, ring, float(mass)))
 
-    def chain_states(self, chain: int) -> list:
-        return [row[2] for row in self.rows if row[0] == chain]
-
     def _state_header(self) -> list[str]:
         if self.state_dim == 0:
             return ["state"]
@@ -221,12 +218,6 @@ class ChainEnsemble:
         return self.trace
 
 
-def init_ensemble(config: ExperimentConfig, replicate: int = 0) -> ChainEnsemble:
-    """Fresh ensemble: every chain at its initial point, each measure a
-    point mass there, chain 0 due to move first."""
-    return ChainEnsemble(config, replicate=replicate)
-
-
 def run(config: ExperimentConfig, replicate: int = 0) -> Trace:
     """Execute the staged schedule for the configured rounds; returns the
     complete trace. Bit-reproducible per (config, seed, replicate)."""
@@ -291,7 +282,7 @@ class LockstepEnsemble:
 
         reps, chains = config.replicates, np.arange(self.r)
         self._rows = np.arange(reps)
-        self._rings = self.kernels.ring_table
+        self._rings = config.partition.labels()
         initial = np.array(config.initial_states, dtype=np.intp)
         self.states = np.tile(initial, (reps, 1))
         self.counts = np.zeros((reps, self.r, config.space.size), dtype=np.int64)

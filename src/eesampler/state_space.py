@@ -12,7 +12,7 @@ A :class:`DensityLadder` holds ``r >= 1`` unnormalized log-densities over one
 space, ordered feeder-to-target: level ``r-1`` (0-based) is the target.
 A :class:`RingPartition` splits the space into ``d`` energy rings, either by
 explicit per-state labels (finite spaces) or by thresholding a user-supplied
-energy function (box spaces), in the style of the original equi-energy
+energy function (either space), in the style of the original equi-energy
 construction. Ring indices are 0-based throughout.
 """
 
@@ -195,9 +195,11 @@ def tempered_ladder(space: Space, base_log_density, temperatures: Sequence[float
 class RingPartition:
     """Partition of the state space into d energy rings.
 
-    Finite spaces use an explicit label per state; box spaces use level sets
-    ``ring_j = {x : c_j <= H(x) < c_{j+1}}`` of an energy function H with
-    interior thresholds c_1 < ... < c_{d-1} (c_0 = -inf, c_d = +inf).
+    Rings come from an explicit label per state (finite spaces) or from the
+    level sets ``ring_j = {x : c_j <= H(x) < c_{j+1}}`` of an energy function
+    H with interior thresholds c_1 < ... < c_{d-1} (c_0 = -inf, c_d = +inf).
+    On a finite space either kind is tabulated per state at construction, so
+    ``labels()`` exists and ``assign`` reads the table.
     ``assign`` is total and deterministic and returns an index in 0..d-1.
     """
 
@@ -230,6 +232,10 @@ class RingPartition:
             self._labels = None
             self._energy = energy
             self._thresholds = th
+            if isinstance(space, FiniteSpace):
+                self._labels = np.array(
+                    [self.assign(s) for s in range(space.size)], dtype=np.intp
+                )
         else:
             raise ConfigurationError("provide either labels or an energy function")
 
@@ -250,7 +256,7 @@ class RingPartition:
     def labels(self) -> np.ndarray:
         """Per-state ring indices; finite spaces only."""
         if self._labels is None:
-            raise ConfigurationError("labels() is only defined for label partitions")
+            raise ConfigurationError("labels() is only defined on finite spaces")
         return self._labels.copy()
 
     def __repr__(self):
@@ -274,7 +280,7 @@ def ladder_masses(
     out = np.zeros((r, d))
     if ladder.is_finite:
         dens = ladder.density_table()
-        labels = np.array([partition.assign(s) for s in range(ladder.space.size)])
+        labels = partition.labels()
         for j in range(d):
             out[:, j] = dens[:, labels == j].sum(axis=1)
     else:

@@ -13,10 +13,8 @@ from eesampler.experiments import (
     run_experiment,
     slln_rate_study,
     verify_suite,
-    write_measure_dump,
     write_rate_report,
 )
-from eesampler.measures import EmpiricalMeasure
 from eesampler.sampler import run
 
 
@@ -53,18 +51,6 @@ def test_run_experiment_byte_identical(tmp_path):
     for key in ("summary", "meta"):
         assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
     assert Path(p1["traces"][0]).read_bytes() == Path(p2["traces"][0]).read_bytes()
-
-
-def test_measure_dump(tmp_path):
-    cfg = four_state_config()
-    m = EmpiricalMeasure(cfg.partition)
-    for a in (0, 2, 2, 1):
-        m.insert(a)
-    out = tmp_path / "measure.csv"
-    write_measure_dump(m, out)
-    assert out.read_text().splitlines() == [
-        "step,state,ring", "0,0,0", "1,2,1", "2,2,1", "3,1,0"
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +217,52 @@ def write_config(tmp_path, raw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def test_threshold_partition_matches_its_labels(tmp_path):
+    # energy -log pi_2 = -log (1, 1, 2, 4) cut at -1.0 puts state 3 alone in ring 0
+    small = {"offsets": [50], "total_rounds": 1024}
+    thresholds = four_state_raw(
+        partition={"thresholds": [-1.0], "energy": "neg_log_target"}, schedule=small
+    )
+    labels = config_from_dict(four_state_raw(partition={"labels": [1, 1, 1, 0]}, schedule=small))
+    np.testing.assert_array_equal(config_from_dict(thresholds).partition.labels(), [1, 1, 1, 0])
+
+    cfg_path = write_config(tmp_path, thresholds)
+    assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
+    verified = json.loads((tmp_path / "v" / "verification.json").read_text())
+    expected = json.loads(json.dumps(verify_suite(labels).to_dict()))
+    for report in (verified, expected):
+        report.pop("config_hash")
+    assert verified == expected
+
+    biased = bias_study(config_from_dict(thresholds), freeze_at=9).to_dict()
+    expected = bias_study(labels, freeze_at=9).to_dict()
+    for report in (biased, expected):
+        report.pop("config_hash")
+    assert biased == expected
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"replicates": "many"},
+        {"seed": "abc"},
+        {"schedule": {"offsets": ["x"], "total_rounds": 4096}},
+        {"stability": {"theta": "small", "policy": "warn"}},
+        {"initial_states": ["a", 0]},
+        {"test_functions": [{"name": "r", "kind": "ring_indicator", "ring": "one"}]},
+        {"space": {"kind": "finite", "size": "four"}},
+        {"kernel": {"variant": "selection-mutation", "epsilon": "half", "proposal": "uniform"}},
+    ],
+    ids=["replicates", "seed", "offsets", "theta", "initial_states", "ring", "size", "epsilon"],
+)
+def test_cli_malformed_scalar_exits_2(tmp_path, capsys, override):
+    cfg_path = write_config(tmp_path, four_state_raw(**override))
+    code = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "never")])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_run_and_verify(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import make_model
+from eesampler import exact
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.measures import EmpiricalMeasure, StabilityMonitor, tv_distance
 from eesampler.state_space import FiniteSpace, RingPartition
@@ -12,6 +14,12 @@ def two_ring_measure(atoms=()):
     for a in atoms:
         m.insert(a)
     return m
+
+
+def conditional(m, x, size=4):
+    """mu_x as a vector: the atoms of ring(x), with multiplicity, over their count."""
+    ring = m.partition.assign(x)
+    return np.bincount(list(m.atoms(ring)), minlength=size) / m.ring_count(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +61,6 @@ def test_recursive_update_matches_batch_recount():
 def test_insertion_order_preserved():
     m = two_ring_measure([0, 1, 0, 1])
     assert list(m.atoms(0)) == [0, 1, 0, 1]
-    assert [row for row in m.dump_rows()] == [
-        (0, 0, 0), (1, 1, 0), (2, 0, 0), (3, 1, 0)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -64,41 +69,46 @@ def test_insertion_order_preserved():
 
 def test_restrict_uniform_conditioning():
     m = two_ring_measure([0, 1, 2, 3])
-    mu_x = m.restrict(2)
-    np.testing.assert_allclose(mu_x.as_vector(FiniteSpace(4)), [0, 0, 0.5, 0.5])
-    assert mu_x.measure_of({2, 3}) == 1.0
+    mu_x = conditional(m, 2)
+    np.testing.assert_allclose(mu_x, [0, 0, 0.5, 0.5])
+    assert mu_x[[2, 3]].sum() == 1.0
 
 
 def test_restrict_single_atom_ring():
     m = two_ring_measure([0, 0, 2])
-    mu_x = m.restrict(0)
-    np.testing.assert_allclose(mu_x.as_vector(FiniteSpace(4)), [1.0, 0, 0, 0])
+    np.testing.assert_allclose(conditional(m, 0), [1.0, 0, 0, 0])
 
 
 def test_restrict_identity_battery():
-    # mu_x(A) * S(E_ring) == S(E_ring intersect A) over random measures and sets
+    # the oracle's conditionals of the measure's vector are the ring's atom
+    # frequencies, and mu_x(A) * S(E_ring) == S(E_ring intersect A)
     rng = np.random.default_rng(99)
-    part = RingPartition(FiniteSpace(6), labels=[0, 0, 1, 1, 2, 2])
+    labels = [0, 0, 1, 1, 2, 2]
+    model = make_model([np.zeros(6)], labels=labels)
+    space = model.ladder.space
     for _ in range(100):
-        m = EmpiricalMeasure(part)
+        m = EmpiricalMeasure(model.partition)
         for x in rng.integers(6, size=int(rng.integers(6, 60))):
             m.insert(int(x))
-        x = int(rng.integers(6))
-        if m.ring_count(part.assign(x)) == 0:
-            continue
-        subset = {int(s) for s in rng.choice(6, size=int(rng.integers(1, 6)), replace=False)}
-        ring = part.assign(x)
-        lhs = m.restrict(x).measure_of(subset) * m.ring_mass(ring)
-        rhs = sum(
-            1 for _, a in ((0, a) for a in m.atoms(ring)) if a in subset
-        ) / m.total_count
-        assert lhs == pytest.approx(rhs, abs=1e-14)
+        _, W = exact.ring_conditionals(model, m.as_vector(space), allow_empty=True)
+        for x in range(6):
+            ring = labels[x]
+            if m.ring_count(ring) == 0:
+                np.testing.assert_array_equal(W[x], 0.0)
+                continue
+            mu_x = conditional(m, x, size=6)
+            np.testing.assert_allclose(W[x], mu_x, rtol=0, atol=1e-14)
+            subset = rng.choice(6, size=int(rng.integers(1, 6)), replace=False)
+            rhs = sum(1 for a in m.atoms(ring) if a in subset) / m.total_count
+            assert mu_x[subset].sum() * m.ring_mass(ring) == pytest.approx(rhs, abs=1e-14)
 
 
 def test_restrict_empty_ring_raises():
-    m = two_ring_measure([0])
+    model = make_model([np.zeros(4)], labels=[0, 0, 1, 1])
+    m = EmpiricalMeasure(model.partition)
+    m.insert(0)
     with pytest.raises(StabilityError):
-        m.restrict(3)
+        exact.ring_conditionals(model, m.as_vector(model.ladder.space))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +168,18 @@ def test_snapshot_restrict():
     m = two_ring_measure([0, 2])
     snap = m.snapshot()
     m.insert(3)
-    assert snap.restrict(2).count == 1
-    assert m.restrict(2).count == 2
+    assert snap.ring_count(1) == 1 and list(snap.atoms(1)) == [2]
+    assert m.ring_count(1) == 2 and list(m.atoms(1)) == [2, 3]
+    np.testing.assert_allclose(conditional(snap, 3), [0, 0, 1.0, 0])
+
+
+def test_snapshot_insert_raises():
+    m = two_ring_measure([0, 2])
+    snap = m.snapshot()
+    with pytest.raises(StabilityError):
+        snap.insert(3)
+    assert snap.total_count == 2 and m.total_count == 2
+    assert list(m.atoms(1)) == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.errors import ConfigurationError
-from eesampler.sampler import ChainEnsemble, init_ensemble, run, run_frozen_feeder
+from eesampler.sampler import ChainEnsemble, run, run_frozen_feeder
 
 
 def three_chain_config(**overrides):
@@ -28,7 +28,7 @@ def three_chain_config(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_init_point_masses(four_state):
-    ens = init_ensemble(four_state)
+    ens = ChainEnsemble(four_state)
     assert ens.n == 0
     assert list(ens.states) == [0, 0]
     for k in range(2):
@@ -40,12 +40,12 @@ def test_init_point_masses(four_state):
 
 def test_init_total_atoms_equals_chain_count():
     cfg = three_chain_config()
-    ens = init_ensemble(cfg)
+    ens = ChainEnsemble(cfg)
     assert sum(m.total_count for m in ens.measures) == cfg.r
 
 
 def test_init_same_seed_identical(four_state):
-    a, b = init_ensemble(four_state), init_ensemble(four_state)
+    a, b = ChainEnsemble(four_state), ChainEnsemble(four_state)
     a.run_rounds(64)
     b.run_rounds(64)
     assert a.states == b.states
@@ -58,7 +58,7 @@ def test_init_same_seed_identical(four_state):
 
 def test_schedule_fidelity_three_chains():
     cfg = three_chain_config()
-    ens = init_ensemble(cfg)
+    ens = ChainEnsemble(cfg)
     thresholds = [0, 5, 12]  # N_1 = 5, N_1 + N_2 = 12
     for n in range(1, 26):
         ens.step_round()
@@ -78,7 +78,7 @@ def test_chain2_never_moves_when_run_too_short():
     cfg = four_state_config(
         schedule={"offsets": [50], "total_rounds": 51}, initial_states=[0, 3]
     )
-    ens = init_ensemble(cfg)
+    ens = ChainEnsemble(cfg)
     ens.run_rounds(50)
     assert ens.states[1] == 3 and ens.move_count(1) == 0
     ens.step_round()
@@ -103,7 +103,7 @@ def test_epsilon_zero_chains_are_independent_mh():
 
 
 def test_active_chain_inserts_one_atom_per_round(four_state):
-    ens = init_ensemble(four_state)
+    ens = ChainEnsemble(four_state)
     for n in range(1, 80):
         before = [m.total_count for m in ens.measures]
         ens.step_round()
@@ -161,7 +161,7 @@ def test_strict_snapshot_excludes_same_round_atom():
             return _orig(level, x, feeder, rng, variant)
 
         cfg.kernels.interacting_step = spy
-        ens = init_ensemble(cfg)
+        ens = ChainEnsemble(cfg)
         ens.run_rounds(40)
         seen[strict] = counts
     # chain 1 holds 1 + n atoms after its round-n move; the strict snapshot
