@@ -11,12 +11,14 @@ No exact oracle on continuous spaces; this demo just shows the mechanics
 and the mode balance with and without interaction.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from eesampler import load_config, run
 from eesampler.config import config_from_dict
 
-cfg = load_config("configs/double_well.json")
+cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "double_well.json")
 print("space:", cfg.space)
 print("rings:", cfg.partition.d, "(level sets of the target's energy)")
 

@@ -76,12 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> "ExperimentConfig":
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"a config must be an object, got {type(raw).__name__}")
     if args.seed is not None:
         raw["seed"] = int(args.seed)
     if args.replicates is not None:
         raw["replicates"] = int(args.replicates)
     if args.abort_on_stability:
-        raw.setdefault("stability", {})["policy"] = "abort"
+        stability = raw.setdefault("stability", {})
+        if isinstance(stability, dict):  # otherwise config_from_dict rejects it
+            stability["policy"] = "abort"
     return config_from_dict(raw)
 
 

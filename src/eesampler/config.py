@@ -121,18 +121,23 @@ def _gaussian_mixture_logpdf(means, scales, weights) -> Callable:
         raise ConfigurationError("mixture scales and weights must be positive")
     dim = means.shape[1]
     logw = np.log(weights / weights.sum())
+    var = scales**2
+    log_norm = dim * np.log(scales)
 
     def logpdf(x):
         x = np.asarray(x, dtype=float)
-        comp = (
-            logw
-            - 0.5 * np.sum((x[None, :] - means) ** 2, axis=1) / scales**2
-            - dim * np.log(scales)
-        )
+        comp = logw - 0.5 * np.sum((x[None, :] - means) ** 2, axis=1) / var - log_norm
         m = comp.max()
         return float(m + math.log(np.exp(comp - m).sum()))
 
     return logpdf
+
+
+def _section(name: str, spec) -> dict:
+    """A config section that must be a JSON object (dict)."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"{name} must be an object, got {type(spec).__name__}")
+    return spec
 
 
 def _build_space(spec: dict):
@@ -165,7 +170,7 @@ def _build_ladder(spec: dict, space) -> DensityLadder:
         if "base_log_weights" in spec:
             return tempered_ladder(space, np.asarray(spec["base_log_weights"], dtype=float), temps)
         if "base" in spec:
-            base = spec["base"]
+            base = _section("ladder.base", spec["base"])
             if base.get("family") != "gaussian_mixture":
                 raise ConfigurationError(f"unknown density family {base.get('family')!r}")
             logpdf = _gaussian_mixture_logpdf(base["means"], base["scales"], base["weights"])
@@ -192,8 +197,7 @@ def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
 
 
 def _build_proposals(spec, space, r: int):
-    if isinstance(spec, str):
-        spec = {"kind": spec}
+    spec = {"kind": spec} if isinstance(spec, str) else _section("kernel.proposal", spec)
     kind = spec.get("kind", "uniform" if isinstance(space, FiniteSpace) else "gaussian_walk")
     if kind == "uniform":
         return tuple(UniformProposal() for _ in range(r))
@@ -211,9 +215,12 @@ def _build_proposals(spec, space, r: int):
 
 
 def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:
+    specs = [] if specs is None else specs
+    if not isinstance(specs, (list, tuple)):
+        raise ConfigurationError(f"test_functions must be a list, got {type(specs).__name__}")
     out = []
-    for i, spec in enumerate(specs or []):
-        kind = spec.get("kind")
+    for i, spec in enumerate(specs):
+        kind = _section(f"test_functions[{i}]", spec).get("kind")
         name = spec.get("name", f"f{i}")
         if kind == "ring_indicator":
             ring = int(spec["ring"])
@@ -256,11 +263,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _resolve(raw: dict) -> ExperimentConfig:
-    space = _build_space(raw["space"])
-    ladder = _build_ladder(raw["ladder"], space)
-    partition = _build_partition(raw["partition"], space, ladder)
+    space = _build_space(_section("space", raw["space"]))
+    ladder = _build_ladder(_section("ladder", raw["ladder"]), space)
+    partition = _build_partition(_section("partition", raw["partition"]), space, ladder)
 
-    kernel_spec = raw.get("kernel", {})
+    kernel_spec = _section("kernel", raw.get("kernel", {}))
     variant = kernel_spec.get("variant", "selection-mutation")
     if variant not in VARIANTS:
         raise ConfigurationError(f"kernel variant must be one of {VARIANTS}, got {variant!r}")
@@ -268,7 +275,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     proposals = _build_proposals(kernel_spec.get("proposal", {}), space, ladder.r)
     kernels = KernelSet(ladder, partition, proposals, epsilon)
 
-    sched = raw.get("schedule", {})
+    sched = _section("schedule", raw.get("schedule", {}))
     offsets = tuple(int(n) for n in sched.get("offsets", []))
     if len(offsets) != ladder.r - 1:
         raise ConfigurationError(
@@ -295,7 +302,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
 
-    stability = raw.get("stability", {})
+    stability = _section("stability", raw.get("stability", {}))
     theta = float(stability.get("theta", 0.05))
     if not (0.0 < theta <= 1.0):
         raise ConfigurationError(f"theta must lie in (0, 1], got {theta}")
@@ -303,7 +310,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if policy not in STABILITY_POLICIES:
         raise ConfigurationError(f"stability policy must be one of {STABILITY_POLICIES}")
 
-    trace_spec = raw.get("trace", {})
+    trace_spec = _section("trace", raw.get("trace", {}))
     snapshot_every = int(trace_spec.get("snapshot_every", 256))
     if snapshot_every < 1:
         raise ConfigurationError("snapshot_every must be >= 1")

@@ -33,15 +33,16 @@ class EmpiricalMeasure:
         self._frozen = False
 
     # -- update ------------------------------------------------------------
-    def insert(self, x) -> None:
-        """Append one atom; equivalent to the convex update
-        S_n = S_{n-1} + 1/(n+1) [delta_x - S_{n-1}]."""
+    def insert(self, x) -> int:
+        """Append one atom and return the ring it was filed under; equivalent
+        to the convex update S_n = S_{n-1} + 1/(n+1) [delta_x - S_{n-1}]."""
         if self._frozen:
             raise StabilityError("cannot insert into a measure snapshot")
         ring = self.partition.assign(x)
         self._ring_atoms[ring].append(x)
         self._counts[ring] += 1
         self._total += 1
+        return ring
 
     # -- mass queries --------------------------------------------------------
     @property

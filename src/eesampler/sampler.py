@@ -89,7 +89,11 @@ class Trace:
 
 
 class ChainEnsemble:
-    """Current states, per-chain empirical measures, and the round engine."""
+    """Current states, per-chain empirical measures, and the round engine.
+
+    ``rings[k]`` is the ring of ``states[k]``, as filed by chain k's last
+    measure insert; the trace rows read it.
+    """
 
     def __init__(
         self,
@@ -111,8 +115,7 @@ class ChainEnsemble:
         self._fallbacks = 0
         self.states = list(config.initial_states)
         self.measures = [EmpiricalMeasure(config.partition) for _ in range(self.r)]
-        for k, x in enumerate(self.states):
-            self.measures[k].insert(x)
+        self.rings = [m.insert(x) for m, x in zip(self.measures, self.states)]
 
         if fixed_feeder_atoms is not None:
             if self.r != 2:
@@ -127,8 +130,7 @@ class ChainEnsemble:
         state_dim = 0 if isinstance(config.space, FiniteSpace) else config.space.dim
         self.trace = Trace(r=self.r, state_dim=state_dim)
         for k, x in enumerate(self.states):
-            ring = config.partition.assign(x)
-            self.trace.record(k, 0, x, ring, "init", None, 0)
+            self.trace.record(k, 0, x, self.rings[k], "init", None, 0)
 
     # -- schedule -------------------------------------------------------------
     def chain_active(self, chain: int, rnd: int | None = None) -> bool:
@@ -153,8 +155,7 @@ class ChainEnsemble:
             feeder_views = [m.snapshot() for m in self.measures]
         for k in range(self.r):
             if not self.chain_active(k):
-                ring = cfg.partition.assign(self.states[k])
-                self.trace.record(k, self.n, self.states[k], ring, "hold", None, 1)
+                self.trace.record(k, self.n, self.states[k], self.rings[k], "hold", None, 1)
                 continue
             rng = self.rngs[k]
             if k == 0:
@@ -166,8 +167,7 @@ class ChainEnsemble:
                     k, self.states[k], feeder, rng, cfg.variant
                 )
             self.states[k] = new_state
-            self.measures[k].insert(new_state)
-            ring = cfg.partition.assign(new_state)
+            self.rings[k] = ring = self.measures[k].insert(new_state)
             if info.fallback:
                 self.trace.events.append((self.n, k, "fallback", ring))
                 self._fallbacks += 1

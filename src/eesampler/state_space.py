@@ -75,7 +75,7 @@ class BoxSpace:
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return x.shape == (self.dim,) and bool(
-            np.all(x >= self.lower) and np.all(x <= self.upper)
+            (x >= self.lower).all() and (x <= self.upper).all()
         )
 
     def require(self, x) -> np.ndarray:
@@ -163,11 +163,43 @@ class DensityLadder:
         return w / w.sum(axis=1, keepdims=True)
 
 
+# Points the base log-density memo of a tempered box ladder remembers before
+# it starts over. A chain step revisits only a handful of recent points (its
+# current state, its proposal, a feeder atom, and their rings), so a small
+# memo serves nearly every repeat.
+BASE_MEMO_SIZE = 64
+
+
+def _memoised(base: LogDensity) -> LogDensity:
+    """`base` behind a bounded memo keyed by the float64 bytes of the point.
+
+    Every level of a tempered ladder, and an energy partition built on its
+    target, evaluates the same base at the same points; the memo turns those
+    repeats into one call and hands back the very float `base` returned, so
+    results are unchanged. `base` must be a pure function of the point, and
+    the points of one space share one shape. The memo is emptied when full.
+    """
+    memo: dict[bytes, float] = {}
+
+    def cached(x: np.ndarray) -> float:
+        key = x.tobytes()
+        value = memo.get(key)
+        if value is None:
+            if len(memo) >= BASE_MEMO_SIZE:
+                memo.clear()
+            value = memo[key] = base(x)
+        return value
+
+    return cached
+
+
 def tempered_ladder(space: Space, base_log_density, temperatures: Sequence[float]) -> DensityLadder:
     """Build a ladder with level i proportional to base^(1/T_i).
 
     Temperatures must be strictly positive, non-increasing, and end at 1 so
-    the last level is the target itself.
+    the last level is the target itself. On a box space all levels share
+    one memo of the callable base (see :func:`_memoised`), so a point's
+    base log-density is computed once for every level and ring query.
     """
     temps = [float(t) for t in temperatures]
     if not temps:
@@ -183,8 +215,14 @@ def tempered_ladder(space: Space, base_log_density, temperatures: Sequence[float
         base = np.asarray(base_log_density, dtype=float)
         levels = [base / t for t in temps]
     elif callable(base_log_density):
+        # finite ladders call each level once per state at construction
+        if isinstance(space, FiniteSpace):
+            base = base_log_density
+        else:
+            base = _memoised(base_log_density)
+
         def make(t):
-            return lambda x, _t=t: base_log_density(x) / _t
+            return lambda x, _t=t: base(x) / _t
 
         levels = [make(t) for t in temps]
     else:

@@ -265,6 +265,42 @@ def test_cli_malformed_scalar_exits_2(tmp_path, capsys, override):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"kernel": "uniform"},
+        {"schedule": 5},
+        {"stability": [0.1]},
+        {"test_functions": ["ring1"]},
+        {"trace": 3},
+    ],
+    ids=["kernel", "schedule", "stability", "test_function", "trace"],
+)
+def test_cli_section_of_wrong_type_exits_2(tmp_path, capsys, override):
+    cfg_path = write_config(tmp_path, four_state_raw(**override))
+    code = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "never")])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "raw,flags",
+    [
+        (four_state_raw(stability=[0.1]), ["--abort-on-stability"]),
+        ([four_state_raw()], ["--seed", "3"]),
+        ("four_state", ["--replicates", "2"]),
+    ],
+    ids=["abort-on-stability", "seed", "replicates"],
+)
+def test_cli_override_flag_on_malformed_config_exits_2(tmp_path, capsys, raw, flags):
+    cfg_path = write_config(tmp_path, raw)
+    code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "never")] + flags)
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_run_and_verify(tmp_path):
     cfg_path = write_config(
         tmp_path, four_state_raw(schedule={"offsets": [10], "total_rounds": 50})

@@ -5,7 +5,7 @@ from conftest import make_model
 from eesampler import exact
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.measures import EmpiricalMeasure, StabilityMonitor, tv_distance
-from eesampler.state_space import FiniteSpace, RingPartition
+from eesampler.state_space import BoxSpace, FiniteSpace, RingPartition
 
 
 def two_ring_measure(atoms=()):
@@ -56,6 +56,19 @@ def test_recursive_update_matches_batch_recount():
             [m.ring_count(j) for j in range(3)], counts.astype(int)
         )
         np.testing.assert_allclose(m.masses(), counts / len(inserted))
+
+
+def test_insert_returns_the_ring_of_the_atom():
+    m = two_ring_measure()
+    for x in (3, 0, 2, 1, 1):
+        assert m.insert(x) == m.partition.assign(x)
+    box = RingPartition(BoxSpace([-2.0], [2.0]), energy=lambda x: float(x[0]) ** 2,
+                        thresholds=[0.5, 2.0])
+    m = EmpiricalMeasure(box)
+    for v in (0.0, -1.0, 1.9, 0.5**0.5, -1.2):
+        x = np.array([v])
+        assert m.insert(x) == box.assign(x)
+    assert [m.ring_count(j) for j in range(3)] == [1, 3, 1]
 
 
 def test_insertion_order_preserved():

@@ -1,8 +1,11 @@
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eesampler import config as config_module
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.errors import ConfigurationError
@@ -268,3 +271,55 @@ def test_meta_records_run_facts(four_state):
     assert meta["chains"] == 2
     assert meta["schedule"] == [50, four_state.total_rounds - 50]
     assert 0 < meta["min_ring_mass"] <= 1
+
+
+# ---------------------------------------------------------------------------
+# evaluation and ring caches
+# ---------------------------------------------------------------------------
+
+def double_well_config(**overrides):
+    raw = json.loads(
+        (Path(__file__).resolve().parent.parent / "configs" / "double_well.json").read_text()
+    )
+    raw.update(overrides)
+    return config_from_dict(raw)
+
+
+def test_double_well_evaluates_each_step_about_once(monkeypatch):
+    calls = [0]
+    build = config_module._gaussian_mixture_logpdf
+
+    def counting_build(*args):
+        logpdf = build(*args)
+
+        def counted(x):
+            calls[0] += 1
+            return logpdf(x)
+
+        return counted
+
+    monkeypatch.setattr(config_module, "_gaussian_mixture_logpdf", counting_build)
+    cfg = double_well_config(schedule={"offsets": [100], "total_rounds": 400})
+    calls[0] = 0
+    run(cfg)
+    moving_steps = 400 + (400 - 100)
+    # every level, the ring of a state and the state's next visit share one
+    # evaluation; without the memo a step costs about 4.6
+    assert calls[0] <= 1.5 * moving_steps
+
+
+@pytest.mark.parametrize(
+    "make_config,freeze_at",
+    [
+        (lambda: double_well_config(schedule={"offsets": [50], "total_rounds": 300}), None),
+        (lambda: three_chain_config(trace={"strict_snapshot": True}), None),
+        (lambda: four_state_config(schedule={"offsets": [20], "total_rounds": 200}), 30),
+    ],
+    ids=["box", "finite-three-chains", "finite-frozen-feeder"],
+)
+def test_trace_ring_is_the_ring_of_the_state(make_config, freeze_at):
+    cfg = make_config()
+    trace = run(cfg) if freeze_at is None else run_frozen_feeder(cfg, freeze_at=freeze_at)
+    assert {"init", "hold"} <= {row[4] for row in trace.rows}
+    for chain, rnd, state, ring, *_ in trace.rows:
+        assert ring == cfg.partition.assign(state), (chain, rnd)

@@ -3,6 +3,7 @@ import pytest
 
 from eesampler.errors import ConfigurationError, DomainError
 from eesampler.state_space import (
+    BASE_MEMO_SIZE,
     BoxSpace,
     DensityLadder,
     FiniteSpace,
@@ -44,6 +45,16 @@ def test_box_space_membership():
     assert not space.contains(np.array([0.0, 3.0]))
 
 
+def test_box_space_membership_edges():
+    space = BoxSpace([-1.0, 0.0], [1.0, 2.0])
+    assert space.contains(np.array([-1.0, 0.0])) and space.contains(np.array([1.0, 2.0]))
+    assert space.contains([1.0, 0.0])
+    assert not space.contains(np.array([np.nan, 1.0]))
+    assert not space.contains(np.array([0.0, np.nan]))
+    for wrong_shape in (np.array([0.0]), np.array([0.0, 1.0, 1.0]), np.zeros((2, 1)), 0.5):
+        assert not space.contains(wrong_shape)
+
+
 # ---------------------------------------------------------------------------
 # tempered ladders
 # ---------------------------------------------------------------------------
@@ -63,6 +74,43 @@ def test_quadratic_tempering_on_box():
         x = np.array([v])
         assert ladder.log_density(0, x) == pytest.approx(-(v**2) / 4.0)
         assert ladder.log_density(1, x) == pytest.approx(-(v**2))
+
+
+def test_tempered_box_levels_share_one_base_evaluation():
+    calls = []
+
+    def base(x):
+        calls.append(x.tobytes())
+        return -float(np.sum(x**2)) + 0.1 * float(x[0])
+
+    temps = [8.0, 3.0, 1.0]
+    ladder = tempered_ladder(BoxSpace([-2.0, -2.0], [2.0, 2.0]), base, temps)
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(-2.0, 2.0, size=(20, 2)):
+        before = len(calls)
+        for _ in range(3):
+            for i, t in enumerate(temps):
+                assert ladder.log_density(i, x) == base(x) / t  # exact, not approx
+        # three passes over three levels, plus the reference calls above
+        assert len(calls) - before == 1 + 3 * len(temps)
+
+
+def test_tempered_box_memo_is_bounded():
+    calls = []
+
+    def base(x):
+        calls.append(1)
+        return -float(x[0]) ** 2
+
+    ladder = tempered_ladder(BoxSpace([-1.0], [1.0]), base, [2.0, 1.0])
+    points = [np.array([v]) for v in np.linspace(-1.0, 1.0, BASE_MEMO_SIZE + 1)]
+    for x in points[:BASE_MEMO_SIZE]:
+        ladder.log_density(0, x)
+    ladder.log_density(1, points[0])
+    assert len(calls) == BASE_MEMO_SIZE  # still remembered
+    ladder.log_density(1, points[-1])  # one past the size: the memo starts over
+    ladder.log_density(1, points[0])
+    assert len(calls) == BASE_MEMO_SIZE + 2
 
 
 def test_finite_tempering_matches_direct_exponentiation():
