@@ -222,6 +222,10 @@ def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:
     for i, spec in enumerate(specs):
         kind = _section(f"test_functions[{i}]", spec).get("kind")
         name = spec.get("name", f"f{i}")
+        if not isinstance(name, str) or not name:
+            raise ConfigurationError(f"test_functions[{i}]: name must be a non-empty string")
+        if any(name == f.name for f in out):
+            raise ConfigurationError(f"test_functions[{i}]: duplicate name {name!r}")
         if kind == "ring_indicator":
             ring = int(spec["ring"])
             if not (0 <= ring < partition.d):

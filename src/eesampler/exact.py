@@ -15,6 +15,7 @@ from state x to state y. Measures are probability vectors over states.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,24 @@ def assert_row_stochastic(P: np.ndarray) -> None:
         raise NumericalError(f"rows deviate from 1 by {err:.3e}")
 
 
-def k_matrix(model: KernelSet, level: int) -> np.ndarray:
-    """Exact MH transition matrix for the configured proposal at `level`."""
+# K and the swap-alpha matrix depend only on the model and the level, and a
+# KernelSet's fields are set once in __init__, so each is built once per
+# (model, level) and shared read-only. Weak keys let a model's entries go
+# with the model.
+_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _built_once(model: KernelSet, kind: str, level: int, build) -> np.ndarray:
+    built = _BUILT.setdefault(model, {})
+    key = (kind, level)
+    if key not in built:
+        matrix = build(model, level)
+        matrix.flags.writeable = False
+        built[key] = matrix
+    return built[key]
+
+
+def _build_k_matrix(model: KernelSet, level: int) -> np.ndarray:
     size = _require_finite(model)
     pi = _densities(model, level)
     prop = model.proposals[level]
@@ -72,14 +89,25 @@ def k_matrix(model: KernelSet, level: int) -> np.ndarray:
     return P
 
 
-def swap_alpha(model: KernelSet, level: int) -> np.ndarray:
-    """Matrix of swap acceptance probabilities alpha_i(x, z)."""
+def _build_swap_alpha(model: KernelSet, level: int) -> np.ndarray:
     _require_finite(model)
     logw = model.ladder.log_table()
     li, lf = logw[level], logw[level - 1]
     # alpha(x, z) = min(1, pi_i(z) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(z)))
     log_ratio = li[None, :] + lf[:, None] - li[:, None] - lf[None, :]
     return np.exp(np.minimum(0.0, log_ratio))
+
+
+def k_matrix(model: KernelSet, level: int) -> np.ndarray:
+    """Exact MH transition matrix for the configured proposal at `level`
+    (read-only, built once per model and level)."""
+    return _built_once(model, "k", level, _build_k_matrix)
+
+
+def swap_alpha(model: KernelSet, level: int) -> np.ndarray:
+    """Matrix of swap acceptance probabilities alpha_i(x, z) (read-only,
+    built once per model and level)."""
+    return _built_once(model, "alpha", level, _build_swap_alpha)
 
 
 def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = False):
@@ -94,11 +122,10 @@ def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = F
     if not allow_empty and np.any(masses <= 0.0):
         ring = int(np.argmin(masses))
         raise StabilityError(f"feeder measure has zero mass on ring {ring}")
-    W = np.zeros((size, size))
-    for x in range(size):
-        j = labels[x]
-        if masses[j] > 0.0:
-            W[x, labels == j] = mu[labels == j] / masses[j]
+    ring_mass = masses[labels][:, None]
+    same_ring = labels[:, None] == labels[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty rings, masked out
+        W = np.where(same_ring & (ring_mass > 0.0), mu[None, :] / ring_mass, 0.0)
     return masses, W
 
 

@@ -3,7 +3,9 @@ import pytest
 
 from conftest import make_model
 from eesampler import exact
+from eesampler.config import four_state_config
 from eesampler.errors import ConfigurationError, NumericalError, StabilityError
+from eesampler.experiments import verify_suite
 
 
 @pytest.fixture
@@ -44,6 +46,33 @@ def test_k_matrix_invariance_and_reversibility(four_model, eight_model):
             assert np.abs(pi @ K - pi).max() < 1e-12
             flux = pi[:, None] * K
             assert np.abs(flux - flux.T).max() < 1e-15
+
+
+def test_shared_matrices_are_read_only(four_model):
+    for M in (exact.k_matrix(four_model, 1), exact.swap_alpha(four_model, 1)):
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+    assert exact.k_matrix(four_model, 1) is exact.k_matrix(four_model, 1)
+
+
+def test_verify_suite_same_report_cold_and_warm():
+    cfg = four_state_config()
+    cold = verify_suite(cfg).to_dict()
+    warm = verify_suite(cfg).to_dict()
+    assert cold == warm
+
+
+def test_verify_suite_builds_each_k_once(monkeypatch):
+    built = []
+    build = exact._build_k_matrix
+
+    def counting(model, level):
+        built.append(level)
+        return build(model, level)
+
+    monkeypatch.setattr(exact, "_build_k_matrix", counting)
+    assert verify_suite(four_state_config()).passed
+    assert sorted(built) == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,60 @@ def test_fluctuation_battery_respects_drift_bound():
     assert 0.0 < out["theta"] <= 0.5
 
 
+def scalar_fluctuation_battery(config, steps, seed_salt, n_funcs=4):
+    """Reference for fluctuation_bound_battery: one insertion at a time."""
+    size = config.space.size
+    labels = config.partition.labels()
+    d = config.partition.d
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_salt]))
+    fs = rng.uniform(-1.0, 1.0, size=(n_funcs, size))
+    ring_sums = np.zeros((d, n_funcs))
+    ring_counts = np.zeros(d, dtype=int)
+    for j in range(d):
+        ring_sums[j] += fs[:, np.nonzero(labels == j)[0][0]]
+        ring_counts[j] += 1
+    total = d
+    theta_obs = ring_counts.min() / total
+    worst = 0.0
+    for x in rng.integers(size, size=steps):
+        m_plus_2 = total + 1
+        before = ring_sums[labels[x]] / ring_counts[labels[x]]
+        ring_sums[labels[x]] += fs[:, x]
+        ring_counts[labels[x]] += 1
+        total += 1
+        after = ring_sums[labels[x]] / ring_counts[labels[x]]
+        theta_obs = min(theta_obs, ring_counts.min() / total)
+        bound = (1.0 / theta_obs + 1.0 / theta_obs**2) / m_plus_2
+        worst = max(worst, float(np.abs(after - before).max()) / bound)
+    return float(worst), float(theta_obs)
+
+
+BATTERY_MODELS = {
+    "four_state": {},
+    "thresholds": {"partition": {"thresholds": [-1.0], "energy": "neg_log_target"}},
+    "single_ring": {
+        "partition": {"labels": [0, 0, 0, 0]},
+        "test_functions": [{"name": "coord", "kind": "coordinate"}],
+    },
+    "eight_state": {
+        "space": {"kind": "finite", "size": 8},
+        "ladder": {"weights": [[1] * 8, [1, 3, 2, 5, 1, 4, 2, 6]]},
+        "partition": {"labels": [2, 0, 1, 0, 2, 1, 0, 2]},
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(BATTERY_MODELS))
+@pytest.mark.parametrize("salt", [0xF1AC, 1, 2], ids=["battery-salt", "1", "2"])
+def test_fluctuation_battery_matches_scalar_loop(model, salt):
+    cfg = four_state_config(**BATTERY_MODELS[model])
+    for steps in (0, 1, 2, 3000):
+        out = fluctuation_bound_battery(cfg, steps=steps, seed_salt=salt)
+        assert (out["max_ratio"], out["theta"]) == scalar_fluctuation_battery(cfg, steps, salt)
+        assert out["steps"] == steps
+    assert scalar_fluctuation_battery(cfg, 0, salt) == (0.0, 1 / cfg.partition.d)
+
+
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------
@@ -296,6 +350,71 @@ def test_cli_section_of_wrong_type_exits_2(tmp_path, capsys, override):
 def test_cli_override_flag_on_malformed_config_exits_2(tmp_path, capsys, raw, flags):
     cfg_path = write_config(tmp_path, raw)
     code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "never")] + flags)
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "test_functions",
+    [
+        [{"kind": "coordinate", "name": "a"}, {"kind": "ring_indicator", "ring": 1, "name": "a"}],
+        [{"kind": "coordinate", "name": "f1"}, {"kind": "coordinate"}],
+        [{"kind": "coordinate", "name": []}],
+        [{"kind": "coordinate", "name": ""}],
+    ],
+    ids=["duplicate", "duplicate-default", "list", "empty"],
+)
+def test_cli_bad_test_function_name_exits_2(tmp_path, capsys, test_functions):
+    cfg_path = write_config(tmp_path, four_state_raw(test_functions=test_functions))
+    code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "never")])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+KERNEL = {"variant": "selection-mutation", "epsilon": 0.5, "proposal": "uniform"}
+SCHEDULE = {"offsets": [50], "total_rounds": 4096}
+NESTED_FUZZ = {
+    "weights-string": {"ladder": {"weights": "1124"}},
+    "weights-row-string": {"ladder": {"weights": [[1, 1, 1, 1], "1124"]}},
+    "weights-entry-string": {"ladder": {"weights": [[1, 1, 1, 1], [1, 1, "a", 4]]}},
+    "weights-ragged": {"ladder": {"weights": [[1, 1, 1, 1], [1, 1, 2]]}},
+    "weights-nested": {"ladder": {"weights": [[[1]] * 4, [[1], [1], [2], [4]]]}},
+    "log-weights-null": {"ladder": {"log_weights": [[0, 0, 0, 0], [0, 0, None, 0]]}},
+    "temperatures-nested": {"ladder": {"base_weights": [1, 1, 2, 4], "temperatures": [[2.0], [1.0]]}},
+    "temperatures-string": {"ladder": {"base_weights": [1, 1, 2, 4], "temperatures": "hot"}},
+    "base-weights-string": {"ladder": {"base_weights": "1124", "temperatures": [2.0, 1.0]}},
+    "proposal-list": {"kernel": dict(KERNEL, proposal=[])},
+    "proposal-kind-int": {"kernel": dict(KERNEL, proposal={"kind": 5})},
+    "proposal-kind-list": {"kernel": dict(KERNEL, proposal={"kind": ["uniform"]})},
+    "epsilon-object": {"kernel": dict(KERNEL, epsilon={})},
+    "epsilon-list-string": {"kernel": dict(KERNEL, epsilon=["a"])},
+    "epsilon-nested": {"kernel": dict(KERNEL, epsilon=[[0.5], [0.5]])},
+    "variant-list": {"kernel": dict(KERNEL, variant=["ee-jump"])},
+    "ring-string": {"test_functions": [{"kind": "ring_indicator", "ring": "a"}]},
+    "ring-out-of-range": {"test_functions": [{"kind": "ring_indicator", "ring": 99}]},
+    "ring-list": {"test_functions": [{"kind": "ring_indicator", "ring": [1]}]},
+    "table-values-string": {"test_functions": [{"kind": "table", "values": "abcd"}]},
+    "table-values-short": {"test_functions": [{"kind": "table", "values": [1, 2]}]},
+    "function-kind-list": {"test_functions": [{"kind": ["coordinate"]}]},
+    "labels-short": {"partition": {"labels": [0, 1]}},
+    "labels-nested": {"partition": {"labels": [[0, 0], [1, 1]]}},
+    "energy-int": {"partition": {"thresholds": [-1.0], "energy": 5}},
+    "thresholds-string": {"partition": {"thresholds": "low"}},
+    "initial-states-int": {"initial_states": 5},
+    "initial-states-nested": {"initial_states": [[0], [0]]},
+    "offsets-nested": {"schedule": dict(SCHEDULE, offsets=[[1]])},
+    "total-rounds-list": {"schedule": dict(SCHEDULE, total_rounds=[4096])},
+    "size-list": {"space": {"kind": "finite", "size": []}},
+    "snapshot-every-list": {"trace": {"snapshot_every": [], "strict_snapshot": False}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_FUZZ))
+def test_cli_nested_value_of_wrong_type_exits_2(tmp_path, capsys, case):
+    cfg_path = write_config(tmp_path, four_state_raw(**NESTED_FUZZ[case]))
+    code = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "never")])
     assert code == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
