@@ -140,10 +140,17 @@ def _section(name: str, spec) -> dict:
     return spec
 
 
+def _integer(name: str, value) -> int:
+    """A JSON integer; a bool, a float or a string raises, not truncates."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_space(spec: dict):
     kind = spec.get("kind")
     if kind == "finite":
-        return FiniteSpace(spec["size"])
+        return FiniteSpace(_integer("space.size", spec["size"]))
     if kind == "box":
         return BoxSpace(spec["lower"], spec["upper"])
     raise ConfigurationError(f"unknown space kind {kind!r}")
@@ -192,7 +199,8 @@ def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
         def energy(x, _lvl=target):
             return -ladder.log_density(_lvl, x)
 
-        return RingPartition(space, energy=energy, thresholds=spec["thresholds"])
+        return RingPartition(space, energy=energy, thresholds=spec["thresholds"],
+                             energy_level=target)
     raise ConfigurationError("partition spec needs labels or thresholds")
 
 
@@ -227,12 +235,12 @@ def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:
         if any(name == f.name for f in out):
             raise ConfigurationError(f"test_functions[{i}]: duplicate name {name!r}")
         if kind == "ring_indicator":
-            ring = int(spec["ring"])
+            ring = _integer(f"test function {name}: ring", spec["ring"])
             if not (0 <= ring < partition.d):
                 raise ConfigurationError(f"test function {name}: no ring {ring}")
             fn = lambda x, _r=ring: 1.0 if partition.assign(x) == _r else 0.0
         elif kind == "coordinate":
-            axis = int(spec.get("axis", 0))
+            axis = _integer(f"test function {name}: axis", spec.get("axis", 0))
             if isinstance(space, FiniteSpace):
                 fn = lambda x: float(x)
             else:
@@ -280,14 +288,14 @@ def _resolve(raw: dict) -> ExperimentConfig:
     kernels = KernelSet(ladder, partition, proposals, epsilon)
 
     sched = _section("schedule", raw.get("schedule", {}))
-    offsets = tuple(int(n) for n in sched.get("offsets", []))
+    offsets = tuple(_integer("schedule.offsets", n) for n in sched.get("offsets", []))
     if len(offsets) != ladder.r - 1:
         raise ConfigurationError(
             f"schedule needs {ladder.r - 1} activation offsets, got {len(offsets)}"
         )
     if any(n < 1 for n in offsets):
         raise ConfigurationError(f"activation offsets must be >= 1: {offsets}")
-    total_rounds = int(sched.get("total_rounds", 0))
+    total_rounds = _integer("schedule.total_rounds", sched.get("total_rounds", 0))
     if total_rounds <= sum(offsets):
         raise ConfigurationError(
             f"total_rounds ({total_rounds}) must exceed the activation burn-in "
@@ -298,11 +306,11 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if initial is None or len(initial) != ladder.r:
         raise ConfigurationError(f"need {ladder.r} initial states")
     if isinstance(space, FiniteSpace):
-        initial_states = tuple(space.require(int(x)) for x in initial)
+        initial_states = tuple(space.require(_integer("initial_states", x)) for x in initial)
     else:
         initial_states = tuple(space.require(np.asarray(x, dtype=float)) for x in initial)
 
-    replicates = int(raw.get("replicates", 1))
+    replicates = _integer("replicates", raw.get("replicates", 1))
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
 
@@ -315,9 +323,14 @@ def _resolve(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"stability policy must be one of {STABILITY_POLICIES}")
 
     trace_spec = _section("trace", raw.get("trace", {}))
-    snapshot_every = int(trace_spec.get("snapshot_every", 256))
+    snapshot_every = _integer("trace.snapshot_every", trace_spec.get("snapshot_every", 256))
     if snapshot_every < 1:
         raise ConfigurationError("snapshot_every must be >= 1")
+    strict_snapshot = trace_spec.get("strict_snapshot", False)
+    if not isinstance(strict_snapshot, bool):
+        raise ConfigurationError(
+            f"trace.strict_snapshot must be true or false, got {strict_snapshot!r}"
+        )
 
     # partition validity: every ring charged by every level (exact on finite)
     if isinstance(space, FiniteSpace):
@@ -334,10 +347,10 @@ def _resolve(raw: dict) -> ExperimentConfig:
         total_rounds=total_rounds,
         initial_states=initial_states,
         replicates=replicates,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer("seed", raw.get("seed", 0)),
         theta=theta,
         stability_policy=policy,
-        strict_snapshot=bool(trace_spec.get("strict_snapshot", False)),
+        strict_snapshot=strict_snapshot,
         snapshot_every=snapshot_every,
         test_functions=_build_test_functions(raw.get("test_functions"), space, partition),
     )

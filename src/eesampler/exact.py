@@ -252,11 +252,15 @@ def poisson_solve(P: np.ndarray, f: np.ndarray) -> PoissonSolution:
     return PoissonSolution(fhat=fhat, f=f, omega=w, omega_f=omega_f, residual=residual)
 
 
-def poisson_series_partial(P: np.ndarray, f: np.ndarray, n_terms: int) -> np.ndarray:
-    """Partial sum sum_{n<n_terms} (P^n f - w(f) 1) of the series form."""
+def poisson_series_partial(
+    P: np.ndarray, f: np.ndarray, n_terms: int, omega: np.ndarray | None = None
+) -> np.ndarray:
+    """Partial sum sum_{n<n_terms} (P^n f - w(f) 1) of the series form;
+    omega is P's stationary vector w, solved for when omitted."""
     P = np.asarray(P, dtype=float)
     f = np.asarray(f, dtype=float)
-    omega_f = float(stationary(P) @ f)
+    w = stationary(P) if omega is None else omega
+    omega_f = float(w @ f)
     term = f.copy()
     acc = np.zeros_like(f)
     for _ in range(n_terms):
@@ -275,11 +279,14 @@ class GeometricRate:
     tv_curve: np.ndarray
 
 
-def geometric_rate_estimate(P: np.ndarray, n_max: int = 50) -> GeometricRate:
+def geometric_rate_estimate(
+    P: np.ndarray, n_max: int = 50, omega: np.ndarray | None = None
+) -> GeometricRate:
     """Constructive Doeblin bound rho = 1 - sum_y min_x P(x, y), M = 1,
-    plus an empirical geometric fit of the worst-case TV decay."""
+    plus an empirical geometric fit of the worst-case TV decay; omega is P's
+    stationary vector, solved for when omitted."""
     P = np.asarray(P, dtype=float)
-    w = stationary(P)
+    w = stationary(P) if omega is None else omega
     phi = float(P.min(axis=0).sum())
     rho = 1.0 - phi
     curve = np.empty(n_max)

@@ -301,9 +301,10 @@ def frozen_feeder_atoms(config: ExperimentConfig, freeze_at: int, replicate: int
     seq = config.replicate_seed_seq(replicate)
     rng = np.random.default_rng(seq.spawn(config.r)[0])
     x = config.initial_states[0]
+    point = config.kernels.point(x)
     atoms = [x]
     for _ in range(freeze_at):
-        x = config.kernels.mh_step(0, x, rng)
+        x = config.kernels.mh_step(0, x, rng, point)
         atoms.append(x)
     return atoms
 
@@ -525,8 +526,8 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
         f = rng.uniform(-1.0, 1.0, 8)
         sol = exact.poisson_solve(P, f)
         worst_res = max(worst_res, sol.residual)
-        partial = exact.poisson_series_partial(P, f, 50)
-        rate = exact.geometric_rate_estimate(P, n_max=50)
+        partial = exact.poisson_series_partial(P, f, 50, omega=sol.omega)
+        rate = exact.geometric_rate_estimate(P, n_max=50, omega=sol.omega)
         envelope = (
             2.0 * rate.m * rate.rho**50 * float(np.abs(f).max())
             / max(1e-300, 1.0 - rate.rho)

@@ -23,6 +23,11 @@ If the feeder measure holds no atoms in the current state's ring, the
 interaction branch falls back to the local kernel and flags the event; the
 caller logs it as a stability fallback.
 
+Chain records: each scalar move reads x's ring and level log-densities from
+its :class:`ChainPoint` (built from x when not passed) and writes the new
+state's into it; a proposal costs one ``DensityLadder.log_densities`` call
+and a feeder atom brings the levels its measure stored.
+
 Lockstep steps (``mh_step_lockstep``, ``interacting_step_lockstep``) make
 the same moves on finite spaces for R replicates at once: states are an
 (R,) int array and each replicate's feeder is a row of an (R, S) count
@@ -90,6 +95,24 @@ class StepInfo:
     fallback: bool = False
 
 
+@dataclass(slots=True)
+class ChainPoint:
+    """A state with its ring and its log-density at every level, computed
+    once when the state is proposed; moves update the record in place."""
+
+    x: object
+    ring: int
+    levels: tuple
+
+
+def _finite(levels: tuple, level: int, x) -> float:
+    """levels[level], which must be finite."""
+    v = levels[level]
+    if not math.isfinite(v):
+        raise NumericalError(f"log-density at level {level} is not finite at {x!r}")
+    return v
+
+
 class KernelSet:
     """All transition mechanisms for one ladder/partition/proposal setup."""
 
@@ -129,65 +152,65 @@ class KernelSet:
         self._logw = ladder.log_table() if finite else None
         self._rings = partition.labels() if finite else None
 
-    # -- local Metropolis-Hastings ------------------------------------------------
-    def _logpi(self, level: int, x) -> float:
-        if self._logw is not None:
-            return self._logw[level, int(x)]
-        v = self.ladder.log_density(level, x)
-        if not math.isfinite(v):
-            raise NumericalError(f"log-density at level {level} is not finite at {x!r}")
-        return v
+    def point(self, x) -> "ChainPoint":
+        """The record of in-domain state x: its ring and level log-densities."""
+        self.ladder.space.require(x)
+        levels = self.ladder.log_densities(x)
+        return ChainPoint(x, self.partition.assign_point(x, levels), levels)
 
-    def mh_step(self, level: int, x, rng: np.random.Generator):
+    # -- local Metropolis-Hastings ------------------------------------------------
+    def mh_step(self, level: int, x, rng: np.random.Generator, point=None):
         """One MH transition targeting level's density; proposals are
-        symmetric so acceptance is min(1, pi(y)/pi(x))."""
+        symmetric so acceptance is min(1, pi(y)/pi(x)). `point` is the record
+        of x (built from x when omitted); an accepted move updates it."""
+        point = point or self.point(x)
         prop = self.proposals[level]
+        space = self.ladder.space
         if isinstance(prop, UniformProposal):
-            y = int(rng.integers(self.ladder.space.size))
+            y = int(rng.integers(space.size))
         elif isinstance(prop, NeighborProposal):
-            size = self.ladder.space.size
             u = rng.random()
             if u < 0.5:
                 y = int(x)
             else:
-                y = (int(x) + (1 if u < 0.75 else -1)) % size
+                y = (int(x) + (1 if u < 0.75 else -1)) % space.size
         else:
-            y = np.asarray(x, dtype=float) + prop.step * rng.standard_normal(
-                self.ladder.space.dim
-            )
+            y = np.asarray(x, dtype=float) + prop.step * rng.standard_normal(space.dim)
         u = rng.random()  # MH coin drawn unconditionally, keeps stream alignment
-        if isinstance(prop, GaussianWalkProposal) and not self.ladder.space.contains(y):
+        if isinstance(prop, GaussianWalkProposal) and not space.contains(y):
             return x
-        log_a = self._logpi(level, y) - self._logpi(level, x)
+        levels = self.ladder.log_densities(y)
+        log_a = _finite(levels, level, y) - _finite(point.levels, level, x)
         if log_a >= 0.0 or u < math.exp(log_a):
+            point.x, point.ring, point.levels = y, self.partition.assign_point(y, levels), levels
             return y
         return x
 
     # -- swap mechanics ------------------------------------------------------------
-    def swap_log_ratio(self, level: int, x, y) -> float:
+    def swap_accept_prob(self, level: int, x, y, x_levels=None, y_levels=None) -> float:
+        """min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y))), in log space;
+        x_levels/y_levels are x's and y's level log-densities, if known."""
         if level < 1:
             raise ConfigurationError("swaps need a feeder level below them (level >= 1)")
-        return (
-            self._logpi(level, y)
-            + self._logpi(level - 1, x)
-            - self._logpi(level, x)
-            - self._logpi(level - 1, y)
+        lx = x_levels or self.ladder.log_densities(x)
+        ly = y_levels or self.ladder.log_densities(y)
+        ratio = (
+            _finite(ly, level, y)
+            + _finite(lx, level - 1, x)
+            - _finite(lx, level, x)
+            - _finite(ly, level - 1, y)
         )
-
-    def swap_accept_prob(self, level: int, x, y) -> float:
-        """min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y))), in log space."""
-        ratio = self.swap_log_ratio(level, x, y)
         if math.isnan(ratio):
             raise NumericalError(f"swap ratio is NaN for pair ({x!r}, {y!r})")
         return math.exp(min(0.0, ratio))
 
-    def swap_step(self, level: int, x, y, rng: np.random.Generator):
+    def swap_step(self, level: int, x, y, rng: np.random.Generator, x_levels=None, y_levels=None):
         """Exchange (x, y) -> (y, x) with the swap probability.
 
         Returns (x', y', accepted); the output pair is always a permutation
         of the input pair.
         """
-        alpha = self.swap_accept_prob(level, x, y)
+        alpha = self.swap_accept_prob(level, x, y, x_levels, y_levels)
         if rng.random() < alpha:
             return y, x, True
         return x, y, False
@@ -201,51 +224,59 @@ class KernelSet:
             return True
         return eps > 0.0 and rng.random() < eps
 
-    def _feeder_atom(self, x, feeder, rng: np.random.Generator):
-        """A uniform draw from the feeder's atoms in ring(x), or None when
-        that ring holds none (the caller then falls back to the local move)."""
-        ring = self.partition.assign(x)
-        if feeder.ring_count(ring) == 0:
+    def _feeder_atom(self, point, feeder, rng: np.random.Generator):
+        """A uniform draw (atom, level log-densities) from the feeder's atoms
+        in the point's ring, or None when that ring holds none (the caller
+        then falls back to the local move)."""
+        if feeder.ring_count(point.ring) == 0:
             return None
-        return feeder.draw(ring, rng)
+        z, levels = feeder.draw(point.ring, rng, with_levels=True)
+        return z, levels or self.ladder.log_densities(z)
 
-    def selection_step(self, level: int, x, feeder, rng: np.random.Generator):
+    def selection_step(self, level: int, x, feeder, rng: np.random.Generator, point=None):
         """Selection/mutation move: draw z from the feeder restricted to
         ring(x), attempt the swap, then one local move from the first
         post-swap coordinate. Falls back to the local kernel when the ring
         holds no feeder atoms."""
-        z = self._feeder_atom(x, feeder, rng)
-        if z is None:
-            return self.mh_step(level, x, rng), StepInfo("local", fallback=True)
-        x2, _, accepted = self.swap_step(level, x, z, rng)
-        out = self.mh_step(level, x2, rng)
+        point = point or self.point(x)
+        drawn = self._feeder_atom(point, feeder, rng)
+        if drawn is None:
+            return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
+        z, z_levels = drawn
+        x2, _, accepted = self.swap_step(level, x, z, rng, point.levels, z_levels)
+        if accepted:  # z was drawn from ring(x), so the ring stays
+            point.x, point.levels = z, z_levels
+        out = self.mh_step(level, x2, rng, point)
         return out, StepInfo("selection", swap_accepted=accepted)
 
-    def nonlinear_step(self, level: int, x, feeder, rng: np.random.Generator):
+    def nonlinear_step(self, level: int, x, feeder, rng: np.random.Generator, point=None):
         """(1 - eps) local + eps selection; the branch uses its own draw."""
         if self._interacts(level, rng):
-            return self.selection_step(level, x, feeder, rng)
-        return self.mh_step(level, x, rng), StepInfo("local")
+            return self.selection_step(level, x, feeder, rng, point)
+        return self.mh_step(level, x, rng, point), StepInfo("local")
 
-    def ee_jump_step(self, level: int, x, feeder, rng: np.random.Generator):
+    def ee_jump_step(self, level: int, x, feeder, rng: np.random.Generator, point=None):
         """Original equi-energy variant: the interaction branch proposes a
         feeder atom from ring(x) and accepts it with the swap probability,
         with no trailing local move. The jump never leaves ring(x)."""
         if not self._interacts(level, rng):
-            return self.mh_step(level, x, rng), StepInfo("local")
-        z = self._feeder_atom(x, feeder, rng)
-        if z is None:
-            return self.mh_step(level, x, rng), StepInfo("local", fallback=True)
-        alpha = self.swap_accept_prob(level, x, z)
+            return self.mh_step(level, x, rng, point), StepInfo("local")
+        point = point or self.point(x)
+        drawn = self._feeder_atom(point, feeder, rng)
+        if drawn is None:
+            return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
+        z, z_levels = drawn
+        alpha = self.swap_accept_prob(level, x, z, point.levels, z_levels)
         if rng.random() < alpha:
+            point.x, point.levels = z, z_levels
             return z, StepInfo("jump", swap_accepted=True)
         return x, StepInfo("jump", swap_accepted=False)
 
-    def interacting_step(self, level: int, x, feeder, rng: np.random.Generator, variant: str):
+    def interacting_step(self, level: int, x, feeder, rng, variant: str, point=None):
         if variant == "selection-mutation":
-            return self.nonlinear_step(level, x, feeder, rng)
+            return self.nonlinear_step(level, x, feeder, rng, point)
         if variant == "ee-jump":
-            return self.ee_jump_step(level, x, feeder, rng)
+            return self.ee_jump_step(level, x, feeder, rng, point)
         raise ConfigurationError(f"unknown kernel variant {variant!r}")
 
     # -- lockstep steps on finite spaces -----------------------------------------------

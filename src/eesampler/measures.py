@@ -4,7 +4,8 @@ An :class:`EmpiricalMeasure` stores every atom a chain has visited, grouped
 by energy ring at insertion time, with multiplicity (no weight collapsing):
 the feeding chain's full realized history is exactly what the interaction
 kernel conditions on, and uniform draws stay O(1). Each atom carries weight
-1/(total count).
+1/(total count). An atom inserted from a chain's record also keeps the
+record's level log-densities, so a feeder draw hands them to the kernel.
 
 Snapshots are prefix views: atoms are append-only, so freezing the per-ring
 counts yields a zero-copy, immutable picture of the measure at a past step.
@@ -28,18 +29,24 @@ class EmpiricalMeasure:
     def __init__(self, partition: RingPartition):
         self.partition = partition
         self._ring_atoms: list[list] = [[] for _ in range(partition.d)]
+        self._ring_levels: list[list] = [[] for _ in range(partition.d)]
         self._counts: list[int] = [0] * partition.d
         self._total = 0
         self._frozen = False
 
     # -- update ------------------------------------------------------------
-    def insert(self, x) -> int:
+    def insert(self, x, ring: int | None = None, levels: tuple | None = None) -> int:
         """Append one atom and return the ring it was filed under; equivalent
-        to the convex update S_n = S_{n-1} + 1/(n+1) [delta_x - S_{n-1}]."""
+        to the convex update S_n = S_{n-1} + 1/(n+1) [delta_x - S_{n-1}].
+
+        A chain passes its record's ring and level log-densities; the levels
+        are stored with the atom."""
         if self._frozen:
             raise StabilityError("cannot insert into a measure snapshot")
-        ring = self.partition.assign(x)
+        if ring is None:
+            ring = self.partition.assign(x)
         self._ring_atoms[ring].append(x)
+        self._ring_levels[ring].append(levels)
         self._counts[ring] += 1
         self._total += 1
         return ring
@@ -66,13 +73,21 @@ class EmpiricalMeasure:
             return np.zeros(self.d)
         return np.array(self._counts, dtype=float) / self._total
 
+    def min_mass(self) -> float:
+        """Smallest ring mass; the same float as ``masses().min()``."""
+        return min(self._counts) / self._total if self._total else 0.0
+
     # -- sampling ----------------------------------------------------------------
-    def draw(self, ring: int, rng: np.random.Generator):
-        """Uniform draw (with multiplicity) from the stored atoms of a ring."""
+    def draw(self, ring: int, rng: np.random.Generator, with_levels: bool = False):
+        """Uniform draw (with multiplicity) from the stored atoms of a ring;
+        with_levels returns (atom, its stored level log-densities or None)."""
         n = self._counts[ring]
         if n == 0:
             raise StabilityError(f"ring {ring} holds no atoms")
-        return self._ring_atoms[ring][int(rng.integers(n))]
+        i = int(rng.integers(n))
+        if with_levels:
+            return self._ring_atoms[ring][i], self._ring_levels[ring][i]
+        return self._ring_atoms[ring][i]
 
     def snapshot(self) -> "EmpiricalMeasure":
         """Immutable prefix view of the measure as it stands now: an
@@ -81,6 +96,7 @@ class EmpiricalMeasure:
         snap = EmpiricalMeasure.__new__(EmpiricalMeasure)
         snap.partition = self.partition
         snap._ring_atoms = self._ring_atoms
+        snap._ring_levels = self._ring_levels
         snap._counts = list(self._counts)
         snap._total = self._total
         snap._frozen = True
@@ -128,12 +144,13 @@ class StabilityMonitor:
 
     def check(self, measure, step: int, chain: int = 0) -> list[StabilityViolation]:
         """Record and return violations for every ring with mass below theta."""
-        fresh = []
-        masses = measure.masses()
-        lo = float(masses.min())
+        lo = measure.min_mass()
         if lo < self.min_mass_seen:
             self.min_mass_seen = lo
-        for ring, mass in enumerate(masses):
+        if lo >= self.theta:
+            return []
+        fresh = []
+        for ring, mass in enumerate(measure.masses()):
             if mass < self.theta:
                 v = StabilityViolation(step=step, chain=chain, ring=ring, mass=float(mass))
                 self.violations.append(v)

@@ -10,6 +10,11 @@ optional strict-snapshot mode makes every chain read the feeder as it stood
 at the round's start instead (the two differ by one atom of weight
 1/(count+1)).
 
+Records: each chain of :class:`ChainEnsemble` carries a
+:class:`~eesampler.kernels.ChainPoint` (state, ring, level log-densities)
+that the kernels update; inserts hand its ring and levels to the measure,
+so the trace, the measure and later feeder draws evaluate nothing again.
+
 Freezing: in frozen-feeder mode chain 0 and its measure stop updating after
 the freeze round, so the interacting chain runs against a fixed feeder
 measure from then on; this is the regime whose long-run bias the oracle can
@@ -89,10 +94,10 @@ class Trace:
 
 
 class ChainEnsemble:
-    """Current states, per-chain empirical measures, and the round engine.
+    """Chain records, per-chain empirical measures, and the round engine.
 
-    ``rings[k]`` is the ring of ``states[k]``, as filed by chain k's last
-    measure insert; the trace rows read it.
+    ``points[k]`` is chain k's record; ``states`` and ``rings`` list the
+    records' states and rings.
     """
 
     def __init__(
@@ -113,24 +118,28 @@ class ChainEnsemble:
         self.monitor = StabilityMonitor(config.theta)
 
         self._fallbacks = 0
-        self.states = list(config.initial_states)
+        self.points = [self.kernels.point(x) for x in config.initial_states]
         self.measures = [EmpiricalMeasure(config.partition) for _ in range(self.r)]
-        self.rings = [m.insert(x) for m, x in zip(self.measures, self.states)]
+        for m, p in zip(self.measures, self.points):
+            m.insert(p.x, p.ring, p.levels)
 
         if fixed_feeder_atoms is not None:
             if self.r != 2:
                 raise ConfigurationError("fixed feeder measures need exactly two chains")
             feeder = EmpiricalMeasure(config.partition)
-            for atom in fixed_feeder_atoms:
-                feeder.insert(atom)
+            for p in map(self.kernels.point, fixed_feeder_atoms):
+                feeder.insert(p.x, p.ring, p.levels)
             self.measures[0] = feeder
             self.freeze_feeder_after = 0  # chain 0 never moves
             self.thresholds[1] = 0  # the interacting chain starts immediately
 
         state_dim = 0 if isinstance(config.space, FiniteSpace) else config.space.dim
         self.trace = Trace(r=self.r, state_dim=state_dim)
-        for k, x in enumerate(self.states):
-            self.trace.record(k, 0, x, self.rings[k], "init", None, 0)
+        for k, p in enumerate(self.points):
+            self.trace.record(k, 0, p.x, p.ring, "init", None, 0)
+
+    states = property(lambda self: [p.x for p in self.points])
+    rings = property(lambda self: [p.ring for p in self.points])
 
     # -- schedule -------------------------------------------------------------
     def chain_active(self, chain: int, rnd: int | None = None) -> bool:
@@ -151,27 +160,26 @@ class ChainEnsemble:
         cfg = self.config
         self.n += 1
         feeder_views = None
-        if cfg.strict_snapshot:
-            feeder_views = [m.snapshot() for m in self.measures]
-        for k in range(self.r):
+        if cfg.strict_snapshot:  # the last chain's measure feeds no chain
+            feeder_views = [m.snapshot() for m in self.measures[:-1]]
+        for k, point in enumerate(self.points):
             if not self.chain_active(k):
-                self.trace.record(k, self.n, self.states[k], self.rings[k], "hold", None, 1)
+                self.trace.record(k, self.n, point.x, point.ring, "hold", None, 1)
                 continue
             rng = self.rngs[k]
             if k == 0:
-                new_state = self.kernels.mh_step(0, self.states[k], rng)
+                self.kernels.mh_step(0, point.x, rng, point)
                 info = StepInfo("local")
             else:
                 feeder = feeder_views[k - 1] if feeder_views is not None else self.measures[k - 1]
-                new_state, info = self.kernels.interacting_step(
-                    k, self.states[k], feeder, rng, cfg.variant
+                _, info = self.kernels.interacting_step(
+                    k, point.x, feeder, rng, cfg.variant, point
                 )
-            self.states[k] = new_state
-            self.rings[k] = ring = self.measures[k].insert(new_state)
+            self.measures[k].insert(point.x, point.ring, point.levels)
             if info.fallback:
-                self.trace.events.append((self.n, k, "fallback", ring))
+                self.trace.events.append((self.n, k, "fallback", point.ring))
                 self._fallbacks += 1
-            self.trace.record(k, self.n, new_state, ring, info.branch,
+            self.trace.record(k, self.n, point.x, point.ring, info.branch,
                               info.swap_accepted, 0)
         self._monitor_feeders()
         if self.n % cfg.snapshot_every == 0:
@@ -294,7 +302,7 @@ class LockstepEnsemble:
         """Advance every active chain of every replicate by one move."""
         cfg = self.config
         self.n += 1
-        feeders = self.counts.copy() if cfg.strict_snapshot else self.counts
+        feeders = self.counts[:, :-1].copy() if cfg.strict_snapshot else self.counts
         for k in range(self.r):
             if self.n <= self.thresholds[k]:
                 continue

@@ -18,6 +18,7 @@ construction. Ring indices are 0-based throughout.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -129,6 +130,7 @@ class DensityLadder:
                     )
                 table[i] = row
             self._table = table
+            self._rows = [tuple(col) for col in table.T.tolist()]
             self._fns = None
         else:
             for i, lev in enumerate(levels):
@@ -137,7 +139,9 @@ class DensityLadder:
                         f"level {i}: box-space ladders need callable log-densities"
                     )
             self._table = None
+            self._rows = None
             self._fns = tuple(levels)
+        self._tempered = None  # (base, temperatures), set by tempered_ladder
 
     @property
     def is_finite(self) -> bool:
@@ -148,6 +152,19 @@ class DensityLadder:
         if self._table is not None:
             return float(self._table[level, int(x)])
         return float(self._fns[level](np.asarray(x, dtype=float)))
+
+    def log_densities(self, x) -> tuple:
+        """Log-densities of every level at in-domain state x: a tuple of r
+        floats, entry i equal to ``log_density(i, x)``. A tempered box ladder
+        evaluates its base once for all levels."""
+        if self._rows is not None:
+            return self._rows[int(x)]
+        x = np.asarray(x, dtype=float)
+        if self._tempered is not None:
+            base, temps = self._tempered
+            h = base(x)
+            return tuple(float(h / t) for t in temps)
+        return tuple(float(f(x)) for f in self._fns)
 
     def log_table(self) -> np.ndarray:
         """(r, S) log-weight table; finite spaces only."""
@@ -163,43 +180,12 @@ class DensityLadder:
         return w / w.sum(axis=1, keepdims=True)
 
 
-# Points the base log-density memo of a tempered box ladder remembers before
-# it starts over. A chain step revisits only a handful of recent points (its
-# current state, its proposal, a feeder atom, and their rings), so a small
-# memo serves nearly every repeat.
-BASE_MEMO_SIZE = 64
-
-
-def _memoised(base: LogDensity) -> LogDensity:
-    """`base` behind a bounded memo keyed by the float64 bytes of the point.
-
-    Every level of a tempered ladder, and an energy partition built on its
-    target, evaluates the same base at the same points; the memo turns those
-    repeats into one call and hands back the very float `base` returned, so
-    results are unchanged. `base` must be a pure function of the point, and
-    the points of one space share one shape. The memo is emptied when full.
-    """
-    memo: dict[bytes, float] = {}
-
-    def cached(x: np.ndarray) -> float:
-        key = x.tobytes()
-        value = memo.get(key)
-        if value is None:
-            if len(memo) >= BASE_MEMO_SIZE:
-                memo.clear()
-            value = memo[key] = base(x)
-        return value
-
-    return cached
-
-
 def tempered_ladder(space: Space, base_log_density, temperatures: Sequence[float]) -> DensityLadder:
     """Build a ladder with level i proportional to base^(1/T_i).
 
     Temperatures must be strictly positive, non-increasing, and end at 1 so
-    the last level is the target itself. On a box space all levels share
-    one memo of the callable base (see :func:`_memoised`), so a point's
-    base log-density is computed once for every level and ring query.
+    the last level is the target itself. On a box space
+    :meth:`DensityLadder.log_densities` calls the base once for all levels.
     """
     temps = [float(t) for t in temperatures]
     if not temps:
@@ -215,19 +201,13 @@ def tempered_ladder(space: Space, base_log_density, temperatures: Sequence[float
         base = np.asarray(base_log_density, dtype=float)
         levels = [base / t for t in temps]
     elif callable(base_log_density):
-        # finite ladders call each level once per state at construction
-        if isinstance(space, FiniteSpace):
-            base = base_log_density
-        else:
-            base = _memoised(base_log_density)
-
-        def make(t):
-            return lambda x, _t=t: base(x) / _t
-
-        levels = [make(t) for t in temps]
+        levels = [lambda x, _t=t: base_log_density(x) / _t for t in temps]
     else:
         raise ConfigurationError("base log-density must be callable on box spaces")
-    return DensityLadder(space, levels)
+    ladder = DensityLadder(space, levels)
+    if not isinstance(space, FiniteSpace):
+        ladder._tempered = (base_log_density, tuple(temps))
+    return ladder
 
 
 class RingPartition:
@@ -239,10 +219,15 @@ class RingPartition:
     On a finite space either kind is tabulated per state at construction, so
     ``labels()`` exists and ``assign`` reads the table.
     ``assign`` is total and deterministic and returns an index in 0..d-1.
+
+    ``energy_level`` marks an energy that is minus that ladder level's
+    log-density, which :meth:`assign_point` reads from a point's levels.
     """
 
-    def __init__(self, space: Space, *, labels=None, energy=None, thresholds=None):
+    def __init__(self, space: Space, *, labels=None, energy=None, thresholds=None,
+                 energy_level: int | None = None):
         self.space = space
+        self.energy_level = energy_level
         if labels is not None:
             if not isinstance(space, FiniteSpace):
                 raise ConfigurationError("label partitions require a finite space")
@@ -270,6 +255,7 @@ class RingPartition:
             self._labels = None
             self._energy = energy
             self._thresholds = th
+            self._threshold_list = th.tolist()
             if isinstance(space, FiniteSpace):
                 self._labels = np.array(
                     [self.assign(s) for s in range(space.size)], dtype=np.intp
@@ -290,6 +276,17 @@ class RingPartition:
         x = self.space.require(x)
         h = float(self._energy(x))
         return int(np.searchsorted(self._thresholds, h, side="right"))
+
+    def assign_point(self, x, levels: tuple) -> int:
+        """Ring of in-domain state x whose level log-densities are `levels`
+        (as from :meth:`DensityLadder.log_densities`); equal to ``assign(x)``
+        but without checking x again."""
+        if self._labels is not None:
+            return int(self._labels[x])
+        if self.energy_level is not None:
+            # bisect_right is searchsorted(side="right"), NaN included
+            return bisect_right(self._threshold_list, -levels[self.energy_level])
+        return self.assign(x)
 
     def labels(self) -> np.ndarray:
         """Per-state ring indices; finite spaces only."""

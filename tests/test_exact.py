@@ -75,6 +75,35 @@ def test_verify_suite_builds_each_k_once(monkeypatch):
     assert sorted(built) == [0, 1]
 
 
+def test_verify_suite_solves_each_poisson_chain_once(monkeypatch):
+    # the battery's random chains are the 8-state matrices; each needs one
+    # stationary solve, shared by the Poisson solve, series and rate fit
+    solved = {}
+    solve = exact.stationary
+
+    def counting(P):
+        if P.shape == (8, 8):
+            solved[P.tobytes()] = solved.get(P.tobytes(), 0) + 1
+        return solve(P)
+
+    monkeypatch.setattr(exact, "stationary", counting)
+    assert verify_suite(four_state_config()).passed
+    assert len(solved) == 20 and set(solved.values()) == {1}
+
+
+def test_poisson_helpers_same_with_given_omega():
+    rng = np.random.default_rng(3)
+    P = rng.uniform(0.1, 1.0, (6, 6))
+    P /= P.sum(axis=1, keepdims=True)
+    f = rng.uniform(-1.0, 1.0, 6)
+    w = exact.stationary(P)
+    assert np.array_equal(exact.poisson_series_partial(P, f, 50, omega=w),
+                          exact.poisson_series_partial(P, f, 50))
+    given, solved = exact.geometric_rate_estimate(P, omega=w), exact.geometric_rate_estimate(P)
+    assert (given.m, given.rho, given.rho_fitted) == (solved.m, solved.rho, solved.rho_fitted)
+    assert np.array_equal(given.tv_curve, solved.tv_curve)
+
+
 # ---------------------------------------------------------------------------
 # selection kernel matrices
 # ---------------------------------------------------------------------------

@@ -322,6 +322,35 @@ def test_cli_malformed_scalar_exits_2(tmp_path, capsys, override):
 @pytest.mark.parametrize(
     "override",
     [
+        {"trace": {"snapshot_every": 256, "strict_snapshot": "false"}},
+        {"trace": {"snapshot_every": 256, "strict_snapshot": 1}},
+        {"trace": {"snapshot_every": 256.0, "strict_snapshot": False}},
+        {"replicates": 2.7},
+        {"replicates": True},
+        {"seed": 1.5},
+        {"seed": False},
+        {"schedule": {"offsets": [50.9], "total_rounds": 4096}},
+        {"schedule": {"offsets": [True], "total_rounds": 4096}},
+        {"schedule": {"offsets": [50], "total_rounds": 4096.5}},
+        {"initial_states": [0.0, 0]},
+        {"initial_states": [0, True]},
+        {"test_functions": [{"name": "r", "kind": "ring_indicator", "ring": 1.0}]},
+    ],
+    ids=["strict-string", "strict-int", "snapshot-every-float", "replicates-float",
+         "replicates-bool", "seed-float", "seed-bool", "offsets-float", "offsets-bool",
+         "total-rounds-float", "initial-float", "initial-bool", "ring-float"],
+)
+def test_cli_integer_and_bool_fields_not_coerced(tmp_path, capsys, override):
+    cfg_path = write_config(tmp_path, four_state_raw(**override))
+    code = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "never")])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
         {"kernel": "uniform"},
         {"schedule": 5},
         {"stability": [0.1]},

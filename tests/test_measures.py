@@ -262,3 +262,30 @@ def test_tv_symmetry_and_triangle():
 def test_tv_contract_errors(mu, xi):
     with pytest.raises(ValueError):
         tv_distance(mu, xi)
+
+
+def test_monitor_fast_path_matches_array_form():
+    # the reference is the per-ring array form: masses(), its min, and a
+    # violation for every ring strictly below theta
+    rng = np.random.default_rng(0x7E7A)
+    part = RingPartition(FiniteSpace(4), labels=[0, 1, 2, 3])
+    for trial in range(400):
+        counts = rng.integers(0, 6, size=4)
+        counts[rng.integers(4)] += 1  # at least one atom
+        m = EmpiricalMeasure(part)
+        for state, c in enumerate(counts):
+            for _ in range(c):
+                m.insert(state)
+        masses = m.masses()
+        positive = [j for j in range(4) if counts[j] > 0]
+        if trial % 2 == 0:  # a threshold exactly at one ring's mass
+            theta = counts[positive[trial % len(positive)]] / counts.sum()
+        else:
+            theta = float(rng.uniform(0.01, 1.0))
+        monitor = StabilityMonitor(theta=theta)
+        fresh = monitor.check(m, step=trial, chain=2)
+        assert monitor.min_mass_seen == float(masses.min())
+        expected = [(trial, 2, ring, float(mass))
+                    for ring, mass in enumerate(masses) if mass < theta]
+        assert [(v.step, v.chain, v.ring, v.mass) for v in fresh] == expected
+        assert monitor.violations == fresh

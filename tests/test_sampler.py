@@ -10,6 +10,7 @@ from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.errors import ConfigurationError
 from eesampler.sampler import ChainEnsemble, run, run_frozen_feeder
+from eesampler.state_space import BoxSpace, DensityLadder
 
 
 def three_chain_config(**overrides):
@@ -159,9 +160,9 @@ def test_strict_snapshot_excludes_same_round_atom():
         counts = []
         orig = cfg.kernels.interacting_step
 
-        def spy(level, x, feeder, rng, variant, _orig=orig, _counts=counts):
+        def spy(level, x, feeder, rng, variant, *rest, _orig=orig, _counts=counts):
             _counts.append(_orig.__self__ and feeder.total_count)
-            return _orig(level, x, feeder, rng, variant)
+            return _orig(level, x, feeder, rng, variant, *rest)
 
         cfg.kernels.interacting_step = spy
         ens = ChainEnsemble(cfg)
@@ -323,3 +324,69 @@ def test_trace_ring_is_the_ring_of_the_state(make_config, freeze_at):
     assert {"init", "hold"} <= {row[4] for row in trace.rows}
     for chain, rnd, state, ring, *_ in trace.rows:
         assert ring == cfg.partition.assign(state), (chain, rnd)
+
+
+def test_double_well_step_reads_carried_values(monkeypatch):
+    calls = {"base": 0, "log_density": 0, "contains": 0}
+    build = config_module._gaussian_mixture_logpdf
+
+    def counting_build(*args):
+        logpdf = build(*args)
+
+        def counted(x):
+            calls["base"] += 1
+            return logpdf(x)
+
+        return counted
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(config_module, "_gaussian_mixture_logpdf", counting_build)
+    monkeypatch.setattr(DensityLadder, "log_density",
+                        counting("log_density", DensityLadder.log_density))
+    monkeypatch.setattr(BoxSpace, "contains", counting("contains", BoxSpace.contains))
+    cfg = double_well_config(schedule={"offsets": [100], "total_rounds": 400})
+    calls.update(base=0, log_density=0, contains=0)
+    run(cfg)
+    moving_steps = 400 + (400 - 100)
+    # a proposal is evaluated once, at every level; the state's ring, the
+    # next step and a later feeder draw read the carried values
+    assert calls["base"] <= 1.0 * moving_steps
+    assert calls["log_density"] <= 1.2 * moving_steps
+    assert calls["contains"] <= 1.1 * moving_steps
+
+
+@pytest.mark.parametrize(
+    "make_config,rounds",
+    [
+        (lambda: double_well_config(schedule={"offsets": [50], "total_rounds": 300}), 300),
+        (lambda: three_chain_config(trace={"strict_snapshot": True}), 25),
+    ],
+    ids=["box", "finite-three-chains-strict"],
+)
+def test_records_and_atoms_carry_exact_levels_and_rings(make_config, rounds):
+    cfg = make_config()
+    ens = ChainEnsemble(cfg)
+    ens.run_rounds(rounds)
+
+    def exact_levels(x):
+        return tuple(cfg.ladder.log_density(i, x) for i in range(cfg.r))
+
+    for point in ens.points:
+        assert point.levels == exact_levels(point.x)
+        assert point.ring == cfg.partition.assign(point.x)
+    stored = 0
+    for measure in ens.measures:
+        for ring in range(cfg.partition.d):
+            atoms = list(measure.atoms(ring))
+            levels = measure._ring_levels[ring][: len(atoms)]
+            for x, lv in zip(atoms, levels):
+                assert lv == exact_levels(x)
+                assert cfg.partition.assign(x) == ring
+            stored += len(atoms)
+    assert stored == sum(m.total_count for m in ens.measures)

@@ -3,7 +3,6 @@ import pytest
 
 from eesampler.errors import ConfigurationError, DomainError
 from eesampler.state_space import (
-    BASE_MEMO_SIZE,
     BoxSpace,
     DensityLadder,
     FiniteSpace,
@@ -88,29 +87,12 @@ def test_tempered_box_levels_share_one_base_evaluation():
     rng = np.random.default_rng(5)
     for x in rng.uniform(-2.0, 2.0, size=(20, 2)):
         before = len(calls)
-        for _ in range(3):
-            for i, t in enumerate(temps):
-                assert ladder.log_density(i, x) == base(x) / t  # exact, not approx
-        # three passes over three levels, plus the reference calls above
-        assert len(calls) - before == 1 + 3 * len(temps)
-
-
-def test_tempered_box_memo_is_bounded():
-    calls = []
-
-    def base(x):
-        calls.append(1)
-        return -float(x[0]) ** 2
-
-    ladder = tempered_ladder(BoxSpace([-1.0], [1.0]), base, [2.0, 1.0])
-    points = [np.array([v]) for v in np.linspace(-1.0, 1.0, BASE_MEMO_SIZE + 1)]
-    for x in points[:BASE_MEMO_SIZE]:
-        ladder.log_density(0, x)
-    ladder.log_density(1, points[0])
-    assert len(calls) == BASE_MEMO_SIZE  # still remembered
-    ladder.log_density(1, points[-1])  # one past the size: the memo starts over
-    ladder.log_density(1, points[0])
-    assert len(calls) == BASE_MEMO_SIZE + 2
+        levels = ladder.log_densities(x)
+        assert len(calls) - before == 1  # one base call for all levels
+        assert len(levels) == len(temps)
+        for i, t in enumerate(temps):
+            assert levels[i] == base(x) / t  # exact, not approx
+            assert levels[i] == ladder.log_density(i, x)
 
 
 def test_finite_tempering_matches_direct_exponentiation():
