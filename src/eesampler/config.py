@@ -9,16 +9,18 @@ Seeding rule: replicate ``i`` of a run with master seed ``s`` draws from
 ``numpy.random.SeedSequence([s, i])``, whose spawned children seed the
 per-chain generators in chain order.
 
-The rate study steps all R replicates in lockstep and has its own stream
-contract: ``numpy.random.SeedSequence([s, LOCKSTEP_SALT])`` spawns one
-generator per chain level, in chain order, shared by the replicates. Each
-round every active level draws one block of (R,)-vectors of uniforms,
-whatever branch each replicate takes: chain 0 draws (proposal, MH coin),
-an interacting chain (branch coin, feeder draw, swap coin, proposal,
-MH coin); see :mod:`eesampler.kernels`. Rate-study
-numbers at a given seed therefore differ from those of the per-replicate
-streams above (and from releases before the lockstep engine); reruns stay
-byte-identical.
+The rate and bias studies step all R replicates in lockstep and have their
+own stream contract: ``numpy.random.SeedSequence([s, LOCKSTEP_SALT])``
+spawns one generator per chain level, in chain order, shared by the
+replicates. Each round every active level draws one block of (R,)-vectors
+of uniforms, whatever branch each replicate takes: chain 0 draws (proposal,
+MH coin), an interacting chain (branch coin, feeder draw, swap coin,
+proposal, MH coin); see :mod:`eesampler.kernels`. The bias study's frozen
+feeder never moves, so only the level-1 generator draws, from round 1; the
+feeder's atoms come from replicate 0's chain-0 stream above. Numbers of
+both studies at a given seed therefore differ from those of the
+per-replicate streams (and from releases before the lockstep engine);
+reruns stay byte-identical.
 """
 
 from __future__ import annotations

@@ -60,16 +60,19 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         target_states = [
             row[2] for row in trace.rows if row[0] == config.r - 1 and row[1] >= burn
         ]
-        for f in config.test_functions:
-            est = float(np.mean([f(s) for s in target_states]))
-            summary_rows.append((rep, f.name, repr(est)))
         if isinstance(config.space, FiniteSpace):
-            occ = np.zeros(config.space.size)
-            for s in target_states:
-                occ[int(s)] += 1
-            occ /= max(1, len(target_states))
+            # the vector entries are the values f(s), so the mean reduces
+            # the same floats in the same order as the per-state path
+            states = np.array(target_states, dtype=np.intp)
+            for f in config.test_functions:
+                summary_rows.append((rep, f.name, repr(float(np.mean(f.vector[states])))))
+            occ = np.bincount(states, minlength=config.space.size) / max(1, states.size)
             for s in range(config.space.size):
                 summary_rows.append((rep, f"occupancy_{s}", repr(float(occ[s]))))
+        else:
+            for f in config.test_functions:
+                est = float(np.mean([f(s) for s in target_states]))
+                summary_rows.append((rep, f.name, repr(est)))
 
     with open(paths["summary"], "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -309,11 +312,14 @@ def frozen_feeder_atoms(config: ExperimentConfig, freeze_at: int, replicate: int
     return atoms
 
 
-def oracle_frozen_kernel(config: ExperimentConfig, mu: np.ndarray) -> np.ndarray:
-    """Exact transition matrix of the interacting chain against feeder mu."""
-    if config.variant == "ee-jump":
-        return exact.ee_jump_matrix(config.kernels, 1, mu, empty_ring_fallback=True)
-    return exact.nonlinear_matrix(config.kernels, 1, mu, empty_ring_fallback=True)
+def oracle_kernel(
+    config: ExperimentConfig, level: int, mu: np.ndarray, epsilon: float | None = None
+) -> np.ndarray:
+    """Exact transition matrix of the configured variant's interacting
+    kernel at `level` against feeder mu (epsilon defaults to the level's);
+    rings without feeder mass take the local move, as the sampler does."""
+    build = exact.ee_jump_matrix if config.variant == "ee-jump" else exact.nonlinear_matrix
+    return build(config.kernels, level, mu, epsilon, empty_ring_fallback=True)
 
 
 def bias_study(
@@ -324,43 +330,34 @@ def bias_study(
     """Freeze the feeder, predict the interacting chain's limit with the
     oracle, and compare replicate occupancies against the prediction.
 
-    The frozen feeder is one realization shared by all replicates; the
-    prediction is the stationary vector of the exact frozen kernel. The
-    study also reports the exact-feeder control: feeding pi_1 itself must
-    reproduce pi_2 (zero predicted bias)."""
+    The frozen feeder is one realization, drawn from replicate 0's scalar
+    chain-0 stream, and shared by all replicates, which then step in
+    lockstep under :func:`~eesampler.sampler.run_frozen_feeder`'s stream
+    contract; the prediction is the stationary vector of the exact frozen
+    kernel. The study also reports the exact-feeder control: feeding pi_1
+    itself must reproduce pi_2 (zero predicted bias)."""
     if not isinstance(config.space, FiniteSpace):
         raise ConfigurationError("the bias study needs a finite space")
     if config.r != 2:
         raise ConfigurationError("the bias study is defined for r = 2")
-    atoms = frozen_feeder_atoms(config, freeze_at)
-    mu = np.zeros(config.space.size)
-    for a in atoms:
-        mu[int(a)] += 1.0
-    mu /= mu.sum()
-
-    P = oracle_frozen_kernel(config, mu)
-    omega = exact.stationary(P)
-    pi1, pi2 = config.ladder.density_table()[0], config.ladder.density_table()[-1]
-    predicted_tv = tv_distance(omega, pi2)
-    exact_feeder_tv = tv_distance(exact.stationary(oracle_frozen_kernel(config, pi1)), pi2)
-
+    if freeze_at < 0:
+        raise ConfigurationError(f"freeze_at must be >= 0, got {freeze_at}")
     burn = burn_in if burn_in is not None else max(64, config.total_rounds // 8)
     if burn >= config.total_rounds:
         raise ConfigurationError("burn-in must be shorter than the run")
-    sequences = []
-    for rep in range(config.replicates):
-        trace = run_frozen_feeder(config, freeze_at, replicate=rep, fixed_feeder_atoms=atoms)
-        sequences.append(
-            [int(row[2]) for row in trace.rows if row[0] == 1 and row[1] > burn]
-        )
+    atoms = frozen_feeder_atoms(config, freeze_at)
+    mu = np.bincount(atoms, minlength=config.space.size) / len(atoms)
+
+    omega = exact.stationary(oracle_kernel(config, 1, mu))
+    pi1, pi2 = config.ladder.density_table()[0], config.ladder.density_table()[-1]
+    predicted_tv = tv_distance(omega, pi2)
+    exact_feeder_tv = tv_distance(exact.stationary(oracle_kernel(config, 1, pi1)), pi2)
+
+    sequences = run_frozen_feeder(config, atoms)[burn:].T
     if config.replicates == 1:
         # batch means over the single run stand in for replicate spread
-        sequences = [list(chunk) for chunk in np.array_split(np.array(sequences[0]), 16)]
-    occ = np.zeros((len(sequences), config.space.size))
-    for i, states in enumerate(sequences):
-        for s in states:
-            occ[i, s] += 1.0
-        occ[i] /= len(states)
+        sequences = np.array_split(sequences[0], 16)
+    occ = np.array([np.bincount(s, minlength=config.space.size) / s.size for s in sequences])
     mean = occ.mean(axis=0)
     se = occ.std(axis=0, ddof=1) / np.sqrt(len(sequences))
     z = np.abs(mean - omega) / np.maximum(se, 1e-12)
@@ -511,11 +508,13 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
         worst = max(worst, float(np.abs(pi[:, None] * K - (pi[:, None] * K).T).max()))
     report.checks.append(CheckResult("k_invariance_reversibility", worst, 1e-12, worst <= 1e-12))
 
-    # fixed point: feeding the exact lower target reproduces the upper one
+    # fixed point: feeding the exact lower target reproduces the upper one;
+    # the ee-jump at epsilon 1 never leaves ring(x), so it has no unique one
     worst = 0.0
+    epsilons = (0.0, 0.25, 0.5) if config.variant == "ee-jump" else (0.0, 0.25, 0.5, 1.0)
     for level in range(1, config.r):
-        for eps in (0.0, 0.25, 0.5, 1.0):
-            P = exact.nonlinear_matrix(model, level, dens[level - 1], eps)
+        for eps in epsilons:
+            P = oracle_kernel(config, level, dens[level - 1], eps)
             worst = max(worst, float(np.abs(exact.stationary(P) - dens[level]).max()))
     report.checks.append(CheckResult("fixed_point", worst, 1e-10, worst <= 1e-10))
 
@@ -586,7 +585,7 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     monotone = True
     mats = [exact.k_matrix(model, lv) for lv in range(config.r)]
     for level in range(1, config.r):
-        mats.append(exact.nonlinear_matrix(model, level, dens[level - 1]))
+        mats.append(oracle_kernel(config, level, dens[level - 1]))
     for P in mats:
         rate = exact.geometric_rate_estimate(P)
         worst = max(worst, rate.rho_fitted - rate.rho)

@@ -31,7 +31,8 @@ and a feeder atom brings the levels its measure stored.
 Lockstep steps (``mh_step_lockstep``, ``interacting_step_lockstep``) make
 the same moves on finite spaces for R replicates at once: states are an
 (R,) int array and each replicate's feeder is a row of an (R, S) count
-array, so the uniform draw with multiplicity from ring(x) becomes a
+array (a frozen feeder is one (S,) row broadcast read-only to all R), so
+the uniform draw with multiplicity from ring(x) becomes a
 categorical draw over the ring's states weighted by their counts. They
 draw whole (R,)-vectors in a fixed order, whatever branch each replicate
 takes: the MH step draws a (2, R) block of uniforms on [0, 1), rows

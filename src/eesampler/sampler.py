@@ -15,15 +15,12 @@ Records: each chain of :class:`ChainEnsemble` carries a
 that the kernels update; inserts hand its ring and levels to the measure,
 so the trace, the measure and later feeder draws evaluate nothing again.
 
-Freezing: in frozen-feeder mode chain 0 and its measure stop updating after
-the freeze round, so the interacting chain runs against a fixed feeder
-measure from then on; this is the regime whose long-run bias the oracle can
-predict exactly.
-
 Lockstep: :class:`LockstepEnsemble` runs the same schedule for all
 replicates of a finite-space run at once, with numpy arrays of states and
-measure counts; the rate study uses it. :class:`ChainEnsemble` stays the
-reference engine for traced runs and frozen feeders.
+measure counts; the rate study uses it. :func:`run_frozen_feeder` steps the
+interacting chain of all replicates against one fixed feeder count vector,
+the regime whose long-run bias the oracle predicts exactly; the bias study
+uses it. :class:`ChainEnsemble` stays the reference engine for traced runs.
 """
 
 from __future__ import annotations
@@ -100,19 +97,12 @@ class ChainEnsemble:
     records' states and rings.
     """
 
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        replicate: int = 0,
-        freeze_feeder_after: int | None = None,
-        fixed_feeder_atoms=None,
-    ):
+    def __init__(self, config: ExperimentConfig, replicate: int = 0):
         self.config = config
         self.kernels = config.kernels
         self.r = config.r
         self.n = 0
         self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
-        self.freeze_feeder_after = freeze_feeder_after
         seq = config.replicate_seed_seq(replicate)
         self.rngs = [np.random.default_rng(child) for child in seq.spawn(self.r)]
         self.monitor = StabilityMonitor(config.theta)
@@ -123,16 +113,6 @@ class ChainEnsemble:
         for m, p in zip(self.measures, self.points):
             m.insert(p.x, p.ring, p.levels)
 
-        if fixed_feeder_atoms is not None:
-            if self.r != 2:
-                raise ConfigurationError("fixed feeder measures need exactly two chains")
-            feeder = EmpiricalMeasure(config.partition)
-            for p in map(self.kernels.point, fixed_feeder_atoms):
-                feeder.insert(p.x, p.ring, p.levels)
-            self.measures[0] = feeder
-            self.freeze_feeder_after = 0  # chain 0 never moves
-            self.thresholds[1] = 0  # the interacting chain starts immediately
-
         state_dim = 0 if isinstance(config.space, FiniteSpace) else config.space.dim
         self.trace = Trace(r=self.r, state_dim=state_dim)
         for k, p in enumerate(self.points):
@@ -142,17 +122,8 @@ class ChainEnsemble:
     rings = property(lambda self: [p.ring for p in self.points])
 
     # -- schedule -------------------------------------------------------------
-    def chain_active(self, chain: int, rnd: int | None = None) -> bool:
-        rnd = self.n if rnd is None else rnd
-        if chain == 0 and self.freeze_feeder_after is not None:
-            return rnd > self.thresholds[0] and rnd <= self.freeze_feeder_after
-        return rnd > self.thresholds[chain]
-
-    def move_count(self, chain: int) -> int:
-        """How many times `chain` has moved by the current round."""
-        if chain == 0 and self.freeze_feeder_after is not None:
-            return max(0, min(self.n, self.freeze_feeder_after) - self.thresholds[0])
-        return max(0, self.n - self.thresholds[chain])
+    def chain_active(self, chain: int) -> bool:
+        return self.n > self.thresholds[chain]
 
     # -- the round engine -------------------------------------------------------
     def step_round(self) -> None:
@@ -221,7 +192,6 @@ class ChainEnsemble:
             else self.monitor.min_mass_seen,
             "stability_violations": len(self.monitor.violations),
             "fallbacks": self._fallbacks,
-            "frozen_after": self.freeze_feeder_after,
         }
         return self.trace
 
@@ -234,28 +204,47 @@ def run(config: ExperimentConfig, replicate: int = 0) -> Trace:
     return ens.finalize_trace(replicate)
 
 
-def run_frozen_feeder(
-    config: ExperimentConfig,
-    freeze_at: int,
-    replicate: int = 0,
-    fixed_feeder_atoms=None,
-) -> Trace:
-    """Run with the feeder chain stopped after `freeze_at` rounds (its
-    measure then holds freeze_at+1 atoms), or against an explicitly supplied
-    fixed atom list. Two chains only: the frozen regime is the single
-    feeding chain whose bias the oracle predicts."""
+def run_frozen_feeder(config: ExperimentConfig, atoms) -> np.ndarray:
+    """Chain 1 of every replicate run against the fixed feeder measure of
+    `atoms`; returns the (total_rounds, replicates) int array of its states,
+    row n - 1 holding the states after round n.
+
+    Two chains on a finite space only: the frozen regime is the single
+    feeding chain whose bias the oracle predicts. The feeder never moves,
+    so chain 1 moves from round 1, all replicates reading one shared count
+    vector. Stream contract: chain 1 draws from the rate study's level-1
+    generator, ``config.lockstep_seed_seq().spawn(r)[1]``, one (5, R) block
+    of :meth:`~eesampler.kernels.KernelSet.interacting_step_lockstep` per
+    round. Under the abort policy a ring of the feeder with mass below
+    theta raises before the first round.
+    """
     if config.r != 2:
         raise ConfigurationError("frozen-feeder runs need exactly two chains")
-    if fixed_feeder_atoms is None and freeze_at < 1:
-        raise ConfigurationError(f"freeze_at must be >= 1, got {freeze_at}")
-    ens = ChainEnsemble(
-        config,
-        replicate=replicate,
-        freeze_feeder_after=None if fixed_feeder_atoms is not None else freeze_at,
-        fixed_feeder_atoms=fixed_feeder_atoms,
-    )
-    ens.run_rounds(config.total_rounds)
-    return ens.finalize_trace(replicate)
+    if not isinstance(config.space, FiniteSpace):
+        raise ConfigurationError("frozen-feeder runs need a finite space")
+    size = config.space.size
+    atoms = np.asarray(atoms, dtype=np.intp)
+    if atoms.size == 0 or atoms.min() < 0 or atoms.max() >= size:
+        raise ConfigurationError(f"feeder atoms must be states 0..{size - 1}")
+    counts = np.bincount(atoms, minlength=size)
+    if config.stability_policy == "abort":
+        d = config.partition.d
+        masses = np.bincount(config.partition.labels(), weights=counts, minlength=d) / atoms.size
+        ring = int(np.argmin(masses))
+        if masses[ring] < config.theta:
+            raise StabilityError(
+                f"frozen feeder ring {ring} mass {masses[ring]:.4f} "
+                f"below theta={config.theta}"
+            )
+    reps = config.replicates
+    feeder = np.broadcast_to(counts, (reps, size))
+    rng = np.random.default_rng(config.lockstep_seed_seq().spawn(config.r)[1])
+    states = np.empty((config.total_rounds, reps), dtype=np.intp)
+    x = np.full(reps, config.initial_states[1], dtype=np.intp)
+    for n in range(config.total_rounds):
+        x = config.kernels.interacting_step_lockstep(1, x, feeder, rng, config.variant)
+        states[n] = x
+    return states
 
 
 class LockstepEnsemble:
@@ -267,7 +256,7 @@ class LockstepEnsemble:
     stability monitor. Memory is O(R r S) whatever the number of rounds.
     The activation schedule, the chain-order updates within a round, strict
     snapshots and the stability policy are those of :class:`ChainEnsemble`;
-    there is no trace and no frozen feeder.
+    there is no trace.
 
     Stream contract: ``config.lockstep_seed_seq()`` spawns one generator per
     chain level, shared by all replicates. Each round, every active level

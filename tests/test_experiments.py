@@ -230,6 +230,25 @@ def test_verify_suite_passes_on_fixture(four_state):
     } <= names
 
 
+@pytest.mark.parametrize("epsilon", [0.5, 1.0])
+def test_verify_suite_checks_the_ee_jump_kernel(monkeypatch, epsilon):
+    cfg = four_state_config(
+        kernel={"variant": "ee-jump", "epsilon": epsilon, "proposal": "uniform"}
+    )
+    calls = []
+    build = exact.ee_jump_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "ee_jump_matrix", counting)
+    report = verify_suite(cfg)
+    assert report.passed, report.failing()
+    # three fixed-point epsilons and one geometric-rate kernel at level 1
+    assert calls == [1, 1, 1, 1]
+
+
 def test_verify_suite_detects_corrupted_acceptance(four_state, monkeypatch):
     # sign-flip the swap log-ratio inside the oracle: the fixed point must break
     def corrupted(model, level):
@@ -484,6 +503,17 @@ def test_cli_stability_abort_exits_3(tmp_path):
          "--abort-on-stability"]
     )
     assert code == 3
+
+
+def test_cli_bias_study_negative_freeze_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, four_state_raw(replicates=6))
+    out = tmp_path / "never"
+    code = cli.main(
+        ["bias-study", "--config", cfg_path, "--out", str(out), "--freeze-at", "-3"]
+    )
+    assert code == 2
+    assert "freeze_at" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rate_study_malformed_grid_exits_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from eesampler import config as config_module
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
-from eesampler.errors import ConfigurationError
+from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.sampler import ChainEnsemble, run, run_frozen_feeder
 from eesampler.state_space import BoxSpace, DensityLadder
 
@@ -60,6 +60,11 @@ def test_init_same_seed_identical(four_state):
 # schedule
 # ---------------------------------------------------------------------------
 
+def moves(trace, chain):
+    """How many times `chain` has moved in the trace so far."""
+    return sum(1 for row in trace.rows if row[0] == chain and row[4] not in ("init", "hold"))
+
+
 def test_schedule_fidelity_three_chains():
     cfg = three_chain_config()
     ens = ChainEnsemble(cfg)
@@ -67,7 +72,7 @@ def test_schedule_fidelity_three_chains():
     for n in range(1, 26):
         ens.step_round()
         for k in range(3):
-            assert ens.move_count(k) == max(0, n - thresholds[k])
+            assert moves(ens.trace, k) == max(0, n - thresholds[k])
     # inactive rounds are exact holds
     for k in (1, 2):
         states = [row[2] for row in ens.trace.rows if row[0] == k]
@@ -84,9 +89,9 @@ def test_chain2_never_moves_when_run_too_short():
     )
     ens = ChainEnsemble(cfg)
     ens.run_rounds(50)
-    assert ens.states[1] == 3 and ens.move_count(1) == 0
+    assert ens.states[1] == 3 and moves(ens.trace, 1) == 0
     ens.step_round()
-    assert ens.move_count(1) == 1
+    assert moves(ens.trace, 1) == 1
 
 
 def test_epsilon_zero_chains_are_independent_mh():
@@ -201,65 +206,57 @@ def test_trace_csv_round_trip(tmp_path, four_state):
 # frozen feeder
 # ---------------------------------------------------------------------------
 
-def test_freeze_beyond_horizon_is_noop(four_state):
-    frozen = run_frozen_feeder(four_state, freeze_at=four_state.total_rounds + 5)
-    plain = run(four_state)
-    assert frozen.rows == plain.rows
-
-
-def test_freeze_stops_feeder_updates(four_state):
-    cfg = four_state_config(schedule={"offsets": [50], "total_rounds": 400})
-    trace = run_frozen_feeder(cfg, freeze_at=9)
-    chain1 = [row for row in trace.rows if row[0] == 0]
-    moves = [row for row in chain1 if row[4] == "local"]
-    holds = [row for row in chain1 if row[4] == "hold"]
-    assert len(moves) == 9 and len(holds) == 400 - 9
-    assert all(row[2] == chain1[9][2] for row in chain1[10:])  # state pinned
-
-
-def test_frozen_feeder_measure_has_expected_atoms(four_state):
-    cfg = four_state_config(schedule={"offsets": [50], "total_rounds": 200})
-    ens = ChainEnsemble(cfg, freeze_feeder_after=9)
-    ens.run_rounds(200)
-    assert ens.measures[0].total_count == 10  # initial atom + 9 moves
-
-
-def test_fixed_feeder_runs_against_supplied_atoms(four_state):
-    cfg = four_state_config(schedule={"offsets": [50], "total_rounds": 20_000})
-    trace = run_frozen_feeder(cfg, freeze_at=1, fixed_feeder_atoms=[0, 1, 2, 3])
+def test_fixed_feeder_runs_against_supplied_atoms():
+    cfg = four_state_config(replicates=4, schedule={"offsets": [50], "total_rounds": 5200})
+    states = run_frozen_feeder(cfg, [0, 1, 2, 3])
+    assert states.shape == (5200, 4)
     # feeder is exactly pi_1 = uniform, so chain 2 must equilibrate to pi_2
-    states = [row[2] for row in trace.rows if row[0] == 1 and row[1] > 200]
-    occ = np.bincount(states, minlength=4) / len(states)
+    post = states[200:]
+    occ = np.bincount(post.ravel(), minlength=4) / post.size
     pi2 = cfg.ladder.density_table()[1]
     assert np.abs(occ - pi2).max() < 0.02
-    # chain 1 never moves in this mode
-    assert all(row[4] in ("init", "hold") for row in trace.rows if row[0] == 0)
 
 
-def test_frozen_occupancy_matches_oracle_prediction(four_state):
-    cfg = four_state_config(schedule={"offsets": [50], "total_rounds": 60_000})
+def test_frozen_occupancy_matches_oracle_prediction():
+    cfg = four_state_config(replicates=8, schedule={"offsets": [50], "total_rounds": 8000})
     atoms = [0, 0, 1, 2, 2, 2, 3, 3]
-    trace = run_frozen_feeder(cfg, freeze_at=1, fixed_feeder_atoms=atoms)
+    states = run_frozen_feeder(cfg, atoms)[500:]
     mu = np.bincount(atoms, minlength=4) / len(atoms)
     omega = exact.stationary(exact.nonlinear_matrix(cfg.kernels, 1, mu))
-    states = [row[2] for row in trace.rows if row[0] == 1 and row[1] > 500]
-    occ = np.bincount(states, minlength=4) / len(states)
+    occ = np.bincount(states.ravel(), minlength=4) / states.size
     assert np.abs(occ - omega).max() < 0.015
 
 
 def test_run_frozen_feeder_contracts(four_state):
-    with pytest.raises(ConfigurationError):
-        run_frozen_feeder(four_state, freeze_at=0)
     cfg = three_chain_config(schedule={"offsets": [5, 7], "total_rounds": 30})
     with pytest.raises(ConfigurationError):
-        run_frozen_feeder(cfg, freeze_at=5)
+        run_frozen_feeder(cfg, [0, 1, 2, 3])
+    for atoms in ([], [0, 4], [-1, 2]):
+        with pytest.raises(ConfigurationError):
+            run_frozen_feeder(four_state, atoms)
+
+
+def test_run_frozen_feeder_rerun_identical():
+    cfg = four_state_config(replicates=5, schedule={"offsets": [50], "total_rounds": 300})
+    a = run_frozen_feeder(cfg, [0, 0, 2, 1, 3])
+    b = run_frozen_feeder(cfg, [0, 0, 2, 1, 3])
+    assert a.shape == (300, 5)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_frozen_feeder_abort_policy_on_thin_ring():
+    atoms = [0, 0, 1, 2, 3, 3, 3, 3, 3, 3]  # ring 0 holds 3 of 10 atoms
+    warn = four_state_config(stability={"theta": 0.35, "policy": "warn"})
+    assert run_frozen_feeder(warn, atoms).shape == (warn.total_rounds, 1)
+    abort = four_state_config(stability={"theta": 0.35, "policy": "abort"})
+    with pytest.raises(StabilityError, match="ring 0 mass 0.3000"):
+        run_frozen_feeder(abort, atoms)
+    run_frozen_feeder(four_state_config(stability={"theta": 0.3, "policy": "abort"}), atoms)
 
 
 def test_stability_abort_policy():
     # theta = 0.9 with two rings cannot hold once chain 2 consumes the feeder
     cfg = four_state_config(stability={"theta": 0.9, "policy": "abort"})
-    from eesampler.errors import StabilityError
-
     with pytest.raises(StabilityError):
         run(cfg)
 
@@ -310,17 +307,16 @@ def test_double_well_evaluates_each_step_about_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make_config,freeze_at",
+    "make_config",
     [
-        (lambda: double_well_config(schedule={"offsets": [50], "total_rounds": 300}), None),
-        (lambda: three_chain_config(trace={"strict_snapshot": True}), None),
-        (lambda: four_state_config(schedule={"offsets": [20], "total_rounds": 200}), 30),
+        lambda: double_well_config(schedule={"offsets": [50], "total_rounds": 300}),
+        lambda: three_chain_config(trace={"strict_snapshot": True}),
     ],
-    ids=["box", "finite-three-chains", "finite-frozen-feeder"],
+    ids=["box", "finite-three-chains"],
 )
-def test_trace_ring_is_the_ring_of_the_state(make_config, freeze_at):
+def test_trace_ring_is_the_ring_of_the_state(make_config):
     cfg = make_config()
-    trace = run(cfg) if freeze_at is None else run_frozen_feeder(cfg, freeze_at=freeze_at)
+    trace = run(cfg)
     assert {"init", "hold"} <= {row[4] for row in trace.rows}
     for chain, rnd, state, ring, *_ in trace.rows:
         assert ring == cfg.partition.assign(state), (chain, rnd)
