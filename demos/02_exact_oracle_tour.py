@@ -53,7 +53,7 @@ print("worst-case tv after n steps:", np.round(rate.tv_curve[:6], 5))
 
 # --- Lipschitz continuity in the feeder measure -----------------------------------
 xi = np.array([1.0, 2.0, 2.0, 5.0]) / 10.0
-ratio = exact.lipschitz_check(model, 1, mu, xi, 200, rng)
+ratio = exact.lipschitz_check(model, 1, mu, xi, rng.uniform(-1.0, 1.0, (200, 4)))
 print(f"\nlipschitz ratio over 200 random f: {ratio:.4f}  (bound: 1)")
 print(f"invariant-measure continuity ratio: "
       f"{exact.invariant_continuity_check(model, 1, mu, xi):.4f}")

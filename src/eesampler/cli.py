@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "ExperimentConfig":
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {args.config} is not UTF-8 text: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"a config must be an object, got {type(raw).__name__}")
     if args.seed is not None:
@@ -96,11 +99,22 @@ def _parse_grid(text: str) -> list[int]:
         raise ConfigurationError(f"--n-grid needs comma-separated integers, got {text!r}") from exc
 
 
+def _check_out(out: Path) -> None:
+    """Refuse, before any work, an output path that cannot be a directory:
+    its nearest existing part must be one."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigurationError(f"--out {out}: {path} exists and is not a directory")
+            return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
         out = Path(args.out)
+        _check_out(out)
         if args.verb == "run":
             paths = run_experiment(config, out)
             print(f"wrote {len(paths['traces'])} trace(s) under {out}")

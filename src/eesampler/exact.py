@@ -10,6 +10,20 @@ expansion, Lipschitz and continuity bounds) machine-verifiable.
 
 All matrices are row-stochastic: entry (x, y) is the probability of moving
 from state x to state y. Measures are probability vectors over states.
+
+Stacks. ``ring_conditionals``, ``q_matrix``, ``nonlinear_matrix``,
+``ee_jump_matrix``, ``assert_row_stochastic`` and ``stationary`` (and
+:func:`~eesampler.measures.tv_distance`) take an optional leading stack
+axis: a (B, S) stack of feeder measures gives a (B, S, S) stack of
+matrices, and a (B, S, S) stack gives (B, S) stationary vectors, so a
+battery of random measures costs one call instead of B. Every reduction
+runs along the last axis and every product is one BLAS call per item, so
+item b of a stacked result has exactly the bits of the same call on item b
+alone; a single measure or matrix is simply the stack-less case. A failure
+on a stack names the index of the failing measure or matrix.
+``stationary`` still makes one ``np.linalg.lstsq`` call per matrix: numpy
+has no stacked least-squares solver, and replacing it by a stacked
+``np.linalg.solve`` would change the bits of every stationary vector.
 """
 
 from __future__ import annotations
@@ -41,12 +55,23 @@ def _densities(model: KernelSet, level: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _of_stack(P: np.ndarray, i: int) -> str:
+    """Message suffix naming item i of a stack; empty for a single matrix."""
+    return f" (matrix {i} of the stack)" if P.ndim == 3 else ""
+
+
 def assert_row_stochastic(P: np.ndarray) -> None:
-    if np.any(P < -ROW_SUM_TOL):
-        raise NumericalError("matrix has negative entries")
-    err = np.abs(P.sum(axis=1) - 1.0).max()
-    if err > ROW_SUM_TOL:
-        raise NumericalError(f"rows deviate from 1 by {err:.3e}")
+    """Raise :class:`NumericalError` unless P, an (S, S) matrix or a
+    (B, S, S) stack, has no negative entries and rows summing to 1."""
+    stack = P.reshape(-1, *P.shape[-2:])
+    negative = np.any(stack < -ROW_SUM_TOL, axis=(1, 2))
+    err = np.abs(stack.sum(axis=-1) - 1.0).max(axis=-1, initial=0.0)
+    bad = negative | (err > ROW_SUM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise NumericalError(f"matrix has negative entries{_of_stack(P, i)}")
+        raise NumericalError(f"rows deviate from 1 by {err[i]:.3e}{_of_stack(P, i)}")
 
 
 # K and the swap-alpha matrix depend only on the model and the level, and a
@@ -112,20 +137,25 @@ def swap_alpha(model: KernelSet, level: int) -> np.ndarray:
 
 def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = False):
     """Per-ring conditional masses of mu and the (S, S) matrix W with
-    W[x, z] = mu_x({z}); rows of states in empty rings are zero when allowed."""
+    W[x, z] = mu_x({z}); rows of states in empty rings are zero when allowed.
+    A (B, S) stack of measures gives (B, d) masses and a (B, S, S) W."""
     size = _require_finite(model)
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (size,):
+    if mu.ndim not in (1, 2) or mu.shape[-1] != size:
         raise ConfigurationError(f"measure must have {size} entries, got {mu.shape}")
     labels = model.partition.labels()
-    masses = np.array([mu[labels == j].sum() for j in range(model.partition.d)])
-    if not allow_empty and np.any(masses <= 0.0):
-        ring = int(np.argmin(masses))
-        raise StabilityError(f"feeder measure has zero mass on ring {ring}")
-    ring_mass = masses[labels][:, None]
+    d = model.partition.d
+    masses = np.stack([mu[..., labels == j].sum(axis=-1) for j in range(d)], axis=-1)
+    empty = (masses <= 0.0).any(axis=-1)
+    if not allow_empty and empty.any():
+        i = int(np.argmax(empty))
+        ring = int(np.argmin(masses.reshape(-1, d)[i]))
+        which = f"feeder measure {i}" if mu.ndim == 2 else "feeder measure"
+        raise StabilityError(f"{which} has zero mass on ring {ring}")
+    ring_mass = masses[..., labels][..., None]
     same_ring = labels[:, None] == labels[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):  # empty rings, masked out
-        W = np.where(same_ring & (ring_mass > 0.0), mu[None, :] / ring_mass, 0.0)
+        W = np.where(same_ring & (ring_mass > 0.0), mu[..., None, :] / ring_mass, 0.0)
     return masses, W
 
 
@@ -133,8 +163,8 @@ def _empty_ring_fallback(model: KernelSet, P: np.ndarray, K: np.ndarray, masses)
     """Give every state whose ring carries no feeder mass the local K row,
     as the sampler falls back to its local move. A no-op unless
     ring_conditionals was allowed to return an empty ring."""
-    empty = masses[model.partition.labels()] <= 0.0
-    P[empty] = K[empty]
+    empty = masses[..., model.partition.labels()] <= 0.0
+    np.copyto(P, K, where=empty[..., None])
 
 
 def q_matrix(
@@ -152,7 +182,7 @@ def q_matrix(
     K = k_matrix(model, level)
     A = swap_alpha(model, level)
     WA = W * A
-    Q = WA @ K + (1.0 - WA.sum(axis=1))[:, None] * K
+    Q = WA @ K + (1.0 - WA.sum(axis=-1))[..., None] * K
     _empty_ring_fallback(model, Q, K, masses)
     assert_row_stochastic(Q)
     return Q
@@ -172,7 +202,8 @@ def ee_jump_matrix(
     K = k_matrix(model, level)
     A = swap_alpha(model, level)
     J = W * A
-    J = J + np.diag(1.0 - J.sum(axis=1))
+    diagonal = np.arange(J.shape[-1])
+    J[..., diagonal, diagonal] += 1.0 - J.sum(axis=-1)
     _empty_ring_fallback(model, J, K, masses)
     P = (1.0 - eps) * K + eps * J
     assert_row_stochastic(P)
@@ -197,26 +228,35 @@ def nonlinear_matrix(
 
 
 def stationary(P: np.ndarray) -> np.ndarray:
-    """The unique probability vector w with wP = w, by linear least squares.
+    """The unique probability vector w with wP = w, by linear least squares;
+    a (B, S, S) stack gives the (B, S) stack of vectors.
 
     Raises :class:`NumericalError` with diagnostics if the solve does not
     meet the 1e-10 residual contract.
     """
     P = np.asarray(P, dtype=float)
-    size = P.shape[0]
+    stack = P.reshape(-1, *P.shape[-2:])
+    size = P.shape[-1]
     assert_row_stochastic(P)
-    A = np.vstack([P.T - np.eye(size), np.ones(size)])
+    A = np.empty((len(stack), size + 1, size))
+    A[:, :size] = stack.transpose(0, 2, 1) - np.eye(size)
+    A[:, size] = 1.0
     b = np.zeros(size + 1)
     b[-1] = 1.0
-    w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.abs(w @ P - w).max())
-    if residual > RESIDUAL_TOL or np.any(w < -1e-10) or abs(w.sum() - 1.0) > 1e-10:
+    w = np.empty((len(stack), size))
+    for i, a in enumerate(A):  # numpy has no stacked lstsq
+        w[i] = np.linalg.lstsq(a, b, rcond=None)[0]
+    residual = np.abs((w[:, None, :] @ stack)[:, 0] - w).max(axis=-1, initial=0.0)
+    sums = w.sum(axis=-1)
+    bad = (residual > RESIDUAL_TOL) | np.any(w < -1e-10, axis=-1) | (np.abs(sums - 1.0) > 1e-10)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NumericalError(
-            f"stationary solve failed: residual={residual:.3e}, "
-            f"min={w.min():.3e}, sum={w.sum():.17g}"
+            f"stationary solve failed{_of_stack(P, i)}: residual={residual[i]:.3e}, "
+            f"min={w[i].min():.3e}, sum={sums[i]:.17g}"
         )
     w = np.maximum(w, 0.0)
-    return w / w.sum()
+    return (w / w.sum(axis=-1, keepdims=True)).reshape(P.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -338,25 +378,31 @@ def composition_identity_check(
 
     K = k_matrix(model, level)
     A = swap_alpha(model, level)
-    # pair kernel tensor: pair_kernel[a, b, y] = P((a, b), {y})
-    pair_kernel = A[:, :, None] * K[None, :, :] + (1.0 - A)[:, :, None] * K[:, None, :]
+    # pair kernel by feeder draw: by_draw[b, a, y] = P((a, b), {y})
+    by_draw = A.T[:, :, None] * K[:, None, :] + (1.0 - A.T)[:, :, None] * K[None, :, :]
 
     ring_members = [np.nonzero(labels == j)[0] for j in range(d)]
     ring_indicator = [(labels == j).astype(float) for j in range(d)]
 
-    rhs = np.zeros(size)
+    # Each ring tuple's draw tuples go through the backward pass together,
+    # as stacked mat-vecs; the terms are then added in enumeration order by
+    # a cumsum from a zero row, the sequential adds of a running sum.
+    terms = [np.zeros((1, size))]
     for rings in itertools.product(range(d), repeat=q):
         start_coeff = ring_indicator[rings[0]] / np.prod([masses[j] for j in rings])
-        for draws in itertools.product(*(ring_members[j] for j in rings)):
-            weight = np.prod([mu[x] for x in draws])
-            if weight == 0.0:
-                continue
-            # backward pass over the path y_q .. y_1 for this draw tuple
-            vec = f
-            for j in range(q - 1, 0, -1):
-                vec = ring_indicator[rings[j]] * (pair_kernel[:, draws[j], :] @ vec)
-            vec = pair_kernel[:, draws[0], :] @ vec  # start-state row, no indicator
-            rhs += start_coeff * weight * vec
+        draws = np.array(
+            list(itertools.product(*(ring_members[j] for j in rings))), dtype=np.intp
+        ).reshape(-1, q)
+        weight = mu[draws].prod(axis=1)
+        nonzero = weight != 0.0
+        draws, weight = draws[nonzero], weight[nonzero]
+        # backward pass over the path y_q .. y_1, one row per draw tuple
+        vec = f
+        for j in range(q - 1, 0, -1):
+            vec = ring_indicator[rings[j]] * (by_draw[draws[:, j]] @ vec[..., None])[..., 0]
+        vec = (by_draw[draws[:, 0]] @ vec[..., None])[..., 0]  # start-state row, no indicator
+        terms.append(start_coeff * weight[:, None] * vec)
+    rhs = np.cumsum(np.concatenate(terms), axis=0)[-1]
     return float(np.abs(lhs - rhs).max())
 
 
@@ -381,48 +427,45 @@ def mixture_expansion_check(K: np.ndarray, P: np.ndarray, epsilon: float, n: int
 
 
 def lipschitz_check(
-    model: KernelSet,
-    level: int,
-    mu: np.ndarray,
-    xi: np.ndarray,
-    n_funcs: int,
-    rng: np.random.Generator,
-) -> float:
-    """Max over random bounded f of
+    model: KernelSet, level: int, mu: np.ndarray, xi: np.ndarray, fs: np.ndarray
+):
+    """Max over the test functions f in fs of
     max_x |Q_mu(f)(x) - Q_xi(f)(x)| / (2 ||f||_inf sup_x tv(mu_x, xi_x));
     the selection kernel is 2-Lipschitz in the feeder so this never exceeds 1.
+
+    mu and xi are (S,) measures with fs an (n_funcs, S) array, or (B, S)
+    stacks of pairs with fs (B, n_funcs, S); the result is one ratio per
+    pair (a float for a single pair), 0 where the conditionals coincide.
     """
-    size = _require_finite(model)
     _, Wmu = ring_conditionals(model, mu)
     _, Wxi = ring_conditionals(model, xi)
     labels = model.partition.labels()
-    sup_tv = 0.0
-    for j in range(model.partition.d):
-        rows = np.nonzero(labels == j)[0]
-        sup_tv = max(sup_tv, 0.5 * float(np.abs(Wmu[rows[0]] - Wxi[rows[0]]).sum()))
-    Qmu = q_matrix(model, level, mu)
-    Qxi = q_matrix(model, level, xi)
-    worst = 0.0
-    for _ in range(n_funcs):
-        f = rng.uniform(-1.0, 1.0, size)
-        norm = np.abs(f).max()
-        lhs = float(np.abs(Qmu @ f - Qxi @ f).max())
-        if sup_tv == 0.0:
-            continue  # identical conditionals: lhs is 0 up to roundoff
-        worst = max(worst, lhs / (2.0 * norm * sup_tv))
-    return worst
+    first = [np.nonzero(labels == j)[0][0] for j in range(model.partition.d)]
+    sup_tv = (0.5 * np.abs(Wmu[..., first, :] - Wxi[..., first, :]).sum(axis=-1)).max(axis=-1)
+    fs = np.asarray(fs, dtype=float)
+    # one mat-vec per (pair, function), as Q @ f on each alone
+    Qmu_f = (q_matrix(model, level, mu)[..., None, :, :] @ fs[..., None])[..., 0]
+    Qxi_f = (q_matrix(model, level, xi)[..., None, :, :] @ fs[..., None])[..., 0]
+    lhs = np.abs(Qmu_f - Qxi_f).max(axis=-1)
+    norm = np.abs(fs).max(axis=-1)
+    apart = sup_tv[..., None] != 0.0  # identical conditionals: lhs is 0 up to roundoff
+    ratio = np.divide(lhs, 2.0 * norm * sup_tv[..., None], out=np.zeros_like(lhs), where=apart)
+    worst = ratio.max(axis=-1, initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def invariant_continuity_check(
     model: KernelSet, level: int, mu: np.ndarray, xi: np.ndarray, epsilon: float | None = None
-) -> float:
+):
     """Ratio tv(w(K_mu), w(K_xi)) / sup-norm distance of the two non-linear
     matrices; exhibits the empirical continuity constant of invariant
-    measures. Guarded to 0 when the kernels coincide."""
-    Kmu = nonlinear_matrix(model, level, mu, epsilon)
-    Kxi = nonlinear_matrix(model, level, xi, epsilon)
-    den = float(np.abs(Kmu - Kxi).sum(axis=1).max())
-    if den < 1e-14:
-        return 0.0
-    num = tv_distance(stationary(Kmu), stationary(Kxi))
-    return num / den
+    measures. Guarded to 0 when the kernels coincide. (B, S) stacks of mu
+    and xi give one ratio per pair (a float for a single pair)."""
+    size = _require_finite(model)
+    Kmu = nonlinear_matrix(model, level, mu, epsilon).reshape(-1, size, size)
+    Kxi = nonlinear_matrix(model, level, xi, epsilon).reshape(-1, size, size)
+    den = np.abs(Kmu - Kxi).sum(axis=-1).max(axis=-1)
+    apart = den >= 1e-14
+    ratio = np.zeros(den.shape)
+    ratio[apart] = tv_distance(stationary(Kmu[apart]), stationary(Kxi[apart])) / den[apart]
+    return float(ratio[0]) if np.ndim(mu) == 1 else ratio

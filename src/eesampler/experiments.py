@@ -113,6 +113,9 @@ class RateReport:
     replicates: int
     functions: list[FunctionRate]
     config_hash: str = ""
+    # the feeder's ring-mass watch over all replicates, as in meta.json
+    stability_violations: int = 0
+    min_ring_mass: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -125,6 +128,8 @@ class RateReport:
             "burn_in": self.burn_in,
             "replicates": self.replicates,
             "passed": self.passed,
+            "stability_violations": self.stability_violations,
+            "min_ring_mass": self.min_ring_mass,
             "functions": [
                 {
                     "name": f.name,
@@ -183,6 +188,12 @@ def slln_rate_study(
         raise ConfigurationError(
             f"smallest grid round {grid[0]} must exceed the burn-in N_1={burn}"
         )
+    fit_mask = grid >= 2 * burn
+    if fit_mask.sum() < 3:
+        raise ConfigurationError(
+            f"the slope fit needs at least 3 grid rounds >= 2 N_1 = {2 * burn}, "
+            f"got {grid.tolist()}"
+        )
     pi_target = config.ladder.density_table()[-1]
     fvecs = np.array([f.vector for f in config.test_functions])  # (F, S)
     targets = fvecs @ pi_target
@@ -202,7 +213,6 @@ def slln_rate_study(
             gi += 1
 
     functions = []
-    fit_mask = grid >= 2 * burn
     for j, f in enumerate(config.test_functions):
         abs_err = np.abs(errs[:, :, j])
         m1 = abs_err.mean(axis=0)
@@ -238,6 +248,8 @@ def slln_rate_study(
         replicates=config.replicates,
         functions=functions,
         config_hash=config.config_hash(),
+        stability_violations=ens.violations,
+        min_ring_mass=float(ens.min_mass_seen) if np.isfinite(ens.min_mass_seen) else None,
     )
 
 
@@ -482,6 +494,12 @@ def _random_chain(rng, size) -> np.ndarray:
     return P / P.sum(axis=1, keepdims=True)
 
 
+def _max_in_order(per_level: list) -> float:
+    """Running max from 0 over per-level (B,) ratio arrays, pair by pair and
+    level by level, as a loop over the pairs takes it."""
+    return max([0.0, *np.stack(per_level, axis=1).ravel().tolist()])
+
+
 def verify_suite(config: ExperimentConfig) -> VerificationReport:
     """Run every oracle check against the configured model and emit a
     consolidated pass/fail report. Deterministic given the config seed."""
@@ -509,13 +527,17 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     report.checks.append(CheckResult("k_invariance_reversibility", worst, 1e-12, worst <= 1e-12))
 
     # fixed point: feeding the exact lower target reproduces the upper one;
-    # the ee-jump at epsilon 1 never leaves ring(x), so it has no unique one
+    # the ee-jump at epsilon 1 never leaves ring(x), so it has no unique one.
+    # The vectors are kept by matrix bytes: geometric_rate's level-k K is the
+    # epsilon-0 kernel, and its configured-epsilon kernel may be one of these.
     worst = 0.0
     epsilons = (0.0, 0.25, 0.5) if config.variant == "ee-jump" else (0.0, 0.25, 0.5, 1.0)
+    solved = {}
     for level in range(1, config.r):
-        for eps in epsilons:
-            P = oracle_kernel(config, level, dens[level - 1], eps)
-            worst = max(worst, float(np.abs(exact.stationary(P) - dens[level]).max()))
+        Ps = np.stack([oracle_kernel(config, level, dens[level - 1], eps) for eps in epsilons])
+        omegas = exact.stationary(Ps)
+        worst = max(worst, float(np.abs(omegas - dens[level]).max()))
+        solved.update((P.tobytes(), w) for P, w in zip(Ps, omegas))
     report.checks.append(CheckResult("fixed_point", worst, 1e-10, worst <= 1e-10))
 
     # Poisson equation: residual and series truncation on random chains
@@ -561,13 +583,22 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
             worst = max(worst, exact.mixture_expansion_check(K, Q, eps, n))
     report.checks.append(CheckResult("mixture_expansion", worst, 1e-10, worst <= 1e-10))
 
-    # Lipschitz continuity of the selection kernel in its feeder
-    worst = 0.0
-    for _ in range(25):
-        mu = _random_positive_measure(rng, size)
-        xi = _random_positive_measure(rng, size)
-        for level in range(1, config.r):
-            worst = max(worst, exact.lipschitz_check(model, level, mu, xi, 20, rng))
+    # Lipschitz continuity of the selection kernel in its feeder; each pair
+    # draws mu, xi, then 20 functions per level
+    draws = [
+        (
+            _random_positive_measure(rng, size),
+            _random_positive_measure(rng, size),
+            rng.uniform(-1.0, 1.0, (config.r - 1, 20, size)),
+        )
+        for _ in range(25)
+    ]
+    mus, xis, fs = (np.array(batch) for batch in zip(*draws))
+    ratios = [
+        exact.lipschitz_check(model, level, mus, xis, fs[:, level - 1])
+        for level in range(1, config.r)
+    ]
+    worst = _max_in_order(ratios)
     report.checks.append(CheckResult("lipschitz", worst, 1.0 + 1e-9, worst <= 1.0 + 1e-9))
 
     # empirical-measure fluctuation bound
@@ -587,7 +618,7 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     for level in range(1, config.r):
         mats.append(oracle_kernel(config, level, dens[level - 1]))
     for P in mats:
-        rate = exact.geometric_rate_estimate(P)
+        rate = exact.geometric_rate_estimate(P, omega=solved.get(P.tobytes()))
         worst = max(worst, rate.rho_fitted - rate.rho)
         monotone = monotone and bool(np.all(np.diff(rate.tv_curve) <= 1e-12))
     report.checks.append(
@@ -595,12 +626,12 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     )
 
     # continuity of invariant measures: exhibit a finite empirical constant
-    worst = 0.0
-    for _ in range(100):
-        mu = _random_positive_measure(rng, size)
-        xi = _random_positive_measure(rng, size)
-        for level in range(1, config.r):
-            worst = max(worst, exact.invariant_continuity_check(model, level, mu, xi))
+    pairs = [(_random_positive_measure(rng, size), _random_positive_measure(rng, size))
+             for _ in range(100)]
+    mus, xis = (np.array(batch) for batch in zip(*pairs))
+    worst = _max_in_order(
+        [exact.invariant_continuity_check(model, level, mus, xis) for level in range(1, config.r)]
+    )
     report.checks.append(
         CheckResult(
             "invariant_continuity", worst, None, bool(np.isfinite(worst)),

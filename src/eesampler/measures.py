@@ -158,17 +158,23 @@ class StabilityMonitor:
         return fresh
 
 
-def tv_distance(mu, xi) -> float:
-    """Total variation distance between two probability vectors.
+def tv_distance(mu, xi):
+    """Total variation distance between two probability vectors, or between
+    the rows of two (B, S) stacks of them (an array of B distances).
 
     Computed as 0.5 * sum |mu - xi|, which equals the sup-over-sets
     definition on enumerated spaces; always in [0, 1].
     """
     p = np.asarray(mu, dtype=float)
     q = np.asarray(xi, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
+    if p.shape != q.shape or p.ndim not in (1, 2):
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     for name, v in (("mu", p), ("xi", q)):
-        if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not a probability vector (sum={v.sum()!r})")
-    return 0.5 * float(np.abs(p - q).sum())
+        sums = v.sum(axis=-1)
+        bad = np.any(v < -1e-12, axis=-1) | (np.abs(sums - 1.0) > 1e-9)
+        if bad.any():
+            raise ValueError(
+                f"{name} is not a probability vector (sum={sums.flat[np.argmax(bad)]!r})"
+            )
+    dist = 0.5 * np.abs(p - q).sum(axis=-1)
+    return float(dist) if p.ndim == 1 else dist

@@ -97,7 +97,8 @@ def test_criterion_05_lipschitz_bound(fixture_config):
         mu /= mu.sum()
         xi = rng.uniform(0.05, 1.0, 4)
         xi /= xi.sum()
-        worst = max(worst, exact.lipschitz_check(model, 1, mu, xi, 20, rng))
+        fs = rng.uniform(-1.0, 1.0, (20, 4))
+        worst = max(worst, exact.lipschitz_check(model, 1, mu, xi, fs))
     report(5, "lipschitz bound", worst <= 1.0 + 1e-9, f"max ratio {worst:.6f}")
 
 

@@ -6,6 +6,11 @@ from eesampler import exact
 from eesampler.config import four_state_config
 from eesampler.errors import ConfigurationError, NumericalError, StabilityError
 from eesampler.experiments import verify_suite
+from eesampler.kernels import KernelSet, NeighborProposal, UniformProposal
+from eesampler.measures import tv_distance
+from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
+
+PROPOSALS = {"uniform": UniformProposal, "neighbor": NeighborProposal}
 
 
 @pytest.fixture
@@ -89,6 +94,21 @@ def test_verify_suite_solves_each_poisson_chain_once(monkeypatch):
     monkeypatch.setattr(exact, "stationary", counting)
     assert verify_suite(four_state_config()).passed
     assert len(solved) == 20 and set(solved.values()) == {1}
+
+
+def test_verify_suite_solves_each_matrix_once(monkeypatch):
+    # geometric_rate reuses the fixed-point solves of the level-1 K (the
+    # epsilon-0 kernel) and of the configured-epsilon kernel
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counting(a, b, **kwargs):
+        solves.append(np.asarray(a).tobytes())
+        return lstsq(a, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    assert verify_suite(four_state_config()).passed
+    assert (len(solves), len(set(solves))) == (225, 225)
 
 
 def test_poisson_helpers_same_with_given_omega():
@@ -369,7 +389,7 @@ def test_rate_tv_curve_non_increasing(four_model):
 def test_lipschitz_identical_measures_zero(four_model):
     mu = np.array([0.1, 0.2, 0.3, 0.4])
     rng = np.random.default_rng(50)
-    assert exact.lipschitz_check(four_model, 1, mu, mu, 10, rng) == 0.0
+    assert exact.lipschitz_check(four_model, 1, mu, mu, rng.uniform(-1.0, 1.0, (10, 4))) == 0.0
 
 
 def test_lipschitz_constant_function_contributes_nothing(four_model):
@@ -390,7 +410,8 @@ def test_lipschitz_battery_respects_bound(four_model, eight_model):
             mu /= mu.sum()
             xi = rng.uniform(0.05, 1.0, size)
             xi /= xi.sum()
-            assert exact.lipschitz_check(model, 1, mu, xi, 10, rng) <= 1.0 + 1e-9
+            fs = rng.uniform(-1.0, 1.0, (10, size))
+            assert exact.lipschitz_check(model, 1, mu, xi, fs) <= 1.0 + 1e-9
 
 
 def test_invariant_continuity_guards(four_model):
@@ -428,3 +449,162 @@ def test_row_stochastic_everywhere(four_model, eight_model):
         ):
             assert np.all(M >= 0.0)
             np.testing.assert_allclose(M.sum(axis=1), np.ones(size), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacks: a (B, S) battery gives item for item the bits of B single calls
+# ---------------------------------------------------------------------------
+
+STACK_SHAPES = [(4, 2, "neighbor"), (5, 2, "uniform"), (7, 3, "neighbor"), (8, 3, "uniform")]
+
+
+def random_model(rng, size, d, proposal):
+    space = FiniteSpace(size)
+    ladder = DensityLadder(space, [rng.normal(size=size) / 3.0, rng.normal(size=size)])
+    partition = RingPartition(space, labels=rng.permutation(np.arange(size) % d))
+    return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, epsilon=0.4)
+
+
+def random_measures(rng, n, size):
+    mus = rng.uniform(0.05, 1.0, (n, size))
+    return mus / mus.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture(params=STACK_SHAPES, ids=lambda shape: "S{}-d{}-{}".format(*shape))
+def stack_case(request):
+    size, d, proposal = request.param
+    rng = np.random.default_rng([909, size, d])
+    return random_model(rng, size, d, proposal), rng, random_measures(rng, 12, size)
+
+
+def builders(eps):
+    return {
+        "q": lambda model, mu, **kw: exact.q_matrix(model, 1, mu, **kw),
+        "nonlinear": lambda model, mu, **kw: exact.nonlinear_matrix(model, 1, mu, eps, **kw),
+        "ee_jump": lambda model, mu, **kw: exact.ee_jump_matrix(model, 1, mu, eps, **kw),
+    }
+
+
+@pytest.mark.parametrize("eps", [None, 0.0, 0.7, 1.0])
+def test_builders_on_a_stack_match_single_measures(stack_case, eps):
+    model, _, mus = stack_case
+    masses, W = exact.ring_conditionals(model, mus)
+    singles = [exact.ring_conditionals(model, mu) for mu in mus]
+    assert np.array_equal(masses, np.array([m for m, _ in singles]))
+    assert np.array_equal(W, np.array([w for _, w in singles]))
+    for name, build in builders(eps).items():
+        stacked = build(model, mus)
+        assert stacked.shape == (len(mus), *W.shape[1:]), name
+        assert np.array_equal(stacked, np.array([build(model, mu) for mu in mus])), name
+
+
+def test_builders_with_empty_rings_on_a_stack(stack_case):
+    # every third measure loses ring 1, so those rows take the local K row
+    model, _, mus = stack_case
+    mus = mus.copy()
+    mus[::3, model.partition.labels() == 1] = 0.0
+    mus /= mus.sum(axis=1, keepdims=True)
+    K = exact.k_matrix(model, 1)
+    ring1 = model.partition.labels() == 1
+    for name, build in builders(0.6).items():
+        stacked = build(model, mus, empty_ring_fallback=True)
+        singles = np.array([build(model, mu, empty_ring_fallback=True) for mu in mus])
+        assert np.array_equal(stacked, singles), name
+    Q = exact.q_matrix(model, 1, mus, empty_ring_fallback=True)
+    assert np.array_equal(Q[::3][:, ring1], np.broadcast_to(K[ring1], Q[::3][:, ring1].shape))
+
+
+def test_stationary_and_tv_on_a_stack_match_single_calls(stack_case):
+    model, _, mus = stack_case
+    for P in (exact.nonlinear_matrix(model, 1, mus), exact.ee_jump_matrix(model, 1, mus, 0.5)):
+        w = exact.stationary(P)
+        assert np.array_equal(w, np.array([exact.stationary(p) for p in P]))
+        xi = np.roll(w, 1, axis=0)
+        tv = tv_distance(w, xi)
+        assert tv.shape == (len(w),)
+        assert np.array_equal(tv, np.array([tv_distance(a, b) for a, b in zip(w, xi)]))
+    assert exact.stationary(np.empty((0, 3, 3))).shape == (0, 3)
+
+
+def test_feeder_checks_on_a_stack_match_single_pairs(stack_case):
+    model, rng, mus = stack_case
+    size = mus.shape[1]
+    xis = random_measures(rng, len(mus), size)
+    xis[4] = mus[4]  # identical conditionals: both checks report 0
+    fs = rng.uniform(-1.0, 1.0, (len(mus), 15, size))
+    lip = exact.lipschitz_check(model, 1, mus, xis, fs)
+    cont = exact.invariant_continuity_check(model, 1, mus, xis)
+    assert lip.shape == cont.shape == (len(mus),)
+    assert np.array_equal(
+        lip, [exact.lipschitz_check(model, 1, m, x, f) for m, x, f in zip(mus, xis, fs)]
+    )
+    assert np.array_equal(
+        cont, [exact.invariant_continuity_check(model, 1, m, x) for m, x in zip(mus, xis)]
+    )
+    assert lip[4] == cont[4] == 0.0
+    assert isinstance(exact.lipschitz_check(model, 1, mus[0], xis[0], fs[0]), float)
+    assert isinstance(exact.invariant_continuity_check(model, 1, mus[0], xis[0]), float)
+
+
+def test_stacked_zero_mass_ring_names_measure_and_ring(four_model):
+    mus = np.full((3, 4), 0.25)
+    mus[2] = [0.0, 0.0, 0.5, 0.5]
+    with pytest.raises(StabilityError, match="feeder measure 2 has zero mass on ring 0"):
+        exact.q_matrix(four_model, 1, mus)
+    with pytest.raises(StabilityError, match="feeder measure has zero mass on ring 0"):
+        exact.q_matrix(four_model, 1, mus[2])
+
+
+def test_stacked_bad_matrix_names_its_index(monkeypatch):
+    good = np.full((3, 3), 1.0 / 3.0)
+    not_stochastic = np.array([[0.5, 0.4, 0.1], [0.3, 0.7, 0.1], [0.2, 0.2, 0.6]])
+    negative = np.array([[1.2, -0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NumericalError, match=r"rows deviate .*matrix 1 of the stack"):
+        exact.stationary(np.array([good, not_stochastic, good]))
+    with pytest.raises(NumericalError, match=r"negative entries \(matrix 2 of the stack"):
+        exact.assert_row_stochastic(np.array([good, good, negative]))
+    # a solver answer off the residual contract for the second matrix only
+    lstsq = np.linalg.lstsq
+    answers = iter([None, np.array([0.5, 0.5, 0.0])])
+
+    def second_off(a, b, **kwargs):
+        off = next(answers)
+        return lstsq(a, b, **kwargs) if off is None else (off, None, None, None)
+
+    monkeypatch.setattr(np.linalg, "lstsq", second_off)
+    with pytest.raises(NumericalError, match=r"stationary solve failed \(matrix 1 of"):
+        exact.stationary(np.array([good, good]))
+
+
+def sequential_composition_rhs(model, mu, f, q):
+    """The ring-sum side of the composition identity, one draw tuple at a
+    time: the reference the stacked enumeration must reproduce bit for bit."""
+    import itertools
+
+    labels = model.partition.labels()
+    d = model.partition.d
+    masses, _ = exact.ring_conditionals(model, mu)
+    K, A = exact.k_matrix(model, 1), exact.swap_alpha(model, 1)
+    pair_kernel = A[:, :, None] * K[None, :, :] + (1.0 - A)[:, :, None] * K[:, None, :]
+    indicator = [(labels == j).astype(float) for j in range(d)]
+    rhs = np.zeros(len(mu))
+    for rings in itertools.product(range(d), repeat=q):
+        start_coeff = indicator[rings[0]] / np.prod([masses[j] for j in rings])
+        members = (np.nonzero(labels == j)[0] for j in rings)
+        for draws in itertools.product(*members):
+            weight = np.prod([mu[x] for x in draws])
+            vec = f
+            for j in range(q - 1, 0, -1):
+                vec = indicator[rings[j]] * (pair_kernel[:, draws[j], :] @ vec)
+            rhs += start_coeff * weight * (pair_kernel[:, draws[0], :] @ vec)
+    return rhs
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_composition_identity_matches_sequential_enumeration(stack_case, q):
+    model, rng, mus = stack_case
+    for mu in mus[:3]:
+        f = rng.uniform(-1.0, 1.0, len(mu))
+        lhs = np.linalg.matrix_power(exact.q_matrix(model, 1, mu), q) @ f
+        expected = float(np.abs(lhs - sequential_composition_rhs(model, mu, f, q)).max())
+        assert exact.composition_identity_check(model, 1, mu, f, q) == expected

@@ -112,9 +112,39 @@ def test_rate_report_artifacts(tmp_path):
     assert len(lines) == 1 + 3 * len(report.functions)
     blob = json.loads(Path(paths["json"]).read_text())
     assert set(blob) == {
-        "config_hash", "n_grid", "burn_in", "replicates", "passed", "functions"
+        "config_hash", "n_grid", "burn_in", "replicates", "passed", "functions",
+        "stability_violations", "min_ring_mass",
     }
     assert blob["config_hash"] == cfg.config_hash()
+
+
+def test_rate_report_counts_stability_violations():
+    # theta above any feeder ring mass two rings can share: every watched
+    # round of every replicate records violations, and the watch draws nothing
+    small = {"offsets": [10], "total_rounds": 256}
+    low = slln_rate_study(four_state_config(replicates=3, schedule=small),
+                          n_grid=[64, 128, 256], min_replicates=2).to_dict()
+    high = slln_rate_study(
+        four_state_config(replicates=3, schedule=small,
+                          stability={"theta": 0.9, "policy": "warn"}),
+        n_grid=[64, 128, 256], min_replicates=2,
+    ).to_dict()
+    assert high["stability_violations"] > 0
+    assert high["min_ring_mass"] < 0.9
+    assert low["stability_violations"] == 0 and low["min_ring_mass"] >= 0.05
+    assert json.dumps(high["functions"]) == json.dumps(low["functions"])
+
+
+def test_rate_study_needs_three_fit_rounds_before_stepping(monkeypatch):
+    import eesampler.experiments as experiments
+
+    def never(config):
+        raise AssertionError("the study stepped before checking its grid")
+
+    monkeypatch.setattr(experiments, "LockstepEnsemble", never)
+    cfg = four_state_config(replicates=2, schedule={"offsets": [50], "total_rounds": 512})
+    with pytest.raises(ConfigurationError, match="at least 3 grid rounds >= 2 N_1 = 100"):
+        slln_rate_study(cfg, n_grid=[64, 128, 256], min_replicates=2)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +555,40 @@ def test_cli_rate_study_malformed_grid_exits_2(tmp_path, capsys):
     assert code == 2
     assert "--n-grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rate_study_grid_too_short_for_the_fit_exits_2(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "never"
+    code = cli.main(["rate-study", "--config", str(root / "configs" / "four_state_rate.json"),
+                     "--out", str(out), "--n-grid", "128,256"])
+    assert code == 2
+    assert "at least 3 grid rounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(four_state_raw()).encode("utf-8").replace(b"ring1", b"ring\xff"))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "verify", "bias-study", "rate-study"])
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_out_on_a_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, verb, below):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the verb ran before its --out was checked")
+
+    for name in ("run_experiment", "verify_suite", "bias_study", "slln_rate_study"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg_path = write_config(tmp_path, four_state_raw(replicates=50))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    out = taken / "sub" if below else taken
+    assert cli.main([verb, "--config", cfg_path, "--out", str(out)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
 
 
 def test_cli_numerical_error_exits_4(tmp_path, monkeypatch):
