@@ -62,13 +62,16 @@ def _of_stack(P: np.ndarray, i: int) -> str:
 
 def assert_row_stochastic(P: np.ndarray) -> None:
     """Raise :class:`NumericalError` unless P, an (S, S) matrix or a
-    (B, S, S) stack, has no negative entries and rows summing to 1."""
+    (B, S, S) stack, has finite, non-negative entries and rows summing to 1."""
     stack = P.reshape(-1, *P.shape[-2:])
     negative = np.any(stack < -ROW_SUM_TOL, axis=(1, 2))
+    # a non-finite entry makes its row sum, and so err, non-finite
     err = np.abs(stack.sum(axis=-1) - 1.0).max(axis=-1, initial=0.0)
-    bad = negative | (err > ROW_SUM_TOL)
+    bad = negative | ~(err <= ROW_SUM_TOL)
     if bad.any():
         i = int(np.argmax(bad))
+        if not np.isfinite(err[i]):
+            raise NumericalError(f"matrix has non-finite entries{_of_stack(P, i)}")
         if negative[i]:
             raise NumericalError(f"matrix has negative entries{_of_stack(P, i)}")
         raise NumericalError(f"rows deviate from 1 by {err[i]:.3e}{_of_stack(P, i)}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -457,7 +458,7 @@ class CheckResult:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "statistic": float(self.statistic),
+            "statistic": float(self.statistic) if math.isfinite(self.statistic) else None,
             "tolerance": None if self.tolerance is None else float(self.tolerance),
             "passed": bool(self.passed),
             "details": self.details,
@@ -494,10 +495,10 @@ def _random_chain(rng, size) -> np.ndarray:
     return P / P.sum(axis=1, keepdims=True)
 
 
-def _max_in_order(per_level: list) -> float:
-    """Running max from 0 over per-level (B,) ratio arrays, pair by pair and
-    level by level, as a loop over the pairs takes it."""
-    return max([0.0, *np.stack(per_level, axis=1).ravel().tolist()])
+def _worst_ratio(per_level: list) -> float:
+    """The largest ratio over per-level (B,) ratio arrays, 0 when there are
+    none; NaN if any ratio is NaN, so that the check fails."""
+    return float(np.max(np.concatenate([[0.0], np.ravel(per_level)])))
 
 
 def verify_suite(config: ExperimentConfig) -> VerificationReport:
@@ -598,7 +599,7 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
         exact.lipschitz_check(model, level, mus, xis, fs[:, level - 1])
         for level in range(1, config.r)
     ]
-    worst = _max_in_order(ratios)
+    worst = _worst_ratio(ratios)
     report.checks.append(CheckResult("lipschitz", worst, 1.0 + 1e-9, worst <= 1.0 + 1e-9))
 
     # empirical-measure fluctuation bound
@@ -629,7 +630,7 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     pairs = [(_random_positive_measure(rng, size), _random_positive_measure(rng, size))
              for _ in range(100)]
     mus, xis = (np.array(batch) for batch in zip(*pairs))
-    worst = _max_in_order(
+    worst = _worst_ratio(
         [exact.invariant_continuity_check(model, level, mus, xis) for level in range(1, config.r)]
     )
     report.checks.append(

@@ -17,7 +17,10 @@ Randomness contract: each step consumes draws from its generator in the
 fixed order (branch coin, feeder draw, swap coin, proposal, MH coin), so
 runs are bit-reproducible per seed. Degenerate mixtures skip the branch
 coin: epsilon == 0 always takes the local branch and epsilon == 1 always
-takes the interaction branch, without consuming a draw.
+takes the interaction branch, without consuming a draw. Scalar moves on
+finite spaces call only ``rng.random()`` and ``rng.integers(n)``, so they
+take either a numpy Generator or a :class:`Pcg64Draws`, which returns the
+same values from buffered raw PCG64 outputs at a fraction of the call cost.
 
 If the feeder measure holds no atoms in the current state's ring, the
 interaction branch falls back to the local kernel and flags the event; the
@@ -47,6 +50,7 @@ S 2^-53; a neighbour proposal holds for u < 1/2 and steps up for u < 3/4.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -104,6 +108,83 @@ class ChainPoint:
     x: object
     ring: int
     levels: tuple
+
+
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+_BLOCK = 256  # raw outputs read per random_raw call
+
+
+class Pcg64Draws:
+    """A PCG64 Generator's ``random()`` and ``integers(n)``, read in blocks.
+
+    Takes the bit generator's raw 64-bit outputs a block at a time with
+    ``random_raw`` and returns exactly the values, in the same order, that
+    the Generator's own scalar calls would: ``random()`` is
+    ``(u >> 11) * 2**-53`` and ``integers(n)`` is numpy's bounded draw,
+    Lemire's method on 32-bit halves (low half first, the upper half cached
+    for the next 32-bit draw) for n <= 2**32, on whole outputs above; n == 1
+    consumes nothing. The read-ahead advances the wrapped Generator, so it
+    must not be drawn from directly once wrapped.
+    """
+
+    __slots__ = ("_bitgen", "_raw", "_upper")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"need a PCG64 generator, got {type(bitgen).__name__}")
+        state = bitgen.state
+        self._bitgen = bitgen
+        self._raw = []  # pending raw outputs, next one last
+        self._upper = state["uinteger"] if state["has_uint32"] else None
+
+    def _next64(self) -> int:
+        raw = self._raw
+        if not raw:
+            raw = self._raw = self._bitgen.random_raw(_BLOCK)[::-1].tolist()
+        return raw.pop()
+
+    def _next32(self) -> int:
+        upper = self._upper
+        if upper is not None:
+            self._upper = None
+            return upper
+        u = self._next64()
+        self._upper = u >> 32
+        return u & _M32
+
+    def random(self) -> float:
+        """A uniform float on [0, 1), as ``Generator.random()``."""
+        raw = self._raw  # _next64 inlined: this is the most frequent call
+        if not raw:
+            raw = self._raw = self._bitgen.random_raw(_BLOCK)[::-1].tolist()
+        return (raw.pop() >> 11) * 1.1102230246251565e-16  # 2**-53
+
+    def integers(self, n: int) -> int:
+        """A uniform int on 0..n-1, as ``Generator.integers(n)``."""
+        n = operator.index(n)  # a numpy integer would overflow the products
+        if n <= 1:
+            if n == 1:
+                return 0
+            raise ValueError(f"high <= 0: {n}")
+        if n <= 0x100000000:
+            if n == 0x100000000:
+                return self._next32()
+            m = self._next32() * n
+            if (m & _M32) < n:
+                threshold = (0x100000000 - n) % n
+                while (m & _M32) < threshold:
+                    m = self._next32() * n
+            return m >> 32
+        if n > 0x8000000000000000:
+            raise ValueError(f"high is out of bounds for int64: {n}")
+        m = self._next64() * n
+        if (m & _M64) < n:
+            threshold = (0x10000000000000000 - n) % n
+            while (m & _M64) < threshold:
+                m = self._next64() * n
+        return m >> 64
 
 
 def _finite(levels: tuple, level: int, x) -> float:

@@ -163,15 +163,16 @@ def tv_distance(mu, xi):
     the rows of two (B, S) stacks of them (an array of B distances).
 
     Computed as 0.5 * sum |mu - xi|, which equals the sup-over-sets
-    definition on enumerated spaces; always in [0, 1].
+    definition on enumerated spaces; always in [0, 1]. Raises ValueError
+    unless both are probability vectors with finite entries.
     """
     p = np.asarray(mu, dtype=float)
     q = np.asarray(xi, dtype=float)
     if p.shape != q.shape or p.ndim not in (1, 2):
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     for name, v in (("mu", p), ("xi", q)):
-        sums = v.sum(axis=-1)
-        bad = np.any(v < -1e-12, axis=-1) | (np.abs(sums - 1.0) > 1e-9)
+        sums = v.sum(axis=-1)  # non-finite if any entry is
+        bad = np.any(v < -1e-12, axis=-1) | ~(np.abs(sums - 1.0) <= 1e-9)
         if bad.any():
             raise ValueError(
                 f"{name} is not a probability vector (sum={sums.flat[np.argmax(bad)]!r})"

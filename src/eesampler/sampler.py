@@ -14,6 +14,10 @@ Records: each chain of :class:`ChainEnsemble` carries a
 :class:`~eesampler.kernels.ChainPoint` (state, ring, level log-densities)
 that the kernels update; inserts hand its ring and levels to the measure,
 so the trace, the measure and later feeder draws evaluate nothing again.
+On finite spaces each chain draws through a
+:class:`~eesampler.kernels.Pcg64Draws` replica of its Generator: the same
+values, so the same runs, with less overhead per draw. Box chains keep the
+Generator for the Gaussian walk's ``standard_normal``.
 
 Lockstep: :class:`LockstepEnsemble` runs the same schedule for all
 replicates of a finite-space run at once, with numpy arrays of states and
@@ -25,14 +29,13 @@ uses it. :class:`ChainEnsemble` stays the reference engine for traced runs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, StabilityError
-from .kernels import StepInfo
+from .kernels import Pcg64Draws, StepInfo
 from .measures import EmpiricalMeasure, StabilityMonitor
 from .state_space import FiniteSpace
 
@@ -60,34 +63,39 @@ class Trace:
             return ["state"]
         return [f"state_{i}" for i in range(self.state_dim)]
 
-    def _state_cells(self, state) -> list[str]:
-        if self.state_dim == 0:
-            return [str(int(state))]
-        return [repr(float(v)) for v in np.asarray(state, dtype=float)]
-
+    # The writers format each file in one pass with the bytes csv.writer's
+    # default dialect gives: CRLF line ends and no quoting, as no cell holds
+    # a comma, a quote or a line break.
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["chain", "round"] + self._state_header()
-                            + ["ring", "branch", "swap_accept", "holds"])
-            for chain, rnd, state, ring, branch, swap, hold in self.rows:
-                swap_cell = "" if swap is None else str(int(swap))
-                writer.writerow([chain, rnd] + self._state_cells(state)
-                                + [ring, branch, swap_cell, int(hold)])
+        header = ["chain", "round", *self._state_header(), "ring", "branch", "swap_accept", "holds"]
+        swap_cell = {None: "", False: "0", True: "1"}
+        if self.state_dim == 0:
+            lines = [
+                "%d,%d,%d,%d,%s,%s,%d\r\n" % (chain, rnd, state, ring, branch, swap_cell[swap], hold)
+                for chain, rnd, state, ring, branch, swap, hold in self.rows
+            ]
+        else:
+            lines = [
+                "%d,%d,%s,%d,%s,%s,%d\r\n" % (
+                    chain, rnd, ",".join(map(repr, np.asarray(state, dtype=float).tolist())),
+                    ring, branch, swap_cell[swap], hold,
+                )
+                for chain, rnd, state, ring, branch, swap, hold in self.rows
+            ]
+        _write_lines(path, header, lines)
 
     def write_mass_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "chain", "ring", "mass"])
-            for rnd, chain, ring, mass in self.mass_snapshots:
-                writer.writerow([rnd, chain, ring, repr(mass)])
+        lines = ["%d,%d,%d,%r\r\n" % snap for snap in self.mass_snapshots]
+        _write_lines(path, ["round", "chain", "ring", "mass"], lines)
 
     def write_events_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "chain", "kind", "ring"])
-            for rnd, chain, kind, ring in self.events:
-                writer.writerow([rnd, chain, kind, ring])
+        lines = ["%d,%d,%s,%d\r\n" % event for event in self.events]
+        _write_lines(path, ["round", "chain", "kind", "ring"], lines)
+
+
+def _write_lines(path, header: list, lines: list) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + "".join(lines))
 
 
 class ChainEnsemble:
@@ -105,6 +113,8 @@ class ChainEnsemble:
         self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
         seq = config.replicate_seed_seq(replicate)
         self.rngs = [np.random.default_rng(child) for child in seq.spawn(self.r)]
+        if isinstance(config.space, FiniteSpace):  # box chains need standard_normal
+            self.rngs = [Pcg64Draws(g) for g in self.rngs]
         self.monitor = StabilityMonitor(config.theta)
 
         self._fallbacks = 0

@@ -229,6 +229,18 @@ def test_stationary_rejects_non_stochastic():
         exact.stationary(np.array([[0.5, 0.4], [0.3, 0.7]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_row_stochastic_rejects_non_finite_entries(bad):
+    P = np.array([[bad, 0.5], [0.5, 0.5]])
+    with pytest.raises(NumericalError, match="non-finite"):
+        exact.assert_row_stochastic(P)
+    stack = np.stack([np.full((2, 2), 0.5), P])
+    with pytest.raises(NumericalError, match="non-finite.*1"):
+        exact.assert_row_stochastic(stack)
+    with pytest.raises(NumericalError):
+        exact.stationary(P)
+
+
 # ---------------------------------------------------------------------------
 # Poisson equation
 # ---------------------------------------------------------------------------

@@ -293,6 +293,43 @@ def test_verify_suite_detects_corrupted_acceptance(four_state, monkeypatch):
     assert "fixed_point" in report.failing()
 
 
+@pytest.mark.parametrize(
+    "check,ratios_of", [("lipschitz", "lipschitz_check"),
+                      ("invariant_continuity", "invariant_continuity_check")]
+)
+def test_verify_suite_fails_a_check_on_a_nan_ratio(four_state, monkeypatch, check, ratios_of):
+    # a NaN ratio in the middle of the battery, after larger finite ones
+    build = getattr(exact, ratios_of)
+
+    def with_nan(*args):
+        ratios = np.array(build(*args), dtype=float)
+        ratios[3] = np.nan
+        return ratios
+
+    monkeypatch.setattr(exact, ratios_of, with_nan)
+    result = {c.name: c for c in verify_suite(four_state).checks}[check]
+    assert not result.passed
+    assert np.isnan(result.statistic)
+
+
+def test_cli_writes_a_nan_statistic_as_strict_json_null(tmp_path, monkeypatch, capsys):
+    build = exact.lipschitz_check
+    monkeypatch.setattr(exact, "lipschitz_check", lambda *args: build(*args) * np.nan)
+    cfg_path = write_config(tmp_path, four_state_raw())
+    code = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")])
+    assert code == cli.EXIT_VERIFY
+    assert "lipschitz" in capsys.readouterr().err
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "v" / "verification.json").read_text()
+    checks = {c["name"]: c for c in json.loads(text, parse_constant=reject)["checks"]}
+    assert checks["lipschitz"]["statistic"] is None
+    assert checks["lipschitz"]["passed"] is False
+    assert isinstance(checks["fixed_point"]["statistic"], float)
+
+
 def test_verify_suite_single_ring_degenerate():
     cfg = four_state_config(
         partition={"labels": [0, 0, 0, 0]},

@@ -264,6 +264,16 @@ def test_tv_contract_errors(mu, xi):
         tv_distance(mu, xi)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tv_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        tv_distance([bad, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        tv_distance([0.5, 0.5], [1.0, bad])
+    with pytest.raises(ValueError):
+        tv_distance([[0.5, 0.5], [bad, 0.0]], [[0.5, 0.5], [0.5, 0.5]])
+
+
 def test_monitor_fast_path_matches_array_form():
     # the reference is the per-ring array form: masses(), its min, and a
     # violation for every ring strictly below theta

@@ -9,7 +9,7 @@ from eesampler import config as config_module
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.errors import ConfigurationError, StabilityError
-from eesampler.sampler import ChainEnsemble, run, run_frozen_feeder
+from eesampler.sampler import ChainEnsemble, Trace, run, run_frozen_feeder
 from eesampler.state_space import BoxSpace, DensityLadder
 
 
@@ -200,6 +200,66 @@ def test_trace_csv_round_trip(tmp_path, four_state):
     for raw, row in zip(rows[1:], trace.rows):
         assert int(raw[0]) == row[0] and int(raw[1]) == row[1]
         assert int(raw[2]) == row[2]
+
+
+def write_reference(trace, tmp_path) -> dict:
+    """The three trace files as csv.writer writes them, one row at a time."""
+    state_header = (["state"] if trace.state_dim == 0
+                    else [f"state_{i}" for i in range(trace.state_dim)])
+    tables = {
+        "trace": ([["chain", "round", *state_header, "ring", "branch", "swap_accept", "holds"]]
+                  + [[chain, rnd,
+                      *([str(int(state))] if trace.state_dim == 0
+                        else [repr(float(v)) for v in np.asarray(state, dtype=float)]),
+                      ring, branch, "" if swap is None else str(int(swap)), int(hold)]
+                     for chain, rnd, state, ring, branch, swap, hold in trace.rows]),
+        "masses": ([["round", "chain", "ring", "mass"]]
+                   + [[rnd, chain, ring, repr(mass)]
+                      for rnd, chain, ring, mass in trace.mass_snapshots]),
+        "events": [["round", "chain", "kind", "ring"], *map(list, trace.events)],
+    }
+    out = {}
+    for name, table in tables.items():
+        path = tmp_path / f"{name}_reference.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+        out[name] = path.read_bytes()
+    return out
+
+
+def assert_writers_match_reference(trace, tmp_path):
+    trace.write_csv(tmp_path / "trace.csv")
+    trace.write_mass_csv(tmp_path / "masses.csv")
+    trace.write_events_csv(tmp_path / "events.csv")
+    for name, expected in write_reference(trace, tmp_path).items():
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+
+
+def test_writers_match_csv_writer_on_a_finite_run(tmp_path):
+    cfg = three_chain_config(
+        seed=12,
+        schedule={"offsets": [3, 3], "total_rounds": 400},
+        stability={"policy": "warn", "theta": 0.45},
+        trace={"snapshot_every": 16, "strict_snapshot": True},
+    )
+    trace = run(cfg)
+    assert {row[5] for row in trace.rows} == {None, True, False}
+    assert {row[6] for row in trace.rows} == {0, 1}
+    assert {kind for _, _, kind, _ in trace.events} == {"fallback", "low_mass"}
+    assert_writers_match_reference(trace, tmp_path)
+
+
+def test_writers_match_csv_writer_on_box_traces(tmp_path):
+    trace = run(double_well_config(schedule={"offsets": [50], "total_rounds": 300}))
+    assert {row[5] for row in trace.rows} == {None, True, False}
+    assert_writers_match_reference(trace, tmp_path)
+    # hand-made cells: awkward floats, an empty event list
+    hand = Trace(r=2, state_dim=2)
+    hand.record(0, 0, np.array([-0.0, 1e-300]), 0, "init", None, 0)
+    hand.record(1, 0, np.array([2.5e16, -1 / 3]), 1, "hold", None, True)
+    hand.record(1, 1, [0.1, 7], 1, "selection", np.True_, 0)
+    hand.snapshot_masses(1, 0, np.array([1 / 3, 2 / 3]))
+    assert_writers_match_reference(hand, tmp_path)
 
 
 # ---------------------------------------------------------------------------
