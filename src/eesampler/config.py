@@ -113,24 +113,72 @@ class ExperimentConfig:
         return np.random.SeedSequence([self.seed, LOCKSTEP_SALT])
 
 
-def _gaussian_mixture_logpdf(means, scales, weights) -> Callable:
+def _pairwise_sum(values: list) -> float:
+    """The sum of floats in numpy's order, that of ``pairwise_sum`` in a
+    float64 add reduction: in sequence below 8 terms; up to 128 terms in 8
+    strided partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the tail in sequence; above 128 terms the two halves (the first a
+    multiple of 8 long) summed alike and added. Not ``sum()``, which
+    compensates its rounding from Python 3.12."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = values[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[stop:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _gaussian_mixture_logpdf(means, scales, weights, dim: int) -> Callable:
+    """log of sum_k w_k N(x; mean_k, scale_k^2 I), up to a constant, at a
+    point x of a dim-dimensional box, a tuple of floats, with one scale
+    and one weight per mean.
+
+    The arithmetic is in Python floats on constants computed with numpy, in
+    the operations and order of the array form
+    ``logw - 0.5 * ((x - means) ** 2).sum(axis=1) / var - log_norm`` and a
+    log-sum-exp over the components: both sums follow numpy's pairwise
+    order and each exponential is ``np.exp``, whose float64 bits differ
+    from ``math.exp``'s. So every value equals the array form's bit for
+    bit, at a fraction of its per-call cost.
+    """
     means = np.asarray(means, dtype=float)
     scales = np.asarray(scales, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if means.ndim == 1:
         means = means[:, None]
+    if means.ndim != 2 or means.shape[1] != dim:
+        raise ConfigurationError(f"mixture means must be points of R^{dim}")
+    k = means.shape[0]
+    if k == 0 or scales.shape != (k,) or weights.shape != (k,):
+        raise ConfigurationError("a mixture needs one scale and one weight per mean")
     if np.any(scales <= 0) or np.any(weights <= 0):
         raise ConfigurationError("mixture scales and weights must be positive")
-    dim = means.shape[1]
     logw = np.log(weights / weights.sum())
     var = scales**2
     log_norm = dim * np.log(scales)
+    components = tuple(zip(logw.tolist(), means.tolist(), var.tolist(), log_norm.tolist()))
 
     def logpdf(x):
-        x = np.asarray(x, dtype=float)
-        comp = logw - 0.5 * np.sum((x[None, :] - means) ** 2, axis=1) / var - log_norm
-        m = comp.max()
-        return float(m + math.log(np.exp(comp - m).sum()))
+        comp = [
+            lw - 0.5 * _pairwise_sum([(xi - mi) * (xi - mi) for xi, mi in zip(x, mean)]) / v - ln
+            for lw, mean, v, ln in components
+        ]
+        m = max(comp)
+        # exp(0) is 1 exactly, which spares the call for the largest term
+        return m + math.log(_pairwise_sum([float(np.exp(c - m)) if c != m else 1.0 for c in comp]))
 
     return logpdf
 
@@ -140,6 +188,28 @@ def _section(name: str, spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{name} must be an object, got {type(spec).__name__}")
     return spec
+
+
+def _real(name: str, value) -> float:
+    """A finite JSON number; a bool, a string or null raises, not coerces."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.number))
+            or not math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """A finite JSON number or a (nested) list of them, as a float array."""
+
+    def check(v):
+        if isinstance(v, (list, tuple, np.ndarray)):
+            for item in v:
+                check(item)
+        else:
+            _real(name, v)
+
+    check(value)
+    return np.asarray(value, dtype=float)
 
 
 def _integer(name: str, value) -> int:
@@ -154,35 +224,41 @@ def _build_space(spec: dict):
     if kind == "finite":
         return FiniteSpace(_integer("space.size", spec["size"]))
     if kind == "box":
-        return BoxSpace(spec["lower"], spec["upper"])
+        return BoxSpace(_reals("space.lower", spec["lower"]), _reals("space.upper", spec["upper"]))
     raise ConfigurationError(f"unknown space kind {kind!r}")
 
 
 def _build_ladder(spec: dict, space) -> DensityLadder:
     if "log_weights" in spec:
-        return DensityLadder(space, [np.asarray(row, dtype=float) for row in spec["log_weights"]])
+        return DensityLadder(space, [_reals("ladder.log_weights", row) for row in spec["log_weights"]])
     if "weights" in spec:
         rows = []
         for row in spec["weights"]:
-            w = np.asarray(row, dtype=float)
+            w = _reals("ladder.weights", row)
             if np.any(w <= 0):
                 raise ConfigurationError("density weights must be strictly positive")
             rows.append(np.log(w))
         return DensityLadder(space, rows)
     if "temperatures" in spec:
-        temps = spec["temperatures"]
+        temps = [_real("ladder.temperatures", t) for t in spec["temperatures"]]
         if "base_weights" in spec:
-            w = np.asarray(spec["base_weights"], dtype=float)
+            w = _reals("ladder.base_weights", spec["base_weights"])
             if np.any(w <= 0):
                 raise ConfigurationError("base weights must be strictly positive")
             return tempered_ladder(space, np.log(w), temps)
         if "base_log_weights" in spec:
-            return tempered_ladder(space, np.asarray(spec["base_log_weights"], dtype=float), temps)
+            return tempered_ladder(space, _reals("ladder.base_log_weights", spec["base_log_weights"]),
+                                   temps)
         if "base" in spec:
             base = _section("ladder.base", spec["base"])
             if base.get("family") != "gaussian_mixture":
                 raise ConfigurationError(f"unknown density family {base.get('family')!r}")
-            logpdf = _gaussian_mixture_logpdf(base["means"], base["scales"], base["weights"])
+            if not isinstance(space, BoxSpace):
+                raise ConfigurationError("a base density family needs a box space")
+            logpdf = _gaussian_mixture_logpdf(
+                *(_reals(f"ladder.base.{key}", base[key]) for key in ("means", "scales", "weights")),
+                space.dim,
+            )
             return tempered_ladder(space, logpdf, temps)
     raise ConfigurationError(
         "ladder spec needs log_weights, weights, or a base with temperatures"
@@ -191,7 +267,9 @@ def _build_ladder(spec: dict, space) -> DensityLadder:
 
 def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
     if "labels" in spec:
-        return RingPartition(space, labels=spec["labels"])
+        return RingPartition(
+            space, labels=[_integer("partition.labels", v) for v in spec["labels"]]
+        )
     if "thresholds" in spec:
         energy_name = spec.get("energy", "neg_log_target")
         if energy_name != "neg_log_target":
@@ -201,7 +279,8 @@ def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
         def energy(x, _lvl=target):
             return -ladder.log_density(_lvl, x)
 
-        return RingPartition(space, energy=energy, thresholds=spec["thresholds"],
+        return RingPartition(space, energy=energy,
+                             thresholds=_reals("partition.thresholds", spec["thresholds"]),
                              energy_level=target)
     raise ConfigurationError("partition spec needs labels or thresholds")
 
@@ -217,7 +296,7 @@ def _build_proposals(spec, space, r: int):
         steps = spec.get("steps")
         if steps is None:
             raise ConfigurationError("gaussian_walk proposal needs per-level steps")
-        steps = [float(s) for s in steps]
+        steps = [_real("kernel.proposal.steps", s) for s in steps]
         if len(steps) != r:
             raise ConfigurationError(f"need {r} step sizes, got {len(steps)}")
         return tuple(GaussianWalkProposal(s) for s in steps)
@@ -225,7 +304,6 @@ def _build_proposals(spec, space, r: int):
 
 
 def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:
-    specs = [] if specs is None else specs
     if not isinstance(specs, (list, tuple)):
         raise ConfigurationError(f"test_functions must be a list, got {type(specs).__name__}")
     out = []
@@ -246,9 +324,11 @@ def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:
             if isinstance(space, FiniteSpace):
                 fn = lambda x: float(x)
             else:
-                fn = lambda x, _a=axis: float(np.asarray(x)[_a])
+                if not (0 <= axis < space.dim):
+                    raise ConfigurationError(f"test function {name}: no axis {axis}")
+                fn = lambda x, _a=axis: x[_a]
         elif kind == "table":
-            values = np.asarray(spec["values"], dtype=float)
+            values = _reals(f"test function {name}: values", spec["values"])
             if not isinstance(space, FiniteSpace) or values.shape != (space.size,):
                 raise ConfigurationError(f"test function {name}: table needs one value per state")
             fn = lambda x, _v=values: float(_v[int(x)])
@@ -286,6 +366,10 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if variant not in VARIANTS:
         raise ConfigurationError(f"kernel variant must be one of {VARIANTS}, got {variant!r}")
     epsilon = kernel_spec.get("epsilon", 1.0)
+    if isinstance(epsilon, list):
+        epsilon = [_real("kernel.epsilon", e) for e in epsilon]
+    else:
+        epsilon = _real("kernel.epsilon", epsilon)
     proposals = _build_proposals(kernel_spec.get("proposal", {}), space, ladder.r)
     kernels = KernelSet(ladder, partition, proposals, epsilon)
 
@@ -310,14 +394,14 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if isinstance(space, FiniteSpace):
         initial_states = tuple(space.require(_integer("initial_states", x)) for x in initial)
     else:
-        initial_states = tuple(space.require(np.asarray(x, dtype=float)) for x in initial)
+        initial_states = tuple(space.require(_reals("initial_states", x)) for x in initial)
 
     replicates = _integer("replicates", raw.get("replicates", 1))
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
 
     stability = _section("stability", raw.get("stability", {}))
-    theta = float(stability.get("theta", 0.05))
+    theta = _real("stability.theta", stability.get("theta", 0.05))
     if not (0.0 < theta <= 1.0):
         raise ConfigurationError(f"theta must lie in (0, 1], got {theta}")
     policy = stability.get("policy", "warn")
@@ -354,7 +438,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
         stability_policy=policy,
         strict_snapshot=strict_snapshot,
         snapshot_every=snapshot_every,
-        test_functions=_build_test_functions(raw.get("test_functions"), space, partition),
+        test_functions=_build_test_functions(raw.get("test_functions", []), space, partition),
     )
 
 

@@ -21,6 +21,10 @@ takes the interaction branch, without consuming a draw. Scalar moves on
 finite spaces call only ``rng.random()`` and ``rng.integers(n)``, so they
 take either a numpy Generator or a :class:`Pcg64Draws`, which returns the
 same values from buffered raw PCG64 outputs at a fraction of the call cost.
+On a box a state is a tuple of Python floats, which the ladder's and the
+partition's callables receive as it is; the Gaussian walk draws
+``rng.standard_normal()`` once per coordinate, in order, the values
+``standard_normal(dim)`` gives, and builds the proposal in floats.
 
 If the feeder measure holds no atoms in the current state's ring, the
 interaction branch falls back to the local kernel and flags the event; the
@@ -235,8 +239,10 @@ class KernelSet:
         self._rings = partition.labels() if finite else None
 
     def point(self, x) -> "ChainPoint":
-        """The record of in-domain state x: its ring and level log-densities."""
-        self.ladder.space.require(x)
+        """The record of in-domain state x: its ring and level log-densities.
+        The record holds x as the space's state type (an int, or on a box a
+        tuple of floats)."""
+        x = self.ladder.space.require(x)
         levels = self.ladder.log_densities(x)
         return ChainPoint(x, self.partition.assign_point(x, levels), levels)
 
@@ -246,6 +252,7 @@ class KernelSet:
         symmetric so acceptance is min(1, pi(y)/pi(x)). `point` is the record
         of x (built from x when omitted); an accepted move updates it."""
         point = point or self.point(x)
+        x = point.x
         prop = self.proposals[level]
         space = self.ladder.space
         if isinstance(prop, UniformProposal):
@@ -257,7 +264,9 @@ class KernelSet:
             else:
                 y = (int(x) + (1 if u < 0.75 else -1)) % space.size
         else:
-            y = np.asarray(x, dtype=float) + prop.step * rng.standard_normal(space.dim)
+            # one draw per coordinate in order, the values of standard_normal(dim)
+            normal, step = rng.standard_normal, prop.step
+            y = tuple([xi + step * normal() for xi in x])
         u = rng.random()  # MH coin drawn unconditionally, keeps stream alignment
         if isinstance(prop, GaussianWalkProposal) and not space.contains(y):
             return x

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StabilityError
-from .state_space import FiniteSpace, RingPartition
+from .state_space import RingPartition
 
 
 class EmpiricalMeasure:
@@ -55,10 +55,6 @@ class EmpiricalMeasure:
     @property
     def d(self) -> int:
         return self.partition.d
-
-    @property
-    def total_count(self) -> int:
-        return self._total
 
     def ring_count(self, ring: int) -> int:
         return self._counts[ring]
@@ -104,17 +100,6 @@ class EmpiricalMeasure:
 
     def atoms(self, ring: int):
         return iter(self._ring_atoms[ring][: self._counts[ring]])
-
-    # -- finite-space vector form ----------------------------------------------
-    def as_vector(self, space: FiniteSpace) -> np.ndarray:
-        """Probability vector over an enumerated space (finite spaces only)."""
-        if self._total == 0:
-            raise StabilityError("empty measure has no probability vector")
-        v = np.zeros(space.size)
-        for ring, count in enumerate(self._counts):
-            for x in self._ring_atoms[ring][:count]:
-                v[int(x)] += 1.0
-        return v / self._total
 
 
 @dataclass

@@ -45,7 +45,7 @@ class Trace:
     """Append-only record of a run: per-chain rows, mass snapshots, events."""
 
     r: int
-    state_dim: int  # 0 for finite spaces, k for box spaces
+    state_dim: int  # 0 for finite spaces, k for box spaces (states: tuples of k floats)
     rows: list = field(default_factory=list)  # (chain, round, state, ring, branch, swap, hold)
     mass_snapshots: list = field(default_factory=list)  # (round, chain, ring, mass)
     events: list = field(default_factory=list)  # (round, chain, kind, ring)
@@ -77,7 +77,7 @@ class Trace:
         else:
             lines = [
                 "%d,%d,%s,%d,%s,%s,%d\r\n" % (
-                    chain, rnd, ",".join(map(repr, np.asarray(state, dtype=float).tolist())),
+                    chain, rnd, ",".join(map(repr, state)),
                     ring, branch, swap_cell[swap], hold,
                 )
                 for chain, rnd, state, ring, branch, swap, hold in self.rows

@@ -6,7 +6,9 @@ Two state-space flavours are supported:
   Densities are with respect to counting measure and everything downstream
   (including the exact oracle) can be computed by enumeration.
 * :class:`BoxSpace` -- a bounded box in ``R^k``. Densities are with respect
-  to Lebesgue measure on the box; only the simulation path supports it.
+  to Lebesgue measure on the box; only the simulation path supports it. A
+  box state is a tuple of k Python floats, and the base, energy and level
+  callables of a box ladder or partition receive such a tuple.
 
 A :class:`DensityLadder` holds ``r >= 1`` unnormalized log-densities over one
 space, ordered feeder-to-target: level ``r-1`` (0-based) is the target.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-State = Union[int, np.ndarray]
+State = Union[int, tuple]
 LogDensity = Callable[[State], float]
 
 
@@ -56,7 +58,12 @@ class FiniteSpace:
 
 
 class BoxSpace:
-    """Axis-aligned box [lower_i, upper_i] in R^k."""
+    """Axis-aligned box [lower_i, upper_i] in R^k.
+
+    Its points are tuples of k Python floats: :meth:`require` returns one,
+    and the kernels, ladders, partitions and test functions pass them on
+    as they are, so a chain-step does its arithmetic in plain floats.
+    """
 
     kind = "box"
 
@@ -72,18 +79,30 @@ class BoxSpace:
         self.lower = lo
         self.upper = hi
         self.dim = lo.size
+        self._bounds = tuple(zip(lo.tolist(), hi.tolist()))
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim,) and bool(
-            (x >= self.lower).all() and (x <= self.upper).all()
-        )
+        """True when x is a point of the box: a tuple of floats, or any other
+        flat sequence of numbers, of length dim with every coordinate within
+        its bounds (NaN is not)."""
+        if type(x) is not tuple:
+            x = np.asarray(x, dtype=float)
+            if x.ndim != 1:
+                return False
+            x = x.tolist()
+        if len(x) != self.dim:
+            return False
+        for v, (lo, hi) in zip(x, self._bounds):
+            if not lo <= v <= hi:
+                return False
+        return True
 
-    def require(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def require(self, x) -> tuple:
+        """x as a point of the box, a tuple of floats; raises DomainError
+        when x is outside it."""
         if not self.contains(x):
             raise DomainError(f"state {x!r} outside box {self.lower}..{self.upper}")
-        return x
+        return tuple(map(float, x))
 
     def __repr__(self):
         return f"BoxSpace(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
@@ -151,7 +170,7 @@ class DensityLadder:
         """Unnormalized log-density of `level` at in-domain state x."""
         if self._table is not None:
             return float(self._table[level, int(x)])
-        return float(self._fns[level](np.asarray(x, dtype=float)))
+        return float(self._fns[level](x))
 
     def log_densities(self, x) -> tuple:
         """Log-densities of every level at in-domain state x: a tuple of r
@@ -159,11 +178,10 @@ class DensityLadder:
         evaluates its base once for all levels."""
         if self._rows is not None:
             return self._rows[int(x)]
-        x = np.asarray(x, dtype=float)
         if self._tempered is not None:
             base, temps = self._tempered
             h = base(x)
-            return tuple(float(h / t) for t in temps)
+            return tuple([float(h / t) for t in temps])
         return tuple(float(f(x)) for f in self._fns)
 
     def log_table(self) -> np.ndarray:
@@ -263,12 +281,6 @@ class RingPartition:
         else:
             raise ConfigurationError("provide either labels or an energy function")
 
-    @classmethod
-    def single_ring(cls, space: Space) -> "RingPartition":
-        if isinstance(space, FiniteSpace):
-            return cls(space, labels=np.zeros(space.size, dtype=int))
-        return cls(space, energy=lambda x: 0.0, thresholds=[])
-
     def assign(self, x) -> int:
         """Ring index of in-domain state x (0-based)."""
         if self._labels is not None:
@@ -324,6 +336,7 @@ def ladder_masses(
         pts = np.asarray(grid, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        pts = [tuple(p) for p in pts.tolist()]
         labels = np.array([partition.assign(p) for p in pts])
         for i in range(r):
             logw = np.array([ladder.log_density(i, p) for p in pts])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ def two_state_model():
     """2-state ladder with pi_1 uniform and pi_2 = (1/3, 2/3), uniform proposals."""
     space = FiniteSpace(2)
     ladder = DensityLadder(space, [np.zeros(2), np.log([1.0, 2.0])])
-    partition = RingPartition.single_ring(space)
+    partition = single_ring(space)
     return KernelSet(ladder, partition, [UniformProposal(), UniformProposal()], epsilon=0.5)
 
 
@@ -29,3 +31,46 @@ def make_model(log_weights, labels, epsilon=0.5):
     partition = RingPartition(space, labels=labels)
     proposals = [UniformProposal() for _ in rows]
     return KernelSet(ladder, partition, proposals, epsilon=epsilon)
+
+
+def single_ring(space):
+    """The partition of a space into one ring."""
+    if isinstance(space, FiniteSpace):
+        return RingPartition(space, labels=np.zeros(space.size, dtype=int))
+    return RingPartition(space, energy=lambda x: 0.0, thresholds=[])
+
+
+def total_count(measure):
+    """Number of atoms an empirical measure holds."""
+    return sum(measure.ring_count(ring) for ring in range(measure.d))
+
+
+def as_vector(measure, space):
+    """Probability vector of an empirical measure over a finite space."""
+    v = np.zeros(space.size)
+    for ring in range(measure.d):
+        for x in measure.atoms(ring):
+            v[int(x)] += 1.0
+    return v / total_count(measure)
+
+
+def reference_numpy_logpdf(means, scales, weights):
+    """The gaussian-mixture log-density in numpy array form: the reference
+    the plain-float mixture of ``eesampler.config`` must equal bit for bit."""
+    means = np.asarray(means, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if means.ndim == 1:
+        means = means[:, None]
+    dim = means.shape[1]
+    logw = np.log(weights / weights.sum())
+    var = scales**2
+    log_norm = dim * np.log(scales)
+
+    def logpdf(x):
+        x = np.asarray(x, dtype=float)
+        comp = logw - 0.5 * np.sum((x[None, :] - means) ** 2, axis=1) / var - log_norm
+        m = comp.max()
+        return float(m + math.log(np.exp(comp - m).sum()))
+
+    return logpdf

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import eesampler
-from conftest import make_model
+from conftest import as_vector, make_model
 from eesampler import exact
 from eesampler.config import four_state_config, four_state_raw
 from eesampler.experiments import bias_study, fluctuation_bound_battery, slln_rate_study
@@ -115,7 +115,7 @@ def test_criterion_07_simulation_vs_oracle(fixture_config):
     feeder = EmpiricalMeasure(fixture_config.partition)
     for a in (0, 1, 1, 2, 3, 3, 0, 2, 3, 1):
         feeder.insert(a)
-    mu = feeder.as_vector(fixture_config.space)
+    mu = as_vector(feeder, fixture_config.space)
     kernels = {
         "selection": (
             exact.q_matrix(model, 1, mu),

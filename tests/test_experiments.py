@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -533,6 +535,123 @@ def test_cli_nested_value_of_wrong_type_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+def double_well_raw(**overrides) -> dict:
+    raw = json.loads(
+        (Path(__file__).resolve().parent.parent / "configs" / "double_well.json").read_text()
+    )
+    raw.update(overrides)
+    return raw
+
+
+MIXTURE = {"family": "gaussian_mixture", "means": [[-1.5], [1.5]],
+           "scales": [0.25, 0.25], "weights": [0.5, 0.5]}
+STRICT_VALUES = {
+    "weights-bool": four_state_raw(ladder={"weights": [[1, 1, 1, 1], [1, 1, True, 4]]}),
+    "epsilon-bool": four_state_raw(kernel=dict(KERNEL, epsilon=True)),
+    "epsilon-string": four_state_raw(kernel=dict(KERNEL, epsilon="0.5")),
+    "theta-string": four_state_raw(stability={"theta": "0.1", "policy": "warn"}),
+    "labels-string": four_state_raw(partition={"labels": ["a", "a", "b", "b"]}),
+    "test-functions-null": four_state_raw(test_functions=None),
+    "base-on-finite-space": four_state_raw(ladder={"base": MIXTURE, "temperatures": [2, 1]}),
+    "means-null": double_well_raw(ladder={"base": dict(MIXTURE, means=[[None], [1.5]]),
+                                          "temperatures": [8, 1]}),
+    "means-of-another-dim": double_well_raw(
+        ladder={"base": dict(MIXTURE, means=[[-1.5, 0.0], [1.5, 0.0]]), "temperatures": [8, 1]}),
+    "scale-scalar": double_well_raw(ladder={"base": dict(MIXTURE, scales=0.25),
+                                            "temperatures": [8, 1]}),
+    "steps-bool": double_well_raw(
+        kernel={"variant": "selection-mutation", "epsilon": 0.3,
+                "proposal": {"kind": "gaussian_walk", "steps": [True, 0.35]}}),
+    "initial-state-string": double_well_raw(initial_states=[["-1.5"], [1.5]]),
+    "thresholds-bool": double_well_raw(partition={"thresholds": [True]}),
+    "axis-out-of-range": double_well_raw(test_functions=[{"kind": "coordinate", "axis": 1}]),
+    "axis-negative": double_well_raw(test_functions=[{"kind": "coordinate", "axis": -1}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_VALUES))
+def test_cli_value_the_schema_does_not_take_exits_2(tmp_path, capsys, case):
+    # coercions (a bool or a string as a number, a string label), nulls as
+    # NaN mixture parameters and indices past the box all exit 2
+    cfg_path = write_config(tmp_path, STRICT_VALUES[case])
+    code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "never")])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+JSON_KINDS = (type(None), bool, (int, float), str, list, dict)
+
+
+def _json_kind(value) -> int:
+    if isinstance(value, bool):
+        return 1
+    return next(i for i, t in enumerate(JSON_KINDS) if isinstance(value, t))
+
+
+def _random_json(kind: int, rnd: random.Random, depth: int = 0):
+    """A random JSON value of the given kind (an index into JSON_KINDS).
+
+    Every array holds a null and every object a non-string "kind", so no
+    value is valid where a config takes more than one type: a number or an
+    array for kernel.epsilon, a name or an object for kernel.proposal."""
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rnd.random() < 0.5
+    if kind == 2:
+        return rnd.choice([0, 1, -1, 3, 2.5, 0.25, -7.5, 1e12])
+    if kind == 3:
+        return rnd.choice(["", "x", "0.5", "1", "true", "null", "uniform", "box"])
+    items = [_random_json(rnd.randrange(6 if depth < 2 else 4), rnd, depth + 1)
+             for _ in range(rnd.randrange(3))]
+    if kind == 4:
+        return items + [None]
+    return {"kind": rnd.choice([None, 0, [], False]),
+            **{key: item for key, item in zip(("size", "steps", "a"), items)}}
+
+
+def _json_paths(node, prefix=()):
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def generated_config_cases(count: int, seed: int):
+    """(name, config) pairs: a valid config, finite or box, with the value at
+    one random path, at any depth, replaced by a random JSON value of
+    another type."""
+    rnd = random.Random(seed)
+    bases = {"four_state": four_state_raw(), "double_well": double_well_raw()}
+    for _ in range(count):
+        base = rnd.choice(sorted(bases))
+        raw = copy.deepcopy(bases[base])
+        path = rnd.choice(list(_json_paths(raw)))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        old = _json_kind(parent[path[-1]])
+        parent[path[-1]] = _random_json(rnd.choice([k for k in range(6) if k != old]), rnd)
+        yield f"{base}:{'.'.join(map(str, path))}={parent[path[-1]]!r}", raw
+
+
+def test_cli_generated_configs_of_wrong_type_exit_2(tmp_path, capsys):
+    failed = []
+    for i, (name, raw) in enumerate(generated_config_cases(240, seed=20240611)):
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / f"never_{i}"
+        try:
+            code = cli.main(["run", "--config", cfg_path, "--out", str(out)])
+        except Exception as exc:  # a traceback: the resolver let the value through
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code != 2 or "configuration error:" not in err or out.exists():
+            failed.append((name, code))
+    assert not failed, failed
 
 
 def test_cli_run_and_verify(tmp_path):

@@ -3,14 +3,17 @@ the ee-jump variant through the full engine, and mutation tests showing the
 oracle checks actually bite."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import make_model, reference_numpy_logpdf
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
-from eesampler.sampler import run
+from eesampler.kernels import KernelSet
+from eesampler.sampler import ChainEnsemble, run
+from eesampler.state_space import RingPartition, tempered_ladder
 
 
 def double_well_raw(**overrides):
@@ -77,6 +80,49 @@ def test_box_space_interaction_crosses_barrier():
     mixed = [float(np.asarray(r[2])[0]) for r in run(ee_cfg).rows
              if r[0] == 1 and r[1] > 200]
     assert min(mixed) < 0.0 < max(mixed)  # visits both wells
+
+
+def test_float_mixture_run_equals_numpy_mixture_run():
+    # no shipped config has dim > 1 or more than 2 components: a 2-d,
+    # 9-component tempered model run as built, and again with the mixture
+    # in numpy array form, gives the same trace and carries the same
+    # log-densities
+    rng = np.random.default_rng(9)
+    base = {"family": "gaussian_mixture", "means": rng.uniform(-2.5, 2.5, (9, 2)).tolist(),
+            "scales": rng.uniform(0.2, 0.5, 9).tolist(),
+            "weights": rng.uniform(0.5, 1.0, 9).tolist()}
+    cfg = config_from_dict(double_well_raw(
+        space={"kind": "box", "lower": [-3.0, -3.0], "upper": [3.0, 3.0]},
+        ladder={"base": base, "temperatures": [6, 1]},
+        partition={"thresholds": [2.0], "energy": "neg_log_target"},
+        kernel={"variant": "selection-mutation", "epsilon": 0.5,
+                "proposal": {"kind": "gaussian_walk", "steps": [1.0, 0.4]}},
+        schedule={"offsets": [100], "total_rounds": 1500},
+        initial_states=[[0.0, 0.0], [1.0, -1.0]],
+    ))
+    ladder = tempered_ladder(
+        cfg.space, reference_numpy_logpdf(base["means"], base["scales"], base["weights"]), [6, 1])
+    partition = RingPartition(cfg.space, energy=lambda x: -ladder.log_density(1, x),
+                              thresholds=[2.0], energy_level=1)
+    kernels = KernelSet(ladder, partition, cfg.kernels.proposals, cfg.kernels.epsilons)
+    runs = []
+    for config in (cfg, dataclasses.replace(cfg, ladder=ladder, partition=partition,
+                                            kernels=kernels)):
+        ens = ChainEnsemble(config)
+        ens.run_rounds(config.total_rounds)
+        # every atom's carried log-densities, to the last bit
+        levels = [[v.hex() for lv in m._ring_levels[ring] for v in lv]
+                  for m in ens.measures for ring in range(config.partition.d)]
+        runs.append((ens.finalize_trace(), levels))
+    (fast, fast_levels), (slow, slow_levels) = runs
+    # both chains visit both rings and some swaps are accepted
+    assert {(row[0], row[3]) for row in fast.rows} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert any(row[5] for row in fast.rows)
+    assert len(fast.rows) == len(slow.rows)
+    for a, b in zip(fast.rows, slow.rows):
+        assert a == b
+    assert fast.mass_snapshots == slow.mass_snapshots
+    assert fast_levels == slow_levels
 
 
 def test_ee_jump_variant_full_run():

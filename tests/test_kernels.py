@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import as_vector, make_model, single_ring
 from eesampler import exact
 from eesampler.errors import ConfigurationError, NumericalError
 from eesampler.kernels import (
@@ -69,7 +69,7 @@ def test_mh_occupation_matches_stationary():
 def test_mh_neighbor_proposal_walks_cycle():
     model = KernelSet(
         DensityLadder(FiniteSpace(6), [np.zeros(6)]),
-        RingPartition.single_ring(FiniteSpace(6)),
+        single_ring(FiniteSpace(6)),
         [NeighborProposal()],
     )
     rng = np.random.default_rng(3)
@@ -107,7 +107,7 @@ def test_mh_gaussian_walk_stays_in_box():
     space = BoxSpace([-1.0], [1.0])
     model = KernelSet(
         DensityLadder(space, [lambda x: 0.0]),
-        RingPartition.single_ring(space),
+        single_ring(space),
         [GaussianWalkProposal(0.8)],
     )
     rng = np.random.default_rng(8)
@@ -115,6 +115,24 @@ def test_mh_gaussian_walk_stays_in_box():
     for _ in range(300):
         x = model.mh_step(0, x, rng)
         assert space.contains(x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_walk_gives_the_floats_of_the_array_form(dim):
+    # a flat target on a wide box accepts every proposal, so each state is
+    # the proposal x + step * standard_normal(dim) of a twin Generator
+    space = BoxSpace([-1e6] * dim, [1e6] * dim)
+    model = KernelSet(DensityLadder(space, [lambda x: 0.0]), single_ring(space),
+                      [GaussianWalkProposal(0.7)])
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    x = space.require([0.25] * dim)
+    for _ in range(2000):
+        y = model.mh_step(0, x, rng)
+        want = np.asarray(x) + 0.7 * twin.standard_normal(dim)
+        twin.random()  # the MH coin
+        assert type(y) is tuple and all(type(v) is float for v in y)
+        assert y == tuple(want.tolist())
+        x = y
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +228,7 @@ def test_selection_rejected_swap_moves_like_local_from_start():
 
 def test_selection_frequencies_match_oracle_matrix(four_model):
     feeder = feeder_from(four_model, [0, 1, 1, 2, 3, 3, 3])
-    mu = feeder.as_vector(four_model.ladder.space)
+    mu = as_vector(feeder, four_model.ladder.space)
     Q = exact.q_matrix(four_model, 1, mu)
     rng = Pcg64Draws(np.random.default_rng(90210))
     n = 40_000
@@ -261,7 +279,7 @@ def test_nonlinear_branch_frequency():
 
 def test_nonlinear_frequencies_match_oracle(four_model):
     feeder = feeder_from(four_model, [0, 0, 1, 2, 3])
-    mu = feeder.as_vector(four_model.ladder.space)
+    mu = as_vector(feeder, four_model.ladder.space)
     P = exact.nonlinear_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
     rng = Pcg64Draws(np.random.default_rng(60))
     n = 40_000
@@ -311,7 +329,7 @@ def test_ee_jump_epsilon_zero_is_local():
 
 def test_ee_jump_frequencies_match_oracle(four_model):
     feeder = feeder_from(four_model, [0, 1, 1, 2, 3])
-    mu = feeder.as_vector(four_model.ladder.space)
+    mu = as_vector(feeder, four_model.ladder.space)
     P = exact.ee_jump_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
     rng = Pcg64Draws(np.random.default_rng(61))
     n = 40_000
@@ -338,21 +356,21 @@ def test_proposal_space_mismatch():
     space = FiniteSpace(3)
     ladder = DensityLadder(space, [np.zeros(3)])
     with pytest.raises(ConfigurationError):
-        KernelSet(ladder, RingPartition.single_ring(space), [GaussianWalkProposal(1.0)])
+        KernelSet(ladder, single_ring(space), [GaussianWalkProposal(1.0)])
 
 
 def test_proposal_count_mismatch():
     space = FiniteSpace(3)
     ladder = DensityLadder(space, [np.zeros(3), np.zeros(3)])
     with pytest.raises(ConfigurationError):
-        KernelSet(ladder, RingPartition.single_ring(space), [UniformProposal()])
+        KernelSet(ladder, single_ring(space), [UniformProposal()])
 
 
 def test_box_nan_density_raises():
     space = BoxSpace([-1.0], [1.0])
     model = KernelSet(
         DensityLadder(space, [lambda x: float("nan")]),
-        RingPartition.single_ring(space),
+        single_ring(space),
         [GaussianWalkProposal(0.5)],
     )
     with pytest.raises(NumericalError):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import as_vector, total_count
 from eesampler import config as config_module
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
@@ -36,16 +37,16 @@ def test_init_point_masses(four_state):
     assert ens.n == 0
     assert list(ens.states) == [0, 0]
     for k in range(2):
-        assert ens.measures[k].total_count == 1
+        assert total_count(ens.measures[k]) == 1
         np.testing.assert_allclose(
-            ens.measures[k].as_vector(four_state.space), [1.0, 0, 0, 0]
+            as_vector(ens.measures[k], four_state.space), [1.0, 0, 0, 0]
         )
 
 
 def test_init_total_atoms_equals_chain_count():
     cfg = three_chain_config()
     ens = ChainEnsemble(cfg)
-    assert sum(m.total_count for m in ens.measures) == cfg.r
+    assert sum(total_count(m) for m in ens.measures) == cfg.r
 
 
 def test_init_same_seed_identical(four_state):
@@ -114,10 +115,10 @@ def test_epsilon_zero_chains_are_independent_mh():
 def test_active_chain_inserts_one_atom_per_round(four_state):
     ens = ChainEnsemble(four_state)
     for n in range(1, 80):
-        before = [m.total_count for m in ens.measures]
+        before = [total_count(m) for m in ens.measures]
         ens.step_round()
         for k in range(2):
-            grew = ens.measures[k].total_count - before[k]
+            grew = total_count(ens.measures[k]) - before[k]
             assert grew == (1 if ens.chain_active(k) else 0)
 
 
@@ -166,7 +167,7 @@ def test_strict_snapshot_excludes_same_round_atom():
         orig = cfg.kernels.interacting_step
 
         def spy(level, x, feeder, rng, variant, *rest, _orig=orig, _counts=counts):
-            _counts.append(_orig.__self__ and feeder.total_count)
+            _counts.append(_orig.__self__ and total_count(feeder))
             return _orig(level, x, feeder, rng, variant, *rest)
 
         cfg.kernels.interacting_step = spy
@@ -253,11 +254,12 @@ def test_writers_match_csv_writer_on_box_traces(tmp_path):
     trace = run(double_well_config(schedule={"offsets": [50], "total_rounds": 300}))
     assert {row[5] for row in trace.rows} == {None, True, False}
     assert_writers_match_reference(trace, tmp_path)
-    # hand-made cells: awkward floats, an empty event list
+    # hand-made cells: awkward floats in box states (tuples of floats), an
+    # empty event list
     hand = Trace(r=2, state_dim=2)
-    hand.record(0, 0, np.array([-0.0, 1e-300]), 0, "init", None, 0)
-    hand.record(1, 0, np.array([2.5e16, -1 / 3]), 1, "hold", None, True)
-    hand.record(1, 1, [0.1, 7], 1, "selection", np.True_, 0)
+    hand.record(0, 0, (-0.0, 1e-300), 0, "init", None, 0)
+    hand.record(1, 0, (2.5e16, -1 / 3), 1, "hold", None, True)
+    hand.record(1, 1, (0.1, 7.0), 1, "selection", np.True_, 0)
     hand.snapshot_masses(1, 0, np.array([1 / 3, 2 / 3]))
     assert_writers_match_reference(hand, tmp_path)
 
@@ -445,4 +447,4 @@ def test_records_and_atoms_carry_exact_levels_and_rings(make_config, rounds):
                 assert lv == exact_levels(x)
                 assert cfg.partition.assign(x) == ring
             stored += len(atoms)
-    assert stored == sum(m.total_count for m in ens.measures)
+    assert stored == sum(total_count(m) for m in ens.measures)

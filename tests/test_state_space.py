@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import reference_numpy_logpdf, single_ring
+from eesampler.config import _gaussian_mixture_logpdf
 from eesampler.errors import ConfigurationError, DomainError
 from eesampler.state_space import (
     BoxSpace,
@@ -52,6 +56,60 @@ def test_box_space_membership_edges():
     assert not space.contains(np.array([0.0, np.nan]))
     for wrong_shape in (np.array([0.0]), np.array([0.0, 1.0, 1.0]), np.zeros((2, 1)), 0.5):
         assert not space.contains(wrong_shape)
+
+
+def test_box_points_are_tuples_of_floats():
+    space = BoxSpace([-1.0, 0.0], [1.0, 2.0])
+    for x in ([0.5, 1], np.array([0.5, 1.0]), (np.float64(0.5), 1)):
+        point = space.require(x)
+        assert point == (0.5, 1.0)
+        assert type(point) is tuple and all(type(v) is float for v in point)
+    assert not space.contains((0.5,)) and not space.contains((0.5, 1.0, 1.0))
+    assert not space.contains((float("nan"), 1.0)) and not space.contains((0.5, 2.5))
+    with pytest.raises(DomainError):
+        space.require((0.5, 2.5))
+
+
+# ---------------------------------------------------------------------------
+# the gaussian mixture in floats
+# ---------------------------------------------------------------------------
+
+# 8 and 130 components reach numpy's 8-accumulator block and its split
+# above 128 terms
+@pytest.mark.parametrize("components", [1, 2, 7, 8, 9, 17, 130])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_float_mixture_equals_numpy_form_bit_for_bit(dim, components):
+    rng = np.random.default_rng(100 * dim + components)
+    means = rng.uniform(-3.0, 3.0, (components, dim))
+    scales = rng.uniform(0.05, 1.0, components)
+    scales[0] = 0.02  # a narrow component, negligible almost everywhere
+    weights = rng.uniform(0.1, 1.0, components)
+    logpdf = _gaussian_mixture_logpdf(means.tolist(), scales.tolist(), weights.tolist(), dim)
+    reference = reference_numpy_logpdf(means, scales, weights)
+    # box [-3, 3]^dim: its corners and edge midpoints, uniform points, the means
+    points = [*itertools.product([-3.0, 0.0, 3.0], repeat=dim),
+              *map(tuple, rng.uniform(-3.0, 3.0, (200, dim)).tolist()),
+              *map(tuple, means.tolist())]
+    underflows = 0
+    for x in points:
+        assert logpdf(x).hex() == reference(x).hex(), x
+        comp = (np.log(weights) - 0.5 * ((np.asarray(x) - means) ** 2).sum(axis=1) / scales**2
+                - dim * np.log(scales))
+        underflows += bool(np.any(np.exp(comp - comp.max()) == 0.0))
+    if components > 1:  # the set reaches tails where exp underflows to 0
+        assert underflows > 0
+
+
+@pytest.mark.parametrize(
+    "means,scales,weights",
+    [([[0.0, 1.0]], [1.0], [1.0]), ([[[0.0]]], [1.0], [1.0]),
+     ([[0.0], [1.0]], [1.0, 1.0, 1.0], [1.0, 1.0]), ([[0.0], [1.0]], 0.5, [1.0, 1.0]),
+     ([], [], [])],
+    ids=["dim", "nested", "scales", "scalar-scale", "empty"],
+)
+def test_float_mixture_rejects_bad_shapes(means, scales, weights):
+    with pytest.raises(ConfigurationError):
+        _gaussian_mixture_logpdf(means, scales, weights, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +186,7 @@ def test_ladder_level_count():
 # ---------------------------------------------------------------------------
 
 def test_single_ring_partition():
-    part = RingPartition.single_ring(FiniteSpace(5))
+    part = single_ring(FiniteSpace(5))
     assert part.d == 1
     assert all(part.assign(s) == 0 for s in range(5))
 
@@ -190,7 +248,7 @@ def test_masses_hand_summed():
 
 def test_masses_single_ring_is_total_mass():
     ladder = DensityLadder(FiniteSpace(3), [np.log([3.0, 2.0, 5.0])])
-    part = RingPartition.single_ring(FiniteSpace(3))
+    part = single_ring(FiniteSpace(3))
     np.testing.assert_allclose(ladder_masses(ladder, part), [[1.0]], atol=1e-14)
 
 
