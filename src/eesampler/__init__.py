@@ -30,7 +30,7 @@ from .kernels import (
     UniformProposal,
 )
 from .measures import EmpiricalMeasure, StabilityMonitor, tv_distance
-from .sampler import ChainEnsemble, Trace, run, run_frozen_feeder
+from .sampler import ChainEnsemble, Trace, run
 from .state_space import (
     BoxSpace,
     DensityLadder,
@@ -74,7 +74,6 @@ __all__ = [
     "load_config",
     "run",
     "run_experiment",
-    "run_frozen_feeder",
     "slln_rate_study",
     "tempered_ladder",
     "tv_distance",

@@ -2,8 +2,8 @@
 
 Configs are plain JSON-compatible dicts (see README for the schema). Loading
 resolves them into live objects (space, ladder, partition, kernel set) and
-validates every cross-reference; all failures raise
-:class:`ConfigurationError` so the CLI can map them to exit code 2.
+validates every cross-reference; all failures, an unknown key among them,
+raise :class:`ConfigurationError` so the CLI can map them to exit code 2.
 
 Seeding rule: replicate ``i`` of a run with master seed ``s`` draws from
 ``numpy.random.SeedSequence([s, i])``, whose spawned children seed the
@@ -15,9 +15,10 @@ spawns one generator per chain level, in chain order, shared by the
 replicates. Each round every active level draws one block of (R,)-vectors
 of uniforms, whatever branch each replicate takes: chain 0 draws (proposal,
 MH coin), an interacting chain (branch coin, feeder draw, swap coin,
-proposal, MH coin); see :mod:`eesampler.kernels`. The bias study's frozen
-feeder never moves, so only the level-1 generator draws, from round 1; the
-feeder's atoms come from replicate 0's chain-0 stream above. Numbers of
+proposal, MH coin); see :mod:`eesampler.kernels`. The bias study runs
+the rate study's engine on a frozen base: chain 0 never moves, so its
+generator never draws and chain 1's level-1 generator draws from round 1;
+the frozen atoms come from replicate 0's chain-0 stream above. Numbers of
 both studies at a given seed therefore differ from those of the
 per-replicate streams (and from releases before the lockstep engine);
 reruns stay byte-identical.
@@ -183,10 +184,14 @@ def _gaussian_mixture_logpdf(means, scales, weights, dim: int) -> Callable:
     return logpdf
 
 
-def _section(name: str, spec) -> dict:
-    """A config section that must be a JSON object (dict)."""
+def _section(name: str, spec, keys=None) -> dict:
+    """A config section that must be a JSON object (dict) and, given `keys`,
+    hold no other key: a misspelt key raises instead of taking a default."""
     if not isinstance(spec, dict):
         raise ConfigurationError(f"{name} must be an object, got {type(spec).__name__}")
+    unknown = sorted(map(str, set(spec) - set(spec if keys is None else keys)))
+    if unknown:
+        raise ConfigurationError(f"{name}: unknown key(s) {', '.join(map(repr, unknown))}")
     return spec
 
 
@@ -222,16 +227,20 @@ def _integer(name: str, value) -> int:
 def _build_space(spec: dict):
     kind = spec.get("kind")
     if kind == "finite":
+        _section("space", spec, ("kind", "size"))
         return FiniteSpace(_integer("space.size", spec["size"]))
     if kind == "box":
+        _section("space", spec, ("kind", "lower", "upper"))
         return BoxSpace(_reals("space.lower", spec["lower"]), _reals("space.upper", spec["upper"]))
     raise ConfigurationError(f"unknown space kind {kind!r}")
 
 
 def _build_ladder(spec: dict, space) -> DensityLadder:
     if "log_weights" in spec:
+        _section("ladder", spec, ("log_weights",))
         return DensityLadder(space, [_reals("ladder.log_weights", row) for row in spec["log_weights"]])
     if "weights" in spec:
+        _section("ladder", spec, ("weights",))
         rows = []
         for row in spec["weights"]:
             w = _reals("ladder.weights", row)
@@ -242,15 +251,18 @@ def _build_ladder(spec: dict, space) -> DensityLadder:
     if "temperatures" in spec:
         temps = [_real("ladder.temperatures", t) for t in spec["temperatures"]]
         if "base_weights" in spec:
+            _section("ladder", spec, ("temperatures", "base_weights"))
             w = _reals("ladder.base_weights", spec["base_weights"])
             if np.any(w <= 0):
                 raise ConfigurationError("base weights must be strictly positive")
             return tempered_ladder(space, np.log(w), temps)
         if "base_log_weights" in spec:
+            _section("ladder", spec, ("temperatures", "base_log_weights"))
             return tempered_ladder(space, _reals("ladder.base_log_weights", spec["base_log_weights"]),
                                    temps)
         if "base" in spec:
-            base = _section("ladder.base", spec["base"])
+            _section("ladder", spec, ("temperatures", "base"))
+            base = _section("ladder.base", spec["base"], ("family", "means", "scales", "weights"))
             if base.get("family") != "gaussian_mixture":
                 raise ConfigurationError(f"unknown density family {base.get('family')!r}")
             if not isinstance(space, BoxSpace):
@@ -267,10 +279,12 @@ def _build_ladder(spec: dict, space) -> DensityLadder:
 
 def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
     if "labels" in spec:
+        _section("partition", spec, ("labels",))
         return RingPartition(
             space, labels=[_integer("partition.labels", v) for v in spec["labels"]]
         )
     if "thresholds" in spec:
+        _section("partition", spec, ("thresholds", "energy"))
         energy_name = spec.get("energy", "neg_log_target")
         if energy_name != "neg_log_target":
             raise ConfigurationError(f"unknown energy function {energy_name!r}")
@@ -288,11 +302,12 @@ def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
 def _build_proposals(spec, space, r: int):
     spec = {"kind": spec} if isinstance(spec, str) else _section("kernel.proposal", spec)
     kind = spec.get("kind", "uniform" if isinstance(space, FiniteSpace) else "gaussian_walk")
-    if kind == "uniform":
-        return tuple(UniformProposal() for _ in range(r))
-    if kind == "neighbor":
-        return tuple(NeighborProposal() for _ in range(r))
+    if kind in ("uniform", "neighbor"):
+        _section("kernel.proposal", spec, ("kind",))
+        proposal = UniformProposal if kind == "uniform" else NeighborProposal
+        return tuple(proposal() for _ in range(r))
     if kind == "gaussian_walk":
+        _section("kernel.proposal", spec, ("kind", "steps"))
         steps = spec.get("steps")
         if steps is None:
             raise ConfigurationError("gaussian_walk proposal needs per-level steps")
@@ -315,19 +330,20 @@ def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:
         if any(name == f.name for f in out):
             raise ConfigurationError(f"test_functions[{i}]: duplicate name {name!r}")
         if kind == "ring_indicator":
+            _section(f"test_functions[{i}]", spec, ("kind", "name", "ring"))
             ring = _integer(f"test function {name}: ring", spec["ring"])
             if not (0 <= ring < partition.d):
                 raise ConfigurationError(f"test function {name}: no ring {ring}")
             fn = lambda x, _r=ring: 1.0 if partition.assign(x) == _r else 0.0
         elif kind == "coordinate":
+            _section(f"test_functions[{i}]", spec, ("kind", "name", "axis"))
             axis = _integer(f"test function {name}: axis", spec.get("axis", 0))
-            if isinstance(space, FiniteSpace):
-                fn = lambda x: float(x)
-            else:
-                if not (0 <= axis < space.dim):
-                    raise ConfigurationError(f"test function {name}: no axis {axis}")
-                fn = lambda x, _a=axis: x[_a]
+            finite = isinstance(space, FiniteSpace)
+            if not (0 <= axis < (1 if finite else space.dim)):
+                raise ConfigurationError(f"test function {name}: no axis {axis}")
+            fn = (lambda x: float(x)) if finite else (lambda x, _a=axis: x[_a])
         elif kind == "table":
+            _section(f"test_functions[{i}]", spec, ("kind", "name", "values"))
             values = _reals(f"test function {name}: values", spec["values"])
             if not isinstance(space, FiniteSpace) or values.shape != (space.size,):
                 raise ConfigurationError(f"test function {name}: table needs one value per state")
@@ -357,11 +373,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _resolve(raw: dict) -> ExperimentConfig:
+    _section("config", raw, ("space", "ladder", "partition", "kernel", "schedule", "initial_states",
+                             "replicates", "seed", "stability", "trace", "test_functions"))
     space = _build_space(_section("space", raw["space"]))
     ladder = _build_ladder(_section("ladder", raw["ladder"]), space)
     partition = _build_partition(_section("partition", raw["partition"]), space, ladder)
 
-    kernel_spec = _section("kernel", raw.get("kernel", {}))
+    kernel_spec = _section("kernel", raw.get("kernel", {}), ("variant", "epsilon", "proposal"))
     variant = kernel_spec.get("variant", "selection-mutation")
     if variant not in VARIANTS:
         raise ConfigurationError(f"kernel variant must be one of {VARIANTS}, got {variant!r}")
@@ -373,7 +391,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     proposals = _build_proposals(kernel_spec.get("proposal", {}), space, ladder.r)
     kernels = KernelSet(ladder, partition, proposals, epsilon)
 
-    sched = _section("schedule", raw.get("schedule", {}))
+    sched = _section("schedule", raw.get("schedule", {}), ("offsets", "total_rounds"))
     offsets = tuple(_integer("schedule.offsets", n) for n in sched.get("offsets", []))
     if len(offsets) != ladder.r - 1:
         raise ConfigurationError(
@@ -400,7 +418,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
 
-    stability = _section("stability", raw.get("stability", {}))
+    stability = _section("stability", raw.get("stability", {}), ("theta", "policy"))
     theta = _real("stability.theta", stability.get("theta", 0.05))
     if not (0.0 < theta <= 1.0):
         raise ConfigurationError(f"theta must lie in (0, 1], got {theta}")
@@ -408,7 +426,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if policy not in STABILITY_POLICIES:
         raise ConfigurationError(f"stability policy must be one of {STABILITY_POLICIES}")
 
-    trace_spec = _section("trace", raw.get("trace", {}))
+    trace_spec = _section("trace", raw.get("trace", {}), ("snapshot_every", "strict_snapshot"))
     snapshot_every = _integer("trace.snapshot_every", trace_spec.get("snapshot_every", 256))
     if snapshot_every < 1:
         raise ConfigurationError("snapshot_every must be >= 1")

@@ -21,7 +21,7 @@ from . import exact
 from .config import ExperimentConfig
 from .errors import ConfigurationError
 from .measures import tv_distance
-from .sampler import LockstepEnsemble, run, run_frozen_feeder
+from .sampler import LockstepEnsemble, run
 from .state_space import FiniteSpace
 
 SLOPE_PASS_BAND = (-0.65, -0.35)
@@ -344,11 +344,11 @@ def bias_study(
     oracle, and compare replicate occupancies against the prediction.
 
     The frozen feeder is one realization, drawn from replicate 0's scalar
-    chain-0 stream, and shared by all replicates, which then step in
-    lockstep under :func:`~eesampler.sampler.run_frozen_feeder`'s stream
-    contract; the prediction is the stationary vector of the exact frozen
-    kernel. The study also reports the exact-feeder control: feeding pi_1
-    itself must reproduce pi_2 (zero predicted bias)."""
+    chain-0 stream, and the frozen base of a :class:`LockstepEnsemble` whose
+    replicates all step chain 1 from round 1; the prediction is the
+    stationary vector of the exact frozen kernel. The study also reports the
+    exact-feeder control: feeding pi_1 itself must reproduce pi_2 (zero
+    predicted bias)."""
     if not isinstance(config.space, FiniteSpace):
         raise ConfigurationError("the bias study needs a finite space")
     if config.r != 2:
@@ -359,14 +359,20 @@ def bias_study(
     if burn >= config.total_rounds:
         raise ConfigurationError("burn-in must be shorter than the run")
     atoms = frozen_feeder_atoms(config, freeze_at)
-    mu = np.bincount(atoms, minlength=config.space.size) / len(atoms)
+    counts = np.bincount(atoms, minlength=config.space.size)
+    mu = counts / len(atoms)
 
     omega = exact.stationary(oracle_kernel(config, 1, mu))
     pi1, pi2 = config.ladder.density_table()[0], config.ladder.density_table()[-1]
     predicted_tv = tv_distance(omega, pi2)
     exact_feeder_tv = tv_distance(exact.stationary(oracle_kernel(config, 1, pi1)), pi2)
 
-    sequences = run_frozen_feeder(config, atoms)[burn:].T
+    ens = LockstepEnsemble(config, frozen_feeder=counts)
+    states = np.empty((config.total_rounds, config.replicates), dtype=np.intp)
+    for n in range(config.total_rounds):
+        ens.step_round()
+        states[n] = ens.states[:, 1]
+    sequences = states[burn:].T
     if config.replicates == 1:
         # batch means over the single run stand in for replicate spread
         sequences = np.array_split(sequences[0], 16)

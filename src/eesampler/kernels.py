@@ -38,8 +38,7 @@ and a feeder atom brings the levels its measure stored.
 Lockstep steps (``mh_step_lockstep``, ``interacting_step_lockstep``) make
 the same moves on finite spaces for R replicates at once: states are an
 (R,) int array and each replicate's feeder is a row of an (R, S) count
-array (a frozen feeder is one (S,) row broadcast read-only to all R), so
-the uniform draw with multiplicity from ring(x) becomes a
+array, so the uniform draw with multiplicity from ring(x) becomes a
 categorical draw over the ring's states weighted by their counts. They
 draw whole (R,)-vectors in a fixed order, whatever branch each replicate
 takes: the MH step draws a (2, R) block of uniforms on [0, 1), rows
@@ -405,10 +404,11 @@ class KernelSet:
         rings = self._rings
         u_branch, u_feed, u_swap, u_prop, u_mh = rng.random((5, x.shape[0]))
 
-        # categorical draw over ring(x), weighted by the feeder's counts
-        cum = np.cumsum(np.where(rings == rings[x][:, None], feeder_counts, 0), axis=1)
+        # categorical draw over ring(x), weighted by the feeder's counts; the
+        # ufunc and method forms skip np.cumsum's and np.argmax's dispatch
+        cum = np.add.accumulate(np.where(rings == rings[x][:, None], feeder_counts, 0), axis=1)
         held = cum[:, -1]
-        z = np.argmax(cum > (u_feed * held)[:, None], axis=1)
+        z = (cum > (u_feed * held)[:, None]).argmax(axis=1)
         lf, li = self._logw[level - 1], self._logw[level]
         alpha = np.exp(np.minimum(0.0, li[z] + lf[x] - li[x] - lf[z]))
         take = (u_branch < self.epsilons[level]) & (held > 0)

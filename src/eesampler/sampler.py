@@ -21,10 +21,10 @@ Generator for the Gaussian walk's ``standard_normal``.
 
 Lockstep: :class:`LockstepEnsemble` runs the same schedule for all
 replicates of a finite-space run at once, with numpy arrays of states and
-measure counts; the rate study uses it. :func:`run_frozen_feeder` steps the
-interacting chain of all replicates against one fixed feeder count vector,
-the regime whose long-run bias the oracle predicts exactly; the bias study
-uses it. :class:`ChainEnsemble` stays the reference engine for traced runs.
+of the feeding chains' measure counts; the rate study uses it, and so does
+the bias study, on a frozen base count vector whose long-run bias the oracle
+predicts exactly. :class:`ChainEnsemble` stays the reference engine for
+traced runs.
 """
 
 from __future__ import annotations
@@ -214,59 +214,21 @@ def run(config: ExperimentConfig, replicate: int = 0) -> Trace:
     return ens.finalize_trace(replicate)
 
 
-def run_frozen_feeder(config: ExperimentConfig, atoms) -> np.ndarray:
-    """Chain 1 of every replicate run against the fixed feeder measure of
-    `atoms`; returns the (total_rounds, replicates) int array of its states,
-    row n - 1 holding the states after round n.
-
-    Two chains on a finite space only: the frozen regime is the single
-    feeding chain whose bias the oracle predicts. The feeder never moves,
-    so chain 1 moves from round 1, all replicates reading one shared count
-    vector. Stream contract: chain 1 draws from the rate study's level-1
-    generator, ``config.lockstep_seed_seq().spawn(r)[1]``, one (5, R) block
-    of :meth:`~eesampler.kernels.KernelSet.interacting_step_lockstep` per
-    round. Under the abort policy a ring of the feeder with mass below
-    theta raises before the first round.
-    """
-    if config.r != 2:
-        raise ConfigurationError("frozen-feeder runs need exactly two chains")
-    if not isinstance(config.space, FiniteSpace):
-        raise ConfigurationError("frozen-feeder runs need a finite space")
-    size = config.space.size
-    atoms = np.asarray(atoms, dtype=np.intp)
-    if atoms.size == 0 or atoms.min() < 0 or atoms.max() >= size:
-        raise ConfigurationError(f"feeder atoms must be states 0..{size - 1}")
-    counts = np.bincount(atoms, minlength=size)
-    if config.stability_policy == "abort":
-        d = config.partition.d
-        masses = np.bincount(config.partition.labels(), weights=counts, minlength=d) / atoms.size
-        ring = int(np.argmin(masses))
-        if masses[ring] < config.theta:
-            raise StabilityError(
-                f"frozen feeder ring {ring} mass {masses[ring]:.4f} "
-                f"below theta={config.theta}"
-            )
-    reps = config.replicates
-    feeder = np.broadcast_to(counts, (reps, size))
-    rng = np.random.default_rng(config.lockstep_seed_seq().spawn(config.r)[1])
-    states = np.empty((config.total_rounds, reps), dtype=np.intp)
-    x = np.full(reps, config.initial_states[1], dtype=np.intp)
-    for n in range(config.total_rounds):
-        x = config.kernels.interacting_step_lockstep(1, x, feeder, rng, config.variant)
-        states[n] = x
-    return states
-
-
 class LockstepEnsemble:
     """All replicates of a finite-space run, stepped together with numpy.
 
-    States are an (R, r) int array and chain k's empirical measure in
-    replicate i is the count vector ``counts[i, k]`` over the S states;
-    ``ring_counts`` holds the same measures summed per ring for the
-    stability monitor. Memory is O(R r S) whatever the number of rounds.
-    The activation schedule, the chain-order updates within a round, strict
-    snapshots and the stability policy are those of :class:`ChainEnsemble`;
-    there is no trace.
+    States are an (R, r) int array. Only a feeding chain k < r - 1 keeps its
+    empirical measure: in replicate i the count vector ``counts[i, k]`` over
+    the S states, summed per ring in ``ring_counts`` for the stability
+    monitor, with ``sizes[k]`` atoms. Memory is O(R r S) whatever the number
+    of rounds. The activation schedule, the chain-order updates within a
+    round, strict snapshots and the stability policy are those of
+    :class:`ChainEnsemble`; there is no trace.
+
+    Frozen base: given ``frozen_feeder``, an (S,) count vector, chain 0
+    holds it for the whole run and never moves or draws; its masses are
+    checked once, at construction. Chain 1 moves from round 1, and chain
+    k >= 2 after round ``sum(offsets[1:k])``.
 
     Stream contract: ``config.lockstep_seed_seq()`` spawns one generator per
     chain level, shared by all replicates. Each round, every active level
@@ -275,7 +237,7 @@ class LockstepEnsemble:
     numbers differ from those of per-replicate ChainEnsemble runs.
     """
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig, frozen_feeder=None):
         if not isinstance(config.space, FiniteSpace):
             raise ConfigurationError("lockstep ensembles need a finite space")
         self.config = config
@@ -287,53 +249,64 @@ class LockstepEnsemble:
         self.violations = 0
         self.min_mass_seen = np.inf
 
-        reps, chains = config.replicates, np.arange(self.r)
+        reps, size, feeding = config.replicates, config.space.size, self.r - 1
         self._rows = np.arange(reps)
         self._rings = config.partition.labels()
         initial = np.array(config.initial_states, dtype=np.intp)
-        self.states = np.tile(initial, (reps, 1))
-        self.counts = np.zeros((reps, self.r, config.space.size), dtype=np.int64)
-        self.counts[:, chains, initial] = 1
-        self.ring_counts = np.zeros((reps, self.r, config.partition.d), dtype=np.int64)
-        self.ring_counts[:, chains, self._rings[initial]] = 1
+        # chain k's states are row k of (r, R), contiguous for the kernels
+        self._x = np.tile(initial[:, None], (1, reps))
+        self.states = self._x.T
+        self.counts = np.zeros((reps, feeding, size), dtype=np.int64)
+        self.counts[:, np.arange(feeding), initial[:-1]] = 1
+        self.sizes = [1] * feeding
+        self._watched = range(feeding)  # the moving feeders
+        if frozen_feeder is not None:
+            self.counts[:, 0] = frozen_feeder
+            self.sizes[0] = int(self.counts[0, 0].sum())
+            self.thresholds = [np.inf] + [t - self.thresholds[1] for t in self.thresholds[1:]]
+            self._watched = range(1, feeding)
+        self.ring_counts = self.counts @ np.eye(config.partition.d, dtype=np.int64)[self._rings]
+        if frozen_feeder is not None:
+            self._check_feeder(0)
 
     def step_round(self) -> None:
         """Advance every active chain of every replicate by one move."""
         cfg = self.config
-        self.n += 1
-        feeders = self.counts[:, :-1].copy() if cfg.strict_snapshot else self.counts
+        self.n = n = self.n + 1
+        feeders = self.counts.copy() if cfg.strict_snapshot else self.counts
         for k in range(self.r):
-            if self.n <= self.thresholds[k]:
+            if n <= self.thresholds[k]:
                 continue
-            x = self.states[:, k]
+            x = self._x[k]
             if k == 0:
                 new = self.kernels.mh_step_lockstep(0, x, self.rngs[0])
             else:
                 new = self.kernels.interacting_step_lockstep(
                     k, x, feeders[:, k - 1], self.rngs[k], cfg.variant
                 )
-            self.states[:, k] = new
-            self.counts[self._rows, k, new] += 1
-            self.ring_counts[self._rows, k, self._rings[new]] += 1
-        self._monitor_feeders()
+            self._x[k] = new
+            if k < self.r - 1:
+                self.counts[self._rows, k, new] += 1
+                self.ring_counts[self._rows, k, self._rings[new]] += 1
+                self.sizes[k] += 1
+        for k in self._watched:
+            if n > self.thresholds[k + 1]:
+                self._check_feeder(k)
 
-    def _monitor_feeders(self) -> None:
-        """A1 watch on each feeding chain once its consumer runs; chain k
-        then holds n - threshold_k + 1 atoms in every replicate."""
+    def _check_feeder(self, k: int) -> None:
+        """A1 watch on feeding chain k: each round once its consumer moves,
+        or once at construction for a frozen feeder, whose masses are fixed."""
         theta = self.config.theta
-        for k in range(self.r - 1):
-            if self.n <= self.thresholds[k + 1]:
-                continue
-            masses = self.ring_counts[:, k] / (self.n - self.thresholds[k] + 1)
-            lo = float(masses.min())
-            self.min_mass_seen = min(self.min_mass_seen, lo)
-            if lo >= theta:
-                continue
-            low = masses < theta
-            self.violations += int(low.sum())
-            if self.config.stability_policy == "abort":
-                rep, ring = (int(i) for i in np.argwhere(low)[0])
-                raise StabilityError(
-                    f"round {self.n}: replicate {rep} chain {k} ring {ring} "
-                    f"mass {masses[rep, ring]:.4f} below theta={theta}"
-                )
+        masses = self.ring_counts[:, k] / self.sizes[k]
+        lo = float(masses.min())
+        self.min_mass_seen = min(self.min_mass_seen, lo)
+        if lo >= theta:
+            return
+        low = masses < theta
+        self.violations += int(low.sum())
+        if self.config.stability_policy == "abort":
+            rep, ring = (int(i) for i in np.argwhere(low)[0])
+            raise StabilityError(
+                f"round {self.n}: replicate {rep} chain {k} ring {ring} "
+                f"mass {masses[rep, ring]:.4f} below theta={theta}"
+            )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eesampler import KernelSet, UniformProposal
+from eesampler import KernelSet, NeighborProposal, UniformProposal
 from eesampler.config import four_state_config
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
@@ -31,6 +31,27 @@ def make_model(log_weights, labels, epsilon=0.5):
     partition = RingPartition(space, labels=labels)
     proposals = [UniformProposal() for _ in rows]
     return KernelSet(ladder, partition, proposals, epsilon=epsilon)
+
+
+def generated_model(i: int, seed: int):
+    """Generated model i of a cross-check against the oracle: S <= 6,
+    d <= 3, variant and proposal cycling with i, epsilon 0 and 1 for the
+    first two and uniform on [0, 1] after, and feeder counts in which some
+    rings may hold no atoms. Returns (kernel set, counts, variant)."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 7))
+    d = int(rng.integers(1, min(3, size) + 1))
+    space = FiniteSpace(size)
+    labels = rng.permutation(np.arange(size) % d)
+    ladder = DensityLadder(space, [rng.normal(size=size) / 3.0, rng.normal(size=size)])
+    proposal = (NeighborProposal, UniformProposal)[(i // 2) % 2]
+    eps = (0.0, 1.0)[i] if i < 2 else float(rng.uniform())
+    model = KernelSet(ladder, RingPartition(space, labels=labels), [proposal()] * 2, epsilon=eps)
+    counts = rng.integers(0, 4, size)
+    if i % 3 == 0 and d > 1:
+        counts[labels == 0] = 0
+    counts[labels == labels[-1]] += counts.sum() == 0  # keep one atom somewhere
+    return model, counts, ("selection-mutation", "ee-jump")[i % 2]
 
 
 def single_ring(space):

@@ -65,13 +65,19 @@ def test_rate_study_refuses_thin_replication():
         slln_rate_study(cfg)
 
 
+def three_chain_raw(**overrides) -> dict:
+    raw = four_state_raw(
+        ladder={"weights": [[1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 2, 4]]},
+        schedule={"offsets": [10, 10], "total_rounds": 300},
+        initial_states=[0, 0, 0],
+    )
+    raw.update(overrides)
+    return raw
+
+
 def test_rate_study_needs_two_chains():
-    raw = four_state_raw(replicates=50)
-    raw["ladder"] = {"weights": [[1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 2, 4]]}
-    raw["schedule"] = {"offsets": [10, 10], "total_rounds": 300}
-    raw["initial_states"] = [0, 0, 0]
     with pytest.raises(ConfigurationError):
-        slln_rate_study(config_from_dict(raw))
+        slln_rate_study(config_from_dict(three_chain_raw(replicates=50)))
 
 
 def test_rate_study_constant_function_zero_error():
@@ -175,6 +181,17 @@ def test_bias_study_oracle_follows_variant():
         exact.ee_jump_matrix(cfg.kernels, 1, mu, empty_ring_fallback=True)
     )
     np.testing.assert_allclose(report.predicted, expected)
+
+
+def test_bias_study_needs_two_chains(tmp_path, capsys):
+    raw = three_chain_raw(replicates=6)
+    with pytest.raises(ConfigurationError, match="r = 2"):
+        bias_study(config_from_dict(raw), freeze_at=9)
+    out = tmp_path / "never"
+    code = cli.main(["bias-study", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 2
+    assert "r = 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +585,33 @@ STRICT_VALUES = {
     "thresholds-bool": double_well_raw(partition={"thresholds": [True]}),
     "axis-out-of-range": double_well_raw(test_functions=[{"kind": "coordinate", "axis": 1}]),
     "axis-negative": double_well_raw(test_functions=[{"kind": "coordinate", "axis": -1}]),
+    "axis-on-finite-space": four_state_raw(test_functions=[{"kind": "coordinate", "axis": 7}]),
+    # a key the resolver does not read for the section's form
+    "epsilom": four_state_raw(kernel=dict(KERNEL, epsilom=0.1)),
+    "sedd": four_state_raw(sedd=7),
+    "proposal-keys": four_state_raw(kernel=dict(KERNEL, proposal={"steps": None, "a": "x"})),
+    "space-key": four_state_raw(space={"kind": "finite", "size": 4, "dim": 1}),
+    "ladder-second-form": four_state_raw(ladder={"weights": [[1, 1, 1, 1], [1, 1, 2, 4]],
+                                                 "temperatures": [2, 1]}),
+    "base-key": double_well_raw(ladder={"base": dict(MIXTURE, mean=[0.0]),
+                                        "temperatures": [8, 1]}),
+    "partition-energy-with-labels": four_state_raw(partition={"labels": [0, 0, 1, 1],
+                                                              "energy": "neg_log_target"}),
+    "schedule-key": four_state_raw(schedule=dict(SCHEDULE, burn_in=10)),
+    "stability-key": four_state_raw(stability={"theta": 0.05, "polcy": "abort"}),
+    "trace-key": four_state_raw(trace={"snapshot_every": 256, "strict": True}),
+    "function-key": four_state_raw(test_functions=[{"kind": "ring_indicator", "ring": 1,
+                                                    "axis": 0}]),
+    "box-space-key": double_well_raw(space={"kind": "box", "lower": [-3.0], "upper": [3.0],
+                                            "size": 4}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STRICT_VALUES))
 def test_cli_value_the_schema_does_not_take_exits_2(tmp_path, capsys, case):
     # coercions (a bool or a string as a number, a string label), nulls as
-    # NaN mixture parameters and indices past the box all exit 2
+    # NaN mixture parameters, indices past the space and unknown keys all
+    # exit 2
     cfg_path = write_config(tmp_path, STRICT_VALUES[case])
     code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "never")])
     assert code == 2

@@ -1,7 +1,9 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
-from conftest import as_vector, make_model, single_ring
+from conftest import as_vector, generated_model, make_model, single_ring
 from eesampler import exact
 from eesampler.errors import ConfigurationError, NumericalError
 from eesampler.kernels import (
@@ -340,6 +342,48 @@ def test_ee_jump_frequencies_match_oracle(four_model):
             counts[y] += 1
         se = np.sqrt(P[x0] * (1 - P[x0]) / n)
         assert np.all(np.abs(counts / n - P[x0]) < 3.5 * se + 1e-12)
+
+
+# Generated cross-check of the scalar moves `run` makes: one interacting
+# step from every start state of 10 random models against the oracle row,
+# the feeder filled from chain records as the engine fills it. The seed
+# list, the family-wise level and the Bonferroni threshold over every
+# (model, x, y) cell are fixed before any model is stepped; a failing model
+# is a finding, never a reason to change its seed.
+SCALAR_CROSSCHECK_SEEDS = tuple(range(4200, 4210))
+SCALAR_CROSSCHECK_FWER = 1e-3
+SCALAR_CROSSCHECK_DRAWS = 10_000
+
+
+def test_generated_models_scalar_step_matches_oracle():
+    models = [generated_model(i, seed) for i, seed in enumerate(SCALAR_CROSSCHECK_SEEDS)]
+    cells = sum(model.ladder.space.size ** 2 for model, _, _ in models)
+    z_max = NormalDist().inv_cdf(1.0 - SCALAR_CROSSCHECK_FWER / (2 * cells))
+    assert {v for _, _, v in models} == {"selection-mutation", "ee-jump"}
+    assert any(np.any(np.bincount(m.partition.labels(), weights=c) == 0) for m, c, _ in models)
+    n = SCALAR_CROSSCHECK_DRAWS
+    failures = []
+    for seed, (model, counts, variant) in zip(SCALAR_CROSSCHECK_SEEDS, models):
+        size = model.ladder.space.size
+        feeder = EmpiricalMeasure(model.partition)
+        for state, count in enumerate(counts):
+            point = model.point(state)
+            for _ in range(count):
+                feeder.insert(state, point.ring, point.levels)
+        build = exact.ee_jump_matrix if variant == "ee-jump" else exact.nonlinear_matrix
+        P = np.clip(build(model, 1, counts / counts.sum(), empty_ring_fallback=True), 0.0, 1.0)
+        rng = Pcg64Draws(np.random.default_rng([seed, 2]))
+        for x0 in range(size):
+            hits = np.bincount(
+                [model.interacting_step(1, x0, feeder, rng, variant)[0] for _ in range(n)],
+                minlength=size,
+            )
+            # a cell expected to see under one hit is judged at the one-hit scale
+            se = np.sqrt(np.maximum(P[x0] * (1.0 - P[x0]), 1.0 / n) / n)
+            z = np.abs(hits / n - P[x0]) / se
+            if np.any(hits[P[x0] == 0.0] > 0) or z.max() > z_max:
+                failures.append((seed, x0, variant, float(z.max())))
+    assert not failures, f"z threshold {z_max:.3f}: {failures}"
 
 
 # ---------------------------------------------------------------------------

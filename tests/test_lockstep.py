@@ -8,6 +8,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from conftest import generated_model
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
@@ -108,26 +109,6 @@ CROSSCHECK_FWER = 1e-3
 VARIANTS = ("selection-mutation", "ee-jump")
 
 
-def generated_model(i: int, seed: int):
-    """Model i: S <= 6, d <= 3, variant and proposal cycling with i,
-    epsilon 0 and 1 for the first two and uniform on [0, 1] after, and
-    feeder counts in which some rings may hold no atoms."""
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(2, 7))
-    d = int(rng.integers(1, min(3, size) + 1))
-    space = FiniteSpace(size)
-    labels = rng.permutation(np.arange(size) % d)
-    ladder = DensityLadder(space, [rng.normal(size=size) / 3.0, rng.normal(size=size)])
-    proposal = PROPOSALS[sorted(PROPOSALS)[(i // 2) % 2]]
-    eps = (0.0, 1.0)[i] if i < 2 else float(rng.uniform())
-    model = KernelSet(ladder, RingPartition(space, labels=labels), [proposal()] * 2, epsilon=eps)
-    counts = rng.integers(0, 4, size)
-    if i % 3 == 0 and d > 1:
-        counts[labels == 0] = 0
-    counts[labels == labels[-1]] += counts.sum() == 0  # keep one atom somewhere
-    return model, counts, VARIANTS[i % 2]
-
-
 def test_generated_models_lockstep_matches_oracle():
     models = [generated_model(i, seed) for i, seed in enumerate(CROSSCHECK_SEEDS)]
     cells = sum(model.ladder.space.size ** 2 for model, _, _ in models)
@@ -185,21 +166,25 @@ def three_chain_config(**overrides):
 def test_chain_one_holds_through_burn_in():
     cfg = four_state_config(replicates=8, schedule={"offsets": [20], "total_rounds": 64})
     ens = LockstepEnsemble(cfg)
-    for _ in range(20):
+    idle = ens.rngs[1].bit_generator.state
+    assert ens.counts.shape == (8, 1, 4)  # the last chain keeps no measure
+    for n in range(1, 21):
         ens.step_round()
         assert np.all(ens.states[:, 1] == 0)
-        assert np.all(ens.counts[:, 1] == [1, 0, 0, 0])
+        assert np.all(ens.counts[:, 0].sum(axis=1) == n + 1)
+        assert ens.rngs[1].bit_generator.state == idle
     ens.step_round()
-    assert np.all(ens.counts[:, 1].sum(axis=1) == 2)
+    assert ens.rngs[1].bit_generator.state != idle
 
 
 def test_each_active_chain_adds_one_atom_per_round():
     cfg = three_chain_config()
     ens = LockstepEnsemble(cfg)
     onehot = np.eye(2, dtype=np.int64)[[0, 0, 1, 1]]  # state -> ring
+    assert ens.counts.shape == (6, 2, 4) and ens.ring_counts.shape == (6, 2, 2)
     for n in range(1, 31):
         ens.step_round()
-        for k, threshold in enumerate((0, 5, 12)):
+        for k, threshold in enumerate((0, 5)):  # the feeding chains
             assert np.all(ens.counts[:, k].sum(axis=1) == 1 + max(0, n - threshold))
             np.testing.assert_array_equal(ens.ring_counts[:, k], ens.counts[:, k] @ onehot)
             assert np.all(ens.counts[np.arange(6), k, ens.states[:, k]] >= 1)
@@ -260,3 +245,120 @@ def test_warn_policy_only_records():
         ens.step_round()
     assert ens.violations >= 5 * 30
     assert ens.min_mass_seen < 0.9
+
+
+# ---------------------------------------------------------------------------
+# frozen base
+# ---------------------------------------------------------------------------
+
+THIN_FEEDER = (0, 0, 1, 2, 3, 3, 3, 3, 3, 3)  # ring 0 holds 3 of 10 atoms
+
+
+def frozen_chain_one(cfg, atoms) -> np.ndarray:
+    """Chain 1's states after each round against the frozen feeder of
+    `atoms`, as a (total_rounds, replicates) array."""
+    ens = LockstepEnsemble(cfg, frozen_feeder=np.bincount(atoms, minlength=cfg.space.size))
+    states = np.empty((cfg.total_rounds, cfg.replicates), dtype=np.intp)
+    for n in range(cfg.total_rounds):
+        ens.step_round()
+        states[n] = ens.states[:, 1]
+    return states
+
+
+def spy_levels(cfg, monkeypatch) -> list:
+    """Record the level of every lockstep interacting step."""
+    levels = []
+    step = cfg.kernels.interacting_step_lockstep
+
+    def spy(level, *args):
+        levels.append(level)
+        return step(level, *args)
+
+    monkeypatch.setattr(cfg.kernels, "interacting_step_lockstep", spy)
+    return levels
+
+
+def test_frozen_base_holds_its_counts_and_never_draws(monkeypatch):
+    cfg = four_state_config(replicates=6, schedule={"offsets": [50], "total_rounds": 200})
+    frozen = np.array([2, 1, 0, 3])
+    ens = LockstepEnsemble(cfg, frozen_feeder=frozen)
+    idle = ens.rngs[0].bit_generator.state
+    levels = spy_levels(cfg, monkeypatch)
+    for n in range(1, 31):
+        ens.step_round()
+        np.testing.assert_array_equal(ens.counts[:, 0], np.tile(frozen, (6, 1)))
+        np.testing.assert_array_equal(ens.ring_counts[:, 0], np.tile([3, 3], (6, 1)))
+        assert ens.sizes == [6]
+        assert np.all(ens.states[:, 0] == cfg.initial_states[0])
+        assert levels == [1] * n  # chain 1 moves from round 1
+    assert ens.rngs[0].bit_generator.state == idle
+
+
+def test_frozen_base_schedule_counts_from_chain_one(monkeypatch):
+    cfg = three_chain_config()  # offsets [5, 7]: chain 2 moves 7 rounds after chain 1
+    ens = LockstepEnsemble(cfg, frozen_feeder=np.array([1, 2, 3, 4]))
+    levels = spy_levels(cfg, monkeypatch)
+    onehot = np.eye(2, dtype=np.int64)[[0, 0, 1, 1]]
+    for n in range(1, 31):
+        ens.step_round()
+        # chain 2 first moves at round offsets[1] + 1 = 8
+        assert levels.count(2) == max(0, n - 7)
+        if n <= 7:
+            assert np.all(ens.states[:, 2] == cfg.initial_states[2])
+        assert levels.count(1) == n
+        assert ens.sizes == [10, 1 + n]
+        np.testing.assert_array_equal(ens.counts.sum(axis=2), np.tile([10, 1 + n], (6, 1)))
+        np.testing.assert_array_equal(ens.ring_counts, ens.counts @ onehot)
+
+
+def test_frozen_feeder_abort_policy_on_thin_ring(monkeypatch):
+    frozen = np.bincount(THIN_FEEDER, minlength=4)
+    abort = four_state_config(replicates=3, stability={"theta": 0.35, "policy": "abort"})
+    levels = spy_levels(abort, monkeypatch)
+    with pytest.raises(StabilityError,
+                       match=r"round 0: replicate 0 chain 0 ring 0 mass 0\.3000 below theta"):
+        LockstepEnsemble(abort, frozen_feeder=frozen)
+    assert levels == []
+    warn = four_state_config(replicates=3, stability={"theta": 0.35, "policy": "warn"})
+    assert frozen_chain_one(warn, THIN_FEEDER).shape == (warn.total_rounds, 3)
+    ens = LockstepEnsemble(warn, frozen_feeder=frozen)
+    for _ in range(10):
+        ens.step_round()
+    assert ens.violations == 3 and ens.min_mass_seen == 0.3  # checked once, at construction
+    ens = LockstepEnsemble(four_state_config(stability={"theta": 0.3, "policy": "abort"}),
+                           frozen_feeder=frozen)
+    ens.step_round()
+
+
+def test_frozen_base_rerun_identical():
+    cfg = three_chain_config(trace={"snapshot_every": 256, "strict_snapshot": True})
+    frozen = np.array([0, 2, 1, 1])
+    a = LockstepEnsemble(cfg, frozen_feeder=frozen)
+    b = LockstepEnsemble(cfg, frozen_feeder=frozen)
+    for _ in range(30):
+        a.step_round()
+        b.step_round()
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert len({row.tobytes() for row in a.counts}) > 1
+
+
+def test_fixed_feeder_runs_against_supplied_atoms():
+    cfg = four_state_config(replicates=4, schedule={"offsets": [50], "total_rounds": 5200})
+    states = frozen_chain_one(cfg, [0, 1, 2, 3])
+    assert states.shape == (5200, 4)
+    # feeder is exactly pi_1 = uniform, so chain 2 must equilibrate to pi_2
+    post = states[200:]
+    occ = np.bincount(post.ravel(), minlength=4) / post.size
+    pi2 = cfg.ladder.density_table()[1]
+    assert np.abs(occ - pi2).max() < 0.02
+
+
+def test_frozen_occupancy_matches_oracle_prediction():
+    cfg = four_state_config(replicates=8, schedule={"offsets": [50], "total_rounds": 8000})
+    atoms = [0, 0, 1, 2, 2, 2, 3, 3]
+    states = frozen_chain_one(cfg, atoms)[500:]
+    mu = np.bincount(atoms, minlength=4) / len(atoms)
+    omega = exact.stationary(exact.nonlinear_matrix(cfg.kernels, 1, mu))
+    occ = np.bincount(states.ravel(), minlength=4) / states.size
+    assert np.abs(occ - omega).max() < 0.015

@@ -7,10 +7,9 @@ import pytest
 
 from conftest import as_vector, total_count
 from eesampler import config as config_module
-from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.errors import ConfigurationError, StabilityError
-from eesampler.sampler import ChainEnsemble, Trace, run, run_frozen_feeder
+from eesampler.sampler import ChainEnsemble, Trace, run
 from eesampler.state_space import BoxSpace, DensityLadder
 
 
@@ -262,58 +261,6 @@ def test_writers_match_csv_writer_on_box_traces(tmp_path):
     hand.record(1, 1, (0.1, 7.0), 1, "selection", np.True_, 0)
     hand.snapshot_masses(1, 0, np.array([1 / 3, 2 / 3]))
     assert_writers_match_reference(hand, tmp_path)
-
-
-# ---------------------------------------------------------------------------
-# frozen feeder
-# ---------------------------------------------------------------------------
-
-def test_fixed_feeder_runs_against_supplied_atoms():
-    cfg = four_state_config(replicates=4, schedule={"offsets": [50], "total_rounds": 5200})
-    states = run_frozen_feeder(cfg, [0, 1, 2, 3])
-    assert states.shape == (5200, 4)
-    # feeder is exactly pi_1 = uniform, so chain 2 must equilibrate to pi_2
-    post = states[200:]
-    occ = np.bincount(post.ravel(), minlength=4) / post.size
-    pi2 = cfg.ladder.density_table()[1]
-    assert np.abs(occ - pi2).max() < 0.02
-
-
-def test_frozen_occupancy_matches_oracle_prediction():
-    cfg = four_state_config(replicates=8, schedule={"offsets": [50], "total_rounds": 8000})
-    atoms = [0, 0, 1, 2, 2, 2, 3, 3]
-    states = run_frozen_feeder(cfg, atoms)[500:]
-    mu = np.bincount(atoms, minlength=4) / len(atoms)
-    omega = exact.stationary(exact.nonlinear_matrix(cfg.kernels, 1, mu))
-    occ = np.bincount(states.ravel(), minlength=4) / states.size
-    assert np.abs(occ - omega).max() < 0.015
-
-
-def test_run_frozen_feeder_contracts(four_state):
-    cfg = three_chain_config(schedule={"offsets": [5, 7], "total_rounds": 30})
-    with pytest.raises(ConfigurationError):
-        run_frozen_feeder(cfg, [0, 1, 2, 3])
-    for atoms in ([], [0, 4], [-1, 2]):
-        with pytest.raises(ConfigurationError):
-            run_frozen_feeder(four_state, atoms)
-
-
-def test_run_frozen_feeder_rerun_identical():
-    cfg = four_state_config(replicates=5, schedule={"offsets": [50], "total_rounds": 300})
-    a = run_frozen_feeder(cfg, [0, 0, 2, 1, 3])
-    b = run_frozen_feeder(cfg, [0, 0, 2, 1, 3])
-    assert a.shape == (300, 5)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_frozen_feeder_abort_policy_on_thin_ring():
-    atoms = [0, 0, 1, 2, 3, 3, 3, 3, 3, 3]  # ring 0 holds 3 of 10 atoms
-    warn = four_state_config(stability={"theta": 0.35, "policy": "warn"})
-    assert run_frozen_feeder(warn, atoms).shape == (warn.total_rounds, 1)
-    abort = four_state_config(stability={"theta": 0.35, "policy": "abort"})
-    with pytest.raises(StabilityError, match="ring 0 mass 0.3000"):
-        run_frozen_feeder(abort, atoms)
-    run_frozen_feeder(four_state_config(stability={"theta": 0.3, "policy": "abort"}), atoms)
 
 
 def test_stability_abort_policy():
