@@ -5,9 +5,10 @@ resolves them into live objects (space, ladder, partition, kernel set) and
 validates every cross-reference; all failures, an unknown key among them,
 raise :class:`ConfigurationError` so the CLI can map them to exit code 2.
 
-Seeding rule: replicate ``i`` of a run with master seed ``s`` draws from
-``numpy.random.SeedSequence([s, i])``, whose spawned children seed the
-per-chain generators in chain order.
+Seeding rule: replicate ``i`` of a run with master seed ``s >= 0`` draws
+from ``numpy.random.SeedSequence([s, i])``, whose spawned children seed the
+per-chain generators in chain order; each random decision is one uniform
+(see :mod:`eesampler.kernels`).
 
 The rate and bias studies step all R replicates in lockstep and have their
 own stream contract: ``numpy.random.SeedSequence([s, LOCKSTEP_SALT])``
@@ -414,6 +415,10 @@ def _resolve(raw: dict) -> ExperimentConfig:
     else:
         initial_states = tuple(space.require(_reals("initial_states", x)) for x in initial)
 
+    seed = _integer("seed", raw.get("seed", 0))
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+
     replicates = _integer("replicates", raw.get("replicates", 1))
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
@@ -451,7 +456,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
         total_rounds=total_rounds,
         initial_states=initial_states,
         replicates=replicates,
-        seed=_integer("seed", raw.get("seed", 0)),
+        seed=seed,
         theta=theta,
         stability_policy=policy,
         strict_snapshot=strict_snapshot,

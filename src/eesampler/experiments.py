@@ -157,7 +157,8 @@ def slln_rate_study(
     and fit the log-log decay slope against (n - N_1 + 1).
 
     The average S_n^2(f) runs over post-activation rounds N_1..n, matching
-    the error normalization; the slope fit uses only n >= 2 N_1 and passes
+    the error normalization; the grid must lie within
+    ``schedule.total_rounds``. The slope fit uses only n >= 2 N_1 and passes
     when it falls in the band around -1/2. All replicates run together in
     one :class:`LockstepEnsemble`, under the lockstep stream contract
     described in :mod:`eesampler.config`.
@@ -184,6 +185,10 @@ def slln_rate_study(
     grid = np.array(sorted(int(n) for n in n_grid))
     if np.any(np.diff(grid) == 0):
         raise ConfigurationError(f"grid rounds must be distinct, got {grid.tolist()}")
+    if grid[-1] > config.total_rounds:
+        raise ConfigurationError(
+            f"largest grid round {grid[-1]} exceeds schedule.total_rounds={config.total_rounds}"
+        )
     burn = config.activation_threshold(1)
     if grid[0] <= burn:
         raise ConfigurationError(

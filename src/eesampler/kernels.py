@@ -13,16 +13,17 @@ sampler makes:
 * ``ee_jump_step``   -- the original equi-energy jump: feeder draw accepted
                         by the swap ratio, with no trailing local move
 
-Randomness contract: each step consumes draws from its generator in the
-fixed order (branch coin, feeder draw, swap coin, proposal, MH coin), so
-runs are bit-reproducible per seed. Degenerate mixtures skip the branch
-coin: epsilon == 0 always takes the local branch and epsilon == 1 always
-takes the interaction branch, without consuming a draw. Scalar moves on
-finite spaces call only ``rng.random()`` and ``rng.integers(n)``, so they
-take either a numpy Generator or a :class:`Pcg64Draws`, which returns the
-same values from buffered raw PCG64 outputs at a fraction of the call cost.
-On a box a state is a tuple of Python floats, which the ladder's and the
-partition's callables receive as it is; the Gaussian walk draws
+Randomness contract: each random decision of a step is one uniform u from
+``rng.random()``, in the fixed order (branch coin, feeder draw, swap coin,
+proposal, MH coin), so runs are bit-reproducible per seed. An index below n
+is ``int(n * u)``: the uniform proposal takes state ``int(S * u)`` and the
+feeder draw atom ``int(n * u)`` of the n atoms in x's ring. Degenerate
+mixtures skip the branch coin: epsilon == 0 always takes the local branch
+and epsilon == 1 always takes the interaction branch, without consuming a
+draw. Finite moves take a numpy Generator or a :class:`BufferedUniforms`,
+its values at a fraction of the call cost. On a box a state is a tuple of
+Python floats, which the ladder's and the partition's callables receive as
+it is; the Gaussian walk draws
 ``rng.standard_normal()`` once per coordinate, in order, the values
 ``standard_normal(dim)`` gives, and builds the proposal in floats.
 
@@ -53,7 +54,6 @@ S 2^-53; a neighbour proposal holds for u < 1/2 and steps up for u < 3/4.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -113,81 +113,26 @@ class ChainPoint:
     levels: tuple
 
 
-_M32 = 0xFFFFFFFF
-_M64 = 0xFFFFFFFFFFFFFFFF
-_BLOCK = 256  # raw outputs read per random_raw call
+_BLOCK = 256  # uniforms read per refill
 
 
-class Pcg64Draws:
-    """A PCG64 Generator's ``random()`` and ``integers(n)``, read in blocks.
+class BufferedUniforms:
+    """A Generator's ``random()`` values, read a block at a time: its
+    ``random(n)`` gives the floats of n scalar calls. The read-ahead advances
+    the wrapped Generator, which must not be drawn from directly after."""
 
-    Takes the bit generator's raw 64-bit outputs a block at a time with
-    ``random_raw`` and returns exactly the values, in the same order, that
-    the Generator's own scalar calls would: ``random()`` is
-    ``(u >> 11) * 2**-53`` and ``integers(n)`` is numpy's bounded draw,
-    Lemire's method on 32-bit halves (low half first, the upper half cached
-    for the next 32-bit draw) for n <= 2**32, on whole outputs above; n == 1
-    consumes nothing. The read-ahead advances the wrapped Generator, so it
-    must not be drawn from directly once wrapped.
-    """
-
-    __slots__ = ("_bitgen", "_raw", "_upper")
+    __slots__ = ("_rng", "_pending")
 
     def __init__(self, rng: np.random.Generator):
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            raise TypeError(f"need a PCG64 generator, got {type(bitgen).__name__}")
-        state = bitgen.state
-        self._bitgen = bitgen
-        self._raw = []  # pending raw outputs, next one last
-        self._upper = state["uinteger"] if state["has_uint32"] else None
-
-    def _next64(self) -> int:
-        raw = self._raw
-        if not raw:
-            raw = self._raw = self._bitgen.random_raw(_BLOCK)[::-1].tolist()
-        return raw.pop()
-
-    def _next32(self) -> int:
-        upper = self._upper
-        if upper is not None:
-            self._upper = None
-            return upper
-        u = self._next64()
-        self._upper = u >> 32
-        return u & _M32
+        self._rng = rng
+        self._pending = []  # buffered uniforms, next one last
 
     def random(self) -> float:
         """A uniform float on [0, 1), as ``Generator.random()``."""
-        raw = self._raw  # _next64 inlined: this is the most frequent call
-        if not raw:
-            raw = self._raw = self._bitgen.random_raw(_BLOCK)[::-1].tolist()
-        return (raw.pop() >> 11) * 1.1102230246251565e-16  # 2**-53
-
-    def integers(self, n: int) -> int:
-        """A uniform int on 0..n-1, as ``Generator.integers(n)``."""
-        n = operator.index(n)  # a numpy integer would overflow the products
-        if n <= 1:
-            if n == 1:
-                return 0
-            raise ValueError(f"high <= 0: {n}")
-        if n <= 0x100000000:
-            if n == 0x100000000:
-                return self._next32()
-            m = self._next32() * n
-            if (m & _M32) < n:
-                threshold = (0x100000000 - n) % n
-                while (m & _M32) < threshold:
-                    m = self._next32() * n
-            return m >> 32
-        if n > 0x8000000000000000:
-            raise ValueError(f"high is out of bounds for int64: {n}")
-        m = self._next64() * n
-        if (m & _M64) < n:
-            threshold = (0x10000000000000000 - n) % n
-            while (m & _M64) < threshold:
-                m = self._next64() * n
-        return m >> 64
+        pending = self._pending
+        if not pending:
+            pending = self._pending = self._rng.random(_BLOCK)[::-1].tolist()
+        return pending.pop()
 
 
 def _finite(levels: tuple, level: int, x) -> float:
@@ -255,7 +200,7 @@ class KernelSet:
         prop = self.proposals[level]
         space = self.ladder.space
         if isinstance(prop, UniformProposal):
-            y = int(rng.integers(space.size))
+            y = int(space.size * rng.random())
         elif isinstance(prop, NeighborProposal):
             u = rng.random()
             if u < 0.5:
@@ -320,7 +265,7 @@ class KernelSet:
         then falls back to the local move)."""
         if feeder.ring_count(point.ring) == 0:
             return None
-        z, levels = feeder.draw(point.ring, rng, with_levels=True)
+        z, levels = feeder.draw(point.ring, rng)
         return z, levels or self.ladder.log_densities(z)
 
     def selection_step(self, level: int, x, feeder, rng: np.random.Generator, point=None):

@@ -9,8 +9,8 @@ record's level log-densities, so a feeder draw hands them to the kernel.
 
 Snapshots are prefix views: atoms are append-only, so freezing the per-ring
 counts yields a zero-copy, immutable picture of the measure at a past step.
-The conditional measure mu_x of the interaction kernel is the ring of x:
-``draw(ring, rng)`` samples it and ``atoms(ring)`` lists it.
+The conditional measure mu_x of the interaction kernel is the ring of x, and
+``draw(ring, rng)`` samples it.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ class EmpiricalMeasure:
     def ring_count(self, ring: int) -> int:
         return self._counts[ring]
 
-    def ring_mass(self, ring: int) -> float:
-        if self._total == 0:
-            return 0.0
-        return self._counts[ring] / self._total
-
     def masses(self) -> np.ndarray:
         if self._total == 0:
             return np.zeros(self.d)
@@ -74,16 +69,15 @@ class EmpiricalMeasure:
         return min(self._counts) / self._total if self._total else 0.0
 
     # -- sampling ----------------------------------------------------------------
-    def draw(self, ring: int, rng: np.random.Generator, with_levels: bool = False):
-        """Uniform draw (with multiplicity) from the stored atoms of a ring;
-        with_levels returns (atom, its stored level log-densities or None)."""
+    def draw(self, ring: int, rng: np.random.Generator):
+        """Uniform draw (with multiplicity) from the stored atoms of a ring:
+        (atom, its stored level log-densities or None). One uniform u picks
+        atom ``int(n * u)`` of the ring's n atoms, in insertion order."""
         n = self._counts[ring]
         if n == 0:
             raise StabilityError(f"ring {ring} holds no atoms")
-        i = int(rng.integers(n))
-        if with_levels:
-            return self._ring_atoms[ring][i], self._ring_levels[ring][i]
-        return self._ring_atoms[ring][i]
+        i = int(n * rng.random())
+        return self._ring_atoms[ring][i], self._ring_levels[ring][i]
 
     def snapshot(self) -> "EmpiricalMeasure":
         """Immutable prefix view of the measure as it stands now: an
@@ -97,9 +91,6 @@ class EmpiricalMeasure:
         snap._total = self._total
         snap._frozen = True
         return snap
-
-    def atoms(self, ring: int):
-        return iter(self._ring_atoms[ring][: self._counts[ring]])
 
 
 @dataclass

@@ -14,10 +14,10 @@ Records: each chain of :class:`ChainEnsemble` carries a
 :class:`~eesampler.kernels.ChainPoint` (state, ring, level log-densities)
 that the kernels update; inserts hand its ring and levels to the measure,
 so the trace, the measure and later feeder draws evaluate nothing again.
-On finite spaces each chain draws through a
-:class:`~eesampler.kernels.Pcg64Draws` replica of its Generator: the same
-values, so the same runs, with less overhead per draw. Box chains keep the
-Generator for the Gaussian walk's ``standard_normal``.
+On finite spaces each chain reads its uniforms, one per random decision,
+through a :class:`~eesampler.kernels.BufferedUniforms`: its Generator's
+values with less overhead per draw. Box chains keep the Generator for the
+Gaussian walk's ``standard_normal``.
 
 Lockstep: :class:`LockstepEnsemble` runs the same schedule for all
 replicates of a finite-space run at once, with numpy arrays of states and
@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, StabilityError
-from .kernels import Pcg64Draws, StepInfo
+from .kernels import BufferedUniforms, StepInfo
 from .measures import EmpiricalMeasure, StabilityMonitor
 from .state_space import FiniteSpace
 
@@ -114,7 +114,7 @@ class ChainEnsemble:
         seq = config.replicate_seed_seq(replicate)
         self.rngs = [np.random.default_rng(child) for child in seq.spawn(self.r)]
         if isinstance(config.space, FiniteSpace):  # box chains need standard_normal
-            self.rngs = [Pcg64Draws(g) for g in self.rngs]
+            self.rngs = [BufferedUniforms(g) for g in self.rngs]
         self.monitor = StabilityMonitor(config.theta)
 
         self._fallbacks = 0

@@ -50,9 +50,6 @@ class FiniteSpace:
             raise DomainError(f"state {x!r} not in finite space of size {self.size}")
         return int(x)
 
-    def states(self) -> np.ndarray:
-        return np.arange(self.size)
-
     def __repr__(self):
         return f"FiniteSpace(size={self.size})"
 

@@ -66,11 +66,23 @@ def total_count(measure):
     return sum(measure.ring_count(ring) for ring in range(measure.d))
 
 
+def atoms(measure, ring):
+    """The atoms an empirical measure (or a snapshot of one) holds in a
+    ring, with multiplicity, in insertion order."""
+    return measure._ring_atoms[ring][: measure.ring_count(ring)]
+
+
+def ring_mass(measure, ring):
+    """The share of a measure's atoms that lie in a ring (0.0 when empty)."""
+    total = total_count(measure)
+    return measure.ring_count(ring) / total if total else 0.0
+
+
 def as_vector(measure, space):
     """Probability vector of an empirical measure over a finite space."""
     v = np.zeros(space.size)
     for ring in range(measure.d):
-        for x in measure.atoms(ring):
+        for x in atoms(measure, ring):
             v[int(x)] += 1.0
     return v / total_count(measure)
 

@@ -104,6 +104,18 @@ def test_rate_study_rejects_duplicate_grid_points():
         slln_rate_study(cfg, n_grid=[128, 256, 256, 512], min_replicates=2)
 
 
+def test_rate_study_grid_past_the_horizon_raises_before_stepping(monkeypatch):
+    import eesampler.experiments as experiments
+
+    def never(config):
+        raise AssertionError("the study stepped before checking its grid")
+
+    monkeypatch.setattr(experiments, "LockstepEnsemble", never)
+    cfg = four_state_config(replicates=2, schedule={"offsets": [10], "total_rounds": 256})
+    with pytest.raises(ConfigurationError, match="257 exceeds schedule.total_rounds=256"):
+        slln_rate_study(cfg, n_grid=[64, 128, 257], min_replicates=2)
+
+
 def test_rate_study_rerun_identical():
     cfg = four_state_config(replicates=3, schedule={"offsets": [10], "total_rounds": 256})
     a = slln_rate_study(cfg, n_grid=[64, 128, 256], min_replicates=2)
@@ -604,6 +616,7 @@ STRICT_VALUES = {
                                                     "axis": 0}]),
     "box-space-key": double_well_raw(space={"kind": "box", "lower": [-3.0], "upper": [3.0],
                                             "size": 4}),
+    "seed-negative": four_state_raw(seed=-1),
 }
 
 
@@ -757,6 +770,25 @@ def test_cli_rate_study_grid_too_short_for_the_fit_exits_2(tmp_path, capsys):
                      "--out", str(out), "--n-grid", "128,256"])
     assert code == 2
     assert "at least 3 grid rounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "verify", "bias-study", "rate-study"])
+def test_cli_negative_seed_flag_exits_2(tmp_path, capsys, verb):
+    cfg_path = write_config(tmp_path, four_state_raw(replicates=50))
+    out = tmp_path / "never"
+    assert cli.main([verb, "--config", cfg_path, "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rate_study_grid_past_the_horizon_exits_2(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "never"
+    code = cli.main(["rate-study", "--config", str(root / "configs" / "four_state_rate.json"),
+                     "--out", str(out), "--n-grid", "128,256,512,1024,40000"])
+    assert code == 2
+    assert "exceeds schedule.total_rounds=16384" in capsys.readouterr().err
     assert not out.exists()
 
 

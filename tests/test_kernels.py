@@ -7,10 +7,10 @@ from conftest import as_vector, generated_model, make_model, single_ring
 from eesampler import exact
 from eesampler.errors import ConfigurationError, NumericalError
 from eesampler.kernels import (
+    BufferedUniforms,
     GaussianWalkProposal,
     KernelSet,
     NeighborProposal,
-    Pcg64Draws,
     UniformProposal,
 )
 from eesampler.measures import EmpiricalMeasure
@@ -21,8 +21,10 @@ from eesampler.state_space import BoxSpace, DensityLadder, FiniteSpace, RingPart
 #   from 1: propose 0 w.p. 1/2, accept ratio 1/2
 MH_2STATE = np.array([[0.5, 0.5], [0.25, 0.75]])
 
-# The frequency tests draw through Pcg64Draws: the same values as the seeded
-# Generator it wraps, so the same counts, at a fraction of the call cost.
+# Every random decision of a move is one uniform, and an index below n is
+# int(n * u). The frequency tests draw through BufferedUniforms: the
+# uniforms of the seeded Generator it wraps, so the same counts, at a
+# fraction of the call cost.
 
 
 def feeder_from(model, atoms):
@@ -47,7 +49,7 @@ def four_model():
 # ---------------------------------------------------------------------------
 
 def test_mh_two_state_transition_frequencies(pair_model):
-    rng = Pcg64Draws(np.random.default_rng(2024))
+    rng = BufferedUniforms(np.random.default_rng(2024))
     n = 100_000
     for x0 in (0, 1):
         hits = sum(1 for _ in range(n) if pair_model.mh_step(1, x0, rng) == 1)
@@ -59,7 +61,7 @@ def test_mh_two_state_transition_frequencies(pair_model):
 def test_mh_occupation_matches_stationary():
     model = make_model([np.log([5.0, 1.0, 1.0, 2.0, 3.0])], labels=[0] * 5)
     target = exact.stationary(exact.k_matrix(model, 0))
-    rng = Pcg64Draws(np.random.default_rng(55))
+    rng = BufferedUniforms(np.random.default_rng(55))
     x, counts = 0, np.zeros(5)
     n = 200_000
     for _ in range(n):
@@ -95,7 +97,7 @@ def test_neighbor_kernel_matrix_and_invariance():
     assert np.abs(pi @ K - pi).max() < 1e-14
     assert np.all(np.diag(K) > 0)
     # simulated one-step frequencies agree with the matrix
-    rng = Pcg64Draws(np.random.default_rng(12345))
+    rng = BufferedUniforms(np.random.default_rng(12345))
     n = 60_000
     for x0 in range(4):
         counts = np.zeros(4)
@@ -135,6 +137,77 @@ def test_gaussian_walk_gives_the_floats_of_the_array_form(dim):
         assert type(y) is tuple and all(type(v) is float for v in y)
         assert y == tuple(want.tolist())
         x = y
+
+
+# ---------------------------------------------------------------------------
+# one uniform per random decision
+# ---------------------------------------------------------------------------
+
+def flat_model(space):
+    """Two flat levels in one ring: every MH move and every swap accepts."""
+    if isinstance(space, FiniteSpace):
+        proposals = [UniformProposal()] * 2
+        ladder = DensityLadder(space, [np.zeros(space.size)] * 2)
+    else:
+        proposals = [GaussianWalkProposal(0.5)] * 2
+        ladder = DensityLadder(space, [lambda x: 0.0] * 2)
+    return KernelSet(ladder, single_ring(space), proposals, epsilon=1.0)
+
+
+def test_uniform_proposal_is_int_s_u_of_its_uniform():
+    space = FiniteSpace(7)
+    model = flat_model(space)
+    rng, twin = BufferedUniforms(np.random.default_rng(5)), np.random.default_rng(5)
+    x = 0
+    for _ in range(500):
+        x = model.mh_step(1, x, rng)
+        assert x == int(7 * twin.random())
+        twin.random()  # the MH coin
+
+
+@pytest.mark.parametrize("space", [FiniteSpace(5), BoxSpace([-1.0], [1.0])],
+                         ids=["finite-buffered", "box-generator"])
+def test_feeder_atom_is_int_n_u_of_its_uniform(space):
+    model = flat_model(space)
+    pick = np.random.default_rng(8)
+    if isinstance(space, FiniteSpace):
+        inserted = [int(v) for v in pick.integers(5, size=37)]
+        rng = BufferedUniforms(np.random.default_rng(9))
+    else:
+        inserted = [(float(v),) for v in pick.uniform(-1.0, 1.0, size=37)]
+        rng = np.random.default_rng(9)
+    feeder = feeder_from(model, inserted)
+    twin = np.random.default_rng(9)
+    x = inserted[0]
+    for _ in range(500):
+        # epsilon 1 draws no branch coin; a flat jump always accepts
+        x, info = model.ee_jump_step(1, x, feeder, rng)
+        assert info.swap_accepted and x == inserted[int(37 * twin.random())]
+        twin.random()  # the swap coin
+
+
+class LargestUniform:
+    """A stand-in generator whose every uniform is the largest float below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def test_index_map_stays_below_n_at_the_largest_uniform():
+    u = LargestUniform().random()
+    sizes = list(range(1, 4097)) + [
+        m for k in range(1, 41) for m in (2**k - 1, 2**k, 2**k + 1)
+    ]
+    assert all(int(n * u) == n - 1 for n in sizes)
+    # through the code: the feeder draw after each of 4096 inserts, and the
+    # uniform proposal on spaces of a few sizes
+    model = flat_model(FiniteSpace(3))
+    feeder = EmpiricalMeasure(model.partition)
+    for n in range(4096):
+        feeder.insert(n % 3)
+        assert feeder.draw(0, LargestUniform()) == (n % 3, None)
+    for size in (2, 3, 4095, 4096, 4097):
+        assert flat_model(FiniteSpace(size)).mh_step(1, 0, LargestUniform()) == size - 1
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +256,7 @@ def test_swap_step_is_permutation(four_model):
 
 def test_swap_step_frequency(pair_model):
     # alpha(1, 0) = 1/2: exchange frequency within 3 s.e. of 0.5
-    rng = Pcg64Draws(np.random.default_rng(77))
+    rng = BufferedUniforms(np.random.default_rng(77))
     n = 100_000
     swaps = sum(1 for _ in range(n) if pair_model.swap_step(1, 1, 0, rng)[2])
     se = np.sqrt(0.25 / n)
@@ -199,7 +272,7 @@ def test_selection_forced_swap_moves_like_local_from_atom(four_model):
     # so the move is distributed as K(3, .)
     feeder = feeder_from(four_model, [3])
     K = exact.k_matrix(four_model, 1)
-    rng = Pcg64Draws(np.random.default_rng(41))
+    rng = BufferedUniforms(np.random.default_rng(41))
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
@@ -217,7 +290,7 @@ def test_selection_rejected_swap_moves_like_local_from_start():
     )
     feeder = feeder_from(model, [1])
     K = exact.k_matrix(model, 1)
-    rng = Pcg64Draws(np.random.default_rng(4242))
+    rng = BufferedUniforms(np.random.default_rng(4242))
     n = 50_000
     counts = np.zeros(2)
     for _ in range(n):
@@ -232,7 +305,7 @@ def test_selection_frequencies_match_oracle_matrix(four_model):
     feeder = feeder_from(four_model, [0, 1, 1, 2, 3, 3, 3])
     mu = as_vector(feeder, four_model.ladder.space)
     Q = exact.q_matrix(four_model, 1, mu)
-    rng = Pcg64Draws(np.random.default_rng(90210))
+    rng = BufferedUniforms(np.random.default_rng(90210))
     n = 40_000
     for x0 in range(4):
         counts = np.zeros(4)
@@ -270,7 +343,7 @@ def test_nonlinear_degenerate_epsilon(four_model):
 def test_nonlinear_branch_frequency():
     model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=0.3)
     feeder = feeder_from(model, [0, 1, 2, 3])
-    rng = Pcg64Draws(np.random.default_rng(13))
+    rng = BufferedUniforms(np.random.default_rng(13))
     n = 100_000
     picks = sum(
         1 for _ in range(n) if model.nonlinear_step(1, 2, feeder, rng)[1].branch == "selection"
@@ -283,7 +356,7 @@ def test_nonlinear_frequencies_match_oracle(four_model):
     feeder = feeder_from(four_model, [0, 0, 1, 2, 3])
     mu = as_vector(feeder, four_model.ladder.space)
     P = exact.nonlinear_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
-    rng = Pcg64Draws(np.random.default_rng(60))
+    rng = BufferedUniforms(np.random.default_rng(60))
     n = 40_000
     for x0 in range(4):
         counts = np.zeros(4)
@@ -333,7 +406,7 @@ def test_ee_jump_frequencies_match_oracle(four_model):
     feeder = feeder_from(four_model, [0, 1, 1, 2, 3])
     mu = as_vector(feeder, four_model.ladder.space)
     P = exact.ee_jump_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
-    rng = Pcg64Draws(np.random.default_rng(61))
+    rng = BufferedUniforms(np.random.default_rng(61))
     n = 40_000
     for x0 in range(4):
         counts = np.zeros(4)
@@ -372,7 +445,7 @@ def test_generated_models_scalar_step_matches_oracle():
                 feeder.insert(state, point.ring, point.levels)
         build = exact.ee_jump_matrix if variant == "ee-jump" else exact.nonlinear_matrix
         P = np.clip(build(model, 1, counts / counts.sum(), empty_ring_fallback=True), 0.0, 1.0)
-        rng = Pcg64Draws(np.random.default_rng([seed, 2]))
+        rng = BufferedUniforms(np.random.default_rng([seed, 2]))
         for x0 in range(size):
             hits = np.bincount(
                 [model.interacting_step(1, x0, feeder, rng, variant)[0] for _ in range(n)],

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import as_vector, make_model, single_ring, total_count
+from conftest import as_vector, atoms, make_model, ring_mass, single_ring, total_count
 from eesampler import exact
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.measures import EmpiricalMeasure, StabilityMonitor, tv_distance
 from eesampler.state_space import BoxSpace, FiniteSpace, RingPartition
 
 
-def two_ring_measure(atoms=()):
+def two_ring_measure(inserted=()):
     part = RingPartition(FiniteSpace(4), labels=[0, 0, 1, 1])
     m = EmpiricalMeasure(part)
-    for a in atoms:
+    for a in inserted:
         m.insert(a)
     return m
 
@@ -19,7 +19,7 @@ def two_ring_measure(atoms=()):
 def conditional(m, x, size=4):
     """mu_x as a vector: the atoms of ring(x), with multiplicity, over their count."""
     ring = m.partition.assign(x)
-    return np.bincount(list(m.atoms(ring)), minlength=size) / m.ring_count(ring)
+    return np.bincount(list(atoms(m, ring)), minlength=size) / m.ring_count(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_insert_returns_the_ring_of_the_atom():
 
 def test_insertion_order_preserved():
     m = two_ring_measure([0, 1, 0, 1])
-    assert list(m.atoms(0)) == [0, 1, 0, 1]
+    assert list(atoms(m, 0)) == [0, 1, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ def test_restrict_identity_battery():
             mu_x = conditional(m, x, size=6)
             np.testing.assert_allclose(W[x], mu_x, rtol=0, atol=1e-14)
             subset = rng.choice(6, size=int(rng.integers(1, 6)), replace=False)
-            rhs = sum(1 for a in m.atoms(ring) if a in subset) / total_count(m)
-            assert mu_x[subset].sum() * m.ring_mass(ring) == pytest.approx(rhs, abs=1e-14)
+            rhs = sum(1 for a in atoms(m, ring) if a in subset) / total_count(m)
+            assert mu_x[subset].sum() * ring_mass(m, ring) == pytest.approx(rhs, abs=1e-14)
 
 
 def test_restrict_empty_ring_raises():
@@ -131,7 +131,7 @@ def test_restrict_empty_ring_raises():
 def test_draw_single_atom():
     m = two_ring_measure([2])
     rng = np.random.default_rng(0)
-    assert all(m.draw(1, rng) == 2 for _ in range(10))
+    assert all(m.draw(1, rng)[0] == 2 for _ in range(10))
 
 
 def test_draw_respects_multiplicity():
@@ -139,7 +139,7 @@ def test_draw_respects_multiplicity():
     m = two_ring_measure([0, 0, 1])
     rng = np.random.default_rng(123)
     n = 100_000
-    hits = sum(1 for _ in range(n) if m.draw(0, rng) == 0)
+    hits = sum(1 for _ in range(n) if m.draw(0, rng)[0] == 0)
     p = 2.0 / 3.0
     se = np.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 3 * se
@@ -148,9 +148,9 @@ def test_draw_respects_multiplicity():
 def test_draw_deterministic_per_seed():
     m = two_ring_measure([0, 1, 0, 1, 1])
     rng = np.random.default_rng(7)
-    draws1 = [m.draw(0, rng) for _ in range(20)]
+    draws1 = [m.draw(0, rng)[0] for _ in range(20)]
     rng = np.random.default_rng(7)
-    draws2 = [m.draw(0, rng) for _ in range(20)]
+    draws2 = [m.draw(0, rng)[0] for _ in range(20)]
     assert draws1 == draws2
 
 
@@ -174,15 +174,15 @@ def test_snapshot_is_frozen_prefix():
     np.testing.assert_allclose(as_vector(snap, FiniteSpace(4)), [0.5, 0, 0.5, 0])
     assert total_count(m) == 4
     rng = np.random.default_rng(5)
-    assert all(snap.draw(0, rng) == 0 for _ in range(20))  # atom 1 not visible
+    assert all(snap.draw(0, rng)[0] == 0 for _ in range(20))  # atom 1 not visible
 
 
 def test_snapshot_restrict():
     m = two_ring_measure([0, 2])
     snap = m.snapshot()
     m.insert(3)
-    assert snap.ring_count(1) == 1 and list(snap.atoms(1)) == [2]
-    assert m.ring_count(1) == 2 and list(m.atoms(1)) == [2, 3]
+    assert snap.ring_count(1) == 1 and list(atoms(snap, 1)) == [2]
+    assert m.ring_count(1) == 2 and list(atoms(m, 1)) == [2, 3]
     np.testing.assert_allclose(conditional(snap, 3), [0, 0, 1.0, 0])
 
 
@@ -192,7 +192,7 @@ def test_snapshot_insert_raises():
     with pytest.raises(StabilityError):
         snap.insert(3)
     assert total_count(snap) == 2 and total_count(m) == 2
-    assert list(m.atoms(1)) == [2]
+    assert list(atoms(m, 1)) == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_vector, total_count
+from conftest import as_vector, atoms, total_count
 from eesampler import config as config_module
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.errors import ConfigurationError, StabilityError
@@ -236,16 +236,24 @@ def assert_writers_match_reference(trace, tmp_path):
 
 
 def test_writers_match_csv_writer_on_a_finite_run(tmp_path):
+    # a fallback by construction: the feeder starts at state 4, two
+    # neighbour steps from ring 0 = {0, 1}, so the snapshot chain 1 reads in
+    # round 2 (its first move, from state 0) holds only ring-1 atoms; with
+    # epsilon 1 that move falls back, and ring 0's feeder mass is below theta
     cfg = three_chain_config(
-        seed=12,
-        schedule={"offsets": [3, 3], "total_rounds": 400},
+        space={"kind": "finite", "size": 6},
+        ladder={"weights": [[1] * 6, [1, 1, 2, 2, 3, 3], [1, 2, 2, 4, 3, 5]]},
+        partition={"labels": [0, 0, 1, 1, 1, 1]},
+        kernel={"variant": "selection-mutation", "epsilon": 1.0, "proposal": "neighbor"},
+        schedule={"offsets": [1, 3], "total_rounds": 400},
+        initial_states=[4, 0, 0],
         stability={"policy": "warn", "theta": 0.45},
         trace={"snapshot_every": 16, "strict_snapshot": True},
     )
     trace = run(cfg)
+    assert {(2, 1, "fallback"), (2, 0, "low_mass")} <= {event[:3] for event in trace.events}
     assert {row[5] for row in trace.rows} == {None, True, False}
     assert {row[6] for row in trace.rows} == {0, 1}
-    assert {kind for _, _, kind, _ in trace.events} == {"fallback", "low_mass"}
     assert_writers_match_reference(trace, tmp_path)
 
 
@@ -388,10 +396,10 @@ def test_records_and_atoms_carry_exact_levels_and_rings(make_config, rounds):
     stored = 0
     for measure in ens.measures:
         for ring in range(cfg.partition.d):
-            atoms = list(measure.atoms(ring))
-            levels = measure._ring_levels[ring][: len(atoms)]
-            for x, lv in zip(atoms, levels):
+            held = atoms(measure, ring)
+            levels = measure._ring_levels[ring][: len(held)]
+            for x, lv in zip(held, levels):
                 assert lv == exact_levels(x)
                 assert cfg.partition.assign(x) == ring
-            stored += len(atoms)
+            stored += len(held)
     assert stored == sum(total_count(m) for m in ens.measures)
