@@ -52,7 +52,6 @@ from .state_space import (
     tempered_ladder,
 )
 
-VARIANTS = ("selection-mutation", "ee-jump")
 LOCKSTEP_SALT = 0x10C5
 STABILITY_POLICIES = ("warn", "abort")
 
@@ -78,7 +77,6 @@ class ExperimentConfig:
     ladder: DensityLadder
     partition: RingPartition
     kernels: KernelSet
-    variant: str
     offsets: tuple[int, ...]  # activation offsets N_1..N_{r-1}
     total_rounds: int
     initial_states: tuple
@@ -381,16 +379,14 @@ def _resolve(raw: dict) -> ExperimentConfig:
     partition = _build_partition(_section("partition", raw["partition"]), space, ladder)
 
     kernel_spec = _section("kernel", raw.get("kernel", {}), ("variant", "epsilon", "proposal"))
-    variant = kernel_spec.get("variant", "selection-mutation")
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"kernel variant must be one of {VARIANTS}, got {variant!r}")
     epsilon = kernel_spec.get("epsilon", 1.0)
     if isinstance(epsilon, list):
         epsilon = [_real("kernel.epsilon", e) for e in epsilon]
     else:
         epsilon = _real("kernel.epsilon", epsilon)
     proposals = _build_proposals(kernel_spec.get("proposal", {}), space, ladder.r)
-    kernels = KernelSet(ladder, partition, proposals, epsilon)
+    variant = kernel_spec.get("variant", "selection-mutation")
+    kernels = KernelSet(ladder, partition, proposals, epsilon, variant)
 
     sched = _section("schedule", raw.get("schedule", {}), ("offsets", "total_rounds"))
     offsets = tuple(_integer("schedule.offsets", n) for n in sched.get("offsets", []))
@@ -451,7 +447,6 @@ def _resolve(raw: dict) -> ExperimentConfig:
         ladder=ladder,
         partition=partition,
         kernels=kernels,
-        variant=variant,
         offsets=offsets,
         total_rounds=total_rounds,
         initial_states=initial_states,

@@ -12,15 +12,15 @@ All matrices are row-stochastic: entry (x, y) is the probability of moving
 from state x to state y. Measures are probability vectors over states.
 
 Stacks. ``ring_conditionals``, ``q_matrix``, ``nonlinear_matrix``,
-``ee_jump_matrix``, ``assert_row_stochastic`` and ``stationary`` (and
-:func:`~eesampler.measures.tv_distance`) take an optional leading stack
-axis: a (B, S) stack of feeder measures gives a (B, S, S) stack of
-matrices, and a (B, S, S) stack gives (B, S) stationary vectors, so a
-battery of random measures costs one call instead of B. Every reduction
-runs along the last axis and every product is one BLAS call per item, so
-item b of a stacked result has exactly the bits of the same call on item b
-alone; a single measure or matrix is simply the stack-less case. A failure
-on a stack names the index of the failing measure or matrix.
+``ee_jump_matrix``, ``interacting_matrix``, ``assert_row_stochastic`` and
+``stationary`` (and :func:`~eesampler.measures.tv_distance`) take an
+optional leading stack axis: a (B, S) stack of feeder measures gives a
+(B, S, S) stack of matrices, and a (B, S, S) stack gives (B, S) stationary
+vectors, so a battery of random measures costs one call instead of B. Every
+reduction runs along the last axis and every product is one BLAS call per
+item, so item b of a stacked result has exactly the bits of the same call
+on item b alone; a single measure or matrix is simply the stack-less case.
+A failure on a stack names the index of the failing measure or matrix.
 ``stationary`` still makes one ``np.linalg.lstsq`` call per matrix: numpy
 has no stacked least-squares solver, and replacing it by a stacked
 ``np.linalg.solve`` would change the bits of every stationary vector.
@@ -228,6 +228,17 @@ def nonlinear_matrix(
     P = (1.0 - eps) * K + eps * Q
     assert_row_stochastic(P)
     return P
+
+
+def interacting_matrix(
+    model: KernelSet, level: int, mu: np.ndarray, epsilon: float | None = None
+) -> np.ndarray:
+    """Exact matrix of the model's interacting kernel at `level` against
+    feeder mu, as the sampler steps it: ``ee_jump_matrix`` or
+    ``nonlinear_matrix`` by the model's variant (epsilon defaults to the
+    level's), with rings that carry no feeder mass taking the local move."""
+    build = ee_jump_matrix if model.variant == "ee-jump" else nonlinear_matrix
+    return build(model, level, mu, epsilon, empty_ring_fallback=True)
 
 
 def stationary(P: np.ndarray) -> np.ndarray:

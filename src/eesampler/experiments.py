@@ -330,16 +330,6 @@ def frozen_feeder_atoms(config: ExperimentConfig, freeze_at: int, replicate: int
     return atoms
 
 
-def oracle_kernel(
-    config: ExperimentConfig, level: int, mu: np.ndarray, epsilon: float | None = None
-) -> np.ndarray:
-    """Exact transition matrix of the configured variant's interacting
-    kernel at `level` against feeder mu (epsilon defaults to the level's);
-    rings without feeder mass take the local move, as the sampler does."""
-    build = exact.ee_jump_matrix if config.variant == "ee-jump" else exact.nonlinear_matrix
-    return build(config.kernels, level, mu, epsilon, empty_ring_fallback=True)
-
-
 def bias_study(
     config: ExperimentConfig,
     freeze_at: int,
@@ -367,10 +357,11 @@ def bias_study(
     counts = np.bincount(atoms, minlength=config.space.size)
     mu = counts / len(atoms)
 
-    omega = exact.stationary(oracle_kernel(config, 1, mu))
+    model = config.kernels
+    omega = exact.stationary(exact.interacting_matrix(model, 1, mu))
     pi1, pi2 = config.ladder.density_table()[0], config.ladder.density_table()[-1]
     predicted_tv = tv_distance(omega, pi2)
-    exact_feeder_tv = tv_distance(exact.stationary(oracle_kernel(config, 1, pi1)), pi2)
+    exact_feeder_tv = tv_distance(exact.stationary(exact.interacting_matrix(model, 1, pi1)), pi2)
 
     ens = LockstepEnsemble(config, frozen_feeder=counts)
     states = np.empty((config.total_rounds, config.replicates), dtype=np.intp)
@@ -543,10 +534,11 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     # The vectors are kept by matrix bytes: geometric_rate's level-k K is the
     # epsilon-0 kernel, and its configured-epsilon kernel may be one of these.
     worst = 0.0
-    epsilons = (0.0, 0.25, 0.5) if config.variant == "ee-jump" else (0.0, 0.25, 0.5, 1.0)
+    epsilons = (0.0, 0.25, 0.5) if model.variant == "ee-jump" else (0.0, 0.25, 0.5, 1.0)
     solved = {}
     for level in range(1, config.r):
-        Ps = np.stack([oracle_kernel(config, level, dens[level - 1], eps) for eps in epsilons])
+        Ps = np.stack([exact.interacting_matrix(model, level, dens[level - 1], eps)
+                       for eps in epsilons])
         omegas = exact.stationary(Ps)
         worst = max(worst, float(np.abs(omegas - dens[level]).max()))
         solved.update((P.tobytes(), w) for P, w in zip(Ps, omegas))
@@ -628,7 +620,7 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     monotone = True
     mats = [exact.k_matrix(model, lv) for lv in range(config.r)]
     for level in range(1, config.r):
-        mats.append(oracle_kernel(config, level, dens[level - 1]))
+        mats.append(exact.interacting_matrix(model, level, dens[level - 1]))
     for P in mats:
         rate = exact.geometric_rate_estimate(P, omega=solved.get(P.tobytes()))
         worst = max(worst, rate.rho_fitted - rate.rho)

@@ -1,29 +1,29 @@
-"""Transition mechanisms: local MH moves, ring swaps, and interaction steps.
+"""Transition mechanisms: the local MH move and the interacting move.
 
 A :class:`KernelSet` bundles a ladder, a ring partition, one proposal per
-level, and the per-level mixture weight epsilon, and exposes every move the
-sampler makes:
+level, the per-level mixture weight epsilon and the interaction variant,
+and exposes the two moves the sampler makes:
 
-* ``mh_step``        -- one Metropolis-Hastings move targeting level i
-* ``swap_step``      -- exchange attempt between a state and a feeder draw,
-                        accepted with min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y)))
-* ``selection_step`` -- feeder draw, swap attempt, then one local move from
-                        the first post-swap coordinate (selection/mutation)
-* ``nonlinear_step`` -- the epsilon-mixture of local and selection moves
-* ``ee_jump_step``   -- the original equi-energy jump: feeder draw accepted
-                        by the swap ratio, with no trailing local move
+* ``mh_step``          -- one Metropolis-Hastings move targeting level i
+* ``interacting_step`` -- (1 - epsilon) local move + epsilon interaction:
+                          a feeder atom z drawn from ring(x), accepted with
+                          ``swap_accept_prob`` = min(1, pi_i(z) pi_{i-1}(x) /
+                          (pi_i(x) pi_{i-1}(z))). The ``selection-mutation``
+                          variant then makes one local move from the
+                          post-swap state; the ``ee-jump`` variant, the
+                          original equi-energy jump, stops at the swap.
 
 Randomness contract: each random decision of a step is one uniform u from
 ``rng.random()``, in the fixed order (branch coin, feeder draw, swap coin,
-proposal, MH coin), so runs are bit-reproducible per seed. An index below n
-is ``int(n * u)``: the uniform proposal takes state ``int(S * u)`` and the
-feeder draw atom ``int(n * u)`` of the n atoms in x's ring. Degenerate
-mixtures skip the branch coin: epsilon == 0 always takes the local branch
-and epsilon == 1 always takes the interaction branch, without consuming a
-draw. Finite moves take a numpy Generator or a :class:`BufferedUniforms`,
-its values at a fraction of the call cost. On a box a state is a tuple of
-Python floats, which the ladder's and the partition's callables receive as
-it is; the Gaussian walk draws
+proposal, MH coin) of those the move makes, so runs are bit-reproducible
+per seed. An index below n is ``int(n * u)``: the uniform proposal takes
+state ``int(S * u)`` and the feeder draw atom ``int(n * u)`` of the n atoms
+in x's ring. Degenerate mixtures skip the branch coin: epsilon == 0 always
+takes the local branch and epsilon == 1 always takes the interaction
+branch, without consuming a draw. Finite moves take a numpy Generator or a
+:class:`BufferedUniforms`, its values at a fraction of the call cost. On a
+box a state is a tuple of Python floats, which the ladder's and the
+partition's callables receive as it is; the Gaussian walk draws
 ``rng.standard_normal()`` once per coordinate, in order, the values
 ``standard_normal(dim)`` gives, and builds the proposal in floats.
 
@@ -61,6 +61,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .state_space import DensityLadder, FiniteSpace, RingPartition
+
+VARIANTS = ("selection-mutation", "ee-jump")
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,8 @@ def _finite(levels: tuple, level: int, x) -> float:
 
 
 class KernelSet:
-    """All transition mechanisms for one ladder/partition/proposal setup."""
+    """All transition mechanisms of one ladder, partition, proposal set,
+    per-level epsilon and interaction variant (one of ``VARIANTS``)."""
 
     def __init__(
         self,
@@ -152,11 +155,15 @@ class KernelSet:
         partition: RingPartition,
         proposals: Sequence[Proposal],
         epsilon: float | Sequence[float] = 1.0,
+        variant: str = "selection-mutation",
     ):
+        if variant not in VARIANTS:
+            raise ConfigurationError(f"kernel variant must be one of {VARIANTS}, got {variant!r}")
         if len(proposals) != ladder.r:
             raise ConfigurationError(
                 f"need one proposal per level: got {len(proposals)} for r={ladder.r}"
             )
+        self.variant = variant
         self.ladder = ladder
         self.partition = partition
         self.proposals = tuple(proposals)
@@ -221,7 +228,7 @@ class KernelSet:
             return y
         return x
 
-    # -- swap mechanics ------------------------------------------------------------
+    # -- the interacting move ---------------------------------------------------------
     def swap_accept_prob(self, level: int, x, y, x_levels=None, y_levels=None) -> float:
         """min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y))), in log space;
         x_levels/y_levels are x's and y's level log-densities, if known."""
@@ -239,80 +246,30 @@ class KernelSet:
             raise NumericalError(f"swap ratio is NaN for pair ({x!r}, {y!r})")
         return math.exp(min(0.0, ratio))
 
-    def swap_step(self, level: int, x, y, rng: np.random.Generator, x_levels=None, y_levels=None):
-        """Exchange (x, y) -> (y, x) with the swap probability.
-
-        Returns (x', y', accepted); the output pair is always a permutation
-        of the input pair.
-        """
-        alpha = self.swap_accept_prob(level, x, y, x_levels, y_levels)
-        if rng.random() < alpha:
-            return y, x, True
-        return x, y, False
-
-    # -- interaction moves -----------------------------------------------------------
-    def _interacts(self, level: int, rng: np.random.Generator) -> bool:
-        """The epsilon branch coin: True takes the interaction branch.
-        Epsilon 0 and 1 decide without consuming a draw."""
+    def interacting_step(self, level: int, x, feeder, rng, point=None):
+        """One move of the level's interacting kernel against `feeder`:
+        the local move with probability 1 - epsilon, else the variant's
+        interaction. It draws z uniformly from the feeder's atoms in ring(x)
+        and accepts it with the swap probability; selection-mutation then
+        makes one local move from the post-swap state, the ee-jump stops
+        there. An empty ring falls back to the local move. Returns the new
+        state and its :class:`StepInfo`; `point` is x's record, as in
+        :meth:`mh_step`."""
         eps = self.epsilons[level]
-        if eps >= 1.0:
-            return True
-        return eps > 0.0 and rng.random() < eps
-
-    def _feeder_atom(self, point, feeder, rng: np.random.Generator):
-        """A uniform draw (atom, level log-densities) from the feeder's atoms
-        in the point's ring, or None when that ring holds none (the caller
-        then falls back to the local move)."""
-        if feeder.ring_count(point.ring) == 0:
-            return None
-        z, levels = feeder.draw(point.ring, rng)
-        return z, levels or self.ladder.log_densities(z)
-
-    def selection_step(self, level: int, x, feeder, rng: np.random.Generator, point=None):
-        """Selection/mutation move: draw z from the feeder restricted to
-        ring(x), attempt the swap, then one local move from the first
-        post-swap coordinate. Falls back to the local kernel when the ring
-        holds no feeder atoms."""
-        point = point or self.point(x)
-        drawn = self._feeder_atom(point, feeder, rng)
-        if drawn is None:
-            return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
-        z, z_levels = drawn
-        x2, _, accepted = self.swap_step(level, x, z, rng, point.levels, z_levels)
-        if accepted:  # z was drawn from ring(x), so the ring stays
-            point.x, point.levels = z, z_levels
-        out = self.mh_step(level, x2, rng, point)
-        return out, StepInfo("selection", swap_accepted=accepted)
-
-    def nonlinear_step(self, level: int, x, feeder, rng: np.random.Generator, point=None):
-        """(1 - eps) local + eps selection; the branch uses its own draw."""
-        if self._interacts(level, rng):
-            return self.selection_step(level, x, feeder, rng, point)
-        return self.mh_step(level, x, rng, point), StepInfo("local")
-
-    def ee_jump_step(self, level: int, x, feeder, rng: np.random.Generator, point=None):
-        """Original equi-energy variant: the interaction branch proposes a
-        feeder atom from ring(x) and accepts it with the swap probability,
-        with no trailing local move. The jump never leaves ring(x)."""
-        if not self._interacts(level, rng):
+        if eps <= 0.0 or (eps < 1.0 and rng.random() >= eps):
             return self.mh_step(level, x, rng, point), StepInfo("local")
         point = point or self.point(x)
-        drawn = self._feeder_atom(point, feeder, rng)
-        if drawn is None:
+        if feeder.ring_count(point.ring) == 0:
             return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
-        z, z_levels = drawn
-        alpha = self.swap_accept_prob(level, x, z, point.levels, z_levels)
-        if rng.random() < alpha:
+        z, z_levels = feeder.draw(point.ring, rng)
+        z_levels = z_levels or self.ladder.log_densities(z)
+        alpha = self.swap_accept_prob(level, point.x, z, point.levels, z_levels)
+        accepted = rng.random() < alpha
+        if accepted:  # z was drawn from ring(x), so the ring stays
             point.x, point.levels = z, z_levels
-            return z, StepInfo("jump", swap_accepted=True)
-        return x, StepInfo("jump", swap_accepted=False)
-
-    def interacting_step(self, level: int, x, feeder, rng, variant: str, point=None):
-        if variant == "selection-mutation":
-            return self.nonlinear_step(level, x, feeder, rng, point)
-        if variant == "ee-jump":
-            return self.ee_jump_step(level, x, feeder, rng, point)
-        raise ConfigurationError(f"unknown kernel variant {variant!r}")
+        if self.variant == "ee-jump":
+            return point.x, StepInfo("jump", swap_accepted=accepted)
+        return self.mh_step(level, point.x, rng, point), StepInfo("selection", accepted)
 
     # -- lockstep steps on finite spaces -----------------------------------------------
     def _mh_lockstep(self, level: int, x: np.ndarray, u_prop: np.ndarray, u_mh: np.ndarray):
@@ -333,15 +290,12 @@ class KernelSet:
         return self._mh_lockstep(level, x, u_prop, u_mh)
 
     def interacting_step_lockstep(
-        self, level: int, x: np.ndarray, feeder_counts: np.ndarray,
-        rng: np.random.Generator, variant: str,
+        self, level: int, x: np.ndarray, feeder_counts: np.ndarray, rng: np.random.Generator
     ):
         """One interacting move per replicate: x is (R,), feeder_counts is
         (R, S), row i the counts of replicate i's feeder measure. Keeps the
         semantics of `interacting_step`, including the local fallback when
         a replicate's ring holds no feeder atoms."""
-        if variant not in ("selection-mutation", "ee-jump"):
-            raise ConfigurationError(f"unknown kernel variant {variant!r}")
         if level < 1:
             raise ConfigurationError("interacting steps need a feeder level below them")
         if self._rings is None:
@@ -358,7 +312,7 @@ class KernelSet:
         alpha = np.exp(np.minimum(0.0, li[z] + lf[x] - li[x] - lf[z]))
         take = (u_branch < self.epsilons[level]) & (held > 0)
         accepted = take & (u_swap < alpha)
-        if variant == "ee-jump":
+        if self.variant == "ee-jump":
             local = self._mh_lockstep(level, x, u_prop, u_mh)
             return np.where(take, np.where(accepted, z, x), local)
         return self._mh_lockstep(level, np.where(accepted, z, x), u_prop, u_mh)

@@ -101,8 +101,8 @@ def _write_lines(path, header: list, lines: list) -> None:
 class ChainEnsemble:
     """Chain records, per-chain empirical measures, and the round engine.
 
-    ``points[k]`` is chain k's record; ``states`` and ``rings`` list the
-    records' states and rings.
+    ``points[k]`` is chain k's record, the state with its ring and level
+    log-densities.
     """
 
     def __init__(self, config: ExperimentConfig, replicate: int = 0):
@@ -128,9 +128,6 @@ class ChainEnsemble:
         for k, p in enumerate(self.points):
             self.trace.record(k, 0, p.x, p.ring, "init", None, 0)
 
-    states = property(lambda self: [p.x for p in self.points])
-    rings = property(lambda self: [p.ring for p in self.points])
-
     # -- schedule -------------------------------------------------------------
     def chain_active(self, chain: int) -> bool:
         return self.n > self.thresholds[chain]
@@ -147,18 +144,16 @@ class ChainEnsemble:
             if not self.chain_active(k):
                 self.trace.record(k, self.n, point.x, point.ring, "hold", None, 1)
                 continue
-            rng = self.rngs[k]
+            rng, ring = self.rngs[k], point.ring  # a fallback names the ring it left
             if k == 0:
                 self.kernels.mh_step(0, point.x, rng, point)
                 info = StepInfo("local")
             else:
                 feeder = feeder_views[k - 1] if feeder_views is not None else self.measures[k - 1]
-                _, info = self.kernels.interacting_step(
-                    k, point.x, feeder, rng, cfg.variant, point
-                )
+                _, info = self.kernels.interacting_step(k, point.x, feeder, rng, point)
             self.measures[k].insert(point.x, point.ring, point.levels)
             if info.fallback:
-                self.trace.events.append((self.n, k, "fallback", point.ring))
+                self.trace.events.append((self.n, k, "fallback", ring))
                 self._fallbacks += 1
             self.trace.record(k, self.n, point.x, point.ring, info.branch,
                               info.swap_accepted, 0)
@@ -281,9 +276,7 @@ class LockstepEnsemble:
             if k == 0:
                 new = self.kernels.mh_step_lockstep(0, x, self.rngs[0])
             else:
-                new = self.kernels.interacting_step_lockstep(
-                    k, x, feeders[:, k - 1], self.rngs[k], cfg.variant
-                )
+                new = self.kernels.interacting_step_lockstep(k, x, feeders[:, k - 1], self.rngs[k])
             self._x[k] = new
             if k < self.r - 1:
                 self.counts[self._rows, k, new] += 1

@@ -23,21 +23,30 @@ def two_state_model():
     return KernelSet(ladder, partition, [UniformProposal(), UniformProposal()], epsilon=0.5)
 
 
-def make_model(log_weights, labels, epsilon=0.5):
+def make_model(log_weights, labels, epsilon=0.5, variant="selection-mutation"):
     """Finite model from per-level log-weight rows and ring labels."""
     rows = [np.asarray(r, dtype=float) for r in log_weights]
     space = FiniteSpace(rows[0].size)
     ladder = DensityLadder(space, rows)
     partition = RingPartition(space, labels=labels)
     proposals = [UniformProposal() for _ in rows]
-    return KernelSet(ladder, partition, proposals, epsilon=epsilon)
+    return KernelSet(ladder, partition, proposals, epsilon=epsilon, variant=variant)
+
+
+def kernel_copy(model, epsilon=None, variant=None):
+    """The model with another epsilon or interaction variant."""
+    return KernelSet(
+        model.ladder, model.partition, model.proposals,
+        model.epsilons if epsilon is None else epsilon,
+        model.variant if variant is None else variant,
+    )
 
 
 def generated_model(i: int, seed: int):
     """Generated model i of a cross-check against the oracle: S <= 6,
     d <= 3, variant and proposal cycling with i, epsilon 0 and 1 for the
     first two and uniform on [0, 1] after, and feeder counts in which some
-    rings may hold no atoms. Returns (kernel set, counts, variant)."""
+    rings may hold no atoms. Returns (kernel set, counts)."""
     rng = np.random.default_rng(seed)
     size = int(rng.integers(2, 7))
     d = int(rng.integers(1, min(3, size) + 1))
@@ -46,12 +55,14 @@ def generated_model(i: int, seed: int):
     ladder = DensityLadder(space, [rng.normal(size=size) / 3.0, rng.normal(size=size)])
     proposal = (NeighborProposal, UniformProposal)[(i // 2) % 2]
     eps = (0.0, 1.0)[i] if i < 2 else float(rng.uniform())
-    model = KernelSet(ladder, RingPartition(space, labels=labels), [proposal()] * 2, epsilon=eps)
+    variant = ("selection-mutation", "ee-jump")[i % 2]
+    model = KernelSet(ladder, RingPartition(space, labels=labels), [proposal()] * 2,
+                      epsilon=eps, variant=variant)
     counts = rng.integers(0, 4, size)
     if i % 3 == 0 and d > 1:
         counts[labels == 0] = 0
     counts[labels == labels[-1]] += counts.sum() == 0  # keep one atom somewhere
-    return model, counts, ("selection-mutation", "ee-jump")[i % 2]
+    return model, counts
 
 
 def single_ring(space):
@@ -59,6 +70,11 @@ def single_ring(space):
     if isinstance(space, FiniteSpace):
         return RingPartition(space, labels=np.zeros(space.size, dtype=int))
     return RingPartition(space, energy=lambda x: 0.0, thresholds=[])
+
+
+def chain_states(ensemble):
+    """The states of a ChainEnsemble's chain records, in chain order."""
+    return [point.x for point in ensemble.points]
 
 
 def total_count(measure):

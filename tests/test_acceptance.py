@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import eesampler
-from conftest import as_vector, make_model
+from conftest import as_vector, kernel_copy, make_model
 from eesampler import exact
 from eesampler.config import four_state_config, four_state_raw
 from eesampler.experiments import bias_study, fluctuation_bound_battery, slln_rate_study
@@ -116,19 +116,16 @@ def test_criterion_07_simulation_vs_oracle(fixture_config):
     for a in (0, 1, 1, 2, 3, 3, 0, 2, 3, 1):
         feeder.insert(a)
     mu = as_vector(feeder, fixture_config.space)
+    # the selection kernel Q is the selection-mutation move at epsilon 1
+    steppers = {
+        "selection": kernel_copy(model, epsilon=1.0),
+        "nonlinear": model,
+        "ee_jump": kernel_copy(model, variant="ee-jump"),
+    }
     kernels = {
-        "selection": (
-            exact.q_matrix(model, 1, mu),
-            lambda x, rng: model.selection_step(1, x, feeder, rng)[0],
-        ),
-        "nonlinear": (
-            exact.nonlinear_matrix(model, 1, mu),
-            lambda x, rng: model.nonlinear_step(1, x, feeder, rng)[0],
-        ),
-        "ee_jump": (
-            exact.ee_jump_matrix(model, 1, mu),
-            lambda x, rng: model.ee_jump_step(1, x, feeder, rng)[0],
-        ),
+        name: (exact.interacting_matrix(m, 1, mu),
+               lambda x, rng, m=m: m.interacting_step(1, x, feeder, rng)[0])
+        for name, m in steppers.items()
     }
     # the same values as the seeded Generator, drawn faster
     rng = BufferedUniforms(np.random.default_rng(np.random.SeedSequence([fixture_config.seed, 7])))

@@ -1,9 +1,10 @@
+import sys
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from conftest import as_vector, generated_model, make_model, single_ring
+from conftest import as_vector, generated_model, kernel_copy, make_model, single_ring
 from eesampler import exact
 from eesampler.errors import ConfigurationError, NumericalError
 from eesampler.kernels import (
@@ -179,9 +180,10 @@ def test_feeder_atom_is_int_n_u_of_its_uniform(space):
     feeder = feeder_from(model, inserted)
     twin = np.random.default_rng(9)
     x = inserted[0]
+    jump = kernel_copy(model, variant="ee-jump")
     for _ in range(500):
         # epsilon 1 draws no branch coin; a flat jump always accepts
-        x, info = model.ee_jump_step(1, x, feeder, rng)
+        x, info = jump.interacting_step(1, x, feeder, rng)
         assert info.swap_accepted and x == inserted[int(37 * twin.random())]
         twin.random()  # the swap coin
 
@@ -191,6 +193,57 @@ class LargestUniform:
 
     def random(self):
         return 1.0 - 2.0**-53
+
+
+class RecordingUniforms:
+    """A stand-in generator that hands out scripted uniforms and records,
+    for each, the function that drew it."""
+
+    def __init__(self, values):
+        self.values, self.callers = list(values), []
+
+    def random(self):
+        self.callers.append(sys._getframe(1).f_code.co_name)
+        return self.values.pop(0)
+
+
+# who draws each decision's uniform: the interacting move its coins, the
+# feeder measure its atom and the local move its proposal and MH coin
+BRANCH, FEED, SWAP, PROPOSAL, MH = ("interacting_step", "draw", "interacting_step",
+                                    "mh_step", "mh_step")
+
+
+@pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
+@pytest.mark.parametrize(
+    "eps,script",
+    [(0.5, [(BRANCH, 0.25), (FEED, 0.65), (SWAP, 0.5)]),
+     (1.0, [(FEED, 0.65), (SWAP, 0.5)]),
+     (0.0, [])],
+    ids=["eps-0.5", "eps-1", "eps-0"],
+)
+def test_interacting_move_draw_order(variant, eps, script):
+    # a flat model accepts every swap and MH move: the feeder uniform picks
+    # atom int(5 * 0.65) = 3 and the proposal uniform state int(5 * 0.85) = 4
+    model = kernel_copy(flat_model(FiniteSpace(5)), epsilon=eps, variant=variant)
+    feeder = feeder_from(model, [0, 1, 2, 3, 4])
+    local = variant == "selection-mutation" or eps == 0.0
+    script = script + [(PROPOSAL, 0.85), (MH, 0.9)] * local
+    rng = RecordingUniforms(value for _, value in script)
+    y, info = model.interacting_step(1, 0, feeder, rng)
+    assert rng.callers == [caller for caller, _ in script] and not rng.values
+    assert y == (4 if local else 3)
+    assert info.branch == ("local" if eps == 0.0 else "selection" if local else "jump")
+
+
+@pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
+def test_empty_ring_fallback_draw_order(four_model, variant):
+    # the branch coin takes the interaction; ring 1 of x = 2 holds no feeder
+    # atoms, so the local move follows without a feeder draw or swap coin
+    model = kernel_copy(four_model, variant=variant)
+    rng = RecordingUniforms([0.25, 0.99, 0.0])  # proposal int(4 * 0.99) = 3
+    y, info = model.interacting_step(1, 2, feeder_from(model, [0, 1]), rng)
+    assert rng.callers == [BRANCH, PROPOSAL, MH]
+    assert y == 3 and info.fallback and info.branch == "local"
 
 
 def test_index_map_stays_below_n_at_the_largest_uniform():
@@ -246,21 +299,16 @@ def test_swap_min_form_detailed_balance(four_model):
             assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
-def test_swap_step_is_permutation(four_model):
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        x, y = rng.integers(4), rng.integers(4)
-        x2, y2, _ = four_model.swap_step(1, int(x), int(y), rng)
-        assert sorted([x2, y2]) == sorted([int(x), int(y)])
-
-
 def test_swap_step_frequency(pair_model):
-    # alpha(1, 0) = 1/2: exchange frequency within 3 s.e. of 0.5
+    # the ee-jump at epsilon 1 from x = 1 against the one atom z = 0 accepts
+    # with alpha(1, 0) = 1/2: acceptance frequency within 3 s.e. of 0.5
+    model = kernel_copy(pair_model, epsilon=1.0, variant="ee-jump")
+    feeder = feeder_from(model, [0])
     rng = BufferedUniforms(np.random.default_rng(77))
     n = 100_000
-    swaps = sum(1 for _ in range(n) if pair_model.swap_step(1, 1, 0, rng)[2])
+    jumps = sum(1 for _ in range(n) if model.interacting_step(1, 1, feeder, rng)[1].swap_accepted)
     se = np.sqrt(0.25 / n)
-    assert abs(swaps / n - 0.5) < 3 * se
+    assert abs(jumps / n - 0.5) < 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +318,14 @@ def test_swap_step_frequency(pair_model):
 def test_selection_forced_swap_moves_like_local_from_atom(four_model):
     # feeder holds only z=3 in ring(x=2); alpha(2, 3) = min(1, (4*1)/(2*1)) = 1,
     # so the move is distributed as K(3, .)
-    feeder = feeder_from(four_model, [3])
-    K = exact.k_matrix(four_model, 1)
+    model = kernel_copy(four_model, epsilon=1.0)
+    feeder = feeder_from(model, [3])
+    K = exact.k_matrix(model, 1)
     rng = BufferedUniforms(np.random.default_rng(41))
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        y, info = four_model.selection_step(1, 2, feeder, rng)
+        y, info = model.interacting_step(1, 2, feeder, rng)
         assert info.branch == "selection" and info.swap_accepted
         counts[y] += 1
     se = np.sqrt(K[3] * (1 - K[3]) / n)
@@ -294,7 +343,7 @@ def test_selection_rejected_swap_moves_like_local_from_start():
     n = 50_000
     counts = np.zeros(2)
     for _ in range(n):
-        y, info = model.selection_step(1, 0, feeder, rng)
+        y, info = model.interacting_step(1, 0, feeder, rng)
         assert not info.swap_accepted
         counts[y] += 1
     se = np.sqrt(K[0] * (1 - K[0]) / n)
@@ -302,15 +351,16 @@ def test_selection_rejected_swap_moves_like_local_from_start():
 
 
 def test_selection_frequencies_match_oracle_matrix(four_model):
-    feeder = feeder_from(four_model, [0, 1, 1, 2, 3, 3, 3])
-    mu = as_vector(feeder, four_model.ladder.space)
-    Q = exact.q_matrix(four_model, 1, mu)
+    model = kernel_copy(four_model, epsilon=1.0)
+    feeder = feeder_from(model, [0, 1, 1, 2, 3, 3, 3])
+    mu = as_vector(feeder, model.ladder.space)
+    Q = exact.q_matrix(model, 1, mu)
     rng = BufferedUniforms(np.random.default_rng(90210))
     n = 40_000
     for x0 in range(4):
         counts = np.zeros(4)
         for _ in range(n):
-            y, _ = four_model.selection_step(1, x0, feeder, rng)
+            y, _ = model.interacting_step(1, x0, feeder, rng)
             counts[y] += 1
         se = np.sqrt(Q[x0] * (1 - Q[x0]) / n)
         assert np.all(np.abs(counts / n - Q[x0]) < 3.5 * se + 1e-12)
@@ -319,7 +369,7 @@ def test_selection_frequencies_match_oracle_matrix(four_model):
 def test_selection_fallback_on_empty_ring(four_model):
     feeder = feeder_from(four_model, [0])  # ring 1 empty
     rng = np.random.default_rng(6)
-    y, info = four_model.selection_step(1, 2, feeder, rng)
+    y, info = kernel_copy(four_model, epsilon=1.0).interacting_step(1, 2, feeder, rng)
     assert info.branch == "local" and info.fallback
 
 
@@ -332,11 +382,11 @@ def test_nonlinear_degenerate_epsilon(four_model):
     rng = np.random.default_rng(12)
     model0 = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=0.0)
     for _ in range(50):
-        _, info = model0.nonlinear_step(1, 2, feeder, rng)
+        _, info = model0.interacting_step(1, 2, feeder, rng)
         assert info.branch == "local" and not info.fallback
     model1 = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=1.0)
     for _ in range(50):
-        _, info = model1.nonlinear_step(1, 2, feeder, rng)
+        _, info = model1.interacting_step(1, 2, feeder, rng)
         assert info.branch == "selection"
 
 
@@ -346,7 +396,7 @@ def test_nonlinear_branch_frequency():
     rng = BufferedUniforms(np.random.default_rng(13))
     n = 100_000
     picks = sum(
-        1 for _ in range(n) if model.nonlinear_step(1, 2, feeder, rng)[1].branch == "selection"
+        1 for _ in range(n) if model.interacting_step(1, 2, feeder, rng)[1].branch == "selection"
     )
     se = np.sqrt(0.3 * 0.7 / n)
     assert abs(picks / n - 0.3) < 3 * se
@@ -361,7 +411,7 @@ def test_nonlinear_frequencies_match_oracle(four_model):
     for x0 in range(4):
         counts = np.zeros(4)
         for _ in range(n):
-            y, _ = four_model.nonlinear_step(1, x0, feeder, rng)
+            y, _ = four_model.interacting_step(1, x0, feeder, rng)
             counts[y] += 1
         se = np.sqrt(P[x0] * (1 - P[x0]) / n)
         assert np.all(np.abs(counts / n - P[x0]) < 3.5 * se + 1e-12)
@@ -373,45 +423,49 @@ def test_nonlinear_frequencies_match_oracle(four_model):
 
 def test_ee_jump_stays_in_ring(four_model):
     feeder = feeder_from(four_model, [0, 1, 2, 3, 3])
-    model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=1.0)
+    model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=1.0,
+                       variant="ee-jump")
     rng = np.random.default_rng(17)
     for x0 in range(4):
         ring = model.partition.assign(x0)
         for _ in range(300):
-            y, info = model.ee_jump_step(1, x0, feeder, rng)
+            y, info = model.interacting_step(1, x0, feeder, rng)
             assert info.branch == "jump"
             assert model.partition.assign(y) == ring
 
 
 def test_ee_jump_forced_single_atom():
-    model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=1.0)
+    model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=1.0,
+                       variant="ee-jump")
     feeder = feeder_from(model, [3])
     rng = np.random.default_rng(18)
     # alpha(2, 3) = 1: deterministic jump to the only atom
     for _ in range(50):
-        y, info = model.ee_jump_step(1, 2, feeder, rng)
+        y, info = model.interacting_step(1, 2, feeder, rng)
         assert y == 3 and info.swap_accepted
 
 
 def test_ee_jump_epsilon_zero_is_local():
-    model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=0.0)
+    model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=0.0,
+                       variant="ee-jump")
     feeder = feeder_from(model, [0, 1, 2, 3])
     rng = np.random.default_rng(19)
     for _ in range(50):
-        _, info = model.ee_jump_step(1, 2, feeder, rng)
+        _, info = model.interacting_step(1, 2, feeder, rng)
         assert info.branch == "local"
 
 
 def test_ee_jump_frequencies_match_oracle(four_model):
-    feeder = feeder_from(four_model, [0, 1, 1, 2, 3])
-    mu = as_vector(feeder, four_model.ladder.space)
-    P = exact.ee_jump_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
+    model = kernel_copy(four_model, variant="ee-jump")
+    feeder = feeder_from(model, [0, 1, 1, 2, 3])
+    mu = as_vector(feeder, model.ladder.space)
+    P = exact.ee_jump_matrix(model, 1, mu)  # fixture epsilon = 0.5
     rng = BufferedUniforms(np.random.default_rng(61))
     n = 40_000
     for x0 in range(4):
         counts = np.zeros(4)
         for _ in range(n):
-            y, _ = four_model.ee_jump_step(1, x0, feeder, rng)
+            y, _ = model.interacting_step(1, x0, feeder, rng)
             counts[y] += 1
         se = np.sqrt(P[x0] * (1 - P[x0]) / n)
         assert np.all(np.abs(counts / n - P[x0]) < 3.5 * se + 1e-12)
@@ -430,32 +484,31 @@ SCALAR_CROSSCHECK_DRAWS = 10_000
 
 def test_generated_models_scalar_step_matches_oracle():
     models = [generated_model(i, seed) for i, seed in enumerate(SCALAR_CROSSCHECK_SEEDS)]
-    cells = sum(model.ladder.space.size ** 2 for model, _, _ in models)
+    cells = sum(model.ladder.space.size ** 2 for model, _ in models)
     z_max = NormalDist().inv_cdf(1.0 - SCALAR_CROSSCHECK_FWER / (2 * cells))
-    assert {v for _, _, v in models} == {"selection-mutation", "ee-jump"}
-    assert any(np.any(np.bincount(m.partition.labels(), weights=c) == 0) for m, c, _ in models)
+    assert {m.variant for m, _ in models} == {"selection-mutation", "ee-jump"}
+    assert any(np.any(np.bincount(m.partition.labels(), weights=c) == 0) for m, c in models)
     n = SCALAR_CROSSCHECK_DRAWS
     failures = []
-    for seed, (model, counts, variant) in zip(SCALAR_CROSSCHECK_SEEDS, models):
+    for seed, (model, counts) in zip(SCALAR_CROSSCHECK_SEEDS, models):
         size = model.ladder.space.size
         feeder = EmpiricalMeasure(model.partition)
         for state, count in enumerate(counts):
             point = model.point(state)
             for _ in range(count):
                 feeder.insert(state, point.ring, point.levels)
-        build = exact.ee_jump_matrix if variant == "ee-jump" else exact.nonlinear_matrix
-        P = np.clip(build(model, 1, counts / counts.sum(), empty_ring_fallback=True), 0.0, 1.0)
+        P = np.clip(exact.interacting_matrix(model, 1, counts / counts.sum()), 0.0, 1.0)
         rng = BufferedUniforms(np.random.default_rng([seed, 2]))
         for x0 in range(size):
             hits = np.bincount(
-                [model.interacting_step(1, x0, feeder, rng, variant)[0] for _ in range(n)],
+                [model.interacting_step(1, x0, feeder, rng)[0] for _ in range(n)],
                 minlength=size,
             )
             # a cell expected to see under one hit is judged at the one-hit scale
             se = np.sqrt(np.maximum(P[x0] * (1.0 - P[x0]), 1.0 / n) / n)
             z = np.abs(hits / n - P[x0]) / se
             if np.any(hits[P[x0] == 0.0] > 0) or z.max() > z_max:
-                failures.append((seed, x0, variant, float(z.max())))
+                failures.append((seed, x0, model.variant, float(z.max())))
     assert not failures, f"z threshold {z_max:.3f}: {failures}"
 
 

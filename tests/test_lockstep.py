@@ -21,16 +21,11 @@ CRITERION_7_FEEDER = (0, 1, 1, 2, 3, 3, 0, 2, 3, 1)
 PROPOSALS = {"uniform": UniformProposal, "neighbor": NeighborProposal}
 
 
-def four_model(proposal: str, eps: float = 0.5) -> KernelSet:
+def four_model(proposal: str, eps: float = 0.5, variant: str = "selection-mutation"):
     space = FiniteSpace(4)
     ladder = DensityLadder(space, [np.zeros(4), np.log([1.0, 1.0, 2.0, 4.0])])
     partition = RingPartition(space, labels=[0, 0, 1, 1])
-    return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, epsilon=eps)
-
-
-def oracle(model, variant, mu, eps):
-    build = exact.ee_jump_matrix if variant == "ee-jump" else exact.nonlinear_matrix
-    return build(model, 1, mu, eps, empty_ring_fallback=True)
+    return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, eps, variant)
 
 
 def worst_z(P, step, rng) -> float:
@@ -62,25 +57,25 @@ def test_mh_step_lockstep_matches_k_matrix(proposal, level):
 @pytest.mark.parametrize("proposal", sorted(PROPOSALS))
 @pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
 def test_interacting_step_lockstep_matches_oracle(variant, proposal, eps):
-    model = four_model(proposal, eps)
+    model = four_model(proposal, eps, variant)
     mu = np.bincount(CRITERION_7_FEEDER, minlength=4) / len(CRITERION_7_FEEDER)
     counts = np.tile(np.bincount(CRITERION_7_FEEDER, minlength=4), (R, 1))
     rng = np.random.default_rng(72)
-    z = worst_z(oracle(model, variant, mu, eps),
-                lambda x, g: model.interacting_step_lockstep(1, x, counts, g, variant), rng)
+    z = worst_z(exact.interacting_matrix(model, 1, mu),
+                lambda x, g: model.interacting_step_lockstep(1, x, counts, g), rng)
     assert z <= 3.0
 
 
 @pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
 def test_interacting_step_lockstep_empty_ring_falls_back(variant):
-    model = four_model("uniform")
+    model = four_model("uniform", 0.5, variant)
     atoms = (0, 1, 1, 0)  # ring {2, 3} holds no feeder atoms
     mu = np.bincount(atoms, minlength=4) / len(atoms)
     counts = np.tile(np.bincount(atoms, minlength=4), (R, 1))
-    P = oracle(model, variant, mu, 0.5)
+    P = exact.interacting_matrix(model, 1, mu)
     np.testing.assert_allclose(P[2:], exact.k_matrix(model, 1)[2:])
     rng = np.random.default_rng(73)
-    z = worst_z(P, lambda x, g: model.interacting_step_lockstep(1, x, counts, g, variant), rng)
+    z = worst_z(P, lambda x, g: model.interacting_step_lockstep(1, x, counts, g), rng)
     assert z <= 3.0
 
 
@@ -91,11 +86,11 @@ def test_interacting_step_lockstep_reads_each_replicates_own_feeder():
     logw = np.log([1.0, 1.0, 2.0, 4.0])
     partition = RingPartition(space, labels=[0, 0, 1, 1])
     model = KernelSet(DensityLadder(space, [logw, logw]), partition,
-                      [UniformProposal()] * 2, epsilon=1.0)
+                      [UniformProposal()] * 2, epsilon=1.0, variant="ee-jump")
     counts = np.array([[5, 0, 0, 7], [0, 9, 4, 0]])
     rng = np.random.default_rng(74)
     for _ in range(20):
-        out = model.interacting_step_lockstep(1, np.array([2, 3]), counts, rng, "ee-jump")
+        out = model.interacting_step_lockstep(1, np.array([2, 3]), counts, rng)
         assert out.tolist() == [3, 2]
 
 
@@ -111,33 +106,33 @@ VARIANTS = ("selection-mutation", "ee-jump")
 
 def test_generated_models_lockstep_matches_oracle():
     models = [generated_model(i, seed) for i, seed in enumerate(CROSSCHECK_SEEDS)]
-    cells = sum(model.ladder.space.size ** 2 for model, _, _ in models)
+    cells = sum(model.ladder.space.size ** 2 for model, _ in models)
     z_max = NormalDist().inv_cdf(1.0 - CROSSCHECK_FWER / (2 * cells))
-    assert {v for _, _, v in models} == set(VARIANTS)
-    assert any(np.any(np.bincount(m.partition.labels(), weights=c) == 0) for m, c, _ in models)
+    assert {m.variant for m, _ in models} == set(VARIANTS)
+    assert any(np.any(np.bincount(m.partition.labels(), weights=c) == 0) for m, c in models)
     failures = []
-    for seed, (model, counts, variant) in zip(CROSSCHECK_SEEDS, models):
+    for seed, (model, counts) in zip(CROSSCHECK_SEEDS, models):
         size = model.ladder.space.size
-        P = np.clip(oracle(model, variant, counts / counts.sum(), None), 0.0, 1.0)
+        P = np.clip(exact.interacting_matrix(model, 1, counts / counts.sum()), 0.0, 1.0)
         rng = np.random.default_rng([seed, 1])
         for x0 in range(size):
-            new = model.interacting_step_lockstep(1, np.full(R, x0), counts, rng, variant)
+            new = model.interacting_step_lockstep(1, np.full(R, x0), counts, rng)
             hits = np.bincount(new, minlength=size)
             # a cell expected to see under one hit is judged at the one-hit scale
             se = np.sqrt(np.maximum(P[x0] * (1.0 - P[x0]), 1.0 / R) / R)
             z = np.abs(hits / R - P[x0]) / se
             if np.any(hits[P[x0] == 0.0] > 0) or z.max() > z_max:
-                failures.append((seed, x0, variant, float(z.max())))
+                failures.append((seed, x0, model.variant, float(z.max())))
     assert not failures, f"z threshold {z_max:.3f}: {failures}"
 
 
 def test_lockstep_steps_need_finite_space_and_known_variant():
-    model = four_model("uniform")
+    with pytest.raises(ConfigurationError):
+        four_model("uniform", variant="x")
+    model = four_model("uniform", variant="ee-jump")
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        model.interacting_step_lockstep(1, np.zeros(3, dtype=int), np.ones((3, 4)), rng, "x")
-    with pytest.raises(ConfigurationError):
-        model.interacting_step_lockstep(0, np.zeros(3, dtype=int), np.ones((3, 4)), rng, "ee-jump")
+        model.interacting_step_lockstep(0, np.zeros(3, dtype=int), np.ones((3, 4)), rng)
     box = config_from_dict(json.loads(
         (Path(__file__).resolve().parent.parent / "configs" / "double_well.json").read_text()
     ))
@@ -210,9 +205,9 @@ def test_strict_snapshot_reads_round_start_counts(strict, monkeypatch):
     seen = []
     step = cfg.kernels.interacting_step_lockstep
 
-    def spy(level, x, feeder_counts, rng, variant):
+    def spy(level, x, feeder_counts, rng):
         seen.append(feeder_counts.copy())
-        return step(level, x, feeder_counts, rng, variant)
+        return step(level, x, feeder_counts, rng)
 
     monkeypatch.setattr(cfg.kernels, "interacting_step_lockstep", spy)
     for _ in range(10):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_vector, atoms, total_count
+from conftest import as_vector, atoms, chain_states, total_count
 from eesampler import config as config_module
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.errors import ConfigurationError, StabilityError
@@ -34,7 +34,7 @@ def three_chain_config(**overrides):
 def test_init_point_masses(four_state):
     ens = ChainEnsemble(four_state)
     assert ens.n == 0
-    assert list(ens.states) == [0, 0]
+    assert chain_states(ens) == [0, 0]
     for k in range(2):
         assert total_count(ens.measures[k]) == 1
         np.testing.assert_allclose(
@@ -52,7 +52,7 @@ def test_init_same_seed_identical(four_state):
     a, b = ChainEnsemble(four_state), ChainEnsemble(four_state)
     a.run_rounds(64)
     b.run_rounds(64)
-    assert a.states == b.states
+    assert chain_states(a) == chain_states(b)
     assert a.trace.rows == b.trace.rows
 
 
@@ -89,7 +89,7 @@ def test_chain2_never_moves_when_run_too_short():
     )
     ens = ChainEnsemble(cfg)
     ens.run_rounds(50)
-    assert ens.states[1] == 3 and moves(ens.trace, 1) == 0
+    assert chain_states(ens)[1] == 3 and moves(ens.trace, 1) == 0
     ens.step_round()
     assert moves(ens.trace, 1) == 1
 
@@ -165,9 +165,9 @@ def test_strict_snapshot_excludes_same_round_atom():
         counts = []
         orig = cfg.kernels.interacting_step
 
-        def spy(level, x, feeder, rng, variant, *rest, _orig=orig, _counts=counts):
+        def spy(level, x, feeder, rng, *rest, _orig=orig, _counts=counts):
             _counts.append(_orig.__self__ and total_count(feeder))
-            return _orig(level, x, feeder, rng, variant, *rest)
+            return _orig(level, x, feeder, rng, *rest)
 
         cfg.kernels.interacting_step = spy
         ens = ChainEnsemble(cfg)
@@ -252,6 +252,7 @@ def test_writers_match_csv_writer_on_a_finite_run(tmp_path):
     )
     trace = run(cfg)
     assert {(2, 1, "fallback"), (2, 0, "low_mass")} <= {event[:3] for event in trace.events}
+    assert (2, 1, "fallback", 0) in trace.events  # the ring that held no atoms
     assert {row[5] for row in trace.rows} == {None, True, False}
     assert {row[6] for row in trace.rows} == {0, 1}
     assert_writers_match_reference(trace, tmp_path)
