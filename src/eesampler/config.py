@@ -284,17 +284,10 @@ def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
         )
     if "thresholds" in spec:
         _section("partition", spec, ("thresholds", "energy"))
-        energy_name = spec.get("energy", "neg_log_target")
-        if energy_name != "neg_log_target":
-            raise ConfigurationError(f"unknown energy function {energy_name!r}")
-        target = ladder.r - 1
-
-        def energy(x, _lvl=target):
-            return -ladder.log_density(_lvl, x)
-
-        return RingPartition(space, energy=energy,
-                             thresholds=_reals("partition.thresholds", spec["thresholds"]),
-                             energy_level=target)
+        if spec.get("energy", "neg_log_target") != "neg_log_target":
+            raise ConfigurationError(f"unknown energy function {spec['energy']!r}")
+        return RingPartition(space, ladder=ladder,
+                             thresholds=_reals("partition.thresholds", spec["thresholds"]))
     raise ConfigurationError("partition spec needs labels or thresholds")
 
 

@@ -348,6 +348,11 @@ def bias_study(
         raise ConfigurationError("the bias study needs a finite space")
     if config.r != 2:
         raise ConfigurationError("the bias study is defined for r = 2")
+    if config.kernels.ring_closed(config.kernels.epsilons[1]):
+        raise ConfigurationError(
+            "the bias study needs a frozen kernel with a unique limit, but the ee-jump "
+            "at epsilon 1 is ring-closed: it never leaves the ring of its state"
+        )
     if freeze_at < 0:
         raise ConfigurationError(f"freeze_at must be >= 0, got {freeze_at}")
     burn = burn_in if burn_in is not None else max(64, config.total_rounds // 8)
@@ -530,11 +535,11 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     report.checks.append(CheckResult("k_invariance_reversibility", worst, 1e-12, worst <= 1e-12))
 
     # fixed point: feeding the exact lower target reproduces the upper one;
-    # the ee-jump at epsilon 1 never leaves ring(x), so it has no unique one.
+    # a ring-closed kernel has no unique one, so its epsilon is left out.
     # The vectors are kept by matrix bytes: geometric_rate's level-k K is the
     # epsilon-0 kernel, and its configured-epsilon kernel may be one of these.
     worst = 0.0
-    epsilons = (0.0, 0.25, 0.5) if model.variant == "ee-jump" else (0.0, 0.25, 0.5, 1.0)
+    epsilons = [eps for eps in (0.0, 0.25, 0.5, 1.0) if not model.ring_closed(eps)]
     solved = {}
     for level in range(1, config.r):
         Ps = np.stack([exact.interacting_matrix(model, level, dens[level - 1], eps)

@@ -22,8 +22,8 @@ in x's ring. Degenerate mixtures skip the branch coin: epsilon == 0 always
 takes the local branch and epsilon == 1 always takes the interaction
 branch, without consuming a draw. Finite moves take a numpy Generator or a
 :class:`BufferedUniforms`, its values at a fraction of the call cost. On a
-box a state is a tuple of Python floats, which the ladder's and the
-partition's callables receive as it is; the Gaussian walk draws
+box a state is a tuple of Python floats, which the ladder's base
+callable receives as it is; the Gaussian walk draws
 ``rng.standard_normal()`` once per coordinate, in order, the values
 ``standard_normal(dim)`` gives, and builds the proposal in floats.
 
@@ -188,6 +188,13 @@ class KernelSet:
                 raise ConfigurationError(f"level {i}: box spaces need a gaussian walk proposal")
         self._logw = ladder.log_table() if finite else None
         self._rings = partition.labels() if finite else None
+
+    def ring_closed(self, epsilon: float) -> bool:
+        """True when the interacting move at this epsilon never leaves the
+        ring of its state: the ee-jump at epsilon 1, which only jumps to
+        feeder atoms of that ring. Its kernel against a feeder is then
+        reducible, with no unique stationary vector."""
+        return self.variant == "ee-jump" and epsilon == 1.0
 
     def point(self, x) -> "ChainPoint":
         """The record of in-domain state x: its ring and level log-densities.

@@ -15,7 +15,7 @@ The conditional measure mu_x of the interaction kernel is the ring of x, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,12 +106,12 @@ class StabilityMonitor:
     """Watches ring masses against the stability threshold theta.
 
     The threshold is an assumption about the run, not an algorithmic step,
-    so by default violations are recorded and reported, never fatal; the
+    so by default violations are counted and reported, never fatal; the
     caller decides whether to abort.
     """
 
     theta: float
-    violations: list[StabilityViolation] = field(default_factory=list)
+    violations: int = 0  # rings found below theta, over every check
     min_mass_seen: float = np.inf
 
     def __post_init__(self):
@@ -119,18 +119,15 @@ class StabilityMonitor:
             raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
 
     def check(self, measure, step: int, chain: int = 0) -> list[StabilityViolation]:
-        """Record and return violations for every ring with mass below theta."""
+        """Count and return violations for every ring with mass below theta."""
         lo = measure.min_mass()
         if lo < self.min_mass_seen:
             self.min_mass_seen = lo
         if lo >= self.theta:
             return []
-        fresh = []
-        for ring, mass in enumerate(measure.masses()):
-            if mass < self.theta:
-                v = StabilityViolation(step=step, chain=chain, ring=ring, mass=float(mass))
-                self.violations.append(v)
-                fresh.append(v)
+        fresh = [StabilityViolation(step, chain, ring, float(mass))
+                 for ring, mass in enumerate(measure.masses()) if mass < self.theta]
+        self.violations += len(fresh)
         return fresh
 
 

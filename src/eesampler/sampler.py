@@ -195,7 +195,7 @@ class ChainEnsemble:
             "min_ring_mass": None
             if not np.isfinite(self.monitor.min_mass_seen)
             else self.monitor.min_mass_seen,
-            "stability_violations": len(self.monitor.violations),
+            "stability_violations": self.monitor.violations,
             "fallbacks": self._fallbacks,
         }
         return self.trace

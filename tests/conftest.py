@@ -65,11 +65,12 @@ def generated_model(i: int, seed: int):
     return model, counts
 
 
-def single_ring(space):
-    """The partition of a space into one ring."""
+def single_ring(space, ladder=None):
+    """The partition of a space into one ring; on a box, one band of the
+    energy of the ladder's target."""
     if isinstance(space, FiniteSpace):
         return RingPartition(space, labels=np.zeros(space.size, dtype=int))
-    return RingPartition(space, energy=lambda x: 0.0, thresholds=[])
+    return RingPartition(space, ladder=ladder, thresholds=[])
 
 
 def chain_states(ensemble):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eesampler import cli, exact
+from eesampler import cli, exact, experiments
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError
 from eesampler.experiments import (
@@ -750,6 +750,24 @@ def test_cli_bias_study_negative_freeze_exits_2(tmp_path, capsys):
     assert code == 2
     assert "freeze_at" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_bias_study_refuses_the_ring_closed_kernel(tmp_path, monkeypatch, capsys):
+    # the frozen ee-jump kernel at epsilon 1 never leaves the ring of its
+    # state, so it has no unique limit to compare against: exit 2 before
+    # the frozen atoms are drawn. verify leaves that epsilon out and passes.
+    raw = four_state_raw(kernel={"variant": "ee-jump", "epsilon": 1.0, "proposal": "neighbor"})
+    cfg_path = write_config(tmp_path, raw)
+
+    def no_atoms(*args, **kwargs):
+        raise AssertionError("the frozen atoms were drawn")
+
+    monkeypatch.setattr(experiments, "frozen_feeder_atoms", no_atoms)
+    out = tmp_path / "never"
+    assert cli.main(["bias-study", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "ring-closed" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
 
 
 def test_cli_rate_study_malformed_grid_exits_2(tmp_path, capsys):

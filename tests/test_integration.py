@@ -102,8 +102,7 @@ def test_float_mixture_run_equals_numpy_mixture_run():
     ))
     ladder = tempered_ladder(
         cfg.space, reference_numpy_logpdf(base["means"], base["scales"], base["weights"]), [6, 1])
-    partition = RingPartition(cfg.space, energy=lambda x: -ladder.log_density(1, x),
-                              thresholds=[2.0], energy_level=1)
+    partition = RingPartition(cfg.space, ladder=ladder, thresholds=[2.0])
     kernels = KernelSet(ladder, partition, cfg.kernels.proposals, cfg.kernels.epsilons)
     runs = []
     for config in (cfg, dataclasses.replace(cfg, ladder=ladder, partition=partition,

@@ -15,7 +15,13 @@ from eesampler.kernels import (
     UniformProposal,
 )
 from eesampler.measures import EmpiricalMeasure
-from eesampler.state_space import BoxSpace, DensityLadder, FiniteSpace, RingPartition
+from eesampler.state_space import (
+    BoxSpace,
+    DensityLadder,
+    FiniteSpace,
+    RingPartition,
+    tempered_ladder,
+)
 
 # hand-computed MH matrix: 2 states, uniform-independent proposal, pi = (1/3, 2/3)
 #   from 0: propose 1 w.p. 1/2, accept ratio 2 -> always; stay otherwise
@@ -110,11 +116,8 @@ def test_neighbor_kernel_matrix_and_invariance():
 
 def test_mh_gaussian_walk_stays_in_box():
     space = BoxSpace([-1.0], [1.0])
-    model = KernelSet(
-        DensityLadder(space, [lambda x: 0.0]),
-        single_ring(space),
-        [GaussianWalkProposal(0.8)],
-    )
+    ladder = tempered_ladder(space, lambda x: 0.0, [1.0])
+    model = KernelSet(ladder, single_ring(space, ladder), [GaussianWalkProposal(0.8)])
     rng = np.random.default_rng(8)
     x = np.array([0.9])
     for _ in range(300):
@@ -127,8 +130,8 @@ def test_gaussian_walk_gives_the_floats_of_the_array_form(dim):
     # a flat target on a wide box accepts every proposal, so each state is
     # the proposal x + step * standard_normal(dim) of a twin Generator
     space = BoxSpace([-1e6] * dim, [1e6] * dim)
-    model = KernelSet(DensityLadder(space, [lambda x: 0.0]), single_ring(space),
-                      [GaussianWalkProposal(0.7)])
+    ladder = tempered_ladder(space, lambda x: 0.0, [1.0])
+    model = KernelSet(ladder, single_ring(space, ladder), [GaussianWalkProposal(0.7)])
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
     x = space.require([0.25] * dim)
     for _ in range(2000):
@@ -151,8 +154,8 @@ def flat_model(space):
         ladder = DensityLadder(space, [np.zeros(space.size)] * 2)
     else:
         proposals = [GaussianWalkProposal(0.5)] * 2
-        ladder = DensityLadder(space, [lambda x: 0.0] * 2)
-    return KernelSet(ladder, single_ring(space), proposals, epsilon=1.0)
+        ladder = tempered_ladder(space, lambda x: 0.0, [1.0, 1.0])
+    return KernelSet(ladder, single_ring(space, ladder), proposals, epsilon=1.0)
 
 
 def test_uniform_proposal_is_int_s_u_of_its_uniform():
@@ -538,10 +541,18 @@ def test_proposal_count_mismatch():
 
 def test_box_nan_density_raises():
     space = BoxSpace([-1.0], [1.0])
-    model = KernelSet(
-        DensityLadder(space, [lambda x: float("nan")]),
-        single_ring(space),
-        [GaussianWalkProposal(0.5)],
-    )
+    ladder = tempered_ladder(space, lambda x: float("nan"), [1.0])
+    model = KernelSet(ladder, single_ring(space, ladder), [GaussianWalkProposal(0.5)])
     with pytest.raises(NumericalError):
         model.mh_step(0, np.array([0.0]), np.random.default_rng(1))
+
+
+def test_ring_closed_is_exactly_the_kernel_that_never_leaves_its_ring(four_state):
+    labels = four_state.partition.labels()
+    across = labels[:, None] != labels[None, :]
+    mu = four_state.ladder.density_table()[0]
+    for variant in ("selection-mutation", "ee-jump"):
+        for eps in (0.0, 0.5, 1.0):
+            model = kernel_copy(four_state.kernels, eps, variant)
+            P = exact.interacting_matrix(model, 1, mu)
+            assert model.ring_closed(eps) == (P[across].max() == 0.0), (variant, eps)

@@ -181,6 +181,15 @@ def test_ladder_level_count():
         DensityLadder(FiniteSpace(2), [])
 
 
+def test_box_ladder_is_only_a_tempered_base():
+    space = BoxSpace([0.0], [1.0])
+    for levels in ([lambda x: 0.0], [np.zeros(3)]):  # per-level callables, a table
+        with pytest.raises(ConfigurationError):
+            DensityLadder(space, levels)
+    with pytest.raises(ConfigurationError):
+        tempered_ladder(space, np.zeros(3), [1.0])
+
+
 # ---------------------------------------------------------------------------
 # ring assignment
 # ---------------------------------------------------------------------------
@@ -200,7 +209,8 @@ def test_label_lookup_canonicalizes():
 
 def test_energy_threshold_assignment():
     space = BoxSpace([-3.0], [3.0])
-    part = RingPartition(space, energy=lambda x: float(x[0]) ** 2, thresholds=[1.0])
+    ladder = tempered_ladder(space, lambda x: -float(x[0]) ** 2, [1.0])
+    part = RingPartition(space, ladder=ladder, thresholds=[1.0])
     assert part.d == 2
     assert part.assign(np.array([0.5])) == 0
     assert part.assign(np.array([2.0])) == 1
@@ -225,8 +235,68 @@ def test_label_shape_validation(labels):
 
 
 def test_decreasing_thresholds_rejected():
+    space = BoxSpace([0.0], [1.0])
+    ladder = tempered_ladder(space, lambda x: 0.0, [1.0])
     with pytest.raises(ConfigurationError):
-        RingPartition(BoxSpace([0.0], [1.0]), energy=lambda x: 0.0, thresholds=[2.0, 1.0])
+        RingPartition(space, ladder=ladder, thresholds=[2.0, 1.0])
+
+
+def test_threshold_partition_needs_the_ladder_of_its_space():
+    ladder = tempered_ladder(BoxSpace([0.0], [1.0]), lambda x: 0.0, [1.0])
+    with pytest.raises(ConfigurationError):
+        RingPartition(BoxSpace([0.0], [1.0]), ladder=ladder, thresholds=[1.0])
+    with pytest.raises(ConfigurationError):
+        RingPartition(FiniteSpace(3), thresholds=[1.0])
+
+
+def _thresholds_on_energies(rng, energies):
+    """Strictly increasing thresholds: some set exactly on given energies,
+    some drawn around them."""
+    finite = energies[np.isfinite(energies)]
+    on = rng.choice(finite, size=int(rng.integers(0, min(3, finite.size) + 1)), replace=False)
+    around = rng.uniform(finite.min() - 1.0, finite.max() + 1.0, int(rng.integers(0, 3)))
+    return np.unique(np.concatenate([on, around]))
+
+
+@pytest.mark.parametrize("kind", ["finite", "box"])
+def test_threshold_rings_are_bands_of_the_target_energy(kind):
+    # generated tempered ladders; the reference ring of x is
+    # searchsorted(thresholds, -log_target(x), side="right"), with the
+    # target's log-density computed here, so a NaN energy is the last ring
+    for case in range(60):
+        rng = np.random.default_rng([0xBA4D, case, kind == "box"])
+        temps = sorted(rng.uniform(1.5, 6.0, int(rng.integers(0, 3))).tolist(),
+                       reverse=True) + [1.0]
+        if kind == "finite":
+            size = int(rng.integers(2, 9))
+            log_target = rng.normal(size=size)
+            ladder = tempered_ladder(FiniteSpace(size), log_target, temps)
+            points = list(range(size))
+            energies = -log_target
+        else:
+            dim = int(rng.integers(1, 3))
+            space = BoxSpace([-2.0] * dim, [2.0] * dim)
+            points = [space.require(p) for p in rng.uniform(-2.0, 2.0, (12, dim))]
+            coef = rng.uniform(0.5, 2.0, dim).tolist()
+            nan_at = points[0]
+
+            def log_target(x, coef=coef, nan_at=nan_at):
+                if x == nan_at:
+                    return float("nan")
+                return -sum(c * v * v for c, v in zip(coef, x))
+
+            ladder = tempered_ladder(space, log_target, temps)
+            energies = np.array([-log_target(x) for x in points])
+        thresholds = _thresholds_on_energies(rng, energies)
+        part = RingPartition(ladder.space, ladder=ladder, thresholds=thresholds)
+        assert part.d == thresholds.size + 1
+        want = np.searchsorted(thresholds, energies, side="right")
+        assert [part.assign(x) for x in points] == want.tolist(), case
+        assert [part.assign_point(x, ladder.log_densities(x)) for x in points] == want.tolist()
+        if kind == "finite":
+            assert part.labels().tolist() == want.tolist()
+        else:
+            assert part.assign(points[0]) == part.d - 1  # the NaN energy
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +331,15 @@ def test_masses_rows_sum_to_one():
     assert np.all(masses > 0)
 
 
-def test_masses_zero_ring_on_grid_is_error():
-    space = BoxSpace([0.0], [1.0])
-    ladder = DensityLadder(space, [lambda x: 0.0])
-    part = RingPartition(space, energy=lambda x: float(x[0]), thresholds=[2.0])
-    grid = np.linspace(0.0, 1.0, 50)[:, None]  # never reaches ring 1
+def test_masses_zero_ring_is_error():
+    ladder = tempered_ladder(FiniteSpace(4), np.log([1.0, 1.0, 2.0, 4.0]), [1.0])
+    part = RingPartition(ladder.space, ladder=ladder, thresholds=[5.0])  # ring 1 empty
     with pytest.raises(ConfigurationError):
-        ladder_masses(ladder, part, grid=grid)
+        ladder_masses(ladder, part)
 
 
-def test_masses_box_quadrature():
+def test_masses_need_a_finite_space():
     space = BoxSpace([-3.0], [3.0])
     ladder = tempered_ladder(space, lambda x: -float(x[0]) ** 2, [2.0, 1.0])
-    part = RingPartition(space, energy=lambda x: float(x[0]) ** 2, thresholds=[1.0])
-    grid = np.linspace(-3.0, 3.0, 601)[:, None]
-    masses = ladder_masses(ladder, part, grid=grid)
-    assert masses.shape == (2, 2)
-    np.testing.assert_allclose(masses.sum(axis=1), np.ones(2), atol=1e-12)
-    # the hotter level spreads more mass into the outer ring
-    assert masses[0, 1] > masses[1, 1] > 0
+    with pytest.raises(ConfigurationError):
+        ladder_masses(ladder, single_ring(space, ladder))
