@@ -23,6 +23,7 @@ from .experiments import (
     run_experiment,
     slln_rate_study,
     verify_suite,
+    write_json,
     write_rate_report,
 )
 
@@ -129,10 +130,7 @@ def main(argv=None) -> int:
             return EXIT_OK if report.passed else EXIT_VERIFY
         if args.verb == "bias-study":
             report = bias_study(config, args.freeze_at)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "bias_study.json").write_text(
-                json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-            )
+            write_json(report, out / "bias_study.json")
             print(
                 f"bias-study: predicted_tv={report.predicted_tv:.6f} "
                 f"max_z={report.max_z:.3f} exact_feeder_tv={report.exact_feeder_tv:.2e} "
@@ -141,10 +139,7 @@ def main(argv=None) -> int:
             return EXIT_OK if report.passed else EXIT_VERIFY
         if args.verb == "verify":
             report = verify_suite(config)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "verification.json").write_text(
-                json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-            )
+            write_json(report, out / "verification.json")
             for check in report.checks:
                 print(
                     f"verify {check.name}: statistic={check.statistic:.3e} "

@@ -70,12 +70,10 @@ class TestFunction:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description. The space, the ladder and the
+    partition are those of the kernel set."""
 
     raw: dict
-    space: FiniteSpace | BoxSpace
-    ladder: DensityLadder
-    partition: RingPartition
     kernels: KernelSet
     offsets: tuple[int, ...]  # activation offsets N_1..N_{r-1}
     total_rounds: int
@@ -87,6 +85,18 @@ class ExperimentConfig:
     strict_snapshot: bool
     snapshot_every: int
     test_functions: tuple[TestFunction, ...] = field(default_factory=tuple)
+
+    @property
+    def space(self) -> FiniteSpace | BoxSpace:
+        return self.kernels.ladder.space
+
+    @property
+    def ladder(self) -> DensityLadder:
+        return self.kernels.ladder
+
+    @property
+    def partition(self) -> RingPartition:
+        return self.kernels.partition
 
     @property
     def r(self) -> int:
@@ -436,9 +446,6 @@ def _resolve(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=raw,
-        space=space,
-        ladder=ladder,
-        partition=partition,
         kernels=kernels,
         offsets=offsets,
         total_rounds=total_rounds,

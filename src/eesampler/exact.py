@@ -119,6 +119,10 @@ def _build_k_matrix(model: KernelSet, level: int) -> np.ndarray:
 
 def _build_swap_alpha(model: KernelSet, level: int) -> np.ndarray:
     _require_finite(model)
+    if not 1 <= level < model.ladder.r:
+        raise ConfigurationError(
+            f"swaps need a level with a feeder below it (1..{model.ladder.r - 1}), got {level}"
+        )
     logw = model.ladder.log_table()
     li, lf = logw[level], logw[level - 1]
     # alpha(x, z) = min(1, pi_i(z) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(z)))
@@ -134,7 +138,8 @@ def k_matrix(model: KernelSet, level: int) -> np.ndarray:
 
 def swap_alpha(model: KernelSet, level: int) -> np.ndarray:
     """Matrix of swap acceptance probabilities alpha_i(x, z) (read-only,
-    built once per model and level)."""
+    built once per model and level); `level` must be 1..r-1, as the
+    feeder is level - 1."""
     return _built_once(model, "alpha", level, _build_swap_alpha)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,34 @@ _BATTERY_SALT = 0xF1AC
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def json_data(value):
+    """`value` as JSON data: a report dataclass as its fields plus its
+    `passed`, a dict by its values, an array or a tuple as a list of Python
+    numbers, and a non-finite float as None (JSON null)."""
+    if is_dataclass(value):
+        data = {f.name: getattr(value, f.name) for f in fields(value)}
+        if hasattr(value, "passed"):
+            data["passed"] = value.passed
+        return json_data(data)
+    if isinstance(value, dict):
+        return {k: json_data(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [json_data(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def write_json(obj, path) -> None:
+    """Write `json_data(obj)` to `path`, creating its directory: sorted keys,
+    two-space indent, a trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(json_data(obj), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
@@ -79,12 +105,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "quantity", "value"])
         writer.writerows(summary_rows)
-    _write_json(
-        {
-            "config": config.raw,
-            "config_hash": config.config_hash(),
-            "replicates": metas,
-        },
+    write_json(
+        {"config": config.raw, "config_hash": config.config_hash(), "replicates": metas},
         paths["meta"],
     )
     return paths
@@ -116,36 +138,11 @@ class RateReport:
     config_hash: str = ""
     # the feeder's ring-mass watch over all replicates, as in meta.json
     stability_violations: int = 0
-    min_ring_mass: float | None = None
+    min_ring_mass: float = np.inf  # written as null when no feeder was watched
 
     @property
     def passed(self) -> bool:
         return all(f.passed and f.monotone for f in self.functions)
-
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "n_grid": [int(n) for n in self.n_grid],
-            "burn_in": self.burn_in,
-            "replicates": self.replicates,
-            "passed": self.passed,
-            "stability_violations": self.stability_violations,
-            "min_ring_mass": self.min_ring_mass,
-            "functions": [
-                {
-                    "name": f.name,
-                    "target": f.target,
-                    "moment1": [float(v) for v in f.moment1],
-                    "moment2": [float(v) for v in f.moment2],
-                    "stderr": [float(v) for v in f.stderr],
-                    "slope": f.slope,
-                    "slope_stderr": f.slope_stderr,
-                    "passed": f.passed,
-                    "monotone": f.monotone,
-                }
-                for f in self.functions
-            ],
-        }
 
 
 def slln_rate_study(
@@ -255,7 +252,7 @@ def slln_rate_study(
         functions=functions,
         config_hash=config.config_hash(),
         stability_violations=ens.violations,
-        min_ring_mass=float(ens.min_mass_seen) if np.isfinite(ens.min_mass_seen) else None,
+        min_ring_mass=ens.min_mass_seen,
     )
 
 
@@ -273,7 +270,7 @@ def write_rate_report(report: RateReport, out_dir) -> dict:
                      repr(float(f.moment2[i])), repr(float(f.stderr[i]))]
                 )
     json_path = out / "rate_study.json"
-    _write_json(report.to_dict(), json_path)
+    write_json(report, json_path)
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
@@ -298,22 +295,6 @@ class BiasReport:
     @property
     def passed(self) -> bool:
         return self.agrees and self.predicted_tv > 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "freeze_at": self.freeze_at,
-            "feeder_atoms": [int(a) for a in self.feeder_atoms],
-            "predicted": [float(v) for v in self.predicted],
-            "pi_target": [float(v) for v in self.pi_target],
-            "predicted_tv": self.predicted_tv,
-            "occupancy": [float(v) for v in self.occupancy],
-            "occupancy_se": [float(v) for v in self.occupancy_se],
-            "max_z": self.max_z,
-            "agrees": self.agrees,
-            "exact_feeder_tv": self.exact_feeder_tv,
-            "passed": self.passed,
-        }
 
 
 def frozen_feeder_atoms(config: ExperimentConfig, freeze_at: int, replicate: int = 0) -> list:
@@ -462,15 +443,6 @@ class CheckResult:
     passed: bool
     details: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": float(self.statistic) if math.isfinite(self.statistic) else None,
-            "tolerance": None if self.tolerance is None else float(self.tolerance),
-            "passed": bool(self.passed),
-            "details": self.details,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -483,13 +455,6 @@ class VerificationReport:
 
     def failing(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def _random_positive_measure(rng, size) -> np.ndarray:
@@ -513,6 +478,8 @@ def verify_suite(config: ExperimentConfig) -> VerificationReport:
     consolidated pass/fail report. Deterministic given the config seed."""
     if not isinstance(config.space, FiniteSpace):
         raise ConfigurationError("the verification suite needs a finite space")
+    if config.r < 2:
+        raise ConfigurationError("the verification suite needs a feeding chain (r >= 2)")
     model = config.kernels
     size = config.space.size
     d = config.partition.d

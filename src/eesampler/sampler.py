@@ -192,9 +192,7 @@ class ChainEnsemble:
             "chains": self.r,
             "schedule": list(self.config.schedule_lengths()),
             "theta": self.config.theta,
-            "min_ring_mass": None
-            if not np.isfinite(self.monitor.min_mass_seen)
-            else self.monitor.min_mass_seen,
+            "min_ring_mass": self.monitor.min_mass_seen,  # inf when no feeder was watched
             "stability_violations": self.monitor.violations,
             "fallbacks": self._fallbacks,
         }

@@ -5,7 +5,7 @@ from conftest import make_model
 from eesampler import exact
 from eesampler.config import four_state_config
 from eesampler.errors import ConfigurationError, NumericalError, StabilityError
-from eesampler.experiments import verify_suite
+from eesampler.experiments import json_data, verify_suite
 from eesampler.kernels import KernelSet, NeighborProposal, UniformProposal
 from eesampler.measures import tv_distance
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
@@ -60,10 +60,23 @@ def test_shared_matrices_are_read_only(four_model):
     assert exact.k_matrix(four_model, 1) is exact.k_matrix(four_model, 1)
 
 
+def test_swap_alpha_needs_a_level_with_a_feeder(four_model):
+    # level 0 has no feeder below it; reading level -1 in its place would
+    # take the target as the feeder of level 0
+    for level in (-1, 0, 2):
+        with pytest.raises(ConfigurationError, match="feeder below it"):
+            exact.swap_alpha(four_model, level)
+    pi_target = exact.stationary(exact.k_matrix(four_model, 1))
+    for build in (exact.q_matrix, exact.ee_jump_matrix, exact.nonlinear_matrix,
+                  exact.interacting_matrix):
+        with pytest.raises(ConfigurationError, match="feeder below it"):
+            build(four_model, 0, pi_target)
+
+
 def test_verify_suite_same_report_cold_and_warm():
     cfg = four_state_config()
-    cold = verify_suite(cfg).to_dict()
-    warm = verify_suite(cfg).to_dict()
+    cold = json_data(verify_suite(cfg))
+    warm = json_data(verify_suite(cfg))
     assert cold == warm
 
 

@@ -12,9 +12,11 @@ from eesampler.errors import ConfigurationError
 from eesampler.experiments import (
     bias_study,
     fluctuation_bound_battery,
+    json_data,
     run_experiment,
     slln_rate_study,
     verify_suite,
+    write_json,
     write_rate_report,
 )
 from eesampler.sampler import run
@@ -120,7 +122,7 @@ def test_rate_study_rerun_identical():
     cfg = four_state_config(replicates=3, schedule={"offsets": [10], "total_rounds": 256})
     a = slln_rate_study(cfg, n_grid=[64, 128, 256], min_replicates=2)
     b = slln_rate_study(cfg, n_grid=[64, 128, 256], min_replicates=2)
-    assert a.to_dict() == b.to_dict()
+    assert json_data(a) == json_data(b)
 
 
 def test_rate_report_artifacts(tmp_path):
@@ -142,13 +144,13 @@ def test_rate_report_counts_stability_violations():
     # theta above any feeder ring mass two rings can share: every watched
     # round of every replicate records violations, and the watch draws nothing
     small = {"offsets": [10], "total_rounds": 256}
-    low = slln_rate_study(four_state_config(replicates=3, schedule=small),
-                          n_grid=[64, 128, 256], min_replicates=2).to_dict()
-    high = slln_rate_study(
+    low = json_data(slln_rate_study(four_state_config(replicates=3, schedule=small),
+                                    n_grid=[64, 128, 256], min_replicates=2))
+    high = json_data(slln_rate_study(
         four_state_config(replicates=3, schedule=small,
                           stability={"theta": 0.9, "policy": "warn"}),
         n_grid=[64, 128, 256], min_replicates=2,
-    ).to_dict()
+    ))
     assert high["stability_violations"] > 0
     assert high["min_ring_mass"] < 0.9
     assert low["stability_violations"] == 0 and low["min_ring_mass"] >= 0.05
@@ -178,7 +180,7 @@ def test_bias_study_smoke():
     assert report.predicted_tv > 0.0
     assert report.exact_feeder_tv < 1e-10
     assert np.isfinite(report.max_z)
-    json.dumps(report.to_dict())  # serializable
+    json.dumps(json_data(report), allow_nan=False)  # serializable
 
 
 def test_bias_study_oracle_follows_variant():
@@ -402,13 +404,13 @@ def test_threshold_partition_matches_its_labels(tmp_path):
     cfg_path = write_config(tmp_path, thresholds)
     assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
     verified = json.loads((tmp_path / "v" / "verification.json").read_text())
-    expected = json.loads(json.dumps(verify_suite(labels).to_dict()))
+    expected = json.loads(json.dumps(json_data(verify_suite(labels))))
     for report in (verified, expected):
         report.pop("config_hash")
     assert verified == expected
 
-    biased = bias_study(config_from_dict(thresholds), freeze_at=9).to_dict()
-    expected = bias_study(labels, freeze_at=9).to_dict()
+    biased = json_data(bias_study(config_from_dict(thresholds), freeze_at=9))
+    expected = json_data(bias_study(labels, freeze_at=9))
     for report in (biased, expected):
         report.pop("config_hash")
     assert biased == expected
@@ -872,3 +874,96 @@ def test_cli_bias_study(tmp_path):
     blob = json.loads((tmp_path / "bias" / "bias_study.json").read_text())
     assert blob["predicted_tv"] > 0.0
     assert code in (0, 5)  # pass flag depends on the noise band; file always lands
+
+
+# ---------------------------------------------------------------------------
+# JSON artifacts
+# ---------------------------------------------------------------------------
+
+def strict_json(path):
+    """An artifact parsed as JSON proper: NaN and Infinity raise."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def one_level_raw():
+    return four_state_raw(ladder={"weights": [[1, 1, 2, 4]]}, initial_states=[0],
+                          schedule={"offsets": [], "total_rounds": 400})
+
+
+def test_json_data_is_the_report_fields_and_passed():
+    check = experiments.CheckResult("lipschitz", float("nan"), 1.0, False)
+    assert json_data(check) == {"name": "lipschitz", "statistic": None, "tolerance": 1.0,
+                                "passed": False, "details": ""}
+    report = experiments.VerificationReport([check], config_hash="h")
+    assert json_data(report) == {"checks": [json_data(check)], "config_hash": "h",
+                                 "passed": False}
+    mixed = {"a": (np.int64(1), np.float64(-np.inf), np.bool_(True)), "b": np.array([0.5, np.nan])}
+    assert json_data(mixed) == {"a": [1, None, True], "b": [0.5, None]}
+    assert type(json_data(mixed)["a"][0]) is int
+    # no feeder watched: the default minimum mass is written as null
+    rate = experiments.RateReport(n_grid=np.array([64, 128]), burn_in=10, replicates=2,
+                                  functions=[])
+    assert json_data(rate)["min_ring_mass"] is None and json_data(rate)["n_grid"] == [64, 128]
+
+
+def test_write_json_writes_a_nan_statistic_as_null(tmp_path):
+    report = experiments.VerificationReport(
+        [experiments.CheckResult("lipschitz", float("nan"), 1.0, False)])
+    path = tmp_path / "new" / "verification.json"
+    write_json(report, path)
+    text = path.read_text()
+    assert text == json.dumps(json_data(report), sort_keys=True, indent=2) + "\n"
+    assert strict_json(path)["checks"][0]["statistic"] is None
+
+
+def test_one_level_run_writes_its_min_ring_mass_as_null(tmp_path):
+    # no chain feeds another, so no ring mass is ever watched
+    cfg = config_from_dict(one_level_raw())
+    assert run(cfg).meta["min_ring_mass"] == np.inf
+    paths = run_experiment(cfg, tmp_path)
+    assert strict_json(paths["meta"])["replicates"][0]["min_ring_mass"] is None
+
+
+def test_cli_verify_refuses_a_single_level(tmp_path, capsys):
+    # with no feeding chain there is no interacting kernel to check; the
+    # oracle must not take the target as the feeder of level 0
+    raw = one_level_raw()
+    with pytest.raises(ConfigurationError, match="r >= 2"):
+        verify_suite(config_from_dict(raw))
+    out = tmp_path / "never"
+    code = cli.main(["verify", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 2
+    assert "r >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_artifact_is_strict_json_with_fixed_keys(tmp_path):
+    cfg_path = write_config(
+        tmp_path, four_state_raw(replicates=50, schedule={"offsets": [10], "total_rounds": 256}))
+    calls = {"run": ["--replicates", "2"], "rate-study": ["--n-grid", "64,128,256"],
+             "bias-study": [], "verify": []}
+    for verb, flags in calls.items():
+        code = cli.main([verb, "--config", cfg_path, "--out", str(tmp_path / verb), *flags])
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY), verb
+    artifacts = {p.relative_to(tmp_path).as_posix(): strict_json(p)
+                 for p in tmp_path.rglob("*.json") if p.name != "config.json"}
+    assert set(artifacts) == {"run/meta.json", "rate-study/rate_study.json",
+                              "bias-study/bias_study.json", "verify/verification.json"}
+    assert set(artifacts["bias-study/bias_study.json"]) == {
+        "config_hash", "freeze_at", "feeder_atoms", "predicted", "pi_target", "predicted_tv",
+        "occupancy", "occupancy_se", "max_z", "agrees", "exact_feeder_tv", "passed",
+    }
+    verification = artifacts["verify/verification.json"]
+    assert set(verification) == {"config_hash", "passed", "checks"}
+    for check in verification["checks"]:
+        assert set(check) == {"name", "statistic", "tolerance", "passed", "details"}
+    meta = artifacts["run/meta.json"]
+    assert set(meta) == {"config", "config_hash", "replicates"}
+    for rep in meta["replicates"]:
+        assert set(rep) == {"config_hash", "master_seed", "replicate", "rounds", "chains",
+                            "schedule", "theta", "min_ring_mass", "stability_violations",
+                            "fallbacks"}

@@ -105,8 +105,7 @@ def test_float_mixture_run_equals_numpy_mixture_run():
     partition = RingPartition(cfg.space, ladder=ladder, thresholds=[2.0])
     kernels = KernelSet(ladder, partition, cfg.kernels.proposals, cfg.kernels.epsilons)
     runs = []
-    for config in (cfg, dataclasses.replace(cfg, ladder=ladder, partition=partition,
-                                            kernels=kernels)):
+    for config in (cfg, dataclasses.replace(cfg, kernels=kernels)):
         ens = ChainEnsemble(config)
         ens.run_rounds(config.total_rounds)
         # every atom's carried log-densities, to the last bit
