@@ -1,9 +1,11 @@
 """Exact transition matrices and identity checks on enumerated spaces.
 
 Everything here is computed by enumeration, independently of the sampling
-code in :mod:`eesampler.kernels`: matrices are assembled row by row from the
-ladder densities, stationary vectors come from a linear solve, and the
-Poisson equation is solved through the fundamental matrix. This gives the
+code in :mod:`eesampler.kernels`, with one exception: the swap acceptance
+matrix is the kernel set's own table, so the lockstep steps and the oracle
+read one formula. Matrices are assembled row by row from the ladder
+densities, stationary vectors come from a linear solve, and the Poisson
+equation is solved through the fundamental matrix. This gives the
 simulation an oracle to be checked against, and makes the identities behind
 the convergence argument (fixed point, q-fold composition, mixture
 expansion, Lipschitz and continuity bounds) machine-verifiable.
@@ -77,21 +79,10 @@ def assert_row_stochastic(P: np.ndarray) -> None:
         raise NumericalError(f"rows deviate from 1 by {err[i]:.3e}{_of_stack(P, i)}")
 
 
-# K and the swap-alpha matrix depend only on the model and the level, and a
-# KernelSet's fields are set once in __init__, so each is built once per
-# (model, level) and shared read-only. Weak keys let a model's entries go
-# with the model.
-_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _built_once(model: KernelSet, kind: str, level: int, build) -> np.ndarray:
-    built = _BUILT.setdefault(model, {})
-    key = (kind, level)
-    if key not in built:
-        matrix = build(model, level)
-        matrix.flags.writeable = False
-        built[key] = matrix
-    return built[key]
+# K depends only on the model and the level, and a KernelSet's fields are
+# set once in __init__, so it is built once per (model, level) and shared
+# read-only. Weak keys let a model's matrices go with the model.
+_K_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _build_k_matrix(model: KernelSet, level: int) -> np.ndarray:
@@ -117,30 +108,24 @@ def _build_k_matrix(model: KernelSet, level: int) -> np.ndarray:
     return P
 
 
-def _build_swap_alpha(model: KernelSet, level: int) -> np.ndarray:
-    _require_finite(model)
-    if not 1 <= level < model.ladder.r:
-        raise ConfigurationError(
-            f"swaps need a level with a feeder below it (1..{model.ladder.r - 1}), got {level}"
-        )
-    logw = model.ladder.log_table()
-    li, lf = logw[level], logw[level - 1]
-    # alpha(x, z) = min(1, pi_i(z) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(z)))
-    log_ratio = li[None, :] + lf[:, None] - li[:, None] - lf[None, :]
-    return np.exp(np.minimum(0.0, log_ratio))
-
-
 def k_matrix(model: KernelSet, level: int) -> np.ndarray:
-    """Exact MH transition matrix for the configured proposal at `level`
-    (read-only, built once per model and level)."""
-    return _built_once(model, "k", level, _build_k_matrix)
+    """Exact MH transition matrix for the configured proposal at `level`,
+    0..r-1 (read-only, built once per model and level)."""
+    model.require_level(level)
+    built = _K_MATRICES.setdefault(model, {})
+    if level not in built:
+        K = _build_k_matrix(model, level)
+        K.flags.writeable = False
+        built[level] = K
+    return built[level]
 
 
 def swap_alpha(model: KernelSet, level: int) -> np.ndarray:
-    """Matrix of swap acceptance probabilities alpha_i(x, z) (read-only,
-    built once per model and level); `level` must be 1..r-1, as the
-    feeder is level - 1."""
-    return _built_once(model, "alpha", level, _build_swap_alpha)
+    """Matrix of swap acceptance probabilities alpha_i(x, z): the kernel
+    set's read-only swap table, which the lockstep steps read too; `level`
+    must be 1..r-1, as the feeder is level - 1."""
+    _require_finite(model)
+    return model.swap_table(level)
 
 
 def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = False):

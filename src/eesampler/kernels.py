@@ -49,6 +49,14 @@ every epsilon. The branch takes the interaction when its coin is below
 epsilon, so epsilon 0 and 1 need no special case. A uniform proposal maps
 its uniform u to state floor(S u), uniform on 0..S-1 up to a bias below
 S 2^-53; a neighbour proposal holds for u < 1/2 and steps up for u < 3/4.
+Acceptances are gathers from read-only S x S tables that the kernel set
+builds on a level's first lockstep use: ``mh_table(i)`` (x, y) is
+exp(min(0, log pi_i(y) - log pi_i(x))), ``swap_table(i)`` (x, z) the swap
+probability for levels 1..r-1, and ``ring_mask()`` (x, z) whether z lies
+in ring(x). Each table is computed with the operations, in the order, of
+the per-element form, so it holds the same floats; together they take
+O(r S^2) memory. ``exact.swap_alpha`` returns the swap table, so the
+oracle and the sampler read one formula. Scalar moves never build them.
 """
 
 from __future__ import annotations
@@ -188,6 +196,7 @@ class KernelSet:
                 raise ConfigurationError(f"level {i}: box spaces need a gaussian walk proposal")
         self._logw = ladder.log_table() if finite else None
         self._rings = partition.labels() if finite else None
+        self._tables = {}  # lockstep tables, built on first use
 
     def ring_closed(self, epsilon: float) -> bool:
         """True when the interacting move at this epsilon never leaves the
@@ -279,6 +288,55 @@ class KernelSet:
         return self.mh_step(level, point.x, rng, point), StepInfo("selection", accepted)
 
     # -- lockstep steps on finite spaces -----------------------------------------------
+    def require_level(self, level: int, interacting: bool = False) -> int:
+        """`level` if it is one of the ladder's levels, 0..r-1, or with
+        `interacting` one with a feeder below it, 1..r-1; else raises
+        :class:`ConfigurationError`."""
+        r = self.ladder.r
+        if interacting and not 1 <= level < r:
+            raise ConfigurationError(
+                f"swaps need a level with a feeder below it (1..{r - 1}), got {level}"
+            )
+        if not 0 <= level < r:
+            raise ConfigurationError(f"levels are 0..{r - 1}, got {level}")
+        return level
+
+    def _table(self, key, build) -> np.ndarray:
+        """The read-only table `key`, built by `build` on first use; a build
+        checks its level, so only valid levels are kept."""
+        table = self._tables.get(key)
+        if table is None:
+            if self._logw is None:
+                raise ConfigurationError("lockstep steps need a finite space")
+            table = self._tables[key] = build()
+            table.flags.writeable = False
+        return table
+
+    def mh_table(self, level: int) -> np.ndarray:
+        """(S, S) MH acceptances at `level`, 0..r-1: entry (x, y) is
+        exp(min(0, log pi_i(y) - log pi_i(x)))."""
+
+        def build():
+            logw = self._logw[self.require_level(level)]
+            return np.exp(np.minimum(0.0, logw[None, :] - logw[:, None]))
+
+        return self._table(("mh", level), build)
+
+    def swap_table(self, level: int) -> np.ndarray:
+        """(S, S) swap acceptances at `level`, 1..r-1: entry (x, z) is
+        alpha_i(x, z) = min(1, pi_i(z) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(z)))."""
+
+        def build():
+            self.require_level(level, interacting=True)
+            li, lf = self._logw[level], self._logw[level - 1]
+            return np.exp(np.minimum(0.0, li[None, :] + lf[:, None] - li[:, None] - lf[None, :]))
+
+        return self._table(("swap", level), build)
+
+    def ring_mask(self) -> np.ndarray:
+        """(S, S) boolean table: entry (x, z) is True when z lies in ring(x)."""
+        return self._table("rings", lambda: self._rings[:, None] == self._rings[None, :])
+
     def _mh_lockstep(self, level: int, x: np.ndarray, u_prop: np.ndarray, u_mh: np.ndarray):
         """MH moves from the states x, given proposal uniforms and MH coins."""
         size = self.ladder.space.size
@@ -286,13 +344,11 @@ class KernelSet:
             y = (u_prop * size).astype(np.intp)
         else:
             y = (x + np.where(u_prop < 0.5, 0, np.where(u_prop < 0.75, 1, -1))) % size
-        logw = self._logw[level]
-        return np.where(u_mh < np.exp(np.minimum(0.0, logw[y] - logw[x])), y, x)
+        return np.where(u_mh < self.mh_table(level)[x, y], y, x)
 
     def mh_step_lockstep(self, level: int, x: np.ndarray, rng: np.random.Generator):
         """One MH move targeting `level` for each entry of the (R,) state array."""
-        if self._logw is None:
-            raise ConfigurationError("lockstep steps need a finite space")
+        self.mh_table(level)  # checks the space and the level before drawing
         u_prop, u_mh = rng.random((2, x.shape[0]))
         return self._mh_lockstep(level, x, u_prop, u_mh)
 
@@ -303,22 +359,18 @@ class KernelSet:
         (R, S), row i the counts of replicate i's feeder measure. Keeps the
         semantics of `interacting_step`, including the local fallback when
         a replicate's ring holds no feeder atoms."""
-        if level < 1:
-            raise ConfigurationError("interacting steps need a feeder level below them")
-        if self._rings is None:
-            raise ConfigurationError("lockstep steps need a finite space")
-        rings = self._rings
+        swap = self.swap_table(level)
         u_branch, u_feed, u_swap, u_prop, u_mh = rng.random((5, x.shape[0]))
 
         # categorical draw over ring(x), weighted by the feeder's counts; the
-        # ufunc and method forms skip np.cumsum's and np.argmax's dispatch
-        cum = np.add.accumulate(np.where(rings == rings[x][:, None], feeder_counts, 0), axis=1)
+        # ufunc and method forms (take for mask[x] too) skip the dispatch of
+        # np.cumsum, np.argmax and fancy indexing
+        in_ring = self.ring_mask().take(x, axis=0)
+        cum = np.add.accumulate(np.where(in_ring, feeder_counts, 0), axis=1)
         held = cum[:, -1]
         z = (cum > (u_feed * held)[:, None]).argmax(axis=1)
-        lf, li = self._logw[level - 1], self._logw[level]
-        alpha = np.exp(np.minimum(0.0, li[z] + lf[x] - li[x] - lf[z]))
         take = (u_branch < self.epsilons[level]) & (held > 0)
-        accepted = take & (u_swap < alpha)
+        accepted = take & (u_swap < swap[x, z])
         if self.variant == "ee-jump":
             local = self._mh_lockstep(level, x, u_prop, u_mh)
             return np.where(take, np.where(accepted, z, x), local)

@@ -214,9 +214,10 @@ class LockstepEnsemble:
     empirical measure: in replicate i the count vector ``counts[i, k]`` over
     the S states, summed per ring in ``ring_counts`` for the stability
     monitor, with ``sizes[k]`` atoms. Memory is O(R r S) whatever the number
-    of rounds. The activation schedule, the chain-order updates within a
-    round, strict snapshots and the stability policy are those of
-    :class:`ChainEnsemble`; there is no trace.
+    of rounds, plus the kernel set's O(r S^2) acceptance tables. The
+    activation schedule, the chain-order updates within a round, strict
+    snapshots and the stability policy are those of :class:`ChainEnsemble`;
+    there is no trace.
 
     Frozen base: given ``frozen_feeder``, an (S,) count vector, chain 0
     holds it for the whole run and never moves or draws; its masses are
@@ -243,7 +244,6 @@ class LockstepEnsemble:
         self.min_mass_seen = np.inf
 
         reps, size, feeding = config.replicates, config.space.size, self.r - 1
-        self._rows = np.arange(reps)
         self._rings = config.partition.labels()
         initial = np.array(config.initial_states, dtype=np.intp)
         # chain k's states are row k of (r, R), contiguous for the kernels
@@ -259,6 +259,14 @@ class LockstepEnsemble:
             self.thresholds = [np.inf] + [t - self.thresholds[1] for t in self.thresholds[1:]]
             self._watched = range(1, feeding)
         self.ring_counts = self.counts @ np.eye(config.partition.d, dtype=np.int64)[self._rings]
+        # a round adds one atom per replicate through flat indices into views
+        # of the two count arrays: chain k's row in replicate i is row
+        # i * feeding + k of each
+        self._flat_counts = self.counts.reshape(-1)
+        self._flat_ring_counts = self.ring_counts.reshape(-1)
+        rows = np.arange(reps) * feeding
+        self._row_starts = [((rows + k) * size, (rows + k) * config.partition.d)
+                            for k in range(feeding)]
         if frozen_feeder is not None:
             self._check_feeder(0)
 
@@ -277,8 +285,9 @@ class LockstepEnsemble:
                 new = self.kernels.interacting_step_lockstep(k, x, feeders[:, k - 1], self.rngs[k])
             self._x[k] = new
             if k < self.r - 1:
-                self.counts[self._rows, k, new] += 1
-                self.ring_counts[self._rows, k, self._rings[new]] += 1
+                at, ring_at = self._row_starts[k]
+                self._flat_counts[at + new] += 1
+                self._flat_ring_counts[ring_at + self._rings[new]] += 1
                 self.sizes[k] += 1
         for k in self._watched:
             if n > self.thresholds[k + 1]:
@@ -288,11 +297,13 @@ class LockstepEnsemble:
         """A1 watch on feeding chain k: each round once its consumer moves,
         or once at construction for a frozen feeder, whose masses are fixed."""
         theta = self.config.theta
-        masses = self.ring_counts[:, k] / self.sizes[k]
-        lo = float(masses.min())
+        # division by the positive atom count keeps the order of the ring
+        # counts, so the smallest count gives the smallest mass's float
+        lo = int(self.ring_counts[:, k].min()) / self.sizes[k]
         self.min_mass_seen = min(self.min_mass_seen, lo)
         if lo >= theta:
             return
+        masses = self.ring_counts[:, k] / self.sizes[k]
         low = masses < theta
         self.violations += int(low.sum())
         if self.config.stability_policy == "abort":

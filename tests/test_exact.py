@@ -60,6 +60,13 @@ def test_shared_matrices_are_read_only(four_model):
     assert exact.k_matrix(four_model, 1) is exact.k_matrix(four_model, 1)
 
 
+def test_k_matrix_needs_a_level_of_the_ladder(four_model):
+    # level -1 would wrap onto level r - 1 and level r past the ladder
+    for level in (-1, 2):
+        with pytest.raises(ConfigurationError, match=r"levels are 0\.\.1, got"):
+            exact.k_matrix(four_model, level)
+
+
 def test_swap_alpha_needs_a_level_with_a_feeder(four_model):
     # level 0 has no feeder below it; reading level -1 in its place would
     # take the target as the feeder of level 0

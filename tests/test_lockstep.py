@@ -1,6 +1,7 @@
 """Lockstep engine: vectorised finite-space kernels against the exact oracle,
 and the all-replicates ensemble's schedule, snapshots and stability policy."""
 
+import copy
 import json
 from pathlib import Path
 from statistics import NormalDist
@@ -124,6 +125,161 @@ def test_generated_models_lockstep_matches_oracle():
             if np.any(hits[P[x0] == 0.0] > 0) or z.max() > z_max:
                 failures.append((seed, x0, model.variant, float(z.max())))
     assert not failures, f"z threshold {z_max:.3f}: {failures}"
+
+
+# ---------------------------------------------------------------------------
+# acceptance tables
+# ---------------------------------------------------------------------------
+
+def table_model(size: int, variant: str, proposal: str, seed: int):
+    """A random 3-level model on `size` states with up to 4 rings."""
+    rng = np.random.default_rng([seed, size])
+    space = FiniteSpace(size)
+    d = min(4, size)
+    labels = rng.permutation(np.arange(size) % d)
+    ladder = DensityLadder(space, [rng.normal(size=size) * s for s in (0.3, 1.0, 3.0)])
+    return KernelSet(ladder, RingPartition(space, labels=labels),
+                     [PROPOSALS[proposal]()] * 3, 0.5, variant)
+
+
+@pytest.mark.parametrize("proposal", sorted(PROPOSALS))
+@pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
+@pytest.mark.parametrize("size", [2, 5, 17, 64])
+def test_tables_equal_the_per_pair_form_bit_for_bit(size, variant, proposal):
+    # the per-pair form the lockstep steps computed before the tables: 1-D
+    # gathers over every (x, y) pair, row-major like the tables
+    model = table_model(size, variant, proposal, seed=5)
+    logw, rings = model.ladder.log_table(), model.partition.labels()
+    x = np.repeat(np.arange(size), size)
+    y = np.tile(np.arange(size), size)
+    for level in range(3):
+        lw = logw[level]
+        old = np.exp(np.minimum(0.0, lw[y] - lw[x]))
+        assert model.mh_table(level).tobytes() == old.tobytes()
+    for level in (1, 2):
+        lf, li = logw[level - 1], logw[level]
+        old = np.exp(np.minimum(0.0, li[y] + lf[x] - li[x] - lf[y]))
+        assert model.swap_table(level).tobytes() == old.tobytes()
+        assert exact.swap_alpha(model, level) is model.swap_table(level)
+    np.testing.assert_array_equal(model.ring_mask().ravel(), rings[x] == rings[y])
+    for table in (model.mh_table(0), model.swap_table(1), model.ring_mask()):
+        assert table.shape == (size, size)
+        with pytest.raises(ValueError):
+            table[0, 0] = table[0, 0]
+    assert model.mh_table(2) is model.mh_table(2)
+
+
+def test_lockstep_steps_check_their_level():
+    model = table_model(5, "ee-jump", "uniform", seed=6)
+    x, counts = np.zeros(3, dtype=np.intp), np.ones((3, 5), dtype=np.int64)
+    rng = np.random.default_rng(0)
+    idle = rng.bit_generator.state
+    for level in (-1, 3):
+        with pytest.raises(ConfigurationError, match=r"levels are 0\.\.2"):
+            model.mh_step_lockstep(level, x, rng)
+    for level in (-1, 0, 3):
+        with pytest.raises(ConfigurationError, match="feeder below it"):
+            model.interacting_step_lockstep(level, x, counts, rng)
+    assert rng.bit_generator.state == idle  # checked before any draw
+
+
+# ---------------------------------------------------------------------------
+# the engine against its per-element form
+# ---------------------------------------------------------------------------
+
+def reference_mh(model, level, x, u_prop, u_mh):
+    """The MH move in the per-element gather form."""
+    size = model.ladder.space.size
+    if isinstance(model.proposals[level], UniformProposal):
+        y = (u_prop * size).astype(np.intp)
+    else:
+        y = (x + np.where(u_prop < 0.5, 0, np.where(u_prop < 0.75, 1, -1))) % size
+    logw = model.ladder.log_table()[level]
+    return np.where(u_mh < np.exp(np.minimum(0.0, logw[y] - logw[x])), y, x)
+
+
+def reference_interacting(model, level, x, feeder_counts, rng):
+    """The interacting move in the per-element gather form; also returns
+    how many replicates took the interaction with an empty feeder ring."""
+    rings, logw = model.partition.labels(), model.ladder.log_table()
+    u_branch, u_feed, u_swap, u_prop, u_mh = rng.random((5, x.shape[0]))
+    cum = np.cumsum(np.where(rings == rings[x][:, None], feeder_counts, 0), axis=1)
+    held = cum[:, -1]
+    z = np.argmax(cum > (u_feed * held)[:, None], axis=1)
+    lf, li = logw[level - 1], logw[level]
+    alpha = np.exp(np.minimum(0.0, li[z] + lf[x] - li[x] - lf[z]))
+    branch = u_branch < model.epsilons[level]
+    take = branch & (held > 0)
+    accepted = take & (u_swap < alpha)
+    fallbacks = int((branch & (held == 0)).sum())
+    if model.variant == "ee-jump":
+        local = reference_mh(model, level, x, u_prop, u_mh)
+        return np.where(take, np.where(accepted, z, x), local), fallbacks
+    return reference_mh(model, level, np.where(accepted, z, x), u_prop, u_mh), fallbacks
+
+
+def reference_rounds(ens, rounds: int):
+    """Replay `rounds` rounds of a fresh LockstepEnsemble in the gather
+    form, from copies of its generators and arrays, with three-index count
+    updates. Returns (states, counts, ring_counts, fallbacks)."""
+    model, cfg = ens.kernels, ens.config
+    rings = model.partition.labels()
+    rngs = copy.deepcopy(ens.rngs)
+    x, counts, ring_counts = ens.states.T.copy(), ens.counts.copy(), ens.ring_counts.copy()
+    reps = x.shape[1]
+    rows, fallbacks = np.arange(reps), 0
+    for n in range(1, rounds + 1):
+        feeders = counts.copy() if cfg.strict_snapshot else counts
+        for k in range(ens.r):
+            if n <= ens.thresholds[k]:
+                continue
+            if k == 0:
+                u_prop, u_mh = rngs[0].random((2, reps))
+                new = reference_mh(model, 0, x[0], u_prop, u_mh)
+            else:
+                new, empty = reference_interacting(model, k, x[k], feeders[:, k - 1], rngs[k])
+                fallbacks += empty
+            x[k] = new
+            if k < ens.r - 1:
+                counts[rows, k, new] += 1
+                ring_counts[rows, k, rings[new]] += 1
+    return x.T, counts, ring_counts, fallbacks
+
+
+ENGINE_CASES = {
+    # three chains, so chain 1 both reads a feeder and feeds chain 2
+    "sequential": dict(kernel={"variant": "selection-mutation", "epsilon": 0.5,
+                               "proposal": "neighbor"}),
+    "strict": dict(kernel={"variant": "ee-jump", "epsilon": 0.5, "proposal": "uniform"},
+                   trace={"snapshot_every": 256, "strict_snapshot": True}),
+    # chain 1 starts in ring 1 a round after chain 0, whose atoms then lie
+    # in ring 1 in only some replicates
+    "empty at activation": dict(kernel={"variant": "ee-jump", "epsilon": 0.9,
+                                        "proposal": "uniform"},
+                                initial_states=[0, 3, 2],
+                                schedule={"offsets": [1, 3], "total_rounds": 64}),
+    "frozen": dict(kernel={"variant": "selection-mutation", "epsilon": 0.7,
+                           "proposal": "uniform"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_engine_matches_the_gather_form(case):
+    cfg = three_chain_config(replicates=40, **ENGINE_CASES[case])
+    # the frozen base holds no atom in ring 1 (a violation the warn policy records)
+    frozen = np.array([3, 1, 0, 0]) if case == "frozen" else None
+    ens = LockstepEnsemble(cfg, frozen_feeder=frozen)
+    states, counts, ring_counts, fallbacks = reference_rounds(ens, 50)
+    for _ in range(50):
+        ens.step_round()
+    np.testing.assert_array_equal(ens.states, states)
+    np.testing.assert_array_equal(ens.counts, counts)
+    np.testing.assert_array_equal(ens.ring_counts, ring_counts)
+    assert len({row.tobytes() for row in states}) > 1
+    if case == "frozen":
+        assert fallbacks > 0
+    if case == "empty at activation":  # chain 1 first moves in round 2
+        assert reference_rounds(LockstepEnsemble(cfg), 2)[3] > 0
 
 
 def test_lockstep_steps_need_finite_space_and_known_variant():
