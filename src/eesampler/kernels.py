@@ -31,10 +31,17 @@ If the feeder measure holds no atoms in the current state's ring, the
 interaction branch falls back to the local kernel and flags the event; the
 caller logs it as a stability fallback.
 
-Chain records: each scalar move reads x's ring and level log-densities from
-its :class:`ChainPoint` (built from x when not passed) and writes the new
-state's into it; a proposal costs one ``DensityLadder.log_densities`` call
-and a feeder atom brings the levels its measure stored.
+Chain records: each scalar move reads x from its :class:`ChainPoint` (built
+from x when not passed) and writes the new state's ring and level
+log-densities into it. On a finite space the moves read plain lists that
+the kernel set builds once, O(r S) in all: per level the S log-densities,
+per state its ring and its tuple of level log-densities. The MH log-ratio
+is ``lw[y] - lw[x]`` and the swap ratio ``li[z] + lf[x] - li[x] - lf[z]``,
+the floats and the order of ``swap_accept_prob``; the ladder checked that
+every finite log-density is finite, so these reads skip the per-read
+checks. On a box a proposal costs one ``DensityLadder.log_densities`` call,
+its ring one ``RingPartition.assign_point``, and a feeder atom brings the
+levels its measure stored.
 
 Lockstep steps (``mh_step_lockstep``, ``interacting_step_lockstep``) make
 the same moves on finite spaces for R replicates at once: states are an
@@ -197,6 +204,13 @@ class KernelSet:
         self._logw = ladder.log_table() if finite else None
         self._rings = partition.labels() if finite else None
         self._tables = {}  # lockstep tables, built on first use
+        # scalar finite moves read plain lists: per level the S log-densities,
+        # per state its ring and its level tuple (the ladder's own); None on a box
+        self._level_logw = self._ring_of = self._levels_of = None
+        if finite:
+            self._level_logw = self._logw.tolist()
+            self._ring_of = self._rings.tolist()
+            self._levels_of = [ladder.log_densities(s) for s in range(ladder.space.size)]
 
     def ring_closed(self, epsilon: float) -> bool:
         """True when the interacting move at this epsilon never leaves the
@@ -221,21 +235,25 @@ class KernelSet:
         point = point or self.point(x)
         x = point.x
         prop = self.proposals[level]
-        space = self.ladder.space
-        if isinstance(prop, UniformProposal):
-            y = int(space.size * rng.random())
-        elif isinstance(prop, NeighborProposal):
-            u = rng.random()
-            if u < 0.5:
-                y = int(x)
+        if self._level_logw is not None:  # finite: read the level's list by state
+            logw = self._level_logw[level]
+            size = len(logw)
+            if isinstance(prop, UniformProposal):
+                y = int(size * rng.random())
             else:
-                y = (int(x) + (1 if u < 0.75 else -1)) % space.size
-        else:
-            # one draw per coordinate in order, the values of standard_normal(dim)
-            normal, step = rng.standard_normal, prop.step
-            y = tuple([xi + step * normal() for xi in x])
+                u = rng.random()
+                y = x if u < 0.5 else (x + (1 if u < 0.75 else -1)) % size
+            u = rng.random()
+            log_a = logw[y] - logw[x]
+            if log_a >= 0.0 or u < math.exp(log_a):
+                point.x, point.ring, point.levels = y, self._ring_of[y], self._levels_of[y]
+                return y
+            return x
+        # one draw per coordinate in order, the values of standard_normal(dim)
+        normal, step = rng.standard_normal, prop.step
+        y = tuple([xi + step * normal() for xi in x])
         u = rng.random()  # MH coin drawn unconditionally, keeps stream alignment
-        if isinstance(prop, GaussianWalkProposal) and not space.contains(y):
+        if not self.ladder.space.contains(y):
             return x
         levels = self.ladder.log_densities(y)
         log_a = _finite(levels, level, y) - _finite(point.levels, level, x)
@@ -278,8 +296,16 @@ class KernelSet:
         if feeder.ring_count(point.ring) == 0:
             return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
         z, z_levels = feeder.draw(point.ring, rng)
-        z_levels = z_levels or self.ladder.log_densities(z)
-        alpha = self.swap_accept_prob(level, point.x, z, point.levels, z_levels)
+        level_logw = self._level_logw
+        if level_logw is not None:  # finite: swap_accept_prob's ratio, read by state
+            if level < 1:
+                raise ConfigurationError("swaps need a feeder level below them (level >= 1)")
+            li, lf, x = level_logw[level], level_logw[level - 1], point.x
+            alpha = math.exp(min(0.0, li[z] + lf[x] - li[x] - lf[z]))
+            z_levels = self._levels_of[z]
+        else:
+            z_levels = z_levels or self.ladder.log_densities(z)
+            alpha = self.swap_accept_prob(level, point.x, z, point.levels, z_levels)
         accepted = rng.random() < alpha
         if accepted:  # z was drawn from ring(x), so the ring stays
             point.x, point.levels = z, z_levels

@@ -8,7 +8,8 @@ k-1's empirical measure. Within a round chains update sequentially in
 chain order, so chain k sees its feeder as already updated this round; the
 optional strict-snapshot mode makes every chain read the feeder as it stood
 at the round's start instead (the two differ by one atom of weight
-1/(count+1)).
+1/(count+1)). Both engines keep that rule by holding the round's new atoms
+back until every chain has moved, then adding them in chain order.
 
 Records: each chain of :class:`ChainEnsemble` carries a
 :class:`~eesampler.kernels.ChainPoint` (state, ring, level log-densities)
@@ -35,7 +36,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, StabilityError
-from .kernels import BufferedUniforms, StepInfo
+from .kernels import BufferedUniforms
 from .measures import EmpiricalMeasure, StabilityMonitor
 from .state_space import FiniteSpace
 
@@ -53,6 +54,12 @@ class Trace:
 
     def record(self, chain, rnd, state, ring, branch, swap, hold):
         self.rows.append((chain, rnd, state, ring, branch, swap, hold))
+
+    def chain_rows(self, chain: int, first_round: int = 0) -> list:
+        """Chain's rows from round `first_round` on. Rows are written r per
+        round in chain order, so they are every r-th row from its row of
+        that round."""
+        return self.rows[first_round * self.r + chain::self.r]
 
     def snapshot_masses(self, rnd, chain, masses):
         for ring, mass in enumerate(masses):
@@ -136,43 +143,52 @@ class ChainEnsemble:
     def step_round(self) -> None:
         """Advance every active chain by one move; inactive chains hold."""
         cfg = self.config
-        self.n += 1
-        feeder_views = None
-        if cfg.strict_snapshot:  # the last chain's measure feeds no chain
-            feeder_views = [m.snapshot() for m in self.measures[:-1]]
+        self.n = n = self.n + 1
+        thresholds, measures, rngs = self.thresholds, self.measures, self.rngs
+        kernels, trace = self.kernels, self.trace
+        record, events = trace.record, trace.events
+        # strict snapshots: the round's inserts wait for the chain loop, so
+        # every chain reads its feeder as it stood at the round's start
+        deferred = [] if cfg.strict_snapshot else None
         for k, point in enumerate(self.points):
-            if not self.chain_active(k):
-                self.trace.record(k, self.n, point.x, point.ring, "hold", None, 1)
+            if n <= thresholds[k]:
+                record(k, n, point.x, point.ring, "hold", None, 1)
                 continue
-            rng, ring = self.rngs[k], point.ring  # a fallback names the ring it left
             if k == 0:
-                self.kernels.mh_step(0, point.x, rng, point)
-                info = StepInfo("local")
+                kernels.mh_step(0, point.x, rngs[0], point)
+                branch, swap = "local", None
             else:
-                feeder = feeder_views[k - 1] if feeder_views is not None else self.measures[k - 1]
-                _, info = self.kernels.interacting_step(k, point.x, feeder, rng, point)
-            self.measures[k].insert(point.x, point.ring, point.levels)
-            if info.fallback:
-                self.trace.events.append((self.n, k, "fallback", ring))
-                self._fallbacks += 1
-            self.trace.record(k, self.n, point.x, point.ring, info.branch,
-                              info.swap_accepted, 0)
+                ring = point.ring  # a fallback names the ring it left
+                _, info = kernels.interacting_step(k, point.x, measures[k - 1], rngs[k], point)
+                branch, swap = info.branch, info.swap_accepted
+                if info.fallback:
+                    events.append((n, k, "fallback", ring))
+                    self._fallbacks += 1
+            if deferred is None:
+                measures[k].insert(point.x, point.ring, point.levels)
+            else:
+                deferred.append((measures[k], point.x, point.ring, point.levels))
+            record(k, n, point.x, point.ring, branch, swap, 0)
+        if deferred:
+            for measure, x, ring, levels in deferred:
+                measure.insert(x, ring, levels)
         self._monitor_feeders()
-        if self.n % cfg.snapshot_every == 0:
+        if n % cfg.snapshot_every == 0:
             for k in range(self.r):
-                self.trace.snapshot_masses(self.n, k, self.measures[k].masses())
+                trace.snapshot_masses(n, k, measures[k].masses())
 
     def _monitor_feeders(self) -> None:
         """A1 watch: each feeding chain's ring masses once its consumer runs."""
+        n, thresholds = self.n, self.thresholds
         for k in range(self.r - 1):
-            if self.chain_active(k + 1):
-                fresh = self.monitor.check(self.measures[k], self.n, chain=k)
+            if n > thresholds[k + 1]:
+                fresh = self.monitor.check(self.measures[k], n, chain=k)
                 for v in fresh:
-                    self.trace.events.append((self.n, k, "low_mass", v.ring))
+                    self.trace.events.append((n, k, "low_mass", v.ring))
                 if fresh and self.config.stability_policy == "abort":
                     v = fresh[0]
                     raise StabilityError(
-                        f"round {self.n}: chain {k} ring {v.ring} mass {v.mass:.4f} "
+                        f"round {n}: chain {k} ring {v.ring} mass {v.mass:.4f} "
                         f"below theta={self.config.theta}"
                     )
 
@@ -274,7 +290,9 @@ class LockstepEnsemble:
         """Advance every active chain of every replicate by one move."""
         cfg = self.config
         self.n = n = self.n + 1
-        feeders = self.counts.copy() if cfg.strict_snapshot else self.counts
+        # strict snapshots: the round's atoms are counted after the chain
+        # loop, so every chain reads its feeder as it stood at the round's start
+        added = [] if cfg.strict_snapshot else None
         for k in range(self.r):
             if n <= self.thresholds[k]:
                 continue
@@ -282,16 +300,27 @@ class LockstepEnsemble:
             if k == 0:
                 new = self.kernels.mh_step_lockstep(0, x, self.rngs[0])
             else:
-                new = self.kernels.interacting_step_lockstep(k, x, feeders[:, k - 1], self.rngs[k])
+                new = self.kernels.interacting_step_lockstep(
+                    k, x, self.counts[:, k - 1], self.rngs[k])
             self._x[k] = new
             if k < self.r - 1:
-                at, ring_at = self._row_starts[k]
-                self._flat_counts[at + new] += 1
-                self._flat_ring_counts[ring_at + self._rings[new]] += 1
-                self.sizes[k] += 1
+                if added is None:
+                    self._count(k, new)
+                else:
+                    added.append((k, new))
+        if added:
+            for k, new in added:
+                self._count(k, new)
         for k in self._watched:
             if n > self.thresholds[k + 1]:
                 self._check_feeder(k)
+
+    def _count(self, k: int, new: np.ndarray) -> None:
+        """Add the states `new`, one per replicate, to feeding chain k's counts."""
+        at, ring_at = self._row_starts[k]
+        self._flat_counts[at + new] += 1
+        self._flat_ring_counts[ring_at + self._rings[new]] += 1
+        self.sizes[k] += 1
 
     def _check_feeder(self, k: int) -> None:
         """A1 watch on feeding chain k: each round once its consumer moves,

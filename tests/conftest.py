@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eesampler import KernelSet, NeighborProposal, UniformProposal
-from eesampler.config import four_state_config
+from eesampler.config import config_from_dict, four_state_config
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
 
@@ -124,3 +124,18 @@ def reference_numpy_logpdf(means, scales, weights):
         return float(m + math.log(np.exp(comp - m).sum()))
 
     return logpdf
+
+
+def ee_jump_neighbor_config():
+    """3 chains, 3 rings, ee-jump with neighbour proposals, strict snapshots."""
+    return config_from_dict({
+        "space": {"kind": "finite", "size": 9},
+        "ladder": {"base_weights": [1, 3, 2, 5, 1, 4, 2, 6, 3], "temperatures": [5.0, 2.0, 1.0]},
+        "partition": {"labels": [2, 1, 1, 0, 2, 0, 1, 0, 2]},
+        "kernel": {"variant": "ee-jump", "epsilon": 0.4, "proposal": "neighbor"},
+        "schedule": {"offsets": [30, 30], "total_rounds": 1500},
+        "stability": {"policy": "warn", "theta": 0.2},
+        "trace": {"snapshot_every": 64, "strict_snapshot": True},
+        "initial_states": [0, 4, 8],
+        "seed": 2718,
+    })

@@ -9,8 +9,9 @@ Generators.
 import numpy as np
 import pytest
 
+from conftest import ee_jump_neighbor_config
 from eesampler import kernels, sampler
-from eesampler.config import config_from_dict, four_state_config
+from eesampler.config import four_state_config
 from eesampler.kernels import BufferedUniforms
 from eesampler.sampler import ChainEnsemble
 
@@ -34,21 +35,6 @@ def test_draws_equal_the_generator(block):
 # ---------------------------------------------------------------------------
 # the engine gives the same traces with plain Generators
 # ---------------------------------------------------------------------------
-
-def ee_jump_neighbor_config():
-    """3 chains, 3 rings, ee-jump with neighbour proposals, strict snapshots."""
-    return config_from_dict({
-        "space": {"kind": "finite", "size": 9},
-        "ladder": {"base_weights": [1, 3, 2, 5, 1, 4, 2, 6, 3], "temperatures": [5.0, 2.0, 1.0]},
-        "partition": {"labels": [2, 1, 1, 0, 2, 0, 1, 0, 2]},
-        "kernel": {"variant": "ee-jump", "epsilon": 0.4, "proposal": "neighbor"},
-        "schedule": {"offsets": [30, 30], "total_rounds": 1500},
-        "stability": {"policy": "warn", "theta": 0.2},
-        "trace": {"snapshot_every": 64, "strict_snapshot": True},
-        "initial_states": [0, 4, 8],
-        "seed": 2718,
-    })
-
 
 @pytest.mark.parametrize(
     "make_config",

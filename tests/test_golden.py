@@ -1,0 +1,59 @@
+"""Golden outputs: the SHA-256 of every ``run`` artifact on three finite
+configs is pinned, so a change to the engine's speed that moves one byte
+of a trace, a mass snapshot, an event, a summary or the metadata fails here.
+
+The configs are the shipped ``four_state`` and ``four_state_ee_jump`` and
+the strict-snapshot three-chain ee-jump model ``ee_jump_neighbor_config``.
+Box configs are left out: their floats follow numpy's arithmetic, which
+differs between the supported numpy versions.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import ee_jump_neighbor_config
+from eesampler.config import config_from_dict
+from eesampler.experiments import run_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+GOLDEN = {
+    "four_state": {
+        "events_000.csv": "bd840dd75f2322892825223549df55b322b75d88c1eaa277ae3c6f738aa886c4",
+        "masses_000.csv": "b87856c0c60cd90980e70074acbecddf1549d560f8c3835fe4d005c00e0998f9",
+        "meta.json": "65bcf0064f6ac6b94aafa9341f4767d38703a2ca3e9e580dfaf069e10458c9ab",
+        "summary.csv": "173b51e4b996602f2b35638d09fc0f525e47f16085666080885659214c62a674",
+        "trace_000.csv": "fbe466566f72b413f22b46b184d45506dc41706013b6be38e8f90379a4369c48",
+    },
+    "four_state_ee_jump": {
+        "events_000.csv": "bd840dd75f2322892825223549df55b322b75d88c1eaa277ae3c6f738aa886c4",
+        "masses_000.csv": "b536346d92658a9a040d5431b4c86f1fc71eca977cebef8ce2b081cecf9fa256",
+        "meta.json": "7a32de7517ad8c3107d021c46593bfb2004a108ca77b8c3644c23c8cf09f0983",
+        "summary.csv": "46d82bfed52821a5bf7ac5d17033faf11ed34a4dc3b8b64a789187cd8280b364",
+        "trace_000.csv": "4c1e7fc381b63378d138eab90cbe09c700f5778698fa30da393c58359fccef31",
+    },
+    "ee_jump_neighbor_strict": {
+        "events_000.csv": "9d6742fca2e85b762f7cc353185707d64b04af689f7f89f5776c4bd6d5e719fe",
+        "masses_000.csv": "3cb6047688656c681838db662e4aa18dcd94c794700826a026c3ffa1263b3292",
+        "meta.json": "80ce71adc93632121bf4d481cdee37b4c56f41b631900f08941172c64b8c2a9e",
+        "summary.csv": "46d3facb2ccc47b59ff8ec6f8e591247baa618477d490d111e251b7552b5675b",
+        "trace_000.csv": "12a8e9cb6f4a7d25bcaa29ee71583a99264d984639e1b9a07915de4ed662a93e",
+    },
+}
+
+
+def golden_config(name):
+    if name == "ee_jump_neighbor_strict":
+        return ee_jump_neighbor_config()
+    return config_from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_artifacts_match_their_golden_digests(name, tmp_path):
+    run_experiment(golden_config(name), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == GOLDEN[name]

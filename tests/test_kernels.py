@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 from statistics import NormalDist
 
@@ -300,6 +302,24 @@ def test_swap_min_form_detailed_balance(four_model):
             lhs = dens[1, x] * dens[0, y] * four_model.swap_accept_prob(1, x, y)
             rhs = dens[1, y] * dens[0, x] * four_model.swap_accept_prob(1, y, x)
             assert lhs == pytest.approx(rhs, abs=1e-15)
+
+
+def test_finite_swap_coin_meets_swap_accept_prob_bit_for_bit():
+    # the finite move reads its level lists, and its acceptance must be the
+    # float swap_accept_prob computes: a coin at alpha rejects, one ulp
+    # below accepts, for every same-ring pair of a generated model
+    gen = np.random.default_rng(19)
+    labels = [0, 1, 0, 1, 0, 1, 0]
+    model = make_model([3.0 * gen.normal(size=7), 3.0 * gen.normal(size=7)], labels,
+                       epsilon=1.0, variant="ee-jump")
+    for x, z in itertools.product(range(7), repeat=2):
+        if labels[x] != labels[z]:
+            continue
+        alpha = model.swap_accept_prob(1, x, z)
+        for coin, accepted in ((alpha, False), (math.nextafter(alpha, 0.0), True)):
+            rng = RecordingUniforms([0.0, coin])  # the feeder's one atom, the swap coin
+            y, info = model.interacting_step(1, x, feeder_from(model, [z]), rng)
+            assert info.swap_accepted is accepted and y == (z if accepted else x), (x, z)
 
 
 def test_swap_step_frequency(pair_model):

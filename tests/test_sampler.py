@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_vector, atoms, chain_states, total_count
+from conftest import as_vector, atoms, chain_states, ee_jump_neighbor_config, total_count
 from eesampler import config as config_module
-from eesampler.config import config_from_dict, four_state_config
+from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
+from eesampler.measures import EmpiricalMeasure
 from eesampler.sampler import ChainEnsemble, Trace, run
-from eesampler.state_space import BoxSpace
+from eesampler.state_space import BoxSpace, DensityLadder, RingPartition
 
 
 def three_chain_config(**overrides):
@@ -136,6 +137,27 @@ def test_run_occupation_reaches_target():
     batch_occ = np.array([np.bincount(b, minlength=4) / len(b) for b in batches])
     se = batch_occ.std(axis=0, ddof=1) / np.sqrt(len(batches))
     assert np.all(np.abs(occ - pi2) <= 3 * se)
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [lambda: three_chain_config(),
+     lambda: config_from_dict(four_state_raw(ladder={"weights": [[1, 1, 2, 4]]},
+                                             initial_states=[0],
+                                             schedule={"offsets": [], "total_rounds": 40}))],
+    ids=["three-chains-holding", "one-chain"],
+)
+def test_chain_rows_are_the_filtered_rows(make_config):
+    cfg = make_config()
+    trace = run(cfg)
+    assert len(trace.rows) == cfg.r * (cfg.total_rounds + 1)
+    for chain in range(cfg.r):
+        for first in (0, 1, cfg.activation_threshold(chain), sum(cfg.offsets),
+                      cfg.total_rounds, cfg.total_rounds + 1):
+            rows = [row for row in trace.rows if row[0] == chain and row[1] >= first]
+            assert trace.chain_rows(chain, first) == rows, (chain, first)
+    if cfg.r > 1:
+        assert "hold" in {row[4] for row in trace.chain_rows(cfg.r - 1)}
 
 
 def test_trace_replay_matches_mass_snapshots(four_state):
@@ -375,6 +397,33 @@ def test_double_well_step_reads_carried_values(monkeypatch):
     assert calls["base"] <= 1.0 * moving_steps
     assert 0 < calls["log_densities"] <= 1.0 * moving_steps
     assert calls["contains"] <= 1.1 * moving_steps
+
+
+def test_finite_strict_step_reads_its_lists(monkeypatch):
+    # the finite counterpart of the test above: once the ensemble is built,
+    # the moves read the kernel set's per-level lists, and strict snapshots
+    # defer the round's inserts instead of freezing a view of each feeder
+    cfg = ee_jump_neighbor_config()
+    ens = ChainEnsemble(cfg)
+    calls = dict.fromkeys(("log_densities", "assign_point", "snapshot"), 0)
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(DensityLadder, "log_densities")
+    counting(RingPartition, "assign_point")
+    counting(EmpiricalMeasure, "snapshot")
+    ens.run_rounds(cfg.total_rounds)
+    trace = ens.finalize_trace()
+    assert calls == {"log_densities": 0, "assign_point": 0, "snapshot": 0}
+    assert {row[4] for row in trace.rows} >= {"local", "jump", "hold"}
+    assert {row[5] for row in trace.rows} >= {True, False}
 
 
 @pytest.mark.parametrize(
