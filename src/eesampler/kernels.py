@@ -33,15 +33,18 @@ caller logs it as a stability fallback.
 
 Chain records: each scalar move reads x from its :class:`ChainPoint` (built
 from x when not passed) and writes the new state's ring and level
-log-densities into it. On a finite space the moves read plain lists that
-the kernel set builds once, O(r S) in all: per level the S log-densities,
-per state its ring and its tuple of level log-densities. The MH log-ratio
-is ``lw[y] - lw[x]`` and the swap ratio ``li[z] + lf[x] - li[x] - lf[z]``,
-the floats and the order of ``swap_accept_prob``; the ladder checked that
-every finite log-density is finite, so these reads skip the per-read
-checks. On a box a proposal costs one ``DensityLadder.log_densities`` call,
-its ring one ``RingPartition.assign_point``, and a feeder atom brings the
-levels its measure stored.
+log-densities into it. Only the candidate's evaluation depends on the
+space. On a finite space the candidate's (ring, levels) is one read from a
+per-state record list that the kernel set builds once, O(r S) in all. On a
+box a proposal costs one ``DensityLadder.log_densities`` call and its ring
+one ``RingPartition.assign_point``. A feeder atom brings the levels its
+measure stored. The rest of a move is shared by both spaces: the MH
+log-ratio is ``levels[i] - point.levels[i]``, and the swap ratio
+``lz[i] + lx[i-1] - lx[i] - lz[i-1]`` is the one formula that
+``swap_accept_prob`` also uses. Level log-densities must be finite. A
+finite ladder checked them at construction; a box state is checked where
+it is evaluated, in ``point`` and for a proposal, and raises
+:class:`NumericalError` otherwise.
 
 Lockstep steps (``mh_step_lockstep``, ``interacting_step_lockstep``) make
 the same moves on finite spaces for R replicates at once: states are an
@@ -152,12 +155,13 @@ class BufferedUniforms:
         return pending.pop()
 
 
-def _finite(levels: tuple, level: int, x) -> float:
-    """levels[level], which must be finite."""
-    v = levels[level]
-    if not math.isfinite(v):
-        raise NumericalError(f"log-density at level {level} is not finite at {x!r}")
-    return v
+def _swap_prob(level: int, x, lx: tuple, z, lz: tuple) -> float:
+    """min(1, pi_i(z) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(z))) at level i, in
+    log space, from x's and z's level log-densities lx and lz."""
+    ratio = lz[level] + lx[level - 1] - lx[level] - lz[level - 1]
+    if math.isnan(ratio):
+        raise NumericalError(f"swap ratio is NaN for pair ({x!r}, {z!r})")
+    return math.exp(min(0.0, ratio))
 
 
 class KernelSet:
@@ -204,13 +208,11 @@ class KernelSet:
         self._logw = ladder.log_table() if finite else None
         self._rings = partition.labels() if finite else None
         self._tables = {}  # lockstep tables, built on first use
-        # scalar finite moves read plain lists: per level the S log-densities,
-        # per state its ring and its level tuple (the ladder's own); None on a box
-        self._level_logw = self._ring_of = self._levels_of = None
+        # scalar finite moves read each state's (ring, level tuple); None on a box
+        self._records = None
         if finite:
-            self._level_logw = self._logw.tolist()
-            self._ring_of = self._rings.tolist()
-            self._levels_of = [ladder.log_densities(s) for s in range(ladder.space.size)]
+            self._records = [(ring, ladder.log_densities(s))
+                             for s, ring in enumerate(self._rings.tolist())]
 
     def ring_closed(self, epsilon: float) -> bool:
         """True when the interacting move at this epsilon never leaves the
@@ -219,13 +221,33 @@ class KernelSet:
         reducible, with no unique stationary vector."""
         return self.variant == "ee-jump" and epsilon == 1.0
 
+    def require_level(self, level: int, interacting: bool = False) -> int:
+        """`level` if it is one of the ladder's levels, 0..r-1, or with
+        `interacting` one with a feeder below it, 1..r-1; else raises
+        :class:`ConfigurationError`."""
+        r = self.ladder.r
+        if interacting and not 1 <= level < r:
+            raise ConfigurationError(
+                f"swaps need a level with a feeder below it (1..{r - 1}), got {level}"
+            )
+        if not 0 <= level < r:
+            raise ConfigurationError(f"levels are 0..{r - 1}, got {level}")
+        return level
+
     def point(self, x) -> "ChainPoint":
         """The record of in-domain state x: its ring and level log-densities.
         The record holds x as the space's state type (an int, or on a box a
         tuple of floats)."""
         x = self.ladder.space.require(x)
-        levels = self.ladder.log_densities(x)
+        levels = self._levels(x)
         return ChainPoint(x, self.partition.assign_point(x, levels), levels)
+
+    def _levels(self, x) -> tuple:
+        """The level log-densities of in-domain state x, which must be finite."""
+        levels = self.ladder.log_densities(x)
+        if not all(map(math.isfinite, levels)):
+            raise NumericalError(f"log-density is not finite at {x!r}: {levels}")
+        return levels
 
     # -- local Metropolis-Hastings ------------------------------------------------
     def mh_step(self, level: int, x, rng: np.random.Generator, point=None):
@@ -235,30 +257,28 @@ class KernelSet:
         point = point or self.point(x)
         x = point.x
         prop = self.proposals[level]
-        if self._level_logw is not None:  # finite: read the level's list by state
-            logw = self._level_logw[level]
-            size = len(logw)
+        records = self._records
+        if records is not None:  # finite: the proposal's record is one read
+            size = len(records)
             if isinstance(prop, UniformProposal):
                 y = int(size * rng.random())
             else:
                 u = rng.random()
                 y = x if u < 0.5 else (x + (1 if u < 0.75 else -1)) % size
             u = rng.random()
-            log_a = logw[y] - logw[x]
-            if log_a >= 0.0 or u < math.exp(log_a):
-                point.x, point.ring, point.levels = y, self._ring_of[y], self._levels_of[y]
-                return y
-            return x
-        # one draw per coordinate in order, the values of standard_normal(dim)
-        normal, step = rng.standard_normal, prop.step
-        y = tuple([xi + step * normal() for xi in x])
-        u = rng.random()  # MH coin drawn unconditionally, keeps stream alignment
-        if not self.ladder.space.contains(y):
-            return x
-        levels = self.ladder.log_densities(y)
-        log_a = _finite(levels, level, y) - _finite(point.levels, level, x)
+            ring, levels = records[y]
+        else:
+            # one draw per coordinate in order, the values of standard_normal(dim)
+            normal, step = rng.standard_normal, prop.step
+            y = tuple([xi + step * normal() for xi in x])
+            u = rng.random()  # MH coin drawn unconditionally, keeps stream alignment
+            if not self.ladder.space.contains(y):
+                return x
+            levels = self._levels(y)
+            ring = self.partition.assign_point(y, levels)
+        log_a = levels[level] - point.levels[level]
         if log_a >= 0.0 or u < math.exp(log_a):
-            point.x, point.ring, point.levels = y, self.partition.assign_point(y, levels), levels
+            point.x, point.ring, point.levels = y, ring, levels
             return y
         return x
 
@@ -266,19 +286,8 @@ class KernelSet:
     def swap_accept_prob(self, level: int, x, y, x_levels=None, y_levels=None) -> float:
         """min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y))), in log space;
         x_levels/y_levels are x's and y's level log-densities, if known."""
-        if level < 1:
-            raise ConfigurationError("swaps need a feeder level below them (level >= 1)")
-        lx = x_levels or self.ladder.log_densities(x)
-        ly = y_levels or self.ladder.log_densities(y)
-        ratio = (
-            _finite(ly, level, y)
-            + _finite(lx, level - 1, x)
-            - _finite(lx, level, x)
-            - _finite(ly, level - 1, y)
-        )
-        if math.isnan(ratio):
-            raise NumericalError(f"swap ratio is NaN for pair ({x!r}, {y!r})")
-        return math.exp(min(0.0, ratio))
+        self.require_level(level, interacting=True)
+        return _swap_prob(level, x, x_levels or self._levels(x), y, y_levels or self._levels(y))
 
     def interacting_step(self, level: int, x, feeder, rng, point=None):
         """One move of the level's interacting kernel against `feeder`:
@@ -296,17 +305,10 @@ class KernelSet:
         if feeder.ring_count(point.ring) == 0:
             return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
         z, z_levels = feeder.draw(point.ring, rng)
-        level_logw = self._level_logw
-        if level_logw is not None:  # finite: swap_accept_prob's ratio, read by state
-            if level < 1:
-                raise ConfigurationError("swaps need a feeder level below them (level >= 1)")
-            li, lf, x = level_logw[level], level_logw[level - 1], point.x
-            alpha = math.exp(min(0.0, li[z] + lf[x] - li[x] - lf[z]))
-            z_levels = self._levels_of[z]
-        else:
-            z_levels = z_levels or self.ladder.log_densities(z)
-            alpha = self.swap_accept_prob(level, point.x, z, point.levels, z_levels)
-        accepted = rng.random() < alpha
+        if level < 1:  # epsilons[level] has checked level < r
+            self.require_level(level, interacting=True)
+        z_levels = z_levels or self._levels(z)  # an atom inserted without its levels
+        accepted = rng.random() < _swap_prob(level, point.x, point.levels, z, z_levels)
         if accepted:  # z was drawn from ring(x), so the ring stays
             point.x, point.levels = z, z_levels
         if self.variant == "ee-jump":
@@ -314,19 +316,6 @@ class KernelSet:
         return self.mh_step(level, point.x, rng, point), StepInfo("selection", accepted)
 
     # -- lockstep steps on finite spaces -----------------------------------------------
-    def require_level(self, level: int, interacting: bool = False) -> int:
-        """`level` if it is one of the ladder's levels, 0..r-1, or with
-        `interacting` one with a feeder below it, 1..r-1; else raises
-        :class:`ConfigurationError`."""
-        r = self.ladder.r
-        if interacting and not 1 <= level < r:
-            raise ConfigurationError(
-                f"swaps need a level with a feeder below it (1..{r - 1}), got {level}"
-            )
-        if not 0 <= level < r:
-            raise ConfigurationError(f"levels are 0..{r - 1}, got {level}")
-        return level
-
     def _table(self, key, build) -> np.ndarray:
         """The read-only table `key`, built by `build` on first use; a build
         checks its level, so only valid levels are kept."""

@@ -135,10 +135,6 @@ class ChainEnsemble:
         for k, p in enumerate(self.points):
             self.trace.record(k, 0, p.x, p.ring, "init", None, 0)
 
-    # -- schedule -------------------------------------------------------------
-    def chain_active(self, chain: int) -> bool:
-        return self.n > self.thresholds[chain]
-
     # -- the round engine -------------------------------------------------------
     def step_round(self) -> None:
         """Advance every active chain by one move; inactive chains hold."""

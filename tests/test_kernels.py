@@ -290,8 +290,10 @@ def test_swap_prob_hand_values(pair_model):
 
 
 def test_swap_needs_feeder_level(four_model):
-    with pytest.raises(ConfigurationError):
-        four_model.swap_accept_prob(0, 0, 1)
+    # level 0 has no feeder below it, and level r is not a level
+    for level in (0, four_model.ladder.r):
+        with pytest.raises(ConfigurationError):
+            four_model.swap_accept_prob(level, 0, 1)
 
 
 def test_swap_min_form_detailed_balance(four_model):
@@ -304,18 +306,38 @@ def test_swap_min_form_detailed_balance(four_model):
             assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
-def test_finite_swap_coin_meets_swap_accept_prob_bit_for_bit():
-    # the finite move reads its level lists, and its acceptance must be the
-    # float swap_accept_prob computes: a coin at alpha rejects, one ulp
-    # below accepts, for every same-ring pair of a generated model
+def finite_swap_model():
     gen = np.random.default_rng(19)
     labels = [0, 1, 0, 1, 0, 1, 0]
     model = make_model([3.0 * gen.normal(size=7), 3.0 * gen.normal(size=7)], labels,
                        epsilon=1.0, variant="ee-jump")
-    for x, z in itertools.product(range(7), repeat=2):
-        if labels[x] != labels[z]:
-            continue
+    return model, list(range(7))
+
+
+def box_swap_model():
+    # a tempered double well on [-2, 2], cut into two energy bands
+    space = BoxSpace([-2.0], [2.0])
+    ladder = tempered_ladder(space, lambda x: -3.0 * (x[0] * x[0] - 1.0) ** 2, [4.0, 1.0])
+    partition = RingPartition(space, ladder=ladder, thresholds=[1.0])
+    model = KernelSet(ladder, partition, [GaussianWalkProposal(0.5)] * 2,
+                      epsilon=1.0, variant="ee-jump")
+    return model, [(v,) for v in np.linspace(-1.9, 1.9, 9).tolist()]
+
+
+@pytest.mark.parametrize("make", [finite_swap_model, box_swap_model], ids=["finite", "box"])
+def test_swap_coin_meets_swap_accept_prob_bit_for_bit(make):
+    # the move's acceptance must be the float swap_accept_prob computes, in
+    # the sampler's summation order: a coin at alpha rejects, one ulp below
+    # accepts, for every same-ring pair; the ee-jump at epsilon 1 draws only
+    # uniforms
+    model, states = make()
+    ring, levels = model.partition.assign, model.ladder.log_densities
+    pairs = [(x, z) for x, z in itertools.product(states, repeat=2) if ring(x) == ring(z)]
+    assert any(model.swap_accept_prob(1, x, z) < 1.0 for x, z in pairs)
+    for x, z in pairs:
         alpha = model.swap_accept_prob(1, x, z)
+        lx, lz = levels(x), levels(z)
+        assert alpha == math.exp(min(0.0, lz[1] + lx[0] - lx[1] - lz[0])), (x, z)
         for coin, accepted in ((alpha, False), (math.nextafter(alpha, 0.0), True)):
             rng = RecordingUniforms([0.0, coin])  # the feeder's one atom, the swap coin
             y, info = model.interacting_step(1, x, feeder_from(model, [z]), rng)
@@ -560,11 +582,21 @@ def test_proposal_count_mismatch():
 
 
 def test_box_nan_density_raises():
+    # a box state is checked where it is evaluated: its record, and a
+    # proposal from a state whose record is finite
     space = BoxSpace([-1.0], [1.0])
-    ladder = tempered_ladder(space, lambda x: float("nan"), [1.0])
-    model = KernelSet(ladder, single_ring(space, ladder), [GaussianWalkProposal(0.5)])
-    with pytest.raises(NumericalError):
-        model.mh_step(0, np.array([0.0]), np.random.default_rng(1))
+    for bad in (math.nan, -math.inf):
+        ladder = tempered_ladder(space, lambda x: float(bad), [1.0])
+        model = KernelSet(ladder, single_ring(space, ladder), [GaussianWalkProposal(0.5)])
+        with pytest.raises(NumericalError):
+            model.mh_step(0, np.array([0.0]), np.random.default_rng(1))
+        with pytest.raises(NumericalError):
+            model.point((0.0,))
+        # finite at the current state only: the proposal's record raises
+        ladder = tempered_ladder(space, lambda x: 0.0 if x[0] == 0.0 else float(bad), [1.0])
+        model = KernelSet(ladder, single_ring(space, ladder), [GaussianWalkProposal(0.5)])
+        with pytest.raises(NumericalError):
+            model.mh_step(0, (0.0,), np.random.default_rng(1))
 
 
 def test_ring_closed_is_exactly_the_kernel_that_never_leaves_its_ring(four_state):

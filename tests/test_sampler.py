@@ -119,7 +119,7 @@ def test_active_chain_inserts_one_atom_per_round(four_state):
         ens.step_round()
         for k in range(2):
             grew = total_count(ens.measures[k]) - before[k]
-            assert grew == (1 if ens.chain_active(k) else 0)
+            assert grew == (1 if ens.n > ens.thresholds[k] else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def test_double_well_step_reads_carried_values(monkeypatch):
 
 def test_finite_strict_step_reads_its_lists(monkeypatch):
     # the finite counterpart of the test above: once the ensemble is built,
-    # the moves read the kernel set's per-level lists, and strict snapshots
+    # the moves read the kernel set's per-state records, and strict snapshots
     # defer the round's inserts instead of freezing a view of each feeder
     cfg = ee_jump_neighbor_config()
     ens = ChainEnsemble(cfg)
@@ -430,9 +430,13 @@ def test_finite_strict_step_reads_its_lists(monkeypatch):
     "make_config,rounds",
     [
         (lambda: double_well_config(schedule={"offsets": [50], "total_rounds": 300}), 300),
+        (lambda: double_well_config(
+            kernel={"variant": "ee-jump", "epsilon": 0.5,
+                    "proposal": {"kind": "gaussian_walk", "steps": [1.2, 0.35]}},
+            schedule={"offsets": [50], "total_rounds": 300}), 300),
         (lambda: three_chain_config(trace={"strict_snapshot": True}), 25),
     ],
-    ids=["box", "finite-three-chains-strict"],
+    ids=["box", "box-ee-jump", "finite-three-chains-strict"],
 )
 def test_records_and_atoms_carry_exact_levels_and_rings(make_config, rounds):
     cfg = make_config()
