@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -301,23 +301,27 @@ def _build_partition(spec: dict, space, ladder: DensityLadder) -> RingPartition:
     raise ConfigurationError("partition spec needs labels or thresholds")
 
 
+_PROPOSALS = {p.kind: p for p in (UniformProposal, NeighborProposal, GaussianWalkProposal)}
+
+
 def _build_proposals(spec, space, r: int):
     spec = {"kind": spec} if isinstance(spec, str) else _section("kernel.proposal", spec)
     kind = spec.get("kind", "uniform" if isinstance(space, FiniteSpace) else "gaussian_walk")
-    if kind in ("uniform", "neighbor"):
+    proposal = _PROPOSALS.get(kind)
+    if proposal is None:
+        raise ConfigurationError(f"unknown proposal kind {kind!r}")
+    if not fields(proposal):  # a kind without parameters is the same at every level
         _section("kernel.proposal", spec, ("kind",))
-        proposal = UniformProposal if kind == "uniform" else NeighborProposal
         return tuple(proposal() for _ in range(r))
-    if kind == "gaussian_walk":
-        _section("kernel.proposal", spec, ("kind", "steps"))
-        steps = spec.get("steps")
-        if steps is None:
-            raise ConfigurationError("gaussian_walk proposal needs per-level steps")
-        steps = [_real("kernel.proposal.steps", s) for s in steps]
-        if len(steps) != r:
-            raise ConfigurationError(f"need {r} step sizes, got {len(steps)}")
-        return tuple(GaussianWalkProposal(s) for s in steps)
-    raise ConfigurationError(f"unknown proposal kind {kind!r}")
+    # the one kind with a parameter, the Gaussian walk, takes a step per level
+    _section("kernel.proposal", spec, ("kind", "steps"))
+    steps = spec.get("steps")
+    if steps is None:
+        raise ConfigurationError(f"{kind} proposal needs per-level steps")
+    steps = [_real("kernel.proposal.steps", s) for s in steps]
+    if len(steps) != r:
+        raise ConfigurationError(f"need {r} step sizes, got {len(steps)}")
+    return tuple(proposal(s) for s in steps)
 
 
 def _build_test_functions(specs, space, partition) -> tuple[TestFunction, ...]:

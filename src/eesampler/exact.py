@@ -1,14 +1,20 @@
 """Exact transition matrices and identity checks on enumerated spaces.
 
 Everything here is computed by enumeration, independently of the sampling
-code in :mod:`eesampler.kernels`, with one exception: the swap acceptance
+code in :mod:`eesampler.kernels`, with two exceptions. The swap acceptance
 matrix is the kernel set's own table, so the lockstep steps and the oracle
-read one formula. Matrices are assembled row by row from the ladder
-densities, stationary vectors come from a linear solve, and the Poisson
-equation is solved through the fundamental matrix. This gives the
-simulation an oracle to be checked against, and makes the identities behind
-the convergence argument (fixed point, q-fold composition, mixture
-expansion, Lipschitz and continuity bounds) machine-verifiable.
+read one formula. The proposal matrix of K comes from the proposal class
+(``matrix``), where each kind's law lives. The oracle still checks the
+sampler independently: ``matrix`` is a formula of its own, not derived
+from the ``index`` and ``indices`` maps that the moves run, and the three
+are pinned against each other by an exact test over u-cells, by criterion
+7 and by the generated scalar and lockstep cross-checks. Matrices are
+assembled from the ladder densities, stationary vectors come from a linear
+solve, and the Poisson equation is solved through the fundamental matrix.
+This gives the simulation an oracle to be checked against, and makes the
+identities behind the convergence argument (fixed point, q-fold
+composition, mixture expansion, Lipschitz and continuity bounds)
+machine-verifiable.
 
 All matrices are row-stochastic: entry (x, y) is the probability of moving
 from state x to state y. Measures are probability vectors over states.
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .kernels import KernelSet, NeighborProposal, UniformProposal
+from .kernels import KernelSet
 from .measures import tv_distance
 from .state_space import FiniteSpace
 
@@ -88,20 +94,9 @@ _K_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _build_k_matrix(model: KernelSet, level: int) -> np.ndarray:
     size = _require_finite(model)
     pi = _densities(model, level)
-    prop = model.proposals[level]
-    if isinstance(prop, UniformProposal):
-        q = np.full((size, size), 1.0 / size)
-    elif isinstance(prop, NeighborProposal):
-        q = np.zeros((size, size))
-        for x in range(size):
-            q[x, x] += 0.5
-            q[x, (x + 1) % size] += 0.25
-            q[x, (x - 1) % size] += 0.25
-    else:
-        raise ConfigurationError("exact MH matrices need a finite-space proposal")
     with np.errstate(divide="ignore", invalid="ignore"):
         accept = np.minimum(1.0, np.outer(1.0 / pi, pi))
-    P = q * accept
+    P = model.proposals[level].matrix(size) * accept
     np.fill_diagonal(P, 0.0)
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
     assert_row_stochastic(P)

@@ -16,16 +16,18 @@ and exposes the two moves the sampler makes:
 Randomness contract: each random decision of a step is one uniform u from
 ``rng.random()``, in the fixed order (branch coin, feeder draw, swap coin,
 proposal, MH coin) of those the move makes, so runs are bit-reproducible
-per seed. An index below n is ``int(n * u)``: the uniform proposal takes
-state ``int(S * u)`` and the feeder draw atom ``int(n * u)`` of the n atoms
-in x's ring. Degenerate mixtures skip the branch coin: epsilon == 0 always
-takes the local branch and epsilon == 1 always takes the interaction
-branch, without consuming a draw. Finite moves take a numpy Generator or a
-:class:`BufferedUniforms`, its values at a fraction of the call cost. On a
-box a state is a tuple of Python floats, which the ladder's base
-callable receives as it is; the Gaussian walk draws
-``rng.standard_normal()`` once per coordinate, in order, the values
-``standard_normal(dim)`` gives, and builds the proposal in floats.
+per seed. An index below n is ``int(n * u)``: the feeder draw takes atom
+``int(n * u)`` of the n atoms in x's ring. Degenerate mixtures skip the
+branch coin: epsilon == 0 always takes the local branch and epsilon == 1
+always takes the interaction branch, without consuming a draw. Finite moves
+take a numpy Generator or a :class:`BufferedUniforms`, its values at a
+fraction of the call cost. On a box a state is a tuple of Python floats,
+which the ladder's base callable receives as it is.
+
+Each proposal class owns its move in every form the code needs: a finite
+kind's ``index`` (scalar), ``indices`` (lockstep) and ``matrix`` (the
+oracle's), the Gaussian walk's ``walk``. It names the space kind it needs,
+so no other code branches on a proposal's kind.
 
 If the feeder measure holds no atoms in the current state's ring, the
 interaction branch falls back to the local kernel and flags the event; the
@@ -56,24 +58,22 @@ takes: the MH step draws a (2, R) block of uniforms on [0, 1), rows
 (proposal, MH coin); the interacting step a (5, R) block, rows (branch
 coin, feeder draw, swap coin, proposal, MH coin), for both variants and
 every epsilon. The branch takes the interaction when its coin is below
-epsilon, so epsilon 0 and 1 need no special case. A uniform proposal maps
-its uniform u to state floor(S u), uniform on 0..S-1 up to a bias below
-S 2^-53; a neighbour proposal holds for u < 1/2 and steps up for u < 3/4.
-Acceptances are gathers from read-only S x S tables that the kernel set
-builds on a level's first lockstep use: ``mh_table(i)`` (x, y) is
-exp(min(0, log pi_i(y) - log pi_i(x))), ``swap_table(i)`` (x, z) the swap
-probability for levels 1..r-1, and ``ring_mask()`` (x, z) whether z lies
-in ring(x). Each table is computed with the operations, in the order, of
-the per-element form, so it holds the same floats; together they take
-O(r S^2) memory. ``exact.swap_alpha`` returns the swap table, so the
-oracle and the sampler read one formula. Scalar moves never build them.
+epsilon, so epsilon 0 and 1 need no special case. Acceptances are gathers
+from read-only S x S tables that the kernel set builds on a level's first
+lockstep use: ``mh_table(i)`` (x, y) is exp(min(0, log pi_i(y) -
+log pi_i(x))), ``swap_table(i)`` (x, z) the swap probability for levels
+1..r-1, and ``ring_mask()`` (x, z) whether z lies in ring(x). Each table
+is computed with the operations, in the order, of the per-element form, so
+it holds the same floats; together they take O(r S^2) memory.
+``exact.swap_alpha`` returns the swap table, so the oracle and the sampler
+read one formula. Scalar moves never build them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -85,18 +85,50 @@ VARIANTS = ("selection-mutation", "ee-jump")
 
 @dataclass(frozen=True)
 class UniformProposal:
-    """Independent uniform proposal over a finite space (all S states)."""
+    """Independent uniform proposal over a finite space: each of the S
+    states with mass 1/S. The proposal uniform u gives state int(S u),
+    uniform on 0..S-1 up to a bias below S 2^-53."""
 
     kind = "uniform"
+    space_kind = "finite"
+
+    def index(self, x: int, u: float, size: int) -> int:
+        """The state proposed from x by the uniform u."""
+        return int(size * u)
+
+    def indices(self, x: np.ndarray, u: np.ndarray, size: int) -> np.ndarray:
+        """:meth:`index` over (R,) arrays of states and uniforms."""
+        return (u * size).astype(np.intp)
+
+    def matrix(self, size: int) -> np.ndarray:
+        """(S, S) proposal law: entry (x, y) is the probability of proposing
+        y from x."""
+        return np.full((size, size), 1.0 / size)
 
 
 @dataclass(frozen=True)
 class NeighborProposal:
     """Lazy symmetric walk on the cycle 0..S-1: half the proposal mass stays
     put, a quarter goes to each neighbor. The holding mass keeps every level
-    aperiodic whatever the target."""
+    aperiodic whatever the target. The proposal uniform u holds for
+    u < 1/2, steps up for u < 3/4 and down otherwise."""
 
     kind = "neighbor"
+    space_kind = "finite"
+
+    def index(self, x: int, u: float, size: int) -> int:
+        """The state proposed from x by the uniform u."""
+        return x if u < 0.5 else (x + (1 if u < 0.75 else -1)) % size
+
+    def indices(self, x: np.ndarray, u: np.ndarray, size: int) -> np.ndarray:
+        """:meth:`index` over (R,) arrays of states and uniforms."""
+        return (x + np.where(u < 0.5, 0, np.where(u < 0.75, 1, -1))) % size
+
+    def matrix(self, size: int) -> np.ndarray:
+        """(S, S) proposal law: entry (x, y) is the probability of proposing
+        y from x. On S = 2 both neighbours are the other state."""
+        eye = np.eye(size)
+        return 0.5 * eye + 0.25 * np.roll(eye, 1, axis=1) + 0.25 * np.roll(eye, -1, axis=1)
 
 
 @dataclass(frozen=True)
@@ -105,13 +137,18 @@ class GaussianWalkProposal:
 
     step: float
     kind = "gaussian_walk"
+    space_kind = "box"
 
     def __post_init__(self):
         if not (self.step > 0):
             raise ConfigurationError(f"gaussian walk step must be positive, got {self.step}")
 
-
-Proposal = Union[UniformProposal, NeighborProposal, GaussianWalkProposal]
+    def walk(self, x: tuple, rng) -> tuple:
+        """The proposal from box state x: one ``rng.standard_normal()`` per
+        coordinate, in order, the values ``standard_normal(dim)`` gives,
+        and the walk built in floats."""
+        normal, step = rng.standard_normal, self.step
+        return tuple([xi + step * normal() for xi in x])
 
 
 @dataclass
@@ -172,7 +209,7 @@ class KernelSet:
         self,
         ladder: DensityLadder,
         partition: RingPartition,
-        proposals: Sequence[Proposal],
+        proposals: Sequence,  # one proposal object per level
         epsilon: float | Sequence[float] = 1.0,
         variant: str = "selection-mutation",
     ):
@@ -201,10 +238,8 @@ class KernelSet:
         self.epsilons = tuple(eps)
         finite = isinstance(ladder.space, FiniteSpace)
         for i, p in enumerate(self.proposals):
-            if finite and isinstance(p, GaussianWalkProposal):
-                raise ConfigurationError(f"level {i}: gaussian walk needs a box space")
-            if not finite and not isinstance(p, GaussianWalkProposal):
-                raise ConfigurationError(f"level {i}: box spaces need a gaussian walk proposal")
+            if p.space_kind != ladder.space.kind:
+                raise ConfigurationError(f"level {i}: {p.kind} needs a {p.space_kind} space")
         self._logw = ladder.log_table() if finite else None
         self._rings = partition.labels() if finite else None
         self._tables = {}  # lockstep tables, built on first use
@@ -253,24 +288,20 @@ class KernelSet:
     def mh_step(self, level: int, x, rng: np.random.Generator, point=None):
         """One MH transition targeting level's density; proposals are
         symmetric so acceptance is min(1, pi(y)/pi(x)). `point` is the record
-        of x (built from x when omitted); an accepted move updates it."""
+        of x (built from x when omitted); an accepted move updates it. A
+        level outside 0..r-1 raises before any draw."""
+        if not 0 <= level < len(self.proposals):
+            self.require_level(level)
+        prop = self.proposals[level]
         point = point or self.point(x)
         x = point.x
-        prop = self.proposals[level]
         records = self._records
         if records is not None:  # finite: the proposal's record is one read
-            size = len(records)
-            if isinstance(prop, UniformProposal):
-                y = int(size * rng.random())
-            else:
-                u = rng.random()
-                y = x if u < 0.5 else (x + (1 if u < 0.75 else -1)) % size
+            y = prop.index(x, rng.random(), len(records))
             u = rng.random()
             ring, levels = records[y]
         else:
-            # one draw per coordinate in order, the values of standard_normal(dim)
-            normal, step = rng.standard_normal, prop.step
-            y = tuple([xi + step * normal() for xi in x])
+            y = prop.walk(x, rng)
             u = rng.random()  # MH coin drawn unconditionally, keeps stream alignment
             if not self.ladder.space.contains(y):
                 return x
@@ -297,7 +328,9 @@ class KernelSet:
         makes one local move from the post-swap state, the ee-jump stops
         there. An empty ring falls back to the local move. Returns the new
         state and its :class:`StepInfo`; `point` is x's record, as in
-        :meth:`mh_step`."""
+        :meth:`mh_step`. A level outside 1..r-1 raises before any draw."""
+        if not 0 < level < len(self.epsilons):
+            self.require_level(level, interacting=True)
         eps = self.epsilons[level]
         if eps <= 0.0 or (eps < 1.0 and rng.random() >= eps):
             return self.mh_step(level, x, rng, point), StepInfo("local")
@@ -305,8 +338,6 @@ class KernelSet:
         if feeder.ring_count(point.ring) == 0:
             return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
         z, z_levels = feeder.draw(point.ring, rng)
-        if level < 1:  # epsilons[level] has checked level < r
-            self.require_level(level, interacting=True)
         z_levels = z_levels or self._levels(z)  # an atom inserted without its levels
         accepted = rng.random() < _swap_prob(level, point.x, point.levels, z, z_levels)
         if accepted:  # z was drawn from ring(x), so the ring stays
@@ -354,11 +385,7 @@ class KernelSet:
 
     def _mh_lockstep(self, level: int, x: np.ndarray, u_prop: np.ndarray, u_mh: np.ndarray):
         """MH moves from the states x, given proposal uniforms and MH coins."""
-        size = self.ladder.space.size
-        if isinstance(self.proposals[level], UniformProposal):
-            y = (u_prop * size).astype(np.intp)
-        else:
-            y = (x + np.where(u_prop < 0.5, 0, np.where(u_prop < 0.75, 1, -1))) % size
+        y = self.proposals[level].indices(x, u_prop, self.ladder.space.size)
         return np.where(u_mh < self.mh_table(level)[x, y], y, x)
 
     def mh_step_lockstep(self, level: int, x: np.ndarray, rng: np.random.Generator):

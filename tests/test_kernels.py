@@ -116,6 +116,22 @@ def test_neighbor_kernel_matrix_and_invariance():
         assert np.all(np.abs(counts / n - K[x0]) < 3.5 * se + 1e-12)
 
 
+@pytest.mark.parametrize("size", [2, 3, 4, 7])
+@pytest.mark.parametrize("proposal", [UniformProposal(), NeighborProposal()], ids=lambda p: p.kind)
+def test_finite_proposal_forms_agree(proposal, size):
+    # the midpoints of 4S equal u-cells: index and indices send each cell to
+    # one state, and the share of cells on y is matrix[x, y] exactly (on
+    # S = 2 both neighbours of x are the same state)
+    cells = 4 * size
+    u = (np.arange(cells) + 0.5) / cells
+    matrix = proposal.matrix(size)
+    assert matrix.shape == (size, size)
+    for x in range(size):
+        y = proposal.indices(np.full(cells, x), u, size)
+        assert y.tolist() == [proposal.index(x, v, size) for v in u.tolist()]
+        np.testing.assert_array_equal(np.bincount(y, minlength=size) / cells, matrix[x])
+
+
 def test_mh_gaussian_walk_stays_in_box():
     space = BoxSpace([-1.0], [1.0])
     ladder = tempered_ladder(space, lambda x: 0.0, [1.0])
@@ -568,10 +584,14 @@ def test_epsilon_range_validation(eps):
 
 
 def test_proposal_space_mismatch():
-    space = FiniteSpace(3)
-    ladder = DensityLadder(space, [np.zeros(3)])
-    with pytest.raises(ConfigurationError):
-        KernelSet(ladder, single_ring(space), [GaussianWalkProposal(1.0)])
+    box = BoxSpace([-1.0], [1.0])
+    cases = [
+        (DensityLadder(FiniteSpace(3), [np.zeros(3)]), GaussianWalkProposal(1.0)),
+        (tempered_ladder(box, lambda x: 0.0, [1.0]), UniformProposal()),
+    ]
+    for ladder, proposal in cases:
+        with pytest.raises(ConfigurationError, match=f"{proposal.kind} needs a"):
+            KernelSet(ladder, single_ring(ladder.space, ladder), [proposal])
 
 
 def test_proposal_count_mismatch():

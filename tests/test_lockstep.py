@@ -14,6 +14,7 @@ from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.kernels import KernelSet, NeighborProposal, UniformProposal
+from eesampler.measures import EmpiricalMeasure
 from eesampler.sampler import LockstepEnsemble
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
@@ -180,6 +181,22 @@ def test_lockstep_steps_check_their_level():
     for level in (-1, 0, 3):
         with pytest.raises(ConfigurationError, match="feeder below it"):
             model.interacting_step_lockstep(level, x, counts, rng)
+    assert rng.bit_generator.state == idle  # checked before any draw
+
+
+def test_scalar_steps_check_their_level():
+    model = table_model(5, "ee-jump", "uniform", seed=6)
+    feeder = EmpiricalMeasure(model.partition)
+    for x in range(5):
+        feeder.insert(x)
+    rng = np.random.default_rng(0)
+    idle = rng.bit_generator.state
+    for level in (-1, 3):
+        with pytest.raises(ConfigurationError, match=r"levels are 0\.\.2"):
+            model.mh_step(level, 0, rng)
+    for level in (-1, 0, 3):
+        with pytest.raises(ConfigurationError, match="feeder below it"):
+            model.interacting_step(level, 0, feeder, rng)
     assert rng.bit_generator.state == idle  # checked before any draw
 
 
