@@ -249,8 +249,8 @@ def slln_rate_study(
         replicates=config.replicates,
         functions=functions,
         config_hash=config.config_hash(),
-        stability_violations=ens.violations,
-        min_ring_mass=ens.min_mass_seen,
+        stability_violations=ens.monitor.violations,
+        min_ring_mass=ens.monitor.min_mass_seen,
     )
 
 

@@ -1,4 +1,4 @@
-"""Running empirical measures, their snapshots, stability, and TV distance.
+"""Running empirical measures, the ring-mass watch of both engines, and TV distance.
 
 An :class:`EmpiricalMeasure` stores every atom a chain has visited, grouped
 by energy ring at insertion time, with multiplicity (no weight collapsing):
@@ -6,11 +6,16 @@ the feeding chain's full realized history is exactly what the interaction
 kernel conditions on, and uniform draws stay O(1). Each atom carries weight
 1/(total count). An atom inserted from a chain's record also keeps the
 record's level log-densities, so a feeder draw hands them to the kernel.
-
-Snapshots are prefix views: atoms are append-only, so freezing the per-ring
-counts yields a zero-copy, immutable picture of the measure at a past step.
 The conditional measure mu_x of the interaction kernel is the ring of x, and
 ``draw(ring, rng)`` samples it.
+
+:class:`StabilityMonitor` is the one watch of the stability assumption
+(every feeder ring keeps mass at least theta) for both engines: it reads the
+ring counts of a scalar measure and the per-replicate count arrays of the
+lockstep engine alike.
+
+``EmpiricalMeasure.snapshot`` (a frozen prefix view) is taken by no engine;
+it stays only as a target of the benchmark's span tracer.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ class EmpiricalMeasure:
         self.partition = partition
         self._ring_atoms: list[list] = [[] for _ in range(partition.d)]
         self._ring_levels: list[list] = [[] for _ in range(partition.d)]
-        self._counts: list[int] = [0] * partition.d
-        self._total = 0
+        self.counts: list[int] = [0] * partition.d  # atoms per ring
+        self.total = 0
         self._frozen = False
 
     # -- update ------------------------------------------------------------
@@ -47,8 +52,8 @@ class EmpiricalMeasure:
             ring = self.partition.assign(x)
         self._ring_atoms[ring].append(x)
         self._ring_levels[ring].append(levels)
-        self._counts[ring] += 1
-        self._total += 1
+        self.counts[ring] += 1
+        self.total += 1
         return ring
 
     # -- mass queries --------------------------------------------------------
@@ -57,23 +62,19 @@ class EmpiricalMeasure:
         return self.partition.d
 
     def ring_count(self, ring: int) -> int:
-        return self._counts[ring]
+        return self.counts[ring]
 
     def masses(self) -> np.ndarray:
-        if self._total == 0:
+        if self.total == 0:
             return np.zeros(self.d)
-        return np.array(self._counts, dtype=float) / self._total
-
-    def min_mass(self) -> float:
-        """Smallest ring mass; the same float as ``masses().min()``."""
-        return min(self._counts) / self._total if self._total else 0.0
+        return np.array(self.counts, dtype=float) / self.total
 
     # -- sampling ----------------------------------------------------------------
     def draw(self, ring: int, rng: np.random.Generator):
         """Uniform draw (with multiplicity) from the stored atoms of a ring:
         (atom, its stored level log-densities or None). One uniform u picks
         atom ``int(n * u)`` of the ring's n atoms, in insertion order."""
-        n = self._counts[ring]
+        n = self.counts[ring]
         if n == 0:
             raise StabilityError(f"ring {ring} holds no atoms")
         i = int(n * rng.random())
@@ -87,30 +88,23 @@ class EmpiricalMeasure:
         snap.partition = self.partition
         snap._ring_atoms = self._ring_atoms
         snap._ring_levels = self._ring_levels
-        snap._counts = list(self._counts)
-        snap._total = self._total
+        snap.counts = list(self.counts)
+        snap.total = self.total
         snap._frozen = True
         return snap
 
 
 @dataclass
-class StabilityViolation:
-    step: int
-    chain: int
-    ring: int
-    mass: float
-
-
-@dataclass
 class StabilityMonitor:
-    """Watches ring masses against the stability threshold theta.
+    """Watches feeder ring masses against the stability threshold theta.
 
     The threshold is an assumption about the run, not an algorithmic step,
-    so by default violations are counted and reported, never fatal; the
-    caller decides whether to abort.
+    so by default rings below it are counted and reported, never fatal;
+    with ``abort`` the first check that finds one raises StabilityError.
     """
 
     theta: float
+    abort: bool = False
     violations: int = 0  # rings found below theta, over every check
     min_mass_seen: float = np.inf
 
@@ -118,17 +112,34 @@ class StabilityMonitor:
         if not (0.0 < self.theta <= 1.0):
             raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
 
-    def check(self, measure, step: int, chain: int = 0) -> list[StabilityViolation]:
-        """Count and return violations for every ring with mass below theta."""
-        lo = measure.min_mass()
+    def check(self, counts, total: int, lowest: int, step: int, chain: int) -> list[tuple]:
+        """Watch one feeder's ring counts over its ``total`` > 0 atoms.
+
+        ``counts`` is a list of d ring counts (a scalar measure) or an
+        (R, d) array with one row per replicate (a lockstep feeder), and
+        ``lowest`` is its smallest entry. Division by the positive atom
+        count keeps the order of the counts, so ``lowest / total`` is the
+        float of the smallest mass; the caller's ``min`` of a short list
+        costs far less than numpy's. Returns the ``(ring,)`` or
+        ``(replicate, ring)`` index of every ring below theta, in row-major
+        order, or raises StabilityError on the first of them under abort.
+        """
+        lo = lowest / total
         if lo < self.min_mass_seen:
             self.min_mass_seen = lo
         if lo >= self.theta:
             return []
-        fresh = [StabilityViolation(step, chain, ring, float(mass))
-                 for ring, mass in enumerate(measure.masses()) if mass < self.theta]
-        self.violations += len(fresh)
-        return fresh
+        masses = np.asarray(counts) / total
+        low = np.argwhere(masses < self.theta)
+        self.violations += len(low)
+        if self.abort:
+            first = tuple(int(i) for i in low[0])
+            where = f"replicate {first[0]} " if len(first) == 2 else ""
+            raise StabilityError(
+                f"round {step}: {where}chain {chain} ring {first[-1]} "
+                f"mass {masses[first]:.4f} below theta={self.theta}"
+            )
+        return [tuple(index) for index in low.tolist()]
 
 
 def tv_distance(mu, xi):

@@ -26,6 +26,12 @@ of the feeding chains' measure counts; the rate study uses it, and so does
 the bias study, on a frozen base count vector whose long-run bias the oracle
 predicts exactly. :class:`ChainEnsemble` stays the reference engine for
 traced runs.
+
+Stability: each engine holds one :class:`~eesampler.measures.StabilityMonitor`
+as ``monitor``. Every round, once a feeding chain's consumer runs, it checks
+that feeder's ring counts: a scalar measure's list, or the lockstep (R, d)
+array of all replicates. Under the abort policy the monitor raises; under
+warn the scalar engine logs a ``low_mass`` event per ring below theta.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigurationError, StabilityError
+from .errors import ConfigurationError
 from .kernels import BufferedUniforms
 from .measures import EmpiricalMeasure, StabilityMonitor
 from .state_space import FiniteSpace
@@ -122,7 +128,7 @@ class ChainEnsemble:
         self.rngs = [np.random.default_rng(child) for child in seq.spawn(self.r)]
         if isinstance(config.space, FiniteSpace):  # box chains need standard_normal
             self.rngs = [BufferedUniforms(g) for g in self.rngs]
-        self.monitor = StabilityMonitor(config.theta)
+        self.monitor = StabilityMonitor(config.theta, config.stability_policy == "abort")
 
         self._fallbacks = 0
         self.points = [self.kernels.point(x) for x in config.initial_states]
@@ -175,18 +181,12 @@ class ChainEnsemble:
 
     def _monitor_feeders(self) -> None:
         """A1 watch: each feeding chain's ring masses once its consumer runs."""
-        n, thresholds = self.n, self.thresholds
+        n, thresholds, check = self.n, self.thresholds, self.monitor.check
         for k in range(self.r - 1):
             if n > thresholds[k + 1]:
-                fresh = self.monitor.check(self.measures[k], n, chain=k)
-                for v in fresh:
-                    self.trace.events.append((n, k, "low_mass", v.ring))
-                if fresh and self.config.stability_policy == "abort":
-                    v = fresh[0]
-                    raise StabilityError(
-                        f"round {n}: chain {k} ring {v.ring} mass {v.mass:.4f} "
-                        f"below theta={self.config.theta}"
-                    )
+                counts = self.measures[k].counts
+                for (ring,) in check(counts, self.measures[k].total, min(counts), n, k):
+                    self.trace.events.append((n, k, "low_mass", ring))
 
     def run_rounds(self, rounds: int) -> None:
         for _ in range(rounds):
@@ -225,13 +225,14 @@ class LockstepEnsemble:
     States are an (R, r) int array. Only a feeding chain k < r - 1 keeps its
     empirical measure: in replicate i the count vector ``counts[i, k]`` over
     the S states, summed per ring in ``ring_counts`` for the stability
-    monitor, with ``sizes[k]`` atoms. Memory is O(R r S) whatever the number
-    of rounds, plus the kernel set's O(r S^2) acceptance tables. The
+    ``monitor``, with ``sizes[k]`` atoms. Memory is O(R r S) whatever the
+    number of rounds, plus the kernel set's O(r S^2) acceptance tables. The
     activation schedule, the chain-order updates within a round, strict
     snapshots and the stability policy are those of :class:`ChainEnsemble`;
     there is no trace.
 
-    Frozen base: given ``frozen_feeder``, an (S,) count vector, chain 0
+    Frozen base: given ``frozen_feeder``, an (S,) vector of non-negative
+    integer counts with at least one atom (else ConfigurationError), chain 0
     holds it for the whole run and never moves or draws; its masses are
     checked once, at construction. Chain 1 moves from round 1, and chain
     k >= 2 after round ``sum(offsets[1:k])``.
@@ -246,14 +247,15 @@ class LockstepEnsemble:
     def __init__(self, config: ExperimentConfig, frozen_feeder=None):
         if not isinstance(config.space, FiniteSpace):
             raise ConfigurationError("lockstep ensembles need a finite space")
+        if frozen_feeder is not None:
+            frozen_feeder = _frozen_counts(frozen_feeder, config.space.size)
         self.config = config
         self.kernels = config.kernels
         self.r = config.r
         self.n = 0
         self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
         self.rngs = [np.random.default_rng(c) for c in config.lockstep_seed_seq().spawn(self.r)]
-        self.violations = 0
-        self.min_mass_seen = np.inf
+        self.monitor = StabilityMonitor(config.theta, config.stability_policy == "abort")
 
         reps, size, feeding = config.replicates, config.space.size, self.r - 1
         self._rings = config.partition.labels()
@@ -321,19 +323,18 @@ class LockstepEnsemble:
     def _check_feeder(self, k: int) -> None:
         """A1 watch on feeding chain k: each round once its consumer moves,
         or once at construction for a frozen feeder, whose masses are fixed."""
-        theta = self.config.theta
-        # division by the positive atom count keeps the order of the ring
-        # counts, so the smallest count gives the smallest mass's float
-        lo = int(self.ring_counts[:, k].min()) / self.sizes[k]
-        self.min_mass_seen = min(self.min_mass_seen, lo)
-        if lo >= theta:
-            return
-        masses = self.ring_counts[:, k] / self.sizes[k]
-        low = masses < theta
-        self.violations += int(low.sum())
-        if self.config.stability_policy == "abort":
-            rep, ring = (int(i) for i in np.argwhere(low)[0])
-            raise StabilityError(
-                f"round {self.n}: replicate {rep} chain {k} ring {ring} "
-                f"mass {masses[rep, ring]:.4f} below theta={theta}"
-            )
+        counts = self.ring_counts[:, k]
+        self.monitor.check(counts, self.sizes[k], int(counts.min()), self.n, k)
+
+
+def _frozen_counts(frozen_feeder, size: int) -> np.ndarray:
+    """A frozen base as given, once it is an (S,) vector of non-negative
+    integer counts holding at least one atom."""
+    counts = np.asarray(frozen_feeder)
+    if (counts.shape != (size,) or counts.dtype.kind not in "iu"
+            or (counts < 0).any() or counts.sum() == 0):
+        raise ConfigurationError(
+            f"a frozen base needs {size} non-negative integer counts holding "
+            f"at least one atom, got {frozen_feeder!r}"
+        )
+    return counts

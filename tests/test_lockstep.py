@@ -411,8 +411,8 @@ def test_warn_policy_only_records():
     ens = LockstepEnsemble(cfg)
     for _ in range(40):
         ens.step_round()
-    assert ens.violations >= 5 * 30
-    assert ens.min_mass_seen < 0.9
+    assert ens.monitor.violations >= 5 * 30
+    assert ens.monitor.min_mass_seen < 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +492,29 @@ def test_frozen_feeder_abort_policy_on_thin_ring(monkeypatch):
     ens = LockstepEnsemble(warn, frozen_feeder=frozen)
     for _ in range(10):
         ens.step_round()
-    assert ens.violations == 3 and ens.min_mass_seen == 0.3  # checked once, at construction
+    # checked once, at construction
+    assert ens.monitor.violations == 3 and ens.monitor.min_mass_seen == 0.3
     ens = LockstepEnsemble(four_state_config(stability={"theta": 0.3, "policy": "abort"}),
                            frozen_feeder=frozen)
     ens.step_round()
+
+
+@pytest.mark.parametrize("frozen", [
+    np.zeros(4, dtype=np.int64),  # no atom to draw or to weigh
+    [-1, 2, 3, 4],  # a negative count
+    [1.5, 1, 1, 1],  # not integer counts
+    np.array([1.0, 1.0, 1.0, 1.0]),  # integral floats are not counts either
+    [1, 2, 3],  # not one count per state
+    np.ones((2, 4), dtype=np.int64),
+])
+def test_frozen_base_must_be_counts_over_the_states(frozen, monkeypatch):
+    cfg = four_state_config(replicates=3)
+    levels = spy_levels(cfg, monkeypatch)
+    with pytest.raises(ConfigurationError, match="frozen base"):
+        LockstepEnsemble(cfg, frozen_feeder=frozen)
+    assert levels == []
+    LockstepEnsemble(cfg, frozen_feeder=[0, 0, 0, 1]).step_round()
+    assert levels == [1]
 
 
 def test_frozen_base_rerun_identical():

@@ -200,28 +200,32 @@ def test_snapshot_insert_raises():
 # stability monitoring
 # ---------------------------------------------------------------------------
 
+def watch(monitor, m, step, chain=0):
+    """The scalar engine's call: a measure's ring count list and its total."""
+    return monitor.check(m.counts, m.total, min(m.counts), step, chain)
+
+
 def test_single_ring_never_violates():
     part = single_ring(FiniteSpace(3))
     m = EmpiricalMeasure(part)
     m.insert(0)
     monitor = StabilityMonitor(theta=1.0)
-    assert monitor.check(m, step=1) == []
+    assert watch(monitor, m, step=1) == []
+    assert monitor.violations == 0 and monitor.min_mass_seen == 1.0
 
 
 def test_empty_ring_violates():
     m = two_ring_measure([0])
     monitor = StabilityMonitor(theta=0.1)
-    violations = monitor.check(m, step=3)
-    assert [v.ring for v in violations] == [1]
-    assert violations[0].mass == 0.0
+    assert watch(monitor, m, step=3) == [(1,)]
+    assert monitor.violations == 1
     assert monitor.min_mass_seen == 0.0
 
 
 def test_threshold_comparison():
     m = two_ring_measure([0, 2, 2, 2])  # masses (0.25, 0.75)
     monitor = StabilityMonitor(theta=0.3)
-    violations = monitor.check(m, step=9)
-    assert [v.ring for v in violations] == [0]
+    assert watch(monitor, m, step=9) == [(0,)]
     assert monitor.min_mass_seen == pytest.approx(0.25)
 
 
@@ -276,27 +280,55 @@ def test_tv_rejects_non_finite_entries(bad):
 
 
 def test_monitor_fast_path_matches_array_form():
-    # the reference is the per-ring array form: masses(), its min, and a
-    # violation for every ring strictly below theta
+    # the reference is the per-ring array form: masses over the total, their
+    # min, and an index for every ring strictly below theta. The same counts
+    # go to check as the d-lists of scalar measures, one per replicate, and
+    # as the rows of one (R, d) lockstep array
     rng = np.random.default_rng(0x7E7A)
     part = RingPartition(FiniteSpace(4), labels=[0, 1, 2, 3])
     for trial in range(400):
-        counts = rng.integers(0, 6, size=4)
-        counts[rng.integers(4)] += 1  # at least one atom
-        m = EmpiricalMeasure(part)
-        for state, c in enumerate(counts):
-            for _ in range(c):
-                m.insert(state)
-        masses = m.masses()
-        positive = [j for j in range(4) if counts[j] > 0]
+        reps = int(rng.integers(1, 4))
+        total = int(rng.integers(1, 16))
+        counts = rng.multinomial(total, rng.dirichlet(np.ones(4)), size=reps)
+        masses = counts / total
+        positive = counts[counts > 0]
         if trial % 2 == 0:  # a threshold exactly at one ring's mass
-            theta = counts[positive[trial % len(positive)]] / counts.sum()
+            theta = int(positive[trial % len(positive)]) / total
         else:
             theta = float(rng.uniform(0.01, 1.0))
-        monitor = StabilityMonitor(theta=theta)
-        fresh = monitor.check(m, step=trial, chain=2)
-        assert monitor.min_mass_seen == float(masses.min())
-        expected = [(trial, 2, ring, float(mass))
-                    for ring, mass in enumerate(masses) if mass < theta]
-        assert [(v.step, v.chain, v.ring, v.mass) for v in fresh] == expected
-        assert monitor.violations == len(fresh)
+        expected = [(i, ring) for i in range(reps) for ring in range(4)
+                    if masses[i, ring] < theta]
+
+        rows = StabilityMonitor(theta=theta)
+        from_lists = []
+        for i, row in enumerate(counts):
+            m = EmpiricalMeasure(part)
+            for state, c in enumerate(row):
+                for _ in range(c):
+                    m.insert(state)
+            assert m.counts == row.tolist() and m.total == total
+            np.testing.assert_array_equal(m.masses(), masses[i])
+            from_lists += [(i, *index) for index in watch(rows, m, step=trial, chain=2)]
+        array = StabilityMonitor(theta=theta)
+        from_array = array.check(counts, total, int(counts.min()), trial, 2)
+
+        assert from_array == expected and from_lists == expected
+        assert array.violations == rows.violations == len(expected)
+        assert array.min_mass_seen == rows.min_mass_seen == float(masses.min())
+
+
+def test_monitor_abort_messages():
+    # both forms name the round, the chain, the ring and its mass; the
+    # lockstep form names the replicate too. The first ring below theta in
+    # row-major order is the one reported, after every ring is counted
+    scalar = StabilityMonitor(theta=0.5, abort=True)
+    with pytest.raises(StabilityError) as info:
+        scalar.check([3, 1, 0], 4, 0, 7, 2)
+    assert str(info.value) == "round 7: chain 2 ring 1 mass 0.2500 below theta=0.5"
+    assert scalar.violations == 2 and scalar.min_mass_seen == 0.0
+    lockstep = StabilityMonitor(theta=0.45, abort=True)
+    with pytest.raises(StabilityError) as info:
+        lockstep.check(np.array([[5, 5], [6, 4], [3, 7]]), 10, 3, 51, 0)
+    assert str(info.value) == "round 51: replicate 1 chain 0 ring 1 mass 0.4000 below theta=0.45"
+    assert lockstep.violations == 2 and lockstep.min_mass_seen == 0.3
+    assert lockstep.check(np.array([[5, 5]]), 10, 5, 52, 0) == []

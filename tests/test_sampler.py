@@ -297,7 +297,8 @@ def test_writers_match_csv_writer_on_box_traces(tmp_path):
 def test_stability_abort_policy():
     # theta = 0.9 with two rings cannot hold once chain 2 consumes the feeder
     cfg = four_state_config(stability={"theta": 0.9, "policy": "abort"})
-    with pytest.raises(StabilityError):
+    with pytest.raises(StabilityError,
+                       match=r"^round \d+: chain 0 ring \d mass 0\.\d{4} below theta=0\.9$"):
         run(cfg)
 
 
