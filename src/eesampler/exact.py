@@ -9,8 +9,9 @@ sampler independently: ``matrix`` is a formula of its own, not derived
 from the ``index`` and ``indices`` maps that the moves run, and the three
 are pinned against each other by an exact test over u-cells, by criterion
 7 and by the generated scalar and lockstep cross-checks. Matrices are
-assembled from the ladder densities, stationary vectors come from a linear
-solve, and the Poisson equation is solved through the fundamental matrix.
+assembled from the ladder densities, stationary vectors come from a square
+linear solve, and the Poisson equation is solved through the fundamental
+matrix.
 This gives the simulation an oracle to be checked against, and makes the
 identities behind the convergence argument (fixed point, q-fold
 composition, mixture expansion, Lipschitz and continuity bounds)
@@ -20,23 +21,23 @@ All matrices are row-stochastic: entry (x, y) is the probability of moving
 from state x to state y. Measures are probability vectors over states.
 
 Stacks. ``ring_conditionals``, ``q_matrix``, ``nonlinear_matrix``,
-``ee_jump_matrix``, ``interacting_matrix``, ``assert_row_stochastic`` and
-``stationary`` (and :func:`~eesampler.measures.tv_distance`) take an
-optional leading stack axis: a (B, S) stack of feeder measures gives a
-(B, S, S) stack of matrices, and a (B, S, S) stack gives (B, S) stationary
-vectors, so a battery of random measures costs one call instead of B. Every
-reduction runs along the last axis and every product is one BLAS call per
-item, so item b of a stacked result has exactly the bits of the same call
-on item b alone; a single measure or matrix is simply the stack-less case.
-A failure on a stack names the index of the failing measure or matrix.
-``stationary`` still makes one ``np.linalg.lstsq`` call per matrix: numpy
-has no stacked least-squares solver, and replacing it by a stacked
-``np.linalg.solve`` would change the bits of every stationary vector.
+``ee_jump_matrix``, ``interacting_matrix``, ``assert_row_stochastic``,
+``stationary``, ``poisson_solve``, ``poisson_series_partial`` and
+``geometric_rate_estimate`` (and :func:`~eesampler.measures.tv_distance`)
+take an optional leading stack axis: a (B, S) stack of feeder measures gives
+a (B, S, S) stack of matrices, a (B, S, S) stack gives (B, S) stationary
+vectors, and with (B, S) functions it gives B Poisson solutions or rates, so
+a battery of random measures or chains costs one call instead of B. Every
+reduction runs along the last axis, every product is one BLAS call and every
+solve one LAPACK call per item, so item b of a stacked result has exactly
+the bits of the same call on item b alone; a single measure or matrix is
+simply the stack-less case. A failure on a stack names the index of the
+failing measure or matrix. ``stationary`` makes one ``np.linalg.solve`` call
+per stack, on the square system (I - P + 1 1^T)^T w = 1.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -227,24 +228,25 @@ def interacting_matrix(
 
 
 def stationary(P: np.ndarray) -> np.ndarray:
-    """The unique probability vector w with wP = w, by linear least squares;
-    a (B, S, S) stack gives the (B, S) stack of vectors.
+    """The unique probability vector w with wP = w, as the solution of
+    w (I - P + 1 1^T) = 1^T (right-multiplying by 1 gives w 1 = 1, and then
+    wP = w); a (B, S, S) stack gives the (B, S) stack of vectors, from one
+    ``np.linalg.solve`` call.
 
-    Raises :class:`NumericalError` with diagnostics if the solve does not
-    meet the 1e-10 residual contract.
+    Raises :class:`NumericalError` with diagnostics if the system is
+    singular or the solve does not meet the 1e-10 residual contract. A
+    reducible P has no unique stationary vector, and the solver need not
+    notice; callers leave ring-closed kernels out.
     """
     P = np.asarray(P, dtype=float)
     stack = P.reshape(-1, *P.shape[-2:])
     size = P.shape[-1]
     assert_row_stochastic(P)
-    A = np.empty((len(stack), size + 1, size))
-    A[:, :size] = stack.transpose(0, 2, 1) - np.eye(size)
-    A[:, size] = 1.0
-    b = np.zeros(size + 1)
-    b[-1] = 1.0
-    w = np.empty((len(stack), size))
-    for i, a in enumerate(A):  # numpy has no stacked lstsq
-        w[i] = np.linalg.lstsq(a, b, rcond=None)[0]
+    A = np.eye(size) - stack.transpose(0, 2, 1) + 1.0
+    try:  # b as (B, S, 1): a stack of columns under every numpy version
+        w = np.linalg.solve(A, np.ones((len(stack), size, 1)))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"stationary solve failed: {exc}") from exc
     residual = np.abs((w[:, None, :] @ stack)[:, 0] - w).max(axis=-1, initial=0.0)
     sums = w.sum(axis=-1)
     bad = (residual > RESIDUAL_TOL) | np.any(w < -1e-10, axis=-1) | (np.abs(sums - 1.0) > 1e-10)
@@ -260,7 +262,8 @@ def stationary(P: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Solution fhat of fhat - P fhat = f - w(f) 1, centered so w(fhat) = 0."""
+    """Solution fhat of fhat - P fhat = f - w(f) 1, centered so w(fhat) = 0;
+    for a stack, fhat and omega are (B, S) and omega_f and residual (B,)."""
 
     fhat: np.ndarray
     f: np.ndarray
@@ -269,48 +272,66 @@ class PoissonSolution:
     residual: float
 
 
+def _stationary_rows(P: np.ndarray, omega) -> np.ndarray:
+    """The stationary vectors of P, a matrix or a stack, as (B, S) rows:
+    omega when given, else solved for."""
+    w = stationary(P) if omega is None else np.asarray(omega, dtype=float)
+    return w.reshape(-1, P.shape[-1])
+
+
 def poisson_solve(P: np.ndarray, f: np.ndarray) -> PoissonSolution:
     """Solve the Poisson equation via the fundamental matrix.
 
     fhat = (I - P + 1 w^T)^{-1} (f - w(f) 1); the additive constant is fixed
-    by w(fhat) = 0, the natural centering of the series representation.
+    by w(fhat) = 0, the natural centering of the series representation. A
+    (B, S, S) stack with (B, S) f is solved in one call per solver.
     """
     P = np.asarray(P, dtype=float)
-    f = np.asarray(f, dtype=float)
-    size = P.shape[0]
-    w = stationary(P)
-    omega_f = float(w @ f)
-    centered = f - omega_f
+    stack = P.reshape(-1, *P.shape[-2:])
+    fs = np.asarray(f, dtype=float).reshape(len(stack), -1)
+    size = P.shape[-1]
+    w = stationary(P).reshape(-1, size)
+    omega_f = (w[:, None, :] @ fs[..., None])[:, 0, 0]
+    centered = fs - omega_f[:, None]
     try:
-        fhat = np.linalg.solve(np.eye(size) - P + np.outer(np.ones(size), w), centered)
+        fhat = np.linalg.solve(
+            np.eye(size) - stack + np.ones((size, 1)) * w[:, None, :], centered[..., None]
+        )[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"fundamental-matrix solve failed: {exc}") from exc
-    residual = float(np.abs(fhat - P @ fhat - centered).max())
-    if residual > RESIDUAL_TOL:
-        raise NumericalError(f"poisson residual {residual:.3e} exceeds {RESIDUAL_TOL}")
-    return PoissonSolution(fhat=fhat, f=f, omega=w, omega_f=omega_f, residual=residual)
+    residual = np.abs(fhat - (stack @ fhat[..., None])[..., 0] - centered).max(axis=-1)
+    bad = residual > RESIDUAL_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"poisson residual {residual[i]:.3e} exceeds {RESIDUAL_TOL}{_of_stack(P, i)}"
+        )
+    if P.ndim == 2:
+        return PoissonSolution(fhat[0], fs[0], w[0], float(omega_f[0]), float(residual[0]))
+    return PoissonSolution(fhat, fs, w, omega_f, residual)
 
 
 def poisson_series_partial(
     P: np.ndarray, f: np.ndarray, n_terms: int, omega: np.ndarray | None = None
 ) -> np.ndarray:
     """Partial sum sum_{n<n_terms} (P^n f - w(f) 1) of the series form;
-    omega is P's stationary vector w, solved for when omitted."""
+    omega is P's stationary vector w, solved for when omitted. A (B, S, S)
+    stack with (B, S) f (and omega) gives the (B, S) partial sums."""
     P = np.asarray(P, dtype=float)
-    f = np.asarray(f, dtype=float)
-    w = stationary(P) if omega is None else omega
-    omega_f = float(w @ f)
-    term = f.copy()
-    acc = np.zeros_like(f)
+    stack = P.reshape(-1, *P.shape[-2:])
+    term = np.asarray(f, dtype=float).reshape(len(stack), -1)
+    omega_f = (_stationary_rows(P, omega)[:, None, :] @ term[..., None])[..., 0]
+    acc = np.zeros_like(term)
     for _ in range(n_terms):
         acc += term - omega_f
-        term = P @ term
-    return acc
+        term = (stack @ term[..., None])[..., 0]
+    return acc.reshape(np.shape(f))
 
 
 @dataclass(frozen=True)
 class GeometricRate:
-    """Doeblin pair (M, rho) plus the fitted TV decay of sup_x ||P^n(x,.) - w||."""
+    """Doeblin pair (M, rho) plus the fitted TV decay of sup_x ||P^n(x,.) - w||;
+    for a stack, rho and rho_fitted are (B,) and tv_curve (B, n_max)."""
 
     m: float
     rho: float
@@ -318,32 +339,37 @@ class GeometricRate:
     tv_curve: np.ndarray
 
 
+def _fitted_rate(curve: np.ndarray) -> float:
+    # fit well above the floating-noise floor; a numerical plateau is not
+    # decay, and points near it drag the fitted rate by more than the
+    # 1e-9 comparison allowance
+    usable = np.nonzero(curve > 1e-6)[0]
+    if usable.size < 2:
+        return 0.0
+    slope = np.polyfit(usable + 1.0, np.log(curve[usable]), 1)[0]
+    return float(np.exp(slope))
+
+
 def geometric_rate_estimate(
     P: np.ndarray, n_max: int = 50, omega: np.ndarray | None = None
 ) -> GeometricRate:
     """Constructive Doeblin bound rho = 1 - sum_y min_x P(x, y), M = 1,
     plus an empirical geometric fit of the worst-case TV decay; omega is P's
-    stationary vector, solved for when omitted."""
+    stationary vector, solved for when omitted. A (B, S, S) stack (with
+    (B, S) omega) gives one rate per matrix, each fitted on its own."""
     P = np.asarray(P, dtype=float)
-    w = stationary(P) if omega is None else omega
-    phi = float(P.min(axis=0).sum())
-    rho = 1.0 - phi
-    curve = np.empty(n_max)
-    Pn = P.copy()
+    stack = P.reshape(-1, *P.shape[-2:])
+    w = _stationary_rows(P, omega)[:, None, :]
+    rho = 1.0 - stack.min(axis=-2).sum(axis=-1)
+    curve = np.empty((len(stack), n_max))
+    Pn = stack
     for n in range(n_max):
-        curve[n] = 0.5 * np.abs(Pn - w[None, :]).sum(axis=1).max()
-        Pn = Pn @ P
-    # fit well above the floating-noise floor; a numerical plateau is not
-    # decay, and points near it drag the fitted rate by more than the
-    # 1e-9 comparison allowance
-    usable = np.nonzero(curve > 1e-6)[0]
-    if usable.size >= 2:
-        ns = usable + 1.0
-        slope = np.polyfit(ns, np.log(curve[usable]), 1)[0]
-        rho_fitted = float(np.exp(slope))
-    else:
-        rho_fitted = 0.0
-    return GeometricRate(m=1.0, rho=rho, rho_fitted=rho_fitted, tv_curve=curve)
+        curve[:, n] = 0.5 * np.abs(Pn - w).sum(axis=-1).max(axis=-1)
+        Pn = Pn @ stack
+    rho_fitted = np.array([_fitted_rate(c) for c in curve])
+    if P.ndim == 2:
+        return GeometricRate(1.0, float(rho[0]), float(rho_fitted[0]), curve[0])
+    return GeometricRate(1.0, rho, rho_fitted, curve)
 
 
 def composition_identity_check(
@@ -380,28 +406,28 @@ def composition_identity_check(
     # pair kernel by feeder draw: by_draw[b, a, y] = P((a, b), {y})
     by_draw = A.T[:, :, None] * K[:, None, :] + (1.0 - A.T)[:, :, None] * K[None, :, :]
 
-    ring_members = [np.nonzero(labels == j)[0] for j in range(d)]
-    ring_indicator = [(labels == j).astype(float) for j in range(d)]
+    ring_indicator = (np.arange(d)[:, None] == labels).astype(float)
 
-    # Each ring tuple's draw tuples go through the backward pass together,
-    # as stacked mat-vecs; the terms are then added in enumeration order by
-    # a cumsum from a zero row, the sequential adds of a running sum.
-    terms = [np.zeros((1, size))]
-    for rings in itertools.product(range(d), repeat=q):
-        start_coeff = ring_indicator[rings[0]] / np.prod([masses[j] for j in rings])
-        draws = np.array(
-            list(itertools.product(*(ring_members[j] for j in rings))), dtype=np.intp
-        ).reshape(-1, q)
-        weight = mu[draws].prod(axis=1)
-        nonzero = weight != 0.0
-        draws, weight = draws[nonzero], weight[nonzero]
-        # backward pass over the path y_q .. y_1, one row per draw tuple
-        vec = f
-        for j in range(q - 1, 0, -1):
-            vec = ring_indicator[rings[j]] * (by_draw[draws[:, j]] @ vec[..., None])[..., 0]
-        vec = (by_draw[draws[:, 0]] @ vec[..., None])[..., 0]  # start-state row, no indicator
-        terms.append(start_coeff * weight[:, None] * vec)
-    rhs = np.cumsum(np.concatenate(terms), axis=0)[-1]
+    # Every draw tuple of E^q, in enumeration order: ring tuples in theirs,
+    # each one's draw tuples in theirs (a stable sort of E^q, listed
+    # lexicographically, by ring tuple). Its ring tuple is its labels.
+    draws = np.indices((size,) * q).reshape(q, -1).T
+    rings = labels[draws]
+    order = np.argsort(rings @ d ** np.arange(q - 1, -1, -1), kind="stable")
+    draws, rings = draws[order], rings[order]
+    weight = mu[draws].prod(axis=1)
+    nonzero = weight != 0.0
+    draws, rings, weight = draws[nonzero], rings[nonzero], weight[nonzero]
+    start_coeff = ring_indicator[rings[:, 0]] / masses[rings].prod(axis=1)[:, None]
+    # one backward pass over the path y_q .. y_1, one row per draw tuple, as
+    # stacked mat-vecs; the terms are then added in enumeration order by a
+    # cumsum from a zero row, the sequential adds of a running sum
+    vec = f
+    for j in range(q - 1, 0, -1):
+        vec = ring_indicator[rings[:, j]] * (by_draw[draws[:, j]] @ vec[..., None])[..., 0]
+    vec = (by_draw[draws[:, 0]] @ vec[..., None])[..., 0]  # start-state row, no indicator
+    terms = start_coeff * weight[:, None] * vec
+    rhs = np.cumsum(np.concatenate([np.zeros((1, size)), terms]), axis=0)[-1]
     return float(np.abs(lhs - rhs).max())
 
 
@@ -414,15 +440,18 @@ def mixture_expansion_check(K: np.ndarray, P: np.ndarray, epsilon: float, n: int
     P = np.asarray(P, dtype=float)
     eps = float(epsilon)
     direct = np.linalg.matrix_power((1.0 - eps) * K + eps * P, n)
-    size = K.shape[0]
-    total = np.zeros((size, size))
-    for word in itertools.product((0, 1), repeat=n):
-        M = np.eye(size)
-        for bit in word:
-            M = M @ (P if bit else K)
-        l = sum(word)
-        total += eps**l * (1.0 - eps) ** (n - l) * M
-    return float(np.abs(direct - total).max())
+    # the words of each length in enumeration order (bit 1 picks P), each
+    # product made from its prefix's as M_prefix @ X: the left-to-right
+    # chain I @ X_1 @ ... @ X_n of a word-by-word loop, one stacked product
+    # per length; the terms are added in enumeration order by one cumsum
+    letters = np.stack([K, P])
+    words = np.eye(K.shape[0])[None]
+    for _ in range(n):
+        words = (words[:, None] @ letters).reshape(-1, *K.shape)
+    p_letters = [bin(i).count("1") for i in range(len(words))]
+    coeff = np.array([eps**l * (1.0 - eps) ** (n - l) for l in p_letters])
+    terms = np.concatenate([np.zeros((1, *K.shape)), coeff[:, None, None] * words])
+    return float(np.abs(direct - np.cumsum(terms, axis=0)[-1]).max())
 
 
 def lipschitz_check(

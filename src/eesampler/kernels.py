@@ -335,7 +335,7 @@ class KernelSet:
         if eps <= 0.0 or (eps < 1.0 and rng.random() >= eps):
             return self.mh_step(level, x, rng, point), StepInfo("local")
         point = point or self.point(x)
-        if feeder.ring_count(point.ring) == 0:
+        if feeder.counts[point.ring] == 0:
             return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
         z, z_levels = feeder.draw(point.ring, rng)
         z_levels = z_levels or self._levels(z)  # an atom inserted without its levels

@@ -61,9 +61,6 @@ class EmpiricalMeasure:
     def d(self) -> int:
         return self.partition.d
 
-    def ring_count(self, ring: int) -> int:
-        return self.counts[ring]
-
     def masses(self) -> np.ndarray:
         if self.total == 0:
             return np.zeros(self.d)

@@ -80,19 +80,19 @@ def chain_states(ensemble):
 
 def total_count(measure):
     """Number of atoms an empirical measure holds."""
-    return sum(measure.ring_count(ring) for ring in range(measure.d))
+    return sum(measure.counts)
 
 
 def atoms(measure, ring):
     """The atoms an empirical measure (or a snapshot of one) holds in a
     ring, with multiplicity, in insertion order."""
-    return measure._ring_atoms[ring][: measure.ring_count(ring)]
+    return measure._ring_atoms[ring][: measure.counts[ring]]
 
 
 def ring_mass(measure, ring):
     """The share of a measure's atoms that lie in a ring (0.0 when empty)."""
     total = total_count(measure)
-    return measure.ring_count(ring) / total if total else 0.0
+    return measure.counts[ring] / total if total else 0.0
 
 
 def as_vector(measure, space):

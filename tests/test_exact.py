@@ -107,8 +107,9 @@ def test_verify_suite_solves_each_poisson_chain_once(monkeypatch):
     solve = exact.stationary
 
     def counting(P):
-        if P.shape == (8, 8):
-            solved[P.tobytes()] = solved.get(P.tobytes(), 0) + 1
+        if P.shape[-2:] == (8, 8):
+            for item in P.reshape(-1, 8, 8):
+                solved[item.tobytes()] = solved.get(item.tobytes(), 0) + 1
         return solve(P)
 
     monkeypatch.setattr(exact, "stationary", counting)
@@ -116,19 +117,20 @@ def test_verify_suite_solves_each_poisson_chain_once(monkeypatch):
     assert len(solved) == 20 and set(solved.values()) == {1}
 
 
-def test_verify_suite_solves_each_matrix_once(monkeypatch):
-    # geometric_rate reuses the fixed-point solves of the level-1 K (the
-    # epsilon-0 kernel) and of the configured-epsilon kernel
-    solves = []
-    lstsq = np.linalg.lstsq
+def test_verify_suite_solver_calls_do_not_grow_with_the_batteries(monkeypatch):
+    # one stacked solve each: the fixed point, the Poisson battery's
+    # stationary and fundamental-matrix solves, the geometric rate, and the
+    # mu and xi sides of the continuity battery at level 1
+    calls = []
+    solve = np.linalg.solve
 
-    def counting(a, b, **kwargs):
-        solves.append(np.asarray(a).tobytes())
-        return lstsq(a, b, **kwargs)
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    monkeypatch.setattr(np.linalg, "solve", counting)
     assert verify_suite(four_state_config()).passed
-    assert (len(solves), len(set(solves))) == (225, 225)
+    assert len(calls) == 6
 
 
 def test_poisson_helpers_same_with_given_omega():
@@ -383,6 +385,37 @@ def test_mixture_expansion_depth_contract(four_model):
         exact.mixture_expansion_check(K, K, 0.5, 7)
 
 
+def sequential_mixture_sum(K, P, eps, n):
+    """The word sum of the mixture expansion one word at a time, each
+    product multiplied out from the identity: the reference the prefix-built
+    stack must reproduce bit for bit."""
+    import itertools
+
+    total = np.zeros(K.shape)
+    for word in itertools.product((0, 1), repeat=n):
+        M = np.eye(len(K))
+        for bit in word:
+            M = M @ (P if bit else K)
+        l = sum(word)
+        total += eps**l * (1.0 - eps) ** (n - l) * M
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mixture_expansion_matches_sequential_word_sum(eight_model, monkeypatch, n):
+    rng = np.random.default_rng(n)
+    K = exact.k_matrix(eight_model, 1)
+    Q = exact.q_matrix(eight_model, 1, rng.dirichlet(np.ones(8)))
+    for eps in (0.3, 0.5, 1.0):
+        assert exact.mixture_expansion_check(K, Q, eps, n) < 1e-14
+        # with the direct power replaced by the reference word sum, the
+        # discrepancy is 0 only if every entry agrees bit for bit
+        reference = sequential_mixture_sum(K, Q, eps, n)
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: reference)
+        assert exact.mixture_expansion_check(K, Q, eps, n) == 0.0
+        monkeypatch.undo()
+
+
 # ---------------------------------------------------------------------------
 # geometric rates
 # ---------------------------------------------------------------------------
@@ -558,6 +591,45 @@ def test_stationary_and_tv_on_a_stack_match_single_calls(stack_case):
     assert exact.stationary(np.empty((0, 3, 3))).shape == (0, 3)
 
 
+def test_poisson_and_rate_on_a_stack_match_single_calls(stack_case):
+    model, rng, mus = stack_case
+    Ps = exact.nonlinear_matrix(model, 1, mus)
+    fs = rng.uniform(-1.0, 1.0, mus.shape)
+    sol = exact.poisson_solve(Ps, fs)
+    singles = [exact.poisson_solve(P, f) for P, f in zip(Ps, fs)]
+    for name in ("fhat", "f", "omega", "omega_f", "residual"):
+        assert np.array_equal(getattr(sol, name), [getattr(s, name) for s in singles]), name
+    assert isinstance(singles[0].omega_f, float) and isinstance(singles[0].residual, float)
+    partials = [exact.poisson_series_partial(P, f, 30) for P, f in zip(Ps, fs)]
+    rates = [exact.geometric_rate_estimate(P) for P in Ps]
+    for omega in (None, sol.omega):
+        assert np.array_equal(exact.poisson_series_partial(Ps, fs, 30, omega=omega), partials)
+        rate = exact.geometric_rate_estimate(Ps, omega=omega)
+        for name in ("rho", "rho_fitted", "tv_curve"):
+            assert np.array_equal(getattr(rate, name), [getattr(r, name) for r in rates]), name
+    assert isinstance(rates[0].rho, float) and isinstance(rates[0].rho_fitted, float)
+    assert rate.tv_curve.shape == (len(Ps), 50)
+
+
+def test_singular_system_raises_numerical_error(monkeypatch):
+    # the identity is reducible: its square system (I - P + 1 1^T)^T is all ones
+    with pytest.raises(NumericalError, match="stationary solve failed: Singular matrix"):
+        exact.stationary(np.eye(3))
+    solve = np.linalg.solve
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    good = np.full((2, 3, 3), 1.0 / 3.0)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalError, match="stationary solve failed: Singular matrix"):
+        exact.stationary(good)
+    solvers = iter([solve, singular])  # the stationary solve, then the fundamental matrix
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: next(solvers)(a, b))
+    with pytest.raises(NumericalError, match="fundamental-matrix solve failed: Singular"):
+        exact.poisson_solve(good, np.ones((2, 3)))
+
+
 def test_feeder_checks_on_a_stack_match_single_pairs(stack_case):
     model, rng, mus = stack_case
     size = mus.shape[1]
@@ -596,14 +668,14 @@ def test_stacked_bad_matrix_names_its_index(monkeypatch):
     with pytest.raises(NumericalError, match=r"negative entries \(matrix 2 of the stack"):
         exact.assert_row_stochastic(np.array([good, good, negative]))
     # a solver answer off the residual contract for the second matrix only
-    lstsq = np.linalg.lstsq
-    answers = iter([None, np.array([0.5, 0.5, 0.0])])
+    solve = np.linalg.solve
 
-    def second_off(a, b, **kwargs):
-        off = next(answers)
-        return lstsq(a, b, **kwargs) if off is None else (off, None, None, None)
+    def second_off(a, b):
+        w = solve(a, b)
+        w[1, :, 0] = [0.5, 0.5, 0.0]
+        return w
 
-    monkeypatch.setattr(np.linalg, "lstsq", second_off)
+    monkeypatch.setattr(np.linalg, "solve", second_off)
     with pytest.raises(NumericalError, match=r"stationary solve failed \(matrix 1 of"):
         exact.stationary(np.array([good, good]))
 

@@ -308,8 +308,12 @@ def test_verify_suite_checks_the_ee_jump_kernel(monkeypatch, epsilon):
     monkeypatch.setattr(exact, "ee_jump_matrix", counting)
     report = verify_suite(cfg)
     assert report.passed, report.failing()
-    # three fixed-point epsilons and one geometric-rate kernel at level 1
-    assert calls == [1, 1, 1, 1]
+    # three fixed-point epsilons and one geometric-rate kernel at level 1;
+    # at epsilon 1 the kernel is ring-closed, and the rate check leaves it out
+    closed = cfg.kernels.ring_closed(epsilon)
+    assert calls == [1, 1, 1] + [1] * (not closed)
+    rate = next(c for c in report.checks if c.name == "geometric_rate")
+    assert rate.details == ("ring-closed kernel left out at level 1" if closed else "")
 
 
 def test_verify_suite_detects_corrupted_acceptance(four_state, monkeypatch):

@@ -19,7 +19,7 @@ def two_ring_measure(inserted=()):
 def conditional(m, x, size=4):
     """mu_x as a vector: the atoms of ring(x), with multiplicity, over their count."""
     ring = m.partition.assign(x)
-    return np.bincount(list(atoms(m, ring)), minlength=size) / m.ring_count(ring)
+    return np.bincount(list(atoms(m, ring)), minlength=size) / m.counts[ring]
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_recursive_update_matches_batch_recount():
             counts[part.assign(a)] += 1
         assert total_count(m) == len(inserted)
         np.testing.assert_array_equal(
-            [m.ring_count(j) for j in range(3)], counts.astype(int)
+            m.counts, counts.astype(int)
         )
         np.testing.assert_allclose(m.masses(), counts / len(inserted))
 
@@ -69,7 +69,7 @@ def test_insert_returns_the_ring_of_the_atom():
     for v in (0.0, -1.0, 1.9, 0.5**0.5, -1.2):
         x = np.array([v])
         assert m.insert(x) == box.assign(x)
-    assert [m.ring_count(j) for j in range(3)] == [1, 3, 1]
+    assert m.counts == [1, 3, 1]
 
 
 def test_insertion_order_preserved():
@@ -107,7 +107,7 @@ def test_restrict_identity_battery():
         _, W = exact.ring_conditionals(model, as_vector(m, space), allow_empty=True)
         for x in range(6):
             ring = labels[x]
-            if m.ring_count(ring) == 0:
+            if m.counts[ring] == 0:
                 np.testing.assert_array_equal(W[x], 0.0)
                 continue
             mu_x = conditional(m, x, size=6)
@@ -171,7 +171,7 @@ def test_snapshot_is_frozen_prefix():
     m.insert(1)
     m.insert(3)
     assert total_count(snap) == 2
-    assert snap.ring_count(0) == 1 and snap.ring_count(1) == 1
+    assert snap.counts[0] == 1 and snap.counts[1] == 1
     np.testing.assert_allclose(as_vector(snap, FiniteSpace(4)), [0.5, 0, 0.5, 0])
     assert total_count(m) == 4
     rng = np.random.default_rng(5)
@@ -182,8 +182,8 @@ def test_snapshot_restrict():
     m = two_ring_measure([0, 2])
     snap = m.snapshot()
     m.insert(3)
-    assert snap.ring_count(1) == 1 and list(atoms(snap, 1)) == [2]
-    assert m.ring_count(1) == 2 and list(atoms(m, 1)) == [2, 3]
+    assert snap.counts[1] == 1 and list(atoms(snap, 1)) == [2]
+    assert m.counts[1] == 2 and list(atoms(m, 1)) == [2, 3]
     np.testing.assert_allclose(conditional(snap, 3), [0, 0, 1.0, 0])
 
 
