@@ -34,7 +34,7 @@ for s in range(4):
 # stationary vector, and so does the interacting kernel fed with exact pi_1
 K = exact.k_matrix(cfg.kernels, 1)
 print("\nstationary of K_2:", np.round(exact.stationary(K), 4))
-P = exact.nonlinear_matrix(cfg.kernels, 1, cfg.ladder.density_table()[0])
+P = exact.interacting_matrix(cfg.kernels, 1, cfg.ladder.density_table()[0])
 print("stationary of K_{pi_1,2}:", np.round(exact.stationary(P), 4))
 
 # how often did the interaction branch fire and succeed?

@@ -21,13 +21,13 @@ print(np.round(Q, 4))
 
 # --- fixed point: feeding pi_1 yields invariant measure pi_2 -----------------
 for eps in (0.0, 0.25, 0.5, 1.0):
-    P = exact.nonlinear_matrix(model, 1, pi1, eps)
+    P = exact.interacting_matrix(model, 1, pi1, eps)
     dev = np.abs(exact.stationary(P) - pi2).max()
     print(f"fixed point at eps={eps}: |stationary - pi_2| = {dev:.2e}")
 
 # --- Poisson equation ---------------------------------------------------------
 f = np.array([1.0, 0.0, 0.0, 0.0])
-P = exact.nonlinear_matrix(model, 1, pi1, 0.5)
+P = exact.interacting_matrix(model, 1, pi1, 0.5)
 sol = exact.poisson_solve(P, f)
 print(f"\npoisson solution fhat = {np.round(sol.fhat, 6)}")
 print(f"residual |(I-P)fhat - (f - w(f))| = {sol.residual:.2e}")
@@ -57,3 +57,15 @@ ratio = exact.lipschitz_check(model, 1, mu, xi, rng.uniform(-1.0, 1.0, (200, 4))
 print(f"\nlipschitz ratio over 200 random f: {ratio:.4f}  (bound: 1)")
 print(f"invariant-measure continuity ratio: "
       f"{exact.invariant_continuity_check(model, 1, mu, xi):.4f}")
+
+# --- the same identities on the ee-jump ------------------------------------------
+# the checks read the configured variant's interaction: here the jump
+# J = W∘A + diag(1 - rowsum(W∘A)), which moves only to a feeder atom
+jump = four_state_config(kernel={"variant": "ee-jump", "epsilon": 0.5, "proposal": "uniform"})
+jump_model = jump.kernels
+print("\njump matrix J with feeder pi_1:")
+print(np.round(exact.ee_jump_matrix(jump_model, 1, pi1), 4))
+discs = exact.composition_identity_check(jump_model, 1, np.stack([mu, xi]), np.stack([g, g]), 3)
+print(f"composition identity q=3 on a stack of two feeders: {np.round(discs, 18)}")
+ratio = exact.lipschitz_check(jump_model, 1, mu, xi, rng.uniform(-1.0, 1.0, (200, 4)))
+print(f"lipschitz ratio of the jump over 200 random f: {ratio:.4f}  (bound: 1)")

@@ -20,20 +20,27 @@ machine-verifiable.
 All matrices are row-stochastic: entry (x, y) is the probability of moving
 from state x to state y. Measures are probability vectors over states.
 
-Stacks. ``ring_conditionals``, ``q_matrix``, ``nonlinear_matrix``,
-``ee_jump_matrix``, ``interacting_matrix``, ``assert_row_stochastic``,
-``stationary``, ``poisson_solve``, ``poisson_series_partial`` and
-``geometric_rate_estimate`` (and :func:`~eesampler.measures.tv_distance`)
-take an optional leading stack axis: a (B, S) stack of feeder measures gives
-a (B, S, S) stack of matrices, a (B, S, S) stack gives (B, S) stationary
-vectors, and with (B, S) functions it gives B Poisson solutions or rates, so
-a battery of random measures or chains costs one call instead of B. Every
-reduction runs along the last axis, every product is one BLAS call and every
-solve one LAPACK call per item, so item b of a stacked result has exactly
-the bits of the same call on item b alone; a single measure or matrix is
-simply the stack-less case. A failure on a stack names the index of the
-failing measure or matrix. ``stationary`` makes one ``np.linalg.solve`` call
-per stack, on the square system (I - P + 1 1^T)^T w = 1.
+Interactions. ``interacting_matrix`` is the kernel the sampler steps and
+the one place that mixes, (1 - eps) K + eps X: X is the variant's
+interaction, the kernel at epsilon 1, ``q_matrix`` for selection-mutation
+and ``ee_jump_matrix`` for the ee-jump.
+
+Stacks. ``ring_conditionals``, the three kernel builders,
+``assert_row_stochastic``, ``stationary``, ``poisson_solve``,
+``poisson_series_partial``, ``geometric_rate_estimate`` and the
+composition, Lipschitz and continuity checks (and
+:func:`~eesampler.measures.tv_distance`) take an optional leading stack
+axis: a (B, S) stack of feeder measures gives a (B, S, S) stack of
+matrices, a (B, S, S) stack gives (B, S) stationary vectors, and with
+(B, S) functions it gives B Poisson solutions, rates or check statistics,
+so a battery of random measures or chains costs one call instead of B.
+Every reduction runs within an item, every product is one BLAS call and
+every solve one LAPACK call per item, so item b of a stacked result has
+exactly the bits of the same call on item b alone; a single measure or
+matrix is simply the stack-less case. A failure on a stack names the index
+of the failing measure or matrix. ``stationary`` makes one
+``np.linalg.solve`` call per stack, on the square system
+(I - P + 1 1^T)^T w = 1.
 """
 
 from __future__ import annotations
@@ -134,7 +141,9 @@ def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = F
         raise ConfigurationError(f"measure must have {size} entries, got {mu.shape}")
     labels = model.partition.labels()
     d = model.partition.d
-    masses = np.stack([mu[..., labels == j].sum(axis=-1) for j in range(d)], axis=-1)
+    # contiguous rows, so a ring of 8+ states sums pairwise on a stack too
+    masses = np.stack([np.ascontiguousarray(mu[..., labels == j]).sum(axis=-1)
+                       for j in range(d)], axis=-1)
     empty = (masses <= 0.0).any(axis=-1)
     if not allow_empty and empty.any():
         i = int(np.argmax(empty))
@@ -148,83 +157,52 @@ def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = F
     return masses, W
 
 
-def _empty_ring_fallback(model: KernelSet, P: np.ndarray, K: np.ndarray, masses) -> None:
-    """Give every state whose ring carries no feeder mass the local K row,
-    as the sampler falls back to its local move. A no-op unless
-    ring_conditionals was allowed to return an empty ring."""
+def _interaction(model: KernelSet, level: int, mu: np.ndarray, jump: bool) -> np.ndarray:
+    """The jump J = W∘A + diag(1 - rowsum(W∘A)) or the selection kernel
+    Q = (W∘A) K + diag(1 - rowsum(W∘A)) K with feeder mu; every state whose
+    ring carries no feeder mass takes the local K row, as the sampler falls
+    back to its local move (the oracle's one empty-ring fallback)."""
+    masses, W = ring_conditionals(model, mu, allow_empty=True)
+    K = k_matrix(model, level)
+    X = W * swap_alpha(model, level)
+    if jump:
+        diagonal = np.arange(X.shape[-1])
+        X[..., diagonal, diagonal] += 1.0 - X.sum(axis=-1)
+    else:
+        X = X @ K + (1.0 - X.sum(axis=-1))[..., None] * K
     empty = masses[..., model.partition.labels()] <= 0.0
-    np.copyto(P, K, where=empty[..., None])
+    np.copyto(X, K, where=empty[..., None])
+    assert_row_stochastic(X)
+    return X
 
 
-def q_matrix(
-    model: KernelSet, level: int, mu: np.ndarray, *, empty_ring_fallback: bool = False
-) -> np.ndarray:
-    """Exact matrix of the selection/mutation kernel with feeder measure mu.
-
-    Row x is the exact expectation over the ring-restricted feeder draw z:
-    alpha(x, z) K-row(z) + (1 - alpha(x, z)) K-row(x). With
-    ``empty_ring_fallback`` rows whose ring carries no feeder mass are
-    replaced by the local K row, matching the sampler's logged fallback;
-    otherwise an empty ring raises :class:`StabilityError`.
-    """
-    masses, W = ring_conditionals(model, mu, allow_empty=empty_ring_fallback)
-    K = k_matrix(model, level)
-    A = swap_alpha(model, level)
-    WA = W * A
-    Q = WA @ K + (1.0 - WA.sum(axis=-1))[..., None] * K
-    _empty_ring_fallback(model, Q, K, masses)
-    assert_row_stochastic(Q)
-    return Q
+def q_matrix(model: KernelSet, level: int, mu: np.ndarray) -> np.ndarray:
+    """Exact selection/mutation interaction with feeder mu (the kernel at
+    epsilon 1): row x is the expectation over the ring-restricted feeder
+    draw z of alpha(x, z) K-row(z) + (1 - alpha(x, z)) K-row(x)."""
+    return _interaction(model, level, mu, jump=False)
 
 
-def ee_jump_matrix(
-    model: KernelSet,
-    level: int,
-    mu: np.ndarray,
-    epsilon: float | None = None,
-    *,
-    empty_ring_fallback: bool = False,
-) -> np.ndarray:
-    """Exact matrix of the original EE-jump kernel with feeder measure mu."""
-    eps = model.epsilons[level] if epsilon is None else float(epsilon)
-    masses, W = ring_conditionals(model, mu, allow_empty=empty_ring_fallback)
-    K = k_matrix(model, level)
-    A = swap_alpha(model, level)
-    J = W * A
-    diagonal = np.arange(J.shape[-1])
-    J[..., diagonal, diagonal] += 1.0 - J.sum(axis=-1)
-    _empty_ring_fallback(model, J, K, masses)
-    P = (1.0 - eps) * K + eps * J
-    assert_row_stochastic(P)
-    return P
-
-
-def nonlinear_matrix(
-    model: KernelSet,
-    level: int,
-    mu: np.ndarray,
-    epsilon: float | None = None,
-    *,
-    empty_ring_fallback: bool = False,
-) -> np.ndarray:
-    """(1 - eps) K + eps Q with feeder measure mu."""
-    eps = model.epsilons[level] if epsilon is None else float(epsilon)
-    K = k_matrix(model, level)
-    Q = q_matrix(model, level, mu, empty_ring_fallback=empty_ring_fallback)
-    P = (1.0 - eps) * K + eps * Q
-    assert_row_stochastic(P)
-    return P
+def ee_jump_matrix(model: KernelSet, level: int, mu: np.ndarray) -> np.ndarray:
+    """Exact original equi-energy jump with feeder mu (the kernel at epsilon
+    1): to the ring-restricted feeder draw z with probability alpha(x, z),
+    else stay."""
+    return _interaction(model, level, mu, jump=True)
 
 
 def interacting_matrix(
     model: KernelSet, level: int, mu: np.ndarray, epsilon: float | None = None
 ) -> np.ndarray:
-    """Exact matrix of the model's interacting kernel at `level` against
-    feeder mu, as the sampler steps it: ``ee_jump_matrix`` or
-    ``nonlinear_matrix`` by the model's variant (epsilon defaults to the
-    level's), with rings that carry no feeder mass taking the local move."""
-    build = ee_jump_matrix if model.variant == "ee-jump" else nonlinear_matrix
-    return build(model, level, mu, epsilon, empty_ring_fallback=True)
+    """Exact matrix (1 - eps) K + eps X of the model's interacting kernel at
+    `level` against feeder mu, as the sampler steps it: X is
+    ``ee_jump_matrix`` or ``q_matrix`` by the model's variant, and epsilon
+    defaults to the level's. At epsilon 1 it is X itself, bit for bit."""
+    build = ee_jump_matrix if model.variant == "ee-jump" else q_matrix
+    X = build(model, level, mu)
+    eps = model.epsilons[level] if epsilon is None else float(epsilon)
+    P = (1.0 - eps) * k_matrix(model, level) + eps * X
+    assert_row_stochastic(P)
+    return P
 
 
 def stationary(P: np.ndarray) -> np.ndarray:
@@ -374,16 +352,22 @@ def geometric_rate_estimate(
 
 def composition_identity_check(
     model: KernelSet, level: int, mu: np.ndarray, f: np.ndarray, q: int
-) -> float:
-    """Max discrepancy between the q-fold selection-kernel power applied to f
+):
+    """Max discrepancy between the q-fold interaction power applied to f
     and the ring-sum representation evaluated by brute-force enumeration.
 
-    The left side is matrix_power(Q_mu, q) @ f. The right side enumerates
-    every ring tuple (i_1, ..., i_q) and every feeder-draw tuple
-    (x_1, ..., x_q) in E^q weighted by the product measure mu x ... x mu,
-    with the pair kernel P((a, b), dy) = alpha(a,b) K(b, dy)
-    + (1 - alpha(a,b)) K(a, dy) composed along the path and the indicator of
-    ring i_{j+1} applied to each intermediate landing state.
+    The left side is matrix_power(X_mu, q) @ f, X the configured variant's
+    interaction. The right side enumerates every ring tuple (i_1, ..., i_q)
+    and every feeder-draw tuple (x_1, ..., x_q) in E^q weighted by the
+    product measure mu x ... x mu, with the pair kernel
+    P((a, b), dy) = alpha(a,b) M(b, dy) + (1 - alpha(a,b)) M(a, dy) composed
+    along the path and the indicator of ring i_{j+1} applied to each
+    intermediate landing state; the move after the swap is M = K for
+    selection-mutation and M = I for the ee-jump.
+
+    mu and f are (S,) vectors, or (B, S) stacks with one discrepancy per
+    item (a float for a single pair), the enumeration built once. Every
+    ring must carry mass under mu, so a zero-weight draw tuple adds 0.
     """
     size = _require_finite(model)
     d = model.partition.d
@@ -393,18 +377,20 @@ def composition_identity_check(
         raise ConfigurationError(
             f"enumeration is sized for S <= 8, d <= 3 (got S={size}, d={d})"
         )
-    f = np.asarray(f, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    labels = model.partition.labels()
     masses, _ = ring_conditionals(model, mu)
+    mus, masses = mu.reshape(-1, size), masses.reshape(-1, d)
+    fs = np.asarray(f, dtype=float).reshape(len(mus), size)
+    labels = model.partition.labels()
 
-    Q = q_matrix(model, level, mu)
-    lhs = np.linalg.matrix_power(Q, q) @ f
+    Xq = np.linalg.matrix_power(interacting_matrix(model, level, mus, 1.0), q)
+    lhs = (Xq @ fs[..., None])[..., 0]  # one mat-vec per item, as X^q @ f
 
     K = k_matrix(model, level)
+    M = np.eye(size) if model.variant == "ee-jump" else K
     A = swap_alpha(model, level)
     # pair kernel by feeder draw: by_draw[b, a, y] = P((a, b), {y})
-    by_draw = A.T[:, :, None] * K[:, None, :] + (1.0 - A.T)[:, :, None] * K[None, :, :]
+    by_draw = A.T[:, :, None] * M[:, None, :] + (1.0 - A.T)[:, :, None] * M[None, :, :]
 
     ring_indicator = (np.arange(d)[:, None] == labels).astype(float)
 
@@ -415,20 +401,20 @@ def composition_identity_check(
     rings = labels[draws]
     order = np.argsort(rings @ d ** np.arange(q - 1, -1, -1), kind="stable")
     draws, rings = draws[order], rings[order]
-    weight = mu[draws].prod(axis=1)
-    nonzero = weight != 0.0
-    draws, rings, weight = draws[nonzero], rings[nonzero], weight[nonzero]
-    start_coeff = ring_indicator[rings[:, 0]] / masses[rings].prod(axis=1)[:, None]
-    # one backward pass over the path y_q .. y_1, one row per draw tuple, as
-    # stacked mat-vecs; the terms are then added in enumeration order by a
-    # cumsum from a zero row, the sequential adds of a running sum
-    vec = f
+    weight = mus[:, draws].prod(axis=-1)
+    start_coeff = ring_indicator[rings[:, 0]] / masses[:, rings].prod(axis=-1)[..., None]
+    # one backward pass over the path y_q .. y_1, one row per (item, draw
+    # tuple), as stacked mat-vecs; the terms are then added in enumeration
+    # order by a cumsum from a zero row, the sequential adds of a running sum
+    vec = fs[:, None, :]
     for j in range(q - 1, 0, -1):
         vec = ring_indicator[rings[:, j]] * (by_draw[draws[:, j]] @ vec[..., None])[..., 0]
     vec = (by_draw[draws[:, 0]] @ vec[..., None])[..., 0]  # start-state row, no indicator
-    terms = start_coeff * weight[:, None] * vec
-    rhs = np.cumsum(np.concatenate([np.zeros((1, size)), terms]), axis=0)[-1]
-    return float(np.abs(lhs - rhs).max())
+    terms = start_coeff * weight[..., None] * vec
+    zero = np.zeros((len(mus), 1, size))
+    rhs = np.cumsum(np.concatenate([zero, terms], axis=1), axis=1)[:, -1]
+    worst = np.abs(lhs - rhs).max(axis=-1)
+    return float(worst[0]) if mu.ndim == 1 else worst
 
 
 def mixture_expansion_check(K: np.ndarray, P: np.ndarray, epsilon: float, n: int) -> float:
@@ -458,12 +444,16 @@ def lipschitz_check(
     model: KernelSet, level: int, mu: np.ndarray, xi: np.ndarray, fs: np.ndarray
 ):
     """Max over the test functions f in fs of
-    max_x |Q_mu(f)(x) - Q_xi(f)(x)| / (2 ||f||_inf sup_x tv(mu_x, xi_x));
-    the selection kernel is 2-Lipschitz in the feeder so this never exceeds 1.
+    max_x |X_mu(f)(x) - X_xi(f)(x)| / (2 ||f||_inf sup_x tv(mu_x, xi_x)), X
+    the configured variant's interaction. It never exceeds 1: X_mu(f)(x) is
+    the mu_x-mean of g(z) = M(f)(x) + alpha(x, z)(M(f)(z) - M(f)(x)), M = K
+    for the selection kernel and I for the jump, and g lies in an interval
+    of length 2 ||f||_inf, so both kernels are 2-Lipschitz in the feeder.
 
     mu and xi are (S,) measures with fs an (n_funcs, S) array, or (B, S)
     stacks of pairs with fs (B, n_funcs, S); the result is one ratio per
     pair (a float for a single pair), 0 where the conditionals coincide.
+    Every ring must carry mass under both measures.
     """
     _, Wmu = ring_conditionals(model, mu)
     _, Wxi = ring_conditionals(model, xi)
@@ -471,10 +461,10 @@ def lipschitz_check(
     first = [np.nonzero(labels == j)[0][0] for j in range(model.partition.d)]
     sup_tv = (0.5 * np.abs(Wmu[..., first, :] - Wxi[..., first, :]).sum(axis=-1)).max(axis=-1)
     fs = np.asarray(fs, dtype=float)
-    # one mat-vec per (pair, function), as Q @ f on each alone
-    Qmu_f = (q_matrix(model, level, mu)[..., None, :, :] @ fs[..., None])[..., 0]
-    Qxi_f = (q_matrix(model, level, xi)[..., None, :, :] @ fs[..., None])[..., 0]
-    lhs = np.abs(Qmu_f - Qxi_f).max(axis=-1)
+    # one mat-vec per (pair, function), as X @ f on each alone
+    Xmu_f = (interacting_matrix(model, level, mu, 1.0)[..., None, :, :] @ fs[..., None])[..., 0]
+    Xxi_f = (interacting_matrix(model, level, xi, 1.0)[..., None, :, :] @ fs[..., None])[..., 0]
+    lhs = np.abs(Xmu_f - Xxi_f).max(axis=-1)
     norm = np.abs(fs).max(axis=-1)
     apart = sup_tv[..., None] != 0.0  # identical conditionals: lhs is 0 up to roundoff
     ratio = np.divide(lhs, 2.0 * norm * sup_tv[..., None], out=np.zeros_like(lhs), where=apart)
@@ -485,13 +475,15 @@ def lipschitz_check(
 def invariant_continuity_check(
     model: KernelSet, level: int, mu: np.ndarray, xi: np.ndarray, epsilon: float | None = None
 ):
-    """Ratio tv(w(K_mu), w(K_xi)) / sup-norm distance of the two non-linear
-    matrices; exhibits the empirical continuity constant of invariant
-    measures. Guarded to 0 when the kernels coincide. (B, S) stacks of mu
-    and xi give one ratio per pair (a float for a single pair)."""
+    """Ratio tv(w(K_mu), w(K_xi)) / sup-norm distance of the two
+    interacting matrices (``interacting_matrix``); exhibits the empirical
+    continuity constant of invariant measures. Guarded to 0 when the
+    kernels coincide. (B, S) stacks of mu and xi give one ratio per pair (a
+    float for a single pair). A ring-closed kernel has no unique invariant
+    measure; callers leave it out."""
     size = _require_finite(model)
-    Kmu = nonlinear_matrix(model, level, mu, epsilon).reshape(-1, size, size)
-    Kxi = nonlinear_matrix(model, level, xi, epsilon).reshape(-1, size, size)
+    Kmu = interacting_matrix(model, level, mu, epsilon).reshape(-1, size, size)
+    Kxi = interacting_matrix(model, level, xi, epsilon).reshape(-1, size, size)
     den = np.abs(Kmu - Kxi).sum(axis=-1).max(axis=-1)
     apart = den >= 1e-14
     ratio = np.zeros(den.shape)

@@ -314,11 +314,10 @@ class KernelSet:
         return x
 
     # -- the interacting move ---------------------------------------------------------
-    def swap_accept_prob(self, level: int, x, y, x_levels=None, y_levels=None) -> float:
-        """min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y))), in log space;
-        x_levels/y_levels are x's and y's level log-densities, if known."""
+    def swap_accept_prob(self, level: int, x, y) -> float:
+        """min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y))), in log space."""
         self.require_level(level, interacting=True)
-        return _swap_prob(level, x, x_levels or self._levels(x), y, y_levels or self._levels(y))
+        return _swap_prob(level, x, self._levels(x), y, self._levels(y))
 
     def interacting_step(self, level: int, x, feeder, rng, point=None):
         """One move of the level's interacting kernel against `feeder`:

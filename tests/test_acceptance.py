@@ -39,7 +39,7 @@ def test_criterion_01_fixed_point_keystone(fixture_config):
     dens = fixture_config.ladder.density_table()
     worst = 0.0
     for eps in (0.0, 0.25, 0.5, 1.0):
-        P = exact.nonlinear_matrix(fixture_config.kernels, 1, dens[0], eps)
+        P = exact.interacting_matrix(fixture_config.kernels, 1, dens[0], eps)
         worst = max(worst, float(np.abs(exact.stationary(P) - dens[1]).max()))
     report(1, "fixed-point keystone", worst <= 1e-10, f"max deviation {worst:.3e}")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import kernel_copy, make_model
 from eesampler import exact
 from eesampler.config import four_state_config
 from eesampler.errors import ConfigurationError, NumericalError, StabilityError
@@ -74,8 +74,7 @@ def test_swap_alpha_needs_a_level_with_a_feeder(four_model):
         with pytest.raises(ConfigurationError, match="feeder below it"):
             exact.swap_alpha(four_model, level)
     pi_target = exact.stationary(exact.k_matrix(four_model, 1))
-    for build in (exact.q_matrix, exact.ee_jump_matrix, exact.nonlinear_matrix,
-                  exact.interacting_matrix):
+    for build in (exact.q_matrix, exact.ee_jump_matrix, exact.interacting_matrix):
         with pytest.raises(ConfigurationError, match="feeder below it"):
             build(four_model, 0, pi_target)
 
@@ -178,32 +177,32 @@ def test_q_matrix_equal_levels_forced_acceptance(four_model):
 
 def test_q_matrix_zero_ring_raises(four_model):
     with pytest.raises(StabilityError):
-        exact.q_matrix(four_model, 1, np.array([0.5, 0.5, 0.0, 0.0]))
+        exact.ring_conditionals(four_model, np.array([0.5, 0.5, 0.0, 0.0]))
 
 
 def test_q_matrix_empty_ring_fallback_rows(four_model):
     mu = np.array([0.5, 0.5, 0.0, 0.0])
-    Q = exact.q_matrix(four_model, 1, mu, empty_ring_fallback=True)
+    Q = exact.q_matrix(four_model, 1, mu)
     K = exact.k_matrix(four_model, 1)
     np.testing.assert_allclose(Q[2], K[2])
     np.testing.assert_allclose(Q[3], K[3])
 
 
-def test_nonlinear_matrix_affine(four_model):
+def test_interacting_matrix_affine(four_model):
     mu = np.array([0.1, 0.2, 0.3, 0.4])
     K = exact.k_matrix(four_model, 1)
     Q = exact.q_matrix(four_model, 1, mu)
-    np.testing.assert_allclose(exact.nonlinear_matrix(four_model, 1, mu, 0.0), K)
-    np.testing.assert_allclose(exact.nonlinear_matrix(four_model, 1, mu, 1.0), Q)
+    np.testing.assert_allclose(exact.interacting_matrix(four_model, 1, mu, 0.0), K)
+    np.testing.assert_allclose(exact.interacting_matrix(four_model, 1, mu, 1.0), Q)
     np.testing.assert_allclose(
-        exact.nonlinear_matrix(four_model, 1, mu, 0.5), 0.5 * K + 0.5 * Q
+        exact.interacting_matrix(four_model, 1, mu, 0.5), 0.5 * K + 0.5 * Q
     )
 
 
 def test_ee_jump_matrix_support(four_model):
     # the pure jump never leaves the ring: off-ring entries come only from K
     mu = np.array([0.25, 0.25, 0.25, 0.25])
-    J = exact.ee_jump_matrix(four_model, 1, mu, epsilon=1.0)
+    J = exact.ee_jump_matrix(four_model, 1, mu)
     labels = four_model.partition.labels()
     for x in range(4):
         for y in range(4):
@@ -232,7 +231,7 @@ def test_stationary_of_k_matrix_is_target(four_model):
 def test_fixed_point_keystone(four_model, eps):
     # feeding the exact lower target through the mixture reproduces pi_2
     dens = four_model.ladder.density_table()
-    P = exact.nonlinear_matrix(four_model, 1, dens[0], eps)
+    P = exact.interacting_matrix(four_model, 1, dens[0], eps)
     np.testing.assert_allclose(exact.stationary(P), dens[1], atol=1e-10)
 
 
@@ -242,7 +241,7 @@ def test_ee_jump_fixed_point(four_model, eight_model, eps):
     # ring(x), so that kernel is reducible and has no unique stationary vector
     for model in (four_model, eight_model):
         dens = model.ladder.density_table()
-        P = exact.ee_jump_matrix(model, 1, dens[0], eps)
+        P = exact.interacting_matrix(kernel_copy(model, variant="ee-jump"), 1, dens[0], eps)
         np.testing.assert_allclose(exact.stationary(P), dens[1], atol=1e-10)
 
 
@@ -440,7 +439,7 @@ def test_rate_two_state_hand_computed():
 def test_rate_tv_curve_non_increasing(four_model):
     for P in (
         exact.k_matrix(four_model, 1),
-        exact.nonlinear_matrix(four_model, 1, np.full(4, 0.25), 0.5),
+        exact.interacting_matrix(four_model, 1, np.full(4, 0.25), 0.5),
     ):
         rate = exact.geometric_rate_estimate(P)
         assert np.all(np.diff(rate.tv_curve) <= 1e-12)
@@ -509,8 +508,8 @@ def test_row_stochastic_everywhere(four_model, eight_model):
         for M in (
             exact.k_matrix(model, 1),
             exact.q_matrix(model, 1, mu),
-            exact.nonlinear_matrix(model, 1, mu, 0.3),
-            exact.ee_jump_matrix(model, 1, mu, 0.3),
+            exact.interacting_matrix(model, 1, mu, 0.3),
+            exact.interacting_matrix(kernel_copy(model, variant="ee-jump"), 1, mu, 0.3),
         ):
             assert np.all(M >= 0.0)
             np.testing.assert_allclose(M.sum(axis=1), np.ones(size), atol=1e-12)
@@ -523,11 +522,12 @@ def test_row_stochastic_everywhere(four_model, eight_model):
 STACK_SHAPES = [(4, 2, "neighbor"), (5, 2, "uniform"), (7, 3, "neighbor"), (8, 3, "uniform")]
 
 
-def random_model(rng, size, d, proposal):
+def random_model(rng, size, d, proposal, variant="selection-mutation"):
     space = FiniteSpace(size)
     ladder = DensityLadder(space, [rng.normal(size=size) / 3.0, rng.normal(size=size)])
     partition = RingPartition(space, labels=rng.permutation(np.arange(size) % d))
-    return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, epsilon=0.4)
+    return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, epsilon=0.4,
+                     variant=variant)
 
 
 def random_measures(rng, n, size):
@@ -542,11 +542,13 @@ def stack_case(request):
     return random_model(rng, size, d, proposal), rng, random_measures(rng, 12, size)
 
 
-def builders(eps):
+def builders(model, eps):
+    jump = kernel_copy(model, variant="ee-jump")
     return {
-        "q": lambda model, mu, **kw: exact.q_matrix(model, 1, mu, **kw),
-        "nonlinear": lambda model, mu, **kw: exact.nonlinear_matrix(model, 1, mu, eps, **kw),
-        "ee_jump": lambda model, mu, **kw: exact.ee_jump_matrix(model, 1, mu, eps, **kw),
+        "q": lambda mu: exact.q_matrix(model, 1, mu),
+        "ee_jump": lambda mu: exact.ee_jump_matrix(model, 1, mu),
+        "interacting": lambda mu: exact.interacting_matrix(model, 1, mu, eps),
+        "interacting_ee_jump": lambda mu: exact.interacting_matrix(jump, 1, mu, eps),
     }
 
 
@@ -557,10 +559,10 @@ def test_builders_on_a_stack_match_single_measures(stack_case, eps):
     singles = [exact.ring_conditionals(model, mu) for mu in mus]
     assert np.array_equal(masses, np.array([m for m, _ in singles]))
     assert np.array_equal(W, np.array([w for _, w in singles]))
-    for name, build in builders(eps).items():
-        stacked = build(model, mus)
+    for name, build in builders(model, eps).items():
+        stacked = build(mus)
         assert stacked.shape == (len(mus), *W.shape[1:]), name
-        assert np.array_equal(stacked, np.array([build(model, mu) for mu in mus])), name
+        assert np.array_equal(stacked, np.array([build(mu) for mu in mus])), name
 
 
 def test_builders_with_empty_rings_on_a_stack(stack_case):
@@ -571,17 +573,18 @@ def test_builders_with_empty_rings_on_a_stack(stack_case):
     mus /= mus.sum(axis=1, keepdims=True)
     K = exact.k_matrix(model, 1)
     ring1 = model.partition.labels() == 1
-    for name, build in builders(0.6).items():
-        stacked = build(model, mus, empty_ring_fallback=True)
-        singles = np.array([build(model, mu, empty_ring_fallback=True) for mu in mus])
+    for name, build in builders(model, 0.6).items():
+        stacked = build(mus)
+        singles = np.array([build(mu) for mu in mus])
         assert np.array_equal(stacked, singles), name
-    Q = exact.q_matrix(model, 1, mus, empty_ring_fallback=True)
+    Q = exact.q_matrix(model, 1, mus)
     assert np.array_equal(Q[::3][:, ring1], np.broadcast_to(K[ring1], Q[::3][:, ring1].shape))
 
 
 def test_stationary_and_tv_on_a_stack_match_single_calls(stack_case):
     model, _, mus = stack_case
-    for P in (exact.nonlinear_matrix(model, 1, mus), exact.ee_jump_matrix(model, 1, mus, 0.5)):
+    jump = kernel_copy(model, variant="ee-jump")
+    for P in (exact.interacting_matrix(model, 1, mus), exact.interacting_matrix(jump, 1, mus, 0.5)):
         w = exact.stationary(P)
         assert np.array_equal(w, np.array([exact.stationary(p) for p in P]))
         xi = np.roll(w, 1, axis=0)
@@ -593,7 +596,7 @@ def test_stationary_and_tv_on_a_stack_match_single_calls(stack_case):
 
 def test_poisson_and_rate_on_a_stack_match_single_calls(stack_case):
     model, rng, mus = stack_case
-    Ps = exact.nonlinear_matrix(model, 1, mus)
+    Ps = exact.interacting_matrix(model, 1, mus)
     fs = rng.uniform(-1.0, 1.0, mus.shape)
     sol = exact.poisson_solve(Ps, fs)
     singles = [exact.poisson_solve(P, f) for P, f in zip(Ps, fs)]
@@ -654,9 +657,9 @@ def test_stacked_zero_mass_ring_names_measure_and_ring(four_model):
     mus = np.full((3, 4), 0.25)
     mus[2] = [0.0, 0.0, 0.5, 0.5]
     with pytest.raises(StabilityError, match="feeder measure 2 has zero mass on ring 0"):
-        exact.q_matrix(four_model, 1, mus)
+        exact.ring_conditionals(four_model, mus)
     with pytest.raises(StabilityError, match="feeder measure has zero mass on ring 0"):
-        exact.q_matrix(four_model, 1, mus[2])
+        exact.ring_conditionals(four_model, mus[2])
 
 
 def test_stacked_bad_matrix_names_its_index(monkeypatch):
@@ -682,14 +685,17 @@ def test_stacked_bad_matrix_names_its_index(monkeypatch):
 
 def sequential_composition_rhs(model, mu, f, q):
     """The ring-sum side of the composition identity, one draw tuple at a
-    time: the reference the stacked enumeration must reproduce bit for bit."""
+    time: the reference the stacked enumeration must reproduce bit for bit.
+    The move after the swap is K for selection-mutation and staying put for
+    the ee-jump."""
     import itertools
 
     labels = model.partition.labels()
     d = model.partition.d
     masses, _ = exact.ring_conditionals(model, mu)
     K, A = exact.k_matrix(model, 1), exact.swap_alpha(model, 1)
-    pair_kernel = A[:, :, None] * K[None, :, :] + (1.0 - A)[:, :, None] * K[:, None, :]
+    M = np.eye(len(mu)) if model.variant == "ee-jump" else K
+    pair_kernel = A[:, :, None] * M[None, :, :] + (1.0 - A)[:, :, None] * M[:, None, :]
     indicator = [(labels == j).astype(float) for j in range(d)]
     rhs = np.zeros(len(mu))
     for rings in itertools.product(range(d), repeat=q):
@@ -707,8 +713,43 @@ def sequential_composition_rhs(model, mu, f, q):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_composition_identity_matches_sequential_enumeration(stack_case, q):
     model, rng, mus = stack_case
-    for mu in mus[:3]:
-        f = rng.uniform(-1.0, 1.0, len(mu))
-        lhs = np.linalg.matrix_power(exact.q_matrix(model, 1, mu), q) @ f
-        expected = float(np.abs(lhs - sequential_composition_rhs(model, mu, f, q)).max())
-        assert exact.composition_identity_check(model, 1, mu, f, q) == expected
+    jump = kernel_copy(model, variant="ee-jump")
+    for model, interaction in ((model, exact.q_matrix), (jump, exact.ee_jump_matrix)):
+        for mu in mus[:3]:
+            f = rng.uniform(-1.0, 1.0, len(mu))
+            lhs = np.linalg.matrix_power(interaction(model, 1, mu), q) @ f
+            expected = float(np.abs(lhs - sequential_composition_rhs(model, mu, f, q)).max())
+            assert exact.composition_identity_check(model, 1, mu, f, q) == expected
+
+
+@pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
+def test_composition_check_on_a_stack_matches_single_calls(variant):
+    # S 4..8 and every ring count up to 3, single rings of 8 states too,
+    # whose masses are summed pairwise; one measure has a zero-weight state
+    for size in range(4, 9):
+        for d in (1, 2, 3):
+            rng = np.random.default_rng([913, size, d])
+            model = random_model(rng, size, d, ("uniform", "neighbor")[size % 2], variant)
+            mus = random_measures(rng, 4, size)
+            mus[3, np.argmax(model.partition.labels() == 0)] = 0.0
+            mus[3] /= mus[3].sum()
+            masses = exact.ring_conditionals(model, mus)[0]
+            assert np.array_equal(masses, [exact.ring_conditionals(model, mu)[0] for mu in mus])
+            fs = rng.uniform(-1.0, 1.0, mus.shape)
+            for q in (1, 2, 3):
+                stacked = exact.composition_identity_check(model, 1, mus, fs, q)
+                singles = [exact.composition_identity_check(model, 1, mu, f, q)
+                           for mu, f in zip(mus, fs)]
+                assert stacked.shape == (4,) and np.array_equal(stacked, singles), (size, d, q)
+                assert stacked.max() < 1e-10
+    assert isinstance(singles[0], float)
+
+
+@pytest.mark.parametrize("variant", ["selection-mutation", "ee-jump"])
+def test_interacting_matrix_at_epsilon_one_is_the_interaction(stack_case, variant):
+    # the checks read the variant's interaction as the kernel at epsilon 1
+    model, _, mus = stack_case
+    model = kernel_copy(model, variant=variant)
+    interaction = exact.ee_jump_matrix if variant == "ee-jump" else exact.q_matrix
+    assert np.array_equal(exact.interacting_matrix(model, 1, mus, 1.0),
+                          interaction(model, 1, mus))

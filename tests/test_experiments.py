@@ -191,9 +191,7 @@ def test_bias_study_oracle_follows_variant():
     )
     report = bias_study(cfg, freeze_at=9)
     mu = np.bincount(report.feeder_atoms, minlength=4) / len(report.feeder_atoms)
-    expected = exact.stationary(
-        exact.ee_jump_matrix(cfg.kernels, 1, mu, empty_ring_fallback=True)
-    )
+    expected = exact.stationary(exact.interacting_matrix(cfg.kernels, 1, mu))
     np.testing.assert_allclose(report.predicted, expected)
 
 
@@ -298,22 +296,28 @@ def test_verify_suite_checks_the_ee_jump_kernel(monkeypatch, epsilon):
     cfg = four_state_config(
         kernel={"variant": "ee-jump", "epsilon": epsilon, "proposal": "uniform"}
     )
-    calls = []
-    build = exact.ee_jump_matrix
+    calls = {"q_matrix": [], "ee_jump_matrix": []}
+    for name, build in [(name, getattr(exact, name)) for name in calls]:
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return build(*args, **kwargs)
+        def counting(model, level, mu, build=build, name=name):
+            calls[name].append(level)
+            return build(model, level, mu)
 
-    monkeypatch.setattr(exact, "ee_jump_matrix", counting)
+        monkeypatch.setattr(exact, name, counting)
     report = verify_suite(cfg)
     assert report.passed, report.failing()
-    # three fixed-point epsilons and one geometric-rate kernel at level 1;
-    # at epsilon 1 the kernel is ring-closed, and the rate check leaves it out
+    # every check reads the jump, never the selection kernel: three
+    # fixed-point epsilons, one composition stack per q, the mixture pair,
+    # the Lipschitz pair, then the geometric-rate kernel and the continuity
+    # pair at level 1; at epsilon 1 the kernel is ring-closed, and the rate
+    # and continuity checks leave it out and say so
     closed = cfg.kernels.ring_closed(epsilon)
-    assert calls == [1, 1, 1] + [1] * (not closed)
-    rate = next(c for c in report.checks if c.name == "geometric_rate")
-    assert rate.details == ("ring-closed kernel left out at level 1" if closed else "")
+    assert calls == {"q_matrix": [], "ee_jump_matrix": [1] * (3 + 3 + 1 + 2 + 3 * (not closed))}
+    checks = {c.name: c for c in report.checks}
+    left_out = "ring-closed kernel left out at level 1"
+    assert checks["geometric_rate"].details == (left_out if closed else "")
+    assert checks["invariant_continuity"].details.endswith(left_out) == closed
+    assert (checks["invariant_continuity"].statistic == 0.0) == closed
 
 
 def test_verify_suite_detects_corrupted_acceptance(four_state, monkeypatch):

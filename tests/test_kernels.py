@@ -466,7 +466,7 @@ def test_nonlinear_branch_frequency():
 def test_nonlinear_frequencies_match_oracle(four_model):
     feeder = feeder_from(four_model, [0, 0, 1, 2, 3])
     mu = as_vector(feeder, four_model.ladder.space)
-    P = exact.nonlinear_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
+    P = exact.interacting_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
     rng = BufferedUniforms(np.random.default_rng(60))
     n = 40_000
     for x0 in range(4):
@@ -520,7 +520,7 @@ def test_ee_jump_frequencies_match_oracle(four_model):
     model = kernel_copy(four_model, variant="ee-jump")
     feeder = feeder_from(model, [0, 1, 1, 2, 3])
     mu = as_vector(feeder, model.ladder.space)
-    P = exact.ee_jump_matrix(model, 1, mu)  # fixture epsilon = 0.5
+    P = exact.interacting_matrix(model, 1, mu)  # fixture epsilon = 0.5
     rng = BufferedUniforms(np.random.default_rng(61))
     n = 40_000
     for x0 in range(4):

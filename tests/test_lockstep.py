@@ -546,6 +546,6 @@ def test_frozen_occupancy_matches_oracle_prediction():
     atoms = [0, 0, 1, 2, 2, 2, 3, 3]
     states = frozen_chain_one(cfg, atoms)[500:]
     mu = np.bincount(atoms, minlength=4) / len(atoms)
-    omega = exact.stationary(exact.nonlinear_matrix(cfg.kernels, 1, mu))
+    omega = exact.stationary(exact.interacting_matrix(cfg.kernels, 1, mu))
     occ = np.bincount(states.ravel(), minlength=4) / states.size
     assert np.abs(occ - omega).max() < 0.015
