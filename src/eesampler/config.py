@@ -13,10 +13,11 @@ per-chain generators in chain order; each random decision is one uniform
 The rate and bias studies step all R replicates in lockstep and have their
 own stream contract: ``numpy.random.SeedSequence([s, LOCKSTEP_SALT])``
 spawns one generator per chain level, in chain order, shared by the
-replicates. Each round every active level draws one block of (R,)-vectors
+replicates. Each round every active level draws one set of (R,)-vectors
 of uniforms, whatever branch each replicate takes: chain 0 draws (proposal,
 MH coin), an interacting chain (branch coin, feeder draw, swap coin,
-proposal, MH coin); see :mod:`eesampler.kernels`. The bias study runs
+proposal, MH coin); a block of rounds draws the same floats at once (see
+:mod:`eesampler.kernels`). The bias study runs
 the rate study's engine on a frozen base: chain 0 never moves, so its
 generator never draws and chain 1's level-1 generator draws from round 1;
 the frozen atoms come from replicate 0's chain-0 stream above. Numbers of

@@ -48,25 +48,34 @@ finite ladder checked them at construction; a box state is checked where
 it is evaluated, in ``point`` and for a proposal, and raises
 :class:`NumericalError` otherwise.
 
-Lockstep steps (``mh_step_lockstep``, ``interacting_step_lockstep``) make
-the same moves on finite spaces for R replicates at once: states are an
-(R,) int array and each replicate's feeder is a row of an (R, S) count
-array, so the uniform draw with multiplicity from ring(x) becomes a
-categorical draw over the ring's states weighted by their counts. They
-draw whole (R,)-vectors in a fixed order, whatever branch each replicate
-takes: the MH step draws a (2, R) block of uniforms on [0, 1), rows
-(proposal, MH coin); the interacting step a (5, R) block, rows (branch
-coin, feeder draw, swap coin, proposal, MH coin), for both variants and
-every epsilon. The branch takes the interaction when its coin is below
-epsilon, so epsilon 0 and 1 need no special case. Acceptances are gathers
-from read-only S x S tables that the kernel set builds on a level's first
-lockstep use: ``mh_table(i)`` (x, y) is exp(min(0, log pi_i(y) -
-log pi_i(x))), ``swap_table(i)`` (x, z) the swap probability for levels
-1..r-1, and ``ring_mask()`` (x, z) whether z lies in ring(x). Each table
-is computed with the operations, in the order, of the per-element form, so
-it holds the same floats; together they take O(r S^2) memory.
-``exact.swap_alpha`` returns the swap table, so the oracle and the sampler
-read one formula. Scalar moves never build them.
+Lockstep moves make the same moves on finite spaces for R replicates at
+once, for the m rounds of a block: ``mh_rounds_lockstep`` and
+``interacting_rounds_lockstep``, whose one-round cases are
+``mh_step_lockstep`` and ``interacting_step_lockstep``. States are an (R,)
+int array, and each replicate's feeder is a column of an (S, R) array of
+counts kept in the ring-sorted cumulative form of :class:`RingLayout`, so
+the uniform draw with multiplicity from ring(x) becomes a categorical draw
+over the ring's states weighted by their counts. They draw whole
+(R,)-vectors in a fixed order, whatever branch each replicate takes: an
+MH round (proposal, MH coin), an interacting round (branch coin, feeder
+draw, swap coin, proposal, MH coin), for both variants and every epsilon.
+A block of m rounds draws them as one ``rng.random((m, k, R))`` for the k
+rows of its move, the floats that m one-round draws of ``(k, R)`` give, so
+a run's numbers do not depend on how its rounds are cut into blocks. The
+branch takes the interaction when its coin is below epsilon, so epsilon 0
+and 1 need no special case. The parts of a move that do not depend on
+the chain's state (the branch coins and every ring's feeder pick) are
+computed for the whole block; each round then gathers by its states.
+Acceptances are gathers from read-only S x S tables that the kernel set
+builds on a level's first lockstep use: ``mh_table(i)`` (x, y) is
+exp(min(0, log pi_i(y) - log pi_i(x))) and ``swap_table(i)`` (x, z) the
+swap probability for levels 1..r-1; the interacting move reads a copy with
+a column of zeros appended, the acceptance of no pick (z = S), so a round
+without a swap needs no mask. Each table is computed with the
+operations, in the order, of the per-element form, so it holds the same
+floats; together they take O(r S^2) memory. ``exact.swap_alpha`` returns
+the swap table, so the oracle and the sampler read one formula. Scalar
+moves never build them.
 """
 
 from __future__ import annotations
@@ -345,7 +354,7 @@ class KernelSet:
             return point.x, StepInfo("jump", swap_accepted=accepted)
         return self.mh_step(level, point.x, rng, point), StepInfo("selection", accepted)
 
-    # -- lockstep steps on finite spaces -----------------------------------------------
+    # -- lockstep moves on finite spaces -----------------------------------------------
     def _table(self, key, build) -> np.ndarray:
         """The read-only table `key`, built by `build` on first use; a build
         checks its level, so only valid levels are kept."""
@@ -378,41 +387,168 @@ class KernelSet:
 
         return self._table(("swap", level), build)
 
-    def ring_mask(self) -> np.ndarray:
-        """(S, S) boolean table: entry (x, z) is True when z lies in ring(x)."""
-        return self._table("rings", lambda: self._rings[:, None] == self._rings[None, :])
+    def ring_layout(self) -> "RingLayout":
+        """The states sorted by ring, in which lockstep feeders keep their counts."""
+        layout = self._tables.get("layout")
+        if layout is None:
+            if self._rings is None:
+                raise ConfigurationError("lockstep steps need a finite space")
+            layout = self._tables["layout"] = RingLayout(self._rings)
+        return layout
 
-    def _mh_lockstep(self, level: int, x: np.ndarray, u_prop: np.ndarray, u_mh: np.ndarray):
-        """MH moves from the states x, given proposal uniforms and MH coins."""
-        y = self.proposals[level].indices(x, u_prop, self.ladder.space.size)
-        return np.where(u_mh < self.mh_table(level)[x, y], y, x)
+    def mh_rounds_lockstep(self, level: int, x: np.ndarray, rng, out: np.ndarray) -> np.ndarray:
+        """MH moves targeting `level` from the (R,) states x for the m
+        rounds of the (m, R) array `out`, which receives each round's
+        states and is returned. Draws ``rng.random((m, 2, R))``."""
+        mh = self.mh_table(level)  # checks the space and the level before drawing
+        prop = self.proposals[level]
+        u = rng.random((len(out), 2, x.shape[0]))
+        for u_prop, u_mh, row in zip(u[:, 0], u[:, 1], out):
+            x = row[...] = _mh_lockstep(mh, prop, x, u_prop, u_mh)
+        return out
+
+    def interacting_rounds_lockstep(
+        self, level: int, x: np.ndarray, feeder: np.ndarray, rng, out: np.ndarray
+    ) -> np.ndarray:
+        """Interacting moves at `level` from the (R,) states x for the m
+        rounds of the (m, R) array `out`, which receives each round's
+        states and is returned. ``feeder[t]`` is the (S, R) count array
+        that round t reads, column i replicate i's feeder measure in the
+        ring-sorted cumulative form of :class:`RingLayout`. Keeps the
+        semantics of `interacting_step`, including the local fallback when
+        a replicate's ring holds no feeder atoms. Draws
+        ``rng.random((m, 5, R))``.
+
+        What does not depend on the chain's state is done for the whole
+        block: the branch coins and each ring's feeder pick. Each round
+        then gathers the pick of ring(x) and applies the swap coin, the
+        proposal and the MH coin."""
+        swap = self._table(("swap or none", level), lambda: np.hstack(
+            (self.swap_table(level), np.zeros((len(self._rings), 1)))))
+        mh = self.mh_table(level)
+        prop, size = self.proposals[level], self.ladder.space.size
+        reps = x.shape[0]
+        u = rng.random((len(out), 5, reps))
+        # a round on the local branch draws past every atom: no pick
+        u_feed = np.where(u[:, 0] < self.epsilons[level], u[:, 1], 1.0)
+        picks = self.ring_layout().picks(feeder, u_feed)
+        # replicate i's entry of ring g's picks in a round's flat (d R) row
+        ring_rows, columns = self._rings * reps, np.arange(reps)
+        jump = self.variant == "ee-jump"
+        for picks_t, u_swap, u_prop, u_mh, row in zip(picks, u[:, 2], u[:, 3], u[:, 4], out):
+            z = picks_t.take(ring_rows.take(x) + columns)
+            # against no pick (z == S) the swap probability is 0
+            accepted = u_swap < swap.take(x * (size + 1) + z)
+            if jump:
+                local = _mh_lockstep(mh, prop, x, u_prop, u_mh)
+                x = np.where(z < size, np.where(accepted, z, x), local)
+            else:
+                x = _mh_lockstep(mh, prop, np.where(accepted, z, x), u_prop, u_mh)
+            row[...] = x
+        return out
 
     def mh_step_lockstep(self, level: int, x: np.ndarray, rng: np.random.Generator):
-        """One MH move targeting `level` for each entry of the (R,) state array."""
-        self.mh_table(level)  # checks the space and the level before drawing
-        u_prop, u_mh = rng.random((2, x.shape[0]))
-        return self._mh_lockstep(level, x, u_prop, u_mh)
+        """One MH move targeting `level` for each entry of the (R,) state
+        array: the one-round case of :meth:`mh_rounds_lockstep`."""
+        return self.mh_rounds_lockstep(level, x, rng, np.empty((1, x.shape[0]), np.intp))[0]
 
     def interacting_step_lockstep(
         self, level: int, x: np.ndarray, feeder_counts: np.ndarray, rng: np.random.Generator
     ):
         """One interacting move per replicate: x is (R,), feeder_counts is
-        (R, S), row i the counts of replicate i's feeder measure. Keeps the
-        semantics of `interacting_step`, including the local fallback when
-        a replicate's ring holds no feeder atoms."""
-        swap = self.swap_table(level)
-        u_branch, u_feed, u_swap, u_prop, u_mh = rng.random((5, x.shape[0]))
+        (R, S), row i the counts of replicate i's feeder measure, or one
+        (S,) count vector for all. The one-round case of
+        :meth:`interacting_rounds_lockstep`."""
+        counts = np.broadcast_to(feeder_counts, (x.shape[0], self.ladder.space.size))
+        feeder = self.ring_layout().cumulative(counts.T)[None]
+        out = np.empty((1, x.shape[0]), np.intp)
+        return self.interacting_rounds_lockstep(level, x, feeder, rng, out)[0]
 
-        # categorical draw over ring(x), weighted by the feeder's counts; the
-        # ufunc and method forms (take for mask[x] too) skip the dispatch of
-        # np.cumsum, np.argmax and fancy indexing
-        in_ring = self.ring_mask().take(x, axis=0)
-        cum = np.add.accumulate(np.where(in_ring, feeder_counts, 0), axis=1)
-        held = cum[:, -1]
-        z = (cum > (u_feed * held)[:, None]).argmax(axis=1)
-        take = (u_branch < self.epsilons[level]) & (held > 0)
-        accepted = take & (u_swap < swap[x, z])
-        if self.variant == "ee-jump":
-            local = self._mh_lockstep(level, x, u_prop, u_mh)
-            return np.where(take, np.where(accepted, z, x), local)
-        return self._mh_lockstep(level, np.where(accepted, z, x), u_prop, u_mh)
+
+def _mh_lockstep(mh: np.ndarray, prop, x: np.ndarray, u_prop, u_mh) -> np.ndarray:
+    """MH moves from the states x under the (S, S) acceptance table `mh`,
+    given proposal uniforms and MH coins."""
+    size = len(mh)
+    y = prop.indices(x, u_prop, size)
+    return np.where(u_mh < mh.take(x * size + y), y, x)
+
+
+class RingLayout:
+    """The states sorted by ring, stably, so that each ring is one run of
+    positions. The lockstep engine keeps a feeder's counts in this order,
+    as cumulative sums down the positions of an (S, R) array whose column
+    i is replicate i: a ring's atoms are then the difference of two
+    entries, and the feeder draw over ring(x) a count of the entries at or
+    below a threshold. The methods take (..., S, R) arrays."""
+
+    def __init__(self, rings: np.ndarray):
+        order = np.argsort(rings, kind="stable")
+        size = order.size
+        self.d = int(rings.max()) + 1
+        self.order = order  # position -> state
+        self.positions = np.argsort(order)  # state -> position
+        self.ring_at = rings[order]  # position -> ring
+        starts = np.searchsorted(self.ring_at, np.arange(self.d))
+        self.ends = np.append(starts[1:], size) - 1  # last position of each ring
+        # ring g's states, then S for "no pick", from slot starts[g] + g on
+        self._slots = starts + np.arange(self.d)
+        self._slot_states = np.append(np.insert(order, starts[1:], size), size)
+        # (d, S): row g sums ring g's positions, in float32, exact to 2^24
+        self._ring_sums = (self.ring_at == np.arange(self.d)[:, None]).astype(np.float32)
+        self._position_rows = np.arange(size)[:, None]  # row j holds position j
+        for table in (order, self.positions, self.ring_at, self.ends, self._slots,
+                      self._slot_states, self._ring_sums, self._position_rows):
+            table.flags.writeable = False
+
+    def cumulative(self, counts: np.ndarray) -> np.ndarray:
+        """(..., S, R) counts in state order as ring-sorted cumulative counts."""
+        return np.cumsum(counts[..., self.order, :], axis=-2)
+
+    def counts(self, cumulative: np.ndarray) -> np.ndarray:
+        """(..., S, R) ring-sorted cumulative counts back as counts in state order."""
+        return np.diff(cumulative, axis=-2, prepend=0)[..., self.positions, :]
+
+    def ring_totals(self, cumulative: np.ndarray) -> np.ndarray:
+        """(..., d, R) atoms per ring of (..., S, R) ring-sorted cumulative counts."""
+        edges = self._edges(cumulative)
+        return edges[..., 1:, :] - edges[..., :-1, :]
+
+    def _edges(self, cumulative: np.ndarray) -> np.ndarray:
+        """(..., d + 1, R): row g the cumulative count below ring g, row d
+        the total."""
+        *lead, size, reps = cumulative.shape
+        edges = np.empty((*lead, self.d + 1, reps), dtype=cumulative.dtype)
+        edges[..., 0, :] = 0
+        # the indices are valid, and only a mode other than "raise" writes
+        # to `out` without a buffer
+        np.take(cumulative, self.ends, axis=-2, out=edges[..., 1:, :], mode="clip")
+        return edges
+
+    def atoms(self, states: np.ndarray) -> np.ndarray:
+        """(..., S, R) cumulative counts of one atom per replicate at the
+        (..., R) `states`."""
+        return self.positions.take(states)[..., None, :] <= self._position_rows
+
+    def picks(self, cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per ring, the feeder draws of (m, R) rounds from their uniforms u.
+
+        `cumulative` is (m, S, R) ring-sorted cumulative counts. Of the n
+        atoms that ring g holds before a round, the draw picks the atom
+        ``int(n u)`` in state order: the first position j of the ring whose
+        cumulative count exceeds ``before + n u``, with ``before`` the
+        count below the ring, or in integers the one past every j with
+        ``cum_j <= before + floor(n u)``. Returns an (m, d R) array whose
+        entry ``g R + i`` is ring g's pick in replicate i, or S for no pick:
+        where the ring is empty or u is 1, which passes every atom."""
+        m, size, reps = cumulative.shape
+        edges = self._edges(cumulative)
+        before = edges[:, :-1]
+        below = before + (u[:, None] * (edges[:, 1:] - before)).astype(edges.dtype)
+        passed = cumulative <= below.take(self.ring_at, axis=1)
+        # positions first, so that the sums per ring are one matrix product
+        by_position = passed.transpose(1, 0, 2).astype(np.float32, order="C")
+        counts = (self._ring_sums @ by_position.reshape(size, -1)).reshape(self.d, m, reps)
+        slots = np.empty((m, self.d, reps), dtype=np.intp)
+        # the counts are whole floats, so the cast keeps them
+        np.add(counts.transpose(1, 0, 2), self._slots[:, None], out=slots, casting="unsafe")
+        return self._slot_states.take(slots).reshape(m, -1)

@@ -22,16 +22,19 @@ Gaussian walk's ``standard_normal``.
 
 Lockstep: :class:`LockstepEnsemble` runs the same schedule for all
 replicates of a finite-space run at once, with numpy arrays of states and
-of the feeding chains' measure counts; the rate study uses it, and so does
-the bias study, on a frozen base count vector whose long-run bias the oracle
-predicts exactly. :class:`ChainEnsemble` stays the reference engine for
+of the feeding chains' measure counts, a block of rounds at a time; the
+rate study uses it, and so does the bias study, on a frozen base count
+vector whose long-run bias the oracle predicts exactly. A block draws the
+floats of the rounds it covers, so its numbers are those of stepping one
+round at a time. :class:`ChainEnsemble` stays the reference engine for
 traced runs.
 
 Stability: each engine holds one :class:`~eesampler.measures.StabilityMonitor`
 as ``monitor``. Every round, once a feeding chain's consumer runs, it checks
 that feeder's ring counts: a scalar measure's list, or the lockstep (R, d)
-array of all replicates. Under the abort policy the monitor raises; under
-warn the scalar engine logs a ``low_mass`` event per ring below theta.
+array of all replicates, which a block hands over round by round. Under
+the abort policy the monitor raises; under warn the scalar engine logs a
+``low_mass`` event per ring below theta.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from .errors import ConfigurationError
 from .kernels import BufferedUniforms
 from .measures import EmpiricalMeasure, StabilityMonitor
 from .state_space import FiniteSpace
+
+_ROUND_BLOCK = 2**14  # elements of a lockstep block's arrays: bounds its rounds
 
 
 @dataclass
@@ -223,13 +228,26 @@ class LockstepEnsemble:
     """All replicates of a finite-space run, stepped together with numpy.
 
     States are an (R, r) int array. Only a feeding chain k < r - 1 keeps its
-    empirical measure: in replicate i the count vector ``counts[i, k]`` over
-    the S states, summed per ring in ``ring_counts`` for the stability
-    ``monitor``, with ``sizes[k]`` atoms. Memory is O(R r S) whatever the
-    number of rounds, plus the kernel set's O(r S^2) acceptance tables. The
-    activation schedule, the chain-order updates within a round, strict
-    snapshots and the stability policy are those of :class:`ChainEnsemble`;
-    there is no trace.
+    empirical measure: in replicate i its counts over the S states, held as
+    ring-sorted cumulative counts (:class:`~eesampler.kernels.RingLayout`);
+    ``counts`` and ``ring_counts`` give them in state order and per ring,
+    and ``sizes[k]`` is the number of atoms. Memory is O(R r S) whatever
+    the number of rounds, plus the kernel set's O(r S^2) acceptance tables
+    and the arrays of one block. The activation schedule, the chain-order
+    updates within a round, strict snapshots and the stability policy are
+    those of :class:`ChainEnsemble`; there is no trace.
+
+    Blocks: :meth:`blocks` advances the rounds m at a time, with m chosen
+    so that a block's arrays hold about ``_ROUND_BLOCK`` elements, and a
+    block never straddles a chain's activation. Within a block the levels
+    move in chain order, each for all m rounds: a feeding level's
+    cumulative counts after each round are one cumulative sum over the
+    block, and its consumer reads them as they stood after the feeder's
+    move of that round, or at the round's start under strict snapshots.
+    The stability ``monitor`` then checks each watched feeder once per
+    round, in round order. After a StabilityError the ensemble's state is
+    undefined: the abort names the right round, but the other levels may
+    have moved past it.
 
     Frozen base: given ``frozen_feeder``, an (S,) vector of non-negative
     integer counts with at least one atom (else ConfigurationError), chain 0
@@ -239,9 +257,11 @@ class LockstepEnsemble:
 
     Stream contract: ``config.lockstep_seed_seq()`` spawns one generator per
     chain level, shared by all replicates. Each round, every active level
-    draws the fixed set of (R,)-vectors documented in :mod:`.kernels`, in
-    chain order, so reruns are bit-reproducible per (config, seed). The
-    numbers differ from those of per-replicate ChainEnsemble runs.
+    draws the fixed set of (R,)-vectors documented in :mod:`.kernels`; a
+    block of m rounds draws them as one ``random((m, k, R))``, the floats
+    of those m rounds, so reruns are bit-reproducible per (config, seed)
+    and do not depend on the block length. The numbers differ from those
+    of per-replicate ChainEnsemble runs.
     """
 
     def __init__(self, config: ExperimentConfig, frozen_feeder=None):
@@ -257,74 +277,96 @@ class LockstepEnsemble:
         self.rngs = [np.random.default_rng(c) for c in config.lockstep_seed_seq().spawn(self.r)]
         self.monitor = StabilityMonitor(config.theta, config.stability_policy == "abort")
 
-        reps, size, feeding = config.replicates, config.space.size, self.r - 1
-        self._rings = config.partition.labels()
+        reps, feeding = config.replicates, self.r - 1
+        self._layout = layout = self.kernels.ring_layout()
         initial = np.array(config.initial_states, dtype=np.intp)
         # chain k's states are row k of (r, R), contiguous for the kernels
         self._x = np.tile(initial[:, None], (1, reps))
         self.states = self._x.T
-        self.counts = np.zeros((reps, feeding, size), dtype=np.int64)
-        self.counts[:, np.arange(feeding), initial[:-1]] = 1
+        # feeding chain k's (S, R) ring-sorted cumulative counts
+        self._cum = list(layout.atoms(self._x[:-1]).astype(np.int64))
         self.sizes = [1] * feeding
         self._watched = range(feeding)  # the moving feeders
         if frozen_feeder is not None:
-            self.counts[:, 0] = frozen_feeder
-            self.sizes[0] = int(self.counts[0, 0].sum())
+            self._cum[0] = np.broadcast_to(layout.cumulative(frozen_feeder[:, None]),
+                                           self._cum[0].shape)
+            self.sizes[0] = int(frozen_feeder.sum())
             self.thresholds = [np.inf] + [t - self.thresholds[1] for t in self.thresholds[1:]]
             self._watched = range(1, feeding)
-        self.ring_counts = self.counts @ np.eye(config.partition.d, dtype=np.int64)[self._rings]
-        # a round adds one atom per replicate through flat indices into views
-        # of the two count arrays: chain k's row in replicate i is row
-        # i * feeding + k of each
-        self._flat_counts = self.counts.reshape(-1)
-        self._flat_ring_counts = self.ring_counts.reshape(-1)
-        rows = np.arange(reps) * feeding
-        self._row_starts = [((rows + k) * size, (rows + k) * config.partition.d)
-                            for k in range(feeding)]
-        if frozen_feeder is not None:
-            self._check_feeder(0)
+            totals = self.ring_counts[:, 0]
+            self.monitor.check(totals, self.sizes[0], int(totals.min()), 0, 0)
 
-    def step_round(self) -> None:
-        """Advance every active chain of every replicate by one move."""
-        cfg = self.config
-        self.n = n = self.n + 1
-        # strict snapshots: the round's atoms are counted after the chain
-        # loop, so every chain reads its feeder as it stood at the round's start
-        added = [] if cfg.strict_snapshot else None
+    @property
+    def counts(self) -> np.ndarray:
+        """(R, r - 1, S) counts of each feeding chain's measure, in state order."""
+        return self._layout.counts(self._feeders()).transpose(2, 0, 1)
+
+    @property
+    def ring_counts(self) -> np.ndarray:
+        """(R, r - 1, d) atoms per ring of each feeding chain's measure."""
+        return self._layout.ring_totals(self._feeders()).transpose(2, 0, 1)
+
+    def _feeders(self) -> np.ndarray:
+        """The (r - 1, S, R) cumulative counts of the feeding chains."""
+        return np.reshape(self._cum, (len(self._cum), self.config.space.size, -1))
+
+    def blocks(self, rounds: int):
+        """Advance every active chain of every replicate by `rounds` rounds,
+        a block at a time. Yields each block's (m, R, r) array: the states
+        after each of its m rounds."""
+        # a round's largest arrays hold S cumulative counts or 5 uniforms
+        # per replicate
+        reps, size = self._x.shape[1], self.config.space.size
+        longest = max(1, _ROUND_BLOCK // (reps * max(size, 5)))
+        end = self.n + rounds
+        while self.n < end:
+            # a block ends where a chain activates
+            stop = min([end, self.n + longest]
+                       + [t for t in self.thresholds if self.n < t < end])
+            yield self._advance(stop - self.n)
+
+    def _advance(self, m: int) -> np.ndarray:
+        """The next m rounds, in all of which each chain moves or each holds."""
+        n0, kernels, strict = self.n, self.kernels, self.config.strict_snapshot
+        block = np.empty((self.r, m, self._x.shape[1]), dtype=np.intp)
+        feeder, watch = None, []
         for k in range(self.r):
-            if n <= self.thresholds[k]:
-                continue
             x = self._x[k]
-            if k == 0:
-                new = self.kernels.mh_step_lockstep(0, x, self.rngs[0])
+            if n0 < self.thresholds[k]:
+                block[k] = x
+            elif k == 0:
+                kernels.mh_rounds_lockstep(0, x, self.rngs[0], block[0])
             else:
-                new = self.kernels.interacting_step_lockstep(
-                    k, x, self.counts[:, k - 1], self.rngs[k])
-            self._x[k] = new
-            if k < self.r - 1:
-                if added is None:
-                    self._count(k, new)
-                else:
-                    added.append((k, new))
-        if added:
-            for k, new in added:
-                self._count(k, new)
-        for k in self._watched:
-            if n > self.thresholds[k + 1]:
-                self._check_feeder(k)
-
-    def _count(self, k: int, new: np.ndarray) -> None:
-        """Add the states `new`, one per replicate, to feeding chain k's counts."""
-        at, ring_at = self._row_starts[k]
-        self._flat_counts[at + new] += 1
-        self._flat_ring_counts[ring_at + self._rings[new]] += 1
-        self.sizes[k] += 1
-
-    def _check_feeder(self, k: int) -> None:
-        """A1 watch on feeding chain k: each round once its consumer moves,
-        or once at construction for a frozen feeder, whose masses are fixed."""
-        counts = self.ring_counts[:, k]
-        self.monitor.check(counts, self.sizes[k], int(counts.min()), self.n, k)
+                kernels.interacting_rounds_lockstep(k, x, feeder, self.rngs[k], block[k])
+            if k == self.r - 1:
+                break
+            start = self._cum[k]
+            if n0 < self.thresholds[k]:  # a holding feeder adds no atoms
+                feeder = np.broadcast_to(start, (m, *start.shape))
+                continue
+            # rows: under strict snapshots the counts at the block's start,
+            # then the cumulative counts after each round's atom; a loop over
+            # the rounds adds far faster than an accumulate along them
+            first = int(strict)
+            cum = np.empty((m + first, *start.shape), dtype=np.int64)
+            if strict:
+                cum[0] = start
+            after, previous = cum[first:], start
+            for row, atom in zip(after, self._layout.atoms(block[k])):
+                previous = np.add(previous, atom, out=row)
+            feeder = cum[:m]
+            self._cum[k] = after[-1]
+            if k in self._watched and n0 >= self.thresholds[k + 1]:
+                totals = self._layout.ring_totals(after)  # (m, d, R)
+                watch.append((k, totals, totals.min(axis=(1, 2)).tolist(), self.sizes[k]))
+            self.sizes[k] += m
+        self._x[...] = block[:, -1]
+        self.n = n0 + m
+        check = self.monitor.check
+        for t in range(m):
+            for k, totals, lowest, size in watch:
+                check(totals[t].T, size + t + 1, lowest[t], n0 + t + 1, k)
+        return block.transpose(1, 2, 0)
 
 
 def _frozen_counts(frozen_feeder, size: int) -> np.ndarray:

@@ -231,10 +231,11 @@ class RingPartition:
                 raise ConfigurationError(
                     f"expected one label per state ({space.size}), got shape {raw.shape}"
                 )
-            uniq = np.unique(raw)
-            self.d = uniq.size
-            # canonicalize arbitrary labels to 0..d-1 in sorted label order
-            remap = {lab: i for i, lab in enumerate(uniq.tolist())}
+            # canonicalize arbitrary labels to 0..d-1 in sorted label order;
+            # sorted(set()) rather than np.unique, which imports numpy.ma
+            uniq = sorted(set(raw.tolist()))
+            self.d = len(uniq)
+            remap = {lab: i for i, lab in enumerate(uniq)}
             self._labels = np.array([remap[v] for v in raw.tolist()], dtype=np.intp)
         elif ladder is not None:
             if ladder.space is not space:

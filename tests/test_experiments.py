@@ -353,6 +353,32 @@ def test_verify_suite_fails_a_check_on_a_nan_ratio(four_state, monkeypatch, chec
     assert np.isnan(result.statistic)
 
 
+@pytest.mark.parametrize(
+    "check,computed_by", [("k_invariance_reversibility", "k_matrix"),
+                          ("fixed_point", "stationary"),
+                          ("mixture_expansion", "mixture_expansion_check")]
+)
+def test_verify_suite_fails_a_check_on_a_nan_discrepancy(four_state, monkeypatch, check,
+                                                         computed_by):
+    # the first value the check computes holds a NaN and the later ones are
+    # finite, so a fold with max() would keep its running worst and pass
+    build = getattr(exact, computed_by)
+    calls = []
+
+    def first_nan(*args):
+        value = np.array(build(*args), dtype=float)
+        if not calls:
+            value.flat[0] = np.nan
+        calls.append(args)
+        return value
+
+    monkeypatch.setattr(exact, computed_by, first_nan)
+    result = {c.name: c for c in verify_suite(four_state).checks}[check]
+    assert len(calls) > 1
+    assert not result.passed
+    assert np.isnan(result.statistic)
+
+
 def test_cli_writes_a_nan_statistic_as_strict_json_null(tmp_path, monkeypatch, capsys):
     build = exact.lipschitz_check
     monkeypatch.setattr(exact, "lipschitz_check", lambda *args: build(*args) * np.nan)

@@ -6,6 +6,13 @@ The configs are the shipped ``four_state`` and ``four_state_ee_jump`` and
 the strict-snapshot three-chain ee-jump model ``ee_jump_neighbor_config``.
 Box configs are left out: their floats follow numpy's arithmetic, which
 differs between the supported numpy versions.
+
+The lockstep engine's outputs are pinned too: ``rate_study.csv`` of the
+rate study on ``four_state_rate`` (50 replicates, grid 128..2048) and on its
+strict-snapshot copy, and the bias study's occupancies, their standard
+errors and the frozen atoms on criterion 9's config and an ee-jump copy.
+Fields computed through LAPACK (the rate study's slope, the bias study's
+prediction) are left out, as the box configs are.
 """
 
 import hashlib
@@ -15,8 +22,14 @@ from pathlib import Path
 import pytest
 
 from conftest import ee_jump_neighbor_config
-from eesampler.config import config_from_dict
-from eesampler.experiments import run_experiment
+from eesampler.config import config_from_dict, four_state_config
+from eesampler.experiments import (
+    bias_study,
+    json_data,
+    run_experiment,
+    slln_rate_study,
+    write_rate_report,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,3 +70,41 @@ def test_run_artifacts_match_their_golden_digests(name, tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir())}
     assert digests == GOLDEN[name]
+
+
+RATE_GRID = (128, 256, 512, 1024, 2048)
+RATE_GOLDEN = {
+    "four_state_rate": "fb52238c6aef71ad34d0a42011a4f7cda0d2ce7ad28461e7c3cf96f5be55884a",
+    "four_state_rate_strict": "a6ed6de8aa18c5ae9985defaaa99133fd19f70ecb6a66cb0f6c34c08b36f1bec",
+}
+BIAS_GOLDEN = {
+    "criterion_9": "84f950019ca4e418a1206ca53bc68f2bb490a75edabf8ceb669b8ab653560ab3",
+    "ee_jump_neighbor": "b714e476c6885794fc5c1ca465c1aebfb3ae31767f5226925800082f3eb45ec2",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RATE_GOLDEN))
+def test_rate_study_csv_matches_its_golden_digest(name, tmp_path):
+    raw = json.loads((CONFIGS / "four_state_rate.json").read_text())
+    raw["replicates"] = 50
+    if name.endswith("_strict"):
+        raw["trace"] = {"snapshot_every": 256, "strict_snapshot": True}
+    report = slln_rate_study(config_from_dict(raw), n_grid=RATE_GRID)
+    csv_path = write_rate_report(report, tmp_path)["csv"]
+    assert sha256(Path(csv_path).read_bytes()) == RATE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(BIAS_GOLDEN))
+def test_bias_study_occupancy_matches_its_golden_digest(name):
+    kernel = {"ee_jump_neighbor": {"variant": "ee-jump", "epsilon": 0.5, "proposal": "neighbor"}}
+    overrides = {"kernel": kernel[name]} if name in kernel else {}
+    cfg = four_state_config(replicates=32, schedule={"offsets": [50], "total_rounds": 4096},
+                            **overrides)
+    rep = bias_study(cfg, freeze_at=9)
+    fields = {"occupancy": rep.occupancy, "occupancy_se": rep.occupancy_se,
+              "feeder_atoms": rep.feeder_atoms}
+    assert sha256(json.dumps(json_data(fields), sort_keys=True).encode()) == BIAS_GOLDEN[name]

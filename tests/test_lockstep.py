@@ -1,5 +1,6 @@
 """Lockstep engine: vectorised finite-space kernels against the exact oracle,
-and the all-replicates ensemble's schedule, snapshots and stability policy."""
+and the all-replicates ensemble's schedule, snapshots, stability policy and
+blocks of rounds."""
 
 import copy
 import json
@@ -10,15 +11,17 @@ import numpy as np
 import pytest
 
 from conftest import generated_model
-from eesampler import exact
+from eesampler import exact, sampler
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
+from eesampler.experiments import slln_rate_study
 from eesampler.kernels import KernelSet, NeighborProposal, UniformProposal
 from eesampler.measures import EmpiricalMeasure
 from eesampler.sampler import LockstepEnsemble
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
 R = 100_000
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CRITERION_7_FEEDER = (0, 1, 1, 2, 3, 3, 0, 2, 3, 1)
 PROPOSALS = {"uniform": UniformProposal, "neighbor": NeighborProposal}
 
@@ -28,6 +31,11 @@ def four_model(proposal: str, eps: float = 0.5, variant: str = "selection-mutati
     ladder = DensityLadder(space, [np.zeros(4), np.log([1.0, 1.0, 2.0, 4.0])])
     partition = RingPartition(space, labels=[0, 0, 1, 1])
     return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, eps, variant)
+
+
+def advance(ens, rounds: int = 1) -> np.ndarray:
+    """Run `rounds` rounds of the ensemble; the (rounds, R, r) states after each."""
+    return np.concatenate(list(ens.blocks(rounds)))
 
 
 def worst_z(P, step, rng) -> float:
@@ -162,8 +170,12 @@ def test_tables_equal_the_per_pair_form_bit_for_bit(size, variant, proposal):
         old = np.exp(np.minimum(0.0, li[y] + lf[x] - li[x] - lf[y]))
         assert model.swap_table(level).tobytes() == old.tobytes()
         assert exact.swap_alpha(model, level) is model.swap_table(level)
-    np.testing.assert_array_equal(model.ring_mask().ravel(), rings[x] == rings[y])
-    for table in (model.mh_table(0), model.swap_table(1), model.ring_mask()):
+    layout = model.ring_layout()
+    assert layout.order.tolist() == sorted(range(size), key=lambda s: (rings[s], s))
+    np.testing.assert_array_equal(layout.ring_at, rings[layout.order])
+    assert layout.ends.tolist() == [int(np.flatnonzero(layout.ring_at == g)[-1])
+                                    for g in range(layout.d)]
+    for table in (model.mh_table(0), model.swap_table(1)):
         assert table.shape == (size, size)
         with pytest.raises(ValueError):
             table[0, 0] = table[0, 0]
@@ -236,15 +248,17 @@ def reference_interacting(model, level, x, feeder_counts, rng):
 
 
 def reference_rounds(ens, rounds: int):
-    """Replay `rounds` rounds of a fresh LockstepEnsemble in the gather
-    form, from copies of its generators and arrays, with three-index count
-    updates. Returns (states, counts, ring_counts, fallbacks)."""
+    """Replay `rounds` rounds of a fresh LockstepEnsemble one round at a
+    time in the gather form, from copies of its generators and arrays, with
+    three-index count updates. Returns (the (rounds, R, r) states after
+    each round, counts, ring_counts, fallbacks)."""
     model, cfg = ens.kernels, ens.config
     rings = model.partition.labels()
     rngs = copy.deepcopy(ens.rngs)
     x, counts, ring_counts = ens.states.T.copy(), ens.counts.copy(), ens.ring_counts.copy()
     reps = x.shape[1]
     rows, fallbacks = np.arange(reps), 0
+    history = np.empty((rounds, reps, ens.r), dtype=np.intp)
     for n in range(1, rounds + 1):
         feeders = counts.copy() if cfg.strict_snapshot else counts
         for k in range(ens.r):
@@ -260,7 +274,8 @@ def reference_rounds(ens, rounds: int):
             if k < ens.r - 1:
                 counts[rows, k, new] += 1
                 ring_counts[rows, k, rings[new]] += 1
-    return x.T, counts, ring_counts, fallbacks
+        history[n - 1] = x.T
+    return history, counts, ring_counts, fallbacks
 
 
 ENGINE_CASES = {
@@ -280,21 +295,39 @@ ENGINE_CASES = {
 }
 
 
+# block budgets: one round per block, three rounds (40 replicates on 4
+# states), and the engine's own
+BUDGETS = {"one round": 1, "three rounds": 3 * 40 * 5, "default": sampler._ROUND_BLOCK}
+
+
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_engine_matches_the_gather_form(case):
+def test_engine_matches_the_gather_form(case, monkeypatch):
     cfg = three_chain_config(replicates=40, **ENGINE_CASES[case])
     # the frozen base holds no atom in ring 1 (a violation the warn policy records)
     frozen = np.array([3, 1, 0, 0]) if case == "frozen" else None
-    ens = LockstepEnsemble(cfg, frozen_feeder=frozen)
-    states, counts, ring_counts, fallbacks = reference_rounds(ens, 50)
-    for _ in range(50):
-        ens.step_round()
-    np.testing.assert_array_equal(ens.states, states)
-    np.testing.assert_array_equal(ens.counts, counts)
-    np.testing.assert_array_equal(ens.ring_counts, ring_counts)
-    assert len({row.tobytes() for row in states}) > 1
+    watched = set()
+    for budget, elements in BUDGETS.items():
+        monkeypatch.setattr(sampler, "_ROUND_BLOCK", elements)
+        ens = LockstepEnsemble(cfg, frozen_feeder=frozen)
+        history, counts, ring_counts, fallbacks = reference_rounds(ens, 50)
+        blocks = list(ens.blocks(50))
+        lengths = [len(block) for block in blocks]
+        assert sum(lengths) == 50 and ens.n == 50
+        if budget == "one round":
+            assert set(lengths) == {1}
+        else:  # blocks of several rounds, also ending where a chain activates
+            assert len(lengths) > 1 and max(lengths) > 1
+            assert budget == "default" or max(lengths) == 3
+        np.testing.assert_array_equal(np.concatenate(blocks), history)
+        np.testing.assert_array_equal(ens.states, history[-1])
+        np.testing.assert_array_equal(ens.counts, counts)
+        np.testing.assert_array_equal(ens.ring_counts, ring_counts)
+        assert len({row.tobytes() for row in history[-1]}) > 1
+        # the watch sees every round's masses, whatever the blocks
+        watched.add((ens.monitor.violations, ens.monitor.min_mass_seen))
+    assert len(watched) == 1
     if case == "frozen":
-        assert fallbacks > 0
+        assert fallbacks > 0 and ens.monitor.violations > 0
     if case == "empty at activation":  # chain 1 first moves in round 2
         assert reference_rounds(LockstepEnsemble(cfg), 2)[3] > 0
 
@@ -306,9 +339,7 @@ def test_lockstep_steps_need_finite_space_and_known_variant():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
         model.interacting_step_lockstep(0, np.zeros(3, dtype=int), np.ones((3, 4)), rng)
-    box = config_from_dict(json.loads(
-        (Path(__file__).resolve().parent.parent / "configs" / "double_well.json").read_text()
-    ))
+    box = config_from_dict(json.loads((CONFIGS / "double_well.json").read_text()))
     with pytest.raises(ConfigurationError):
         box.kernels.mh_step_lockstep(0, np.zeros(3, dtype=int), rng)
     with pytest.raises(ConfigurationError):
@@ -337,11 +368,11 @@ def test_chain_one_holds_through_burn_in():
     idle = ens.rngs[1].bit_generator.state
     assert ens.counts.shape == (8, 1, 4)  # the last chain keeps no measure
     for n in range(1, 21):
-        ens.step_round()
+        advance(ens)
         assert np.all(ens.states[:, 1] == 0)
         assert np.all(ens.counts[:, 0].sum(axis=1) == n + 1)
         assert ens.rngs[1].bit_generator.state == idle
-    ens.step_round()
+    advance(ens)
     assert ens.rngs[1].bit_generator.state != idle
 
 
@@ -351,7 +382,7 @@ def test_each_active_chain_adds_one_atom_per_round():
     onehot = np.eye(2, dtype=np.int64)[[0, 0, 1, 1]]  # state -> ring
     assert ens.counts.shape == (6, 2, 4) and ens.ring_counts.shape == (6, 2, 2)
     for n in range(1, 31):
-        ens.step_round()
+        advance(ens)
         for k, threshold in enumerate((0, 5)):  # the feeding chains
             assert np.all(ens.counts[:, k].sum(axis=1) == 1 + max(0, n - threshold))
             np.testing.assert_array_equal(ens.ring_counts[:, k], ens.counts[:, k] @ onehot)
@@ -361,9 +392,8 @@ def test_each_active_chain_adds_one_atom_per_round():
 def test_rerun_identical_and_replicates_differ():
     cfg = three_chain_config()
     a, b = LockstepEnsemble(cfg), LockstepEnsemble(cfg)
-    for _ in range(30):
-        a.step_round()
-        b.step_round()
+    advance(a, 30)
+    advance(b, 30)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.counts, b.counts)
     assert len({row.tobytes() for row in a.counts}) > 1
@@ -375,17 +405,18 @@ def test_strict_snapshot_reads_round_start_counts(strict, monkeypatch):
     raw["trace"] = {"snapshot_every": 256, "strict_snapshot": strict}
     cfg = config_from_dict(raw)
     ens = LockstepEnsemble(cfg)
+    layout = cfg.kernels.ring_layout()
     seen = []
-    step = cfg.kernels.interacting_step_lockstep
+    step = cfg.kernels.interacting_rounds_lockstep
 
-    def spy(level, x, feeder_counts, rng):
-        seen.append(feeder_counts.copy())
-        return step(level, x, feeder_counts, rng)
+    def spy(level, x, feeder, rng, out):
+        seen.append(layout.counts(feeder[0]).T)
+        return step(level, x, feeder, rng, out)
 
-    monkeypatch.setattr(cfg.kernels, "interacting_step_lockstep", spy)
+    monkeypatch.setattr(cfg.kernels, "interacting_rounds_lockstep", spy)
     for _ in range(10):
         start = ens.counts[:, 0].copy()
-        ens.step_round()
+        advance(ens)
         if ens.n > 3:
             expected = start if strict else ens.counts[:, 0]
             np.testing.assert_array_equal(seen[-1], expected)
@@ -399,18 +430,30 @@ def test_abort_policy_raises_with_round_replicate_ring_and_mass():
     cfg = four_state_config(replicates=5, schedule={"offsets": [10], "total_rounds": 64},
                             stability={"theta": 0.9, "policy": "abort"})
     ens = LockstepEnsemble(cfg)
-    for _ in range(10):
-        ens.step_round()
+    advance(ens, 10)
     with pytest.raises(StabilityError, match=r"round 11: replicate 0 chain 0 ring \d mass 0\."):
-        ens.step_round()
+        advance(ens)
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+def test_rate_study_abort_names_its_round_in_every_block_length(budget, monkeypatch):
+    # the theta 0.45 copy of the rate study's config trips in round 51, the
+    # first round its feeder is watched; with blocks of several rounds the
+    # abort comes from inside a block that runs on past it
+    monkeypatch.setattr(sampler, "_ROUND_BLOCK", BUDGETS[budget])
+    raw = json.loads((CONFIGS / "four_state_rate.json").read_text())
+    raw.update(stability={"theta": 0.45, "policy": "abort"}, replicates=50,
+               schedule={"offsets": [50], "total_rounds": 2048})
+    with pytest.raises(StabilityError) as caught:
+        slln_rate_study(config_from_dict(raw))
+    assert str(caught.value) == "round 51: replicate 0 chain 0 ring 1 mass 0.4038 below theta=0.45"
 
 
 def test_warn_policy_only_records():
     cfg = four_state_config(replicates=5, schedule={"offsets": [10], "total_rounds": 64},
                             stability={"theta": 0.9, "policy": "warn"})
     ens = LockstepEnsemble(cfg)
-    for _ in range(40):
-        ens.step_round()
+    advance(ens, 40)
     assert ens.monitor.violations >= 5 * 30
     assert ens.monitor.min_mass_seen < 0.9
 
@@ -426,23 +469,19 @@ def frozen_chain_one(cfg, atoms) -> np.ndarray:
     """Chain 1's states after each round against the frozen feeder of
     `atoms`, as a (total_rounds, replicates) array."""
     ens = LockstepEnsemble(cfg, frozen_feeder=np.bincount(atoms, minlength=cfg.space.size))
-    states = np.empty((cfg.total_rounds, cfg.replicates), dtype=np.intp)
-    for n in range(cfg.total_rounds):
-        ens.step_round()
-        states[n] = ens.states[:, 1]
-    return states
+    return advance(ens, cfg.total_rounds)[:, :, 1]
 
 
 def spy_levels(cfg, monkeypatch) -> list:
-    """Record the level of every lockstep interacting step."""
+    """Record the level of every round of lockstep interacting moves."""
     levels = []
-    step = cfg.kernels.interacting_step_lockstep
+    step = cfg.kernels.interacting_rounds_lockstep
 
-    def spy(level, *args):
-        levels.append(level)
-        return step(level, *args)
+    def spy(level, x, feeder, rng, out):
+        levels.extend([level] * len(out))
+        return step(level, x, feeder, rng, out)
 
-    monkeypatch.setattr(cfg.kernels, "interacting_step_lockstep", spy)
+    monkeypatch.setattr(cfg.kernels, "interacting_rounds_lockstep", spy)
     return levels
 
 
@@ -453,7 +492,7 @@ def test_frozen_base_holds_its_counts_and_never_draws(monkeypatch):
     idle = ens.rngs[0].bit_generator.state
     levels = spy_levels(cfg, monkeypatch)
     for n in range(1, 31):
-        ens.step_round()
+        advance(ens)
         np.testing.assert_array_equal(ens.counts[:, 0], np.tile(frozen, (6, 1)))
         np.testing.assert_array_equal(ens.ring_counts[:, 0], np.tile([3, 3], (6, 1)))
         assert ens.sizes == [6]
@@ -468,7 +507,7 @@ def test_frozen_base_schedule_counts_from_chain_one(monkeypatch):
     levels = spy_levels(cfg, monkeypatch)
     onehot = np.eye(2, dtype=np.int64)[[0, 0, 1, 1]]
     for n in range(1, 31):
-        ens.step_round()
+        advance(ens)
         # chain 2 first moves at round offsets[1] + 1 = 8
         assert levels.count(2) == max(0, n - 7)
         if n <= 7:
@@ -490,13 +529,12 @@ def test_frozen_feeder_abort_policy_on_thin_ring(monkeypatch):
     warn = four_state_config(replicates=3, stability={"theta": 0.35, "policy": "warn"})
     assert frozen_chain_one(warn, THIN_FEEDER).shape == (warn.total_rounds, 3)
     ens = LockstepEnsemble(warn, frozen_feeder=frozen)
-    for _ in range(10):
-        ens.step_round()
+    advance(ens, 10)
     # checked once, at construction
     assert ens.monitor.violations == 3 and ens.monitor.min_mass_seen == 0.3
     ens = LockstepEnsemble(four_state_config(stability={"theta": 0.3, "policy": "abort"}),
                            frozen_feeder=frozen)
-    ens.step_round()
+    advance(ens)
 
 
 @pytest.mark.parametrize("frozen", [
@@ -513,7 +551,7 @@ def test_frozen_base_must_be_counts_over_the_states(frozen, monkeypatch):
     with pytest.raises(ConfigurationError, match="frozen base"):
         LockstepEnsemble(cfg, frozen_feeder=frozen)
     assert levels == []
-    LockstepEnsemble(cfg, frozen_feeder=[0, 0, 0, 1]).step_round()
+    advance(LockstepEnsemble(cfg, frozen_feeder=[0, 0, 0, 1]))
     assert levels == [1]
 
 
@@ -522,9 +560,8 @@ def test_frozen_base_rerun_identical():
     frozen = np.array([0, 2, 1, 1])
     a = LockstepEnsemble(cfg, frozen_feeder=frozen)
     b = LockstepEnsemble(cfg, frozen_feeder=frozen)
-    for _ in range(30):
-        a.step_round()
-        b.step_round()
+    advance(a, 30)
+    advance(b, 30)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.counts, b.counts)
     assert len({row.tobytes() for row in a.counts}) > 1

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,31 @@ def test_label_lookup_canonicalizes():
     assert part.d == 2
     assert part.assign(2) == 1  # second ring, 0-based
     assert [part.assign(s) for s in range(4)] == [0, 0, 1, 1]
+
+
+def test_labels_canonicalize_in_sorted_label_order():
+    part = RingPartition(FiniteSpace(5), labels=np.array([5, -2, 5, 0, -2]))
+    assert part.d == 3
+    assert part.labels().tolist() == [2, 0, 2, 1, 0]
+
+
+def test_config_resolution_leaves_numpy_ma_unimported():
+    # numpy.ma costs a start-up its users never need; np.unique imports it
+    src = Path(__file__).resolve().parent.parent / "src"
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    code = (
+        "import json, pathlib, sys\n"
+        "import eesampler.cli\n"
+        "from eesampler.config import config_from_dict\n"
+        f"for path in sorted(pathlib.Path({str(configs)!r}).glob('*.json')):\n"
+        "    config_from_dict(json.loads(path.read_text()))\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_energy_threshold_assignment():
