@@ -121,7 +121,7 @@ def main(argv=None) -> int:
             print(f"wrote {len(paths['traces'])} trace(s) under {out}")
             return EXIT_OK
         if args.verb == "rate-study":
-            grid = _parse_grid(args.n_grid) if args.n_grid else None
+            grid = None if args.n_grid is None else _parse_grid(args.n_grid)
             report = slln_rate_study(config, n_grid=grid)
             write_rate_report(report, out)
             for f in report.functions:

@@ -45,7 +45,6 @@ of the failing measure or matrix. ``stationary`` makes one
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +62,6 @@ def _require_finite(model: KernelSet) -> int:
     if not isinstance(model.ladder.space, FiniteSpace):
         raise ConfigurationError("the exact oracle only works on finite spaces")
     return model.ladder.space.size
-
-
-def _densities(model: KernelSet, level: int) -> np.ndarray:
-    logw = model.ladder.log_table()[level]
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
 
 
 def _of_stack(P: np.ndarray, i: int) -> str:
@@ -93,34 +86,23 @@ def assert_row_stochastic(P: np.ndarray) -> None:
         raise NumericalError(f"rows deviate from 1 by {err[i]:.3e}{_of_stack(P, i)}")
 
 
-# K depends only on the model and the level, and a KernelSet's fields are
-# set once in __init__, so it is built once per (model, level) and shared
-# read-only. Weak keys let a model's matrices go with the model.
-_K_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _build_k_matrix(model: KernelSet, level: int) -> np.ndarray:
-    size = _require_finite(model)
-    pi = _densities(model, level)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accept = np.minimum(1.0, np.outer(1.0 / pi, pi))
-    P = model.proposals[level].matrix(size) * accept
-    np.fill_diagonal(P, 0.0)
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    assert_row_stochastic(P)
-    return P
-
-
 def k_matrix(model: KernelSet, level: int) -> np.ndarray:
     """Exact MH transition matrix for the configured proposal at `level`,
-    0..r-1 (read-only, built once per model and level)."""
-    model.require_level(level)
-    built = _K_MATRICES.setdefault(model, {})
-    if level not in built:
-        K = _build_k_matrix(model, level)
-        K.flags.writeable = False
-        built[level] = K
-    return built[level]
+    0..r-1 (read-only, built once per model and level by the model's
+    table memo)."""
+    size = _require_finite(model)
+
+    def build():
+        pi = model.ladder.density_table()[model.require_level(level)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept = np.minimum(1.0, np.outer(1.0 / pi, pi))
+        P = model.proposals[level].matrix(size) * accept
+        np.fill_diagonal(P, 0.0)
+        np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+        assert_row_stochastic(P)
+        return P
+
+    return model._table(("k", level), build)
 
 
 def swap_alpha(model: KernelSet, level: int) -> np.ndarray:

@@ -7,7 +7,7 @@ and exposes the two moves the sampler makes:
 * ``mh_step``          -- one Metropolis-Hastings move targeting level i
 * ``interacting_step`` -- (1 - epsilon) local move + epsilon interaction:
                           a feeder atom z drawn from ring(x), accepted with
-                          ``swap_accept_prob`` = min(1, pi_i(z) pi_{i-1}(x) /
+                          the swap probability min(1, pi_i(z) pi_{i-1}(x) /
                           (pi_i(x) pi_{i-1}(z))). The ``selection-mutation``
                           variant then makes one local move from the
                           post-swap state; the ``ee-jump`` variant, the
@@ -42,18 +42,17 @@ box a proposal costs one ``DensityLadder.log_densities`` call and its ring
 one ``RingPartition.assign_point``. A feeder atom brings the levels its
 measure stored. The rest of a move is shared by both spaces: the MH
 log-ratio is ``levels[i] - point.levels[i]``, and the swap ratio
-``lz[i] + lx[i-1] - lx[i] - lz[i-1]`` is the one formula that
-``swap_accept_prob`` also uses. Level log-densities must be finite. A
+``lz[i] + lx[i-1] - lx[i] - lz[i-1]`` is the one formula of
+``_swap_prob``. Level log-densities must be finite. A
 finite ladder checked them at construction; a box state is checked where
 it is evaluated, in ``point`` and for a proposal, and raises
 :class:`NumericalError` otherwise.
 
 Lockstep moves make the same moves on finite spaces for R replicates at
 once, for the m rounds of a block: ``mh_rounds_lockstep`` and
-``interacting_rounds_lockstep``, whose one-round cases are
-``mh_step_lockstep`` and ``interacting_step_lockstep``. States are an (R,)
-int array, and each replicate's feeder is a column of an (S, R) array of
-counts kept in the ring-sorted cumulative form of :class:`RingLayout`, so
+``interacting_rounds_lockstep``. States are an (R,) int array, and each
+replicate's feeder is a column of an (S, R) array of counts kept in the
+ring-sorted cumulative form of :class:`RingLayout`, so
 the uniform draw with multiplicity from ring(x) becomes a categorical draw
 over the ring's states weighted by their counts. They draw whole
 (R,)-vectors in a fixed order, whatever branch each replicate takes: an
@@ -67,7 +66,7 @@ and 1 need no special case. The parts of a move that do not depend on
 the chain's state (the branch coins and every ring's feeder pick) are
 computed for the whole block; each round then gathers by its states.
 Acceptances are gathers from read-only S x S tables that the kernel set
-builds on a level's first lockstep use: ``mh_table(i)`` (x, y) is
+builds on a level's first use: ``mh_table(i)`` (x, y) is
 exp(min(0, log pi_i(y) - log pi_i(x))) and ``swap_table(i)`` (x, z) the
 swap probability for levels 1..r-1; the interacting move reads a copy with
 a column of zeros appended, the acceptance of no pick (z = S), so a round
@@ -76,6 +75,12 @@ operations, in the order, of the per-element form, so it holds the same
 floats; together they take O(r S^2) memory. ``exact.swap_alpha`` returns
 the swap table, so the oracle and the sampler read one formula. Scalar
 moves never build them.
+
+Every per-model table is built once, on first use, through one memo,
+``KernelSet._table``: the acceptance tables, the :class:`RingLayout`, the
+lockstep feeder's per-R index rows and the oracle's ``exact.k_matrix``.
+A kernel set's fields are set once in ``__init__``, so a table lives as
+long as its kernel set; arrays are handed out read-only.
 """
 
 from __future__ import annotations
@@ -251,7 +256,7 @@ class KernelSet:
                 raise ConfigurationError(f"level {i}: {p.kind} needs a {p.space_kind} space")
         self._logw = ladder.log_table() if finite else None
         self._rings = partition.labels() if finite else None
-        self._tables = {}  # lockstep tables, built on first use
+        self._tables = {}  # every per-model table, built on first use by _table
         # scalar finite moves read each state's (ring, level tuple); None on a box
         self._records = None
         if finite:
@@ -323,11 +328,6 @@ class KernelSet:
         return x
 
     # -- the interacting move ---------------------------------------------------------
-    def swap_accept_prob(self, level: int, x, y) -> float:
-        """min(1, pi_i(y) pi_{i-1}(x) / (pi_i(x) pi_{i-1}(y))), in log space."""
-        self.require_level(level, interacting=True)
-        return _swap_prob(level, x, self._levels(x), y, self._levels(y))
-
     def interacting_step(self, level: int, x, feeder, rng, point=None):
         """One move of the level's interacting kernel against `feeder`:
         the local move with probability 1 - epsilon, else the variant's
@@ -346,7 +346,6 @@ class KernelSet:
         if feeder.counts[point.ring] == 0:
             return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
         z, z_levels = feeder.draw(point.ring, rng)
-        z_levels = z_levels or self._levels(z)  # an atom inserted without its levels
         accepted = rng.random() < _swap_prob(level, point.x, point.levels, z, z_levels)
         if accepted:  # z was drawn from ring(x), so the ring stays
             point.x, point.levels = z, z_levels
@@ -354,16 +353,18 @@ class KernelSet:
             return point.x, StepInfo("jump", swap_accepted=accepted)
         return self.mh_step(level, point.x, rng, point), StepInfo("selection", accepted)
 
-    # -- lockstep moves on finite spaces -----------------------------------------------
-    def _table(self, key, build) -> np.ndarray:
-        """The read-only table `key`, built by `build` on first use; a build
-        checks its level, so only valid levels are kept."""
+    # -- per-model tables and lockstep moves on finite spaces -------------------------
+    def _table(self, key, build):
+        """The table `key`, built by `build` on first use, on a finite space
+        only; an array is handed out read-only. A build checks its level, so
+        only valid levels are kept."""
         table = self._tables.get(key)
         if table is None:
             if self._logw is None:
-                raise ConfigurationError("lockstep steps need a finite space")
+                raise ConfigurationError("per-model tables need a finite space")
             table = self._tables[key] = build()
-            table.flags.writeable = False
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
         return table
 
     def mh_table(self, level: int) -> np.ndarray:
@@ -389,12 +390,7 @@ class KernelSet:
 
     def ring_layout(self) -> "RingLayout":
         """The states sorted by ring, in which lockstep feeders keep their counts."""
-        layout = self._tables.get("layout")
-        if layout is None:
-            if self._rings is None:
-                raise ConfigurationError("lockstep steps need a finite space")
-            layout = self._tables["layout"] = RingLayout(self._rings)
-        return layout
+        return self._table("layout", lambda: RingLayout(self._rings))
 
     def mh_rounds_lockstep(self, level: int, x: np.ndarray, rng, out: np.ndarray) -> np.ndarray:
         """MH moves targeting `level` from the (R,) states x for the m
@@ -433,7 +429,8 @@ class KernelSet:
         u_feed = np.where(u[:, 0] < self.epsilons[level], u[:, 1], 1.0)
         picks = self.ring_layout().picks(feeder, u_feed)
         # replicate i's entry of ring g's picks in a round's flat (d R) row
-        ring_rows, columns = self._rings * reps, np.arange(reps)
+        ring_rows = self._table(("ring rows", reps), lambda: self._rings * reps)
+        columns = self._table(("columns", reps), lambda: np.arange(reps))
         jump = self.variant == "ee-jump"
         for picks_t, u_swap, u_prop, u_mh, row in zip(picks, u[:, 2], u[:, 3], u[:, 4], out):
             z = picks_t.take(ring_rows.take(x) + columns)
@@ -446,23 +443,6 @@ class KernelSet:
                 x = _mh_lockstep(mh, prop, np.where(accepted, z, x), u_prop, u_mh)
             row[...] = x
         return out
-
-    def mh_step_lockstep(self, level: int, x: np.ndarray, rng: np.random.Generator):
-        """One MH move targeting `level` for each entry of the (R,) state
-        array: the one-round case of :meth:`mh_rounds_lockstep`."""
-        return self.mh_rounds_lockstep(level, x, rng, np.empty((1, x.shape[0]), np.intp))[0]
-
-    def interacting_step_lockstep(
-        self, level: int, x: np.ndarray, feeder_counts: np.ndarray, rng: np.random.Generator
-    ):
-        """One interacting move per replicate: x is (R,), feeder_counts is
-        (R, S), row i the counts of replicate i's feeder measure, or one
-        (S,) count vector for all. The one-round case of
-        :meth:`interacting_rounds_lockstep`."""
-        counts = np.broadcast_to(feeder_counts, (x.shape[0], self.ladder.space.size))
-        feeder = self.ring_layout().cumulative(counts.T)[None]
-        out = np.empty((1, x.shape[0]), np.intp)
-        return self.interacting_rounds_lockstep(level, x, feeder, rng, out)[0]
 
 
 def _mh_lockstep(mh: np.ndarray, prop, x: np.ndarray, u_prop, u_mh) -> np.ndarray:

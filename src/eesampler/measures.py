@@ -4,8 +4,10 @@ An :class:`EmpiricalMeasure` stores every atom a chain has visited, grouped
 by energy ring at insertion time, with multiplicity (no weight collapsing):
 the feeding chain's full realized history is exactly what the interaction
 kernel conditions on, and uniform draws stay O(1). Each atom carries weight
-1/(total count). An atom inserted from a chain's record also keeps the
-record's level log-densities, so a feeder draw hands them to the kernel.
+1/(total count). A chain inserts an atom from its record, with the record's
+ring and level log-densities; the measure keeps the levels with the atom,
+so a feeder draw hands them to the kernel. It never evaluates a state, so
+it needs only the number of rings d.
 The conditional measure mu_x of the interaction kernel is the ring of x, and
 ``draw(ring, rng)`` samples it.
 
@@ -25,42 +27,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, StabilityError
-from .state_space import RingPartition
 
 
 class EmpiricalMeasure:
     """Uniform measure on all states inserted so far, grouped by ring."""
 
-    def __init__(self, partition: RingPartition):
-        self.partition = partition
-        self._ring_atoms: list[list] = [[] for _ in range(partition.d)]
-        self._ring_levels: list[list] = [[] for _ in range(partition.d)]
-        self.counts: list[int] = [0] * partition.d  # atoms per ring
+    def __init__(self, d: int):
+        self.d = d  # number of rings
+        self._ring_atoms: list[list] = [[] for _ in range(d)]
+        self._ring_levels: list[list] = [[] for _ in range(d)]
+        self.counts: list[int] = [0] * d  # atoms per ring
         self.total = 0
         self._frozen = False
 
     # -- update ------------------------------------------------------------
-    def insert(self, x, ring: int | None = None, levels: tuple | None = None) -> int:
-        """Append one atom and return the ring it was filed under; equivalent
-        to the convex update S_n = S_{n-1} + 1/(n+1) [delta_x - S_{n-1}].
-
-        A chain passes its record's ring and level log-densities; the levels
-        are stored with the atom."""
+    def insert(self, x, ring: int, levels: tuple) -> None:
+        """Append atom x to `ring`, with its level log-densities, from a
+        chain record; equivalent to the convex update
+        S_n = S_{n-1} + 1/(n+1) [delta_x - S_{n-1}]."""
         if self._frozen:
             raise StabilityError("cannot insert into a measure snapshot")
-        if ring is None:
-            ring = self.partition.assign(x)
         self._ring_atoms[ring].append(x)
         self._ring_levels[ring].append(levels)
         self.counts[ring] += 1
         self.total += 1
-        return ring
 
     # -- mass queries --------------------------------------------------------
-    @property
-    def d(self) -> int:
-        return self.partition.d
-
     def masses(self) -> np.ndarray:
         if self.total == 0:
             return np.zeros(self.d)
@@ -69,7 +61,7 @@ class EmpiricalMeasure:
     # -- sampling ----------------------------------------------------------------
     def draw(self, ring: int, rng: np.random.Generator):
         """Uniform draw (with multiplicity) from the stored atoms of a ring:
-        (atom, its stored level log-densities or None). One uniform u picks
+        (atom, its stored level log-densities). One uniform u picks
         atom ``int(n * u)`` of the ring's n atoms, in insertion order."""
         n = self.counts[ring]
         if n == 0:
@@ -82,7 +74,7 @@ class EmpiricalMeasure:
         EmpiricalMeasure sharing the atom lists, with frozen counts, that
         raises on insert."""
         snap = EmpiricalMeasure.__new__(EmpiricalMeasure)
-        snap.partition = self.partition
+        snap.d = self.d
         snap._ring_atoms = self._ring_atoms
         snap._ring_levels = self._ring_levels
         snap.counts = list(self.counts)

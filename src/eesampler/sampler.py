@@ -128,6 +128,7 @@ class ChainEnsemble:
         self.kernels = config.kernels
         self.r = config.r
         self.n = 0
+        self.replicate = replicate
         self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
         seq = config.replicate_seed_seq(replicate)
         self.rngs = [np.random.default_rng(child) for child in seq.spawn(self.r)]
@@ -137,7 +138,7 @@ class ChainEnsemble:
 
         self._fallbacks = 0
         self.points = [self.kernels.point(x) for x in config.initial_states]
-        self.measures = [EmpiricalMeasure(config.partition) for _ in range(self.r)]
+        self.measures = [EmpiricalMeasure(config.partition.d) for _ in range(self.r)]
         for m, p in zip(self.measures, self.points):
             m.insert(p.x, p.ring, p.levels)
 
@@ -197,14 +198,14 @@ class ChainEnsemble:
         for _ in range(rounds):
             self.step_round()
 
-    def finalize_trace(self, replicate: int = 0) -> Trace:
+    def finalize_trace(self) -> Trace:
         if self.n % self.config.snapshot_every != 0:
             for k in range(self.r):
                 self.trace.snapshot_masses(self.n, k, self.measures[k].masses())
         self.trace.meta = {
             "config_hash": self.config.config_hash(),
             "master_seed": self.config.seed,
-            "replicate": replicate,
+            "replicate": self.replicate,
             "rounds": self.n,
             "chains": self.r,
             "schedule": list(self.config.schedule_lengths()),
@@ -221,7 +222,7 @@ def run(config: ExperimentConfig, replicate: int = 0) -> Trace:
     complete trace. Bit-reproducible per (config, seed, replicate)."""
     ens = ChainEnsemble(config, replicate=replicate)
     ens.run_rounds(config.total_rounds)
-    return ens.finalize_trace(replicate)
+    return ens.finalize_trace()
 
 
 class LockstepEnsemble:

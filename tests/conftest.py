@@ -5,6 +5,7 @@ import pytest
 
 from eesampler import KernelSet, NeighborProposal, UniformProposal
 from eesampler.config import config_from_dict, four_state_config
+from eesampler.measures import EmpiricalMeasure
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
 
@@ -63,6 +64,34 @@ def generated_model(i: int, seed: int):
         counts[labels == 0] = 0
     counts[labels == labels[-1]] += counts.sum() == 0  # keep one atom somewhere
     return model, counts
+
+
+def insert_atoms(measure, model, atoms):
+    """Insert `atoms` in order into an empirical measure, each from its
+    chain record (its ring and level log-densities), as the engines insert;
+    returns the measure."""
+    for x in atoms:
+        point = model.point(x)
+        measure.insert(point.x, point.ring, point.levels)
+    return measure
+
+
+def feeder_of(model, atoms):
+    """A new empirical measure over the model's rings holding `atoms`."""
+    return insert_atoms(EmpiricalMeasure(model.partition.d), model, atoms)
+
+
+def lockstep_step(model, level, x, rng, feeder_counts=None):
+    """One lockstep round from the (R,) states x, a block of one round:
+    an MH move targeting `level`, or with feeder counts an interacting move.
+    The counts are (R, S), row i replicate i's feeder measure, or one (S,)
+    vector for all replicates."""
+    out = np.empty((1, x.shape[0]), np.intp)
+    if feeder_counts is None:
+        return model.mh_rounds_lockstep(level, x, rng, out)[0]
+    counts = np.broadcast_to(feeder_counts, (x.shape[0], model.ladder.space.size))
+    feeder = model.ring_layout().cumulative(counts.T)[None]
+    return model.interacting_rounds_lockstep(level, x, feeder, rng, out)[0]
 
 
 def single_ring(space, ladder=None):

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 import eesampler
-from conftest import as_vector, kernel_copy, make_model
+from conftest import as_vector, feeder_of, kernel_copy, make_model
 from eesampler import exact
 from eesampler.config import four_state_config, four_state_raw
 from eesampler.experiments import bias_study, fluctuation_bound_battery, slln_rate_study
 from eesampler.kernels import BufferedUniforms
-from eesampler.measures import EmpiricalMeasure
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -112,9 +111,7 @@ def test_criterion_06_fluctuation_bound(fixture_config):
 
 def test_criterion_07_simulation_vs_oracle(fixture_config):
     model = fixture_config.kernels
-    feeder = EmpiricalMeasure(fixture_config.partition)
-    for a in (0, 1, 1, 2, 3, 3, 0, 2, 3, 1):
-        feeder.insert(a)
+    feeder = feeder_of(model, (0, 1, 1, 2, 3, 3, 0, 2, 3, 1))
     mu = as_vector(feeder, fixture_config.space)
     # the selection kernel Q is the selection-mutation move at epsilon 1
     steppers = {

@@ -88,15 +88,18 @@ def test_verify_suite_same_report_cold_and_warm():
 
 def test_verify_suite_builds_each_k_once(monkeypatch):
     built = []
-    build = exact._build_k_matrix
+    table = KernelSet._table
 
-    def counting(model, level):
-        built.append(level)
-        return build(model, level)
+    def counting(model, key, build):
+        def counted():
+            built.append(key)
+            return build()
 
-    monkeypatch.setattr(exact, "_build_k_matrix", counting)
+        return table(model, key, counted)
+
+    monkeypatch.setattr(KernelSet, "_table", counting)
     assert verify_suite(four_state_config()).passed
-    assert sorted(built) == [0, 1]
+    assert sorted(key[1] for key in built if key[0] == "k") == [0, 1]
 
 
 def test_verify_suite_solves_each_poisson_chain_once(monkeypatch):

@@ -809,12 +809,14 @@ def test_cli_bias_study_refuses_the_ring_closed_kernel(tmp_path, monkeypatch, ca
 def test_cli_rate_study_malformed_grid_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, four_state_raw(replicates=50))
     out = tmp_path / "never"
-    code = cli.main(
-        ["rate-study", "--config", cfg_path, "--out", str(out), "--n-grid", "128,abc"]
-    )
-    assert code == 2
-    assert "--n-grid" in capsys.readouterr().err
-    assert not out.exists()
+    # an empty grid is malformed too, not the default grid
+    for grid in ("128,abc", ""):
+        code = cli.main(
+            ["rate-study", "--config", cfg_path, "--out", str(out), "--n-grid", grid]
+        )
+        assert code == 2
+        assert "--n-grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_rate_study_grid_too_short_for_the_fit_exits_2(tmp_path, capsys):

@@ -6,7 +6,15 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import as_vector, generated_model, kernel_copy, make_model, single_ring
+from conftest import (
+    as_vector,
+    feeder_of,
+    generated_model,
+    insert_atoms,
+    kernel_copy,
+    make_model,
+    single_ring,
+)
 from eesampler import exact
 from eesampler.errors import ConfigurationError, NumericalError
 from eesampler.kernels import (
@@ -15,6 +23,7 @@ from eesampler.kernels import (
     KernelSet,
     NeighborProposal,
     UniformProposal,
+    _swap_prob,
 )
 from eesampler.measures import EmpiricalMeasure
 from eesampler.state_space import (
@@ -34,13 +43,6 @@ MH_2STATE = np.array([[0.5, 0.5], [0.25, 0.75]])
 # int(n * u). The frequency tests draw through BufferedUniforms: the
 # uniforms of the seeded Generator it wraps, so the same counts, at a
 # fraction of the call cost.
-
-
-def feeder_from(model, atoms):
-    m = EmpiricalMeasure(model.partition)
-    for a in atoms:
-        m.insert(a)
-    return m
 
 
 @pytest.fixture
@@ -198,7 +200,7 @@ def test_feeder_atom_is_int_n_u_of_its_uniform(space):
     else:
         inserted = [(float(v),) for v in pick.uniform(-1.0, 1.0, size=37)]
         rng = np.random.default_rng(9)
-    feeder = feeder_from(model, inserted)
+    feeder = feeder_of(model, inserted)
     twin = np.random.default_rng(9)
     x = inserted[0]
     jump = kernel_copy(model, variant="ee-jump")
@@ -246,7 +248,7 @@ def test_interacting_move_draw_order(variant, eps, script):
     # a flat model accepts every swap and MH move: the feeder uniform picks
     # atom int(5 * 0.65) = 3 and the proposal uniform state int(5 * 0.85) = 4
     model = kernel_copy(flat_model(FiniteSpace(5)), epsilon=eps, variant=variant)
-    feeder = feeder_from(model, [0, 1, 2, 3, 4])
+    feeder = feeder_of(model, [0, 1, 2, 3, 4])
     local = variant == "selection-mutation" or eps == 0.0
     script = script + [(PROPOSAL, 0.85), (MH, 0.9)] * local
     rng = RecordingUniforms(value for _, value in script)
@@ -262,7 +264,7 @@ def test_empty_ring_fallback_draw_order(four_model, variant):
     # atoms, so the local move follows without a feeder draw or swap coin
     model = kernel_copy(four_model, variant=variant)
     rng = RecordingUniforms([0.25, 0.99, 0.0])  # proposal int(4 * 0.99) = 3
-    y, info = model.interacting_step(1, 2, feeder_from(model, [0, 1]), rng)
+    y, info = model.interacting_step(1, 2, feeder_of(model, [0, 1]), rng)
     assert rng.callers == [BRANCH, PROPOSAL, MH]
     assert y == 3 and info.fallback and info.branch == "local"
 
@@ -276,10 +278,10 @@ def test_index_map_stays_below_n_at_the_largest_uniform():
     # through the code: the feeder draw after each of 4096 inserts, and the
     # uniform proposal on spaces of a few sizes
     model = flat_model(FiniteSpace(3))
-    feeder = EmpiricalMeasure(model.partition)
+    feeder = EmpiricalMeasure(model.partition.d)
     for n in range(4096):
-        feeder.insert(n % 3)
-        assert feeder.draw(0, LargestUniform()) == (n % 3, None)
+        insert_atoms(feeder, model, [n % 3])
+        assert feeder.draw(0, LargestUniform()) == (n % 3, model.point(n % 3).levels)
     for size in (2, 3, 4095, 4096, 4097):
         assert flat_model(FiniteSpace(size)).mh_step(1, 0, LargestUniform()) == size - 1
 
@@ -288,28 +290,33 @@ def test_index_map_stays_below_n_at_the_largest_uniform():
 # swap acceptance
 # ---------------------------------------------------------------------------
 
+def swap_prob(model, level, x, z):
+    """The swap probability of the moves, from x's and z's chain records."""
+    return _swap_prob(level, x, model.point(x).levels, z, model.point(z).levels)
+
+
 def test_swap_prob_same_state_is_one(four_model):
     for x in range(4):
-        assert four_model.swap_accept_prob(1, x, x) == 1.0
+        assert swap_prob(four_model, 1, x, x) == 1.0
 
 
 def test_swap_prob_equal_levels_is_one():
     model = make_model([np.log([1, 2, 3, 4]), np.log([1, 2, 3, 4])], labels=[0, 0, 1, 1])
     for x in range(4):
         for y in range(4):
-            assert model.swap_accept_prob(1, x, y) == pytest.approx(1.0)
+            assert swap_prob(model, 1, x, y) == pytest.approx(1.0)
 
 
 def test_swap_prob_hand_values(pair_model):
-    assert pair_model.swap_accept_prob(1, 0, 1) == 1.0  # min(1, 2) = 1
-    assert pair_model.swap_accept_prob(1, 1, 0) == pytest.approx(0.5)
+    assert swap_prob(pair_model, 1, 0, 1) == 1.0  # min(1, 2) = 1
+    assert swap_prob(pair_model, 1, 1, 0) == pytest.approx(0.5)
 
 
 def test_swap_needs_feeder_level(four_model):
     # level 0 has no feeder below it, and level r is not a level
     for level in (0, four_model.ladder.r):
         with pytest.raises(ConfigurationError):
-            four_model.swap_accept_prob(level, 0, 1)
+            four_model.swap_table(level)
 
 
 def test_swap_min_form_detailed_balance(four_model):
@@ -317,8 +324,8 @@ def test_swap_min_form_detailed_balance(four_model):
     dens = four_model.ladder.density_table()
     for x in range(4):
         for y in range(4):
-            lhs = dens[1, x] * dens[0, y] * four_model.swap_accept_prob(1, x, y)
-            rhs = dens[1, y] * dens[0, x] * four_model.swap_accept_prob(1, y, x)
+            lhs = dens[1, x] * dens[0, y] * swap_prob(four_model, 1, x, y)
+            rhs = dens[1, y] * dens[0, x] * swap_prob(four_model, 1, y, x)
             assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
@@ -342,21 +349,21 @@ def box_swap_model():
 
 @pytest.mark.parametrize("make", [finite_swap_model, box_swap_model], ids=["finite", "box"])
 def test_swap_coin_meets_swap_accept_prob_bit_for_bit(make):
-    # the move's acceptance must be the float swap_accept_prob computes, in
+    # the move's acceptance must be the float _swap_prob computes, in
     # the sampler's summation order: a coin at alpha rejects, one ulp below
     # accepts, for every same-ring pair; the ee-jump at epsilon 1 draws only
     # uniforms
     model, states = make()
     ring, levels = model.partition.assign, model.ladder.log_densities
     pairs = [(x, z) for x, z in itertools.product(states, repeat=2) if ring(x) == ring(z)]
-    assert any(model.swap_accept_prob(1, x, z) < 1.0 for x, z in pairs)
+    assert any(swap_prob(model, 1, x, z) < 1.0 for x, z in pairs)
     for x, z in pairs:
-        alpha = model.swap_accept_prob(1, x, z)
+        alpha = swap_prob(model, 1, x, z)
         lx, lz = levels(x), levels(z)
         assert alpha == math.exp(min(0.0, lz[1] + lx[0] - lx[1] - lz[0])), (x, z)
         for coin, accepted in ((alpha, False), (math.nextafter(alpha, 0.0), True)):
             rng = RecordingUniforms([0.0, coin])  # the feeder's one atom, the swap coin
-            y, info = model.interacting_step(1, x, feeder_from(model, [z]), rng)
+            y, info = model.interacting_step(1, x, feeder_of(model, [z]), rng)
             assert info.swap_accepted is accepted and y == (z if accepted else x), (x, z)
 
 
@@ -364,7 +371,7 @@ def test_swap_step_frequency(pair_model):
     # the ee-jump at epsilon 1 from x = 1 against the one atom z = 0 accepts
     # with alpha(1, 0) = 1/2: acceptance frequency within 3 s.e. of 0.5
     model = kernel_copy(pair_model, epsilon=1.0, variant="ee-jump")
-    feeder = feeder_from(model, [0])
+    feeder = feeder_of(model, [0])
     rng = BufferedUniforms(np.random.default_rng(77))
     n = 100_000
     jumps = sum(1 for _ in range(n) if model.interacting_step(1, 1, feeder, rng)[1].swap_accepted)
@@ -380,7 +387,7 @@ def test_selection_forced_swap_moves_like_local_from_atom(four_model):
     # feeder holds only z=3 in ring(x=2); alpha(2, 3) = min(1, (4*1)/(2*1)) = 1,
     # so the move is distributed as K(3, .)
     model = kernel_copy(four_model, epsilon=1.0)
-    feeder = feeder_from(model, [3])
+    feeder = feeder_of(model, [3])
     K = exact.k_matrix(model, 1)
     rng = BufferedUniforms(np.random.default_rng(41))
     n = 100_000
@@ -398,7 +405,7 @@ def test_selection_rejected_swap_moves_like_local_from_start():
     model = make_model(
         [[0.0, 0.0], [0.0, np.log(1e-12)]], labels=[0, 0], epsilon=1.0
     )
-    feeder = feeder_from(model, [1])
+    feeder = feeder_of(model, [1])
     K = exact.k_matrix(model, 1)
     rng = BufferedUniforms(np.random.default_rng(4242))
     n = 50_000
@@ -413,7 +420,7 @@ def test_selection_rejected_swap_moves_like_local_from_start():
 
 def test_selection_frequencies_match_oracle_matrix(four_model):
     model = kernel_copy(four_model, epsilon=1.0)
-    feeder = feeder_from(model, [0, 1, 1, 2, 3, 3, 3])
+    feeder = feeder_of(model, [0, 1, 1, 2, 3, 3, 3])
     mu = as_vector(feeder, model.ladder.space)
     Q = exact.q_matrix(model, 1, mu)
     rng = BufferedUniforms(np.random.default_rng(90210))
@@ -428,7 +435,7 @@ def test_selection_frequencies_match_oracle_matrix(four_model):
 
 
 def test_selection_fallback_on_empty_ring(four_model):
-    feeder = feeder_from(four_model, [0])  # ring 1 empty
+    feeder = feeder_of(four_model, [0])  # ring 1 empty
     rng = np.random.default_rng(6)
     y, info = kernel_copy(four_model, epsilon=1.0).interacting_step(1, 2, feeder, rng)
     assert info.branch == "local" and info.fallback
@@ -439,7 +446,7 @@ def test_selection_fallback_on_empty_ring(four_model):
 # ---------------------------------------------------------------------------
 
 def test_nonlinear_degenerate_epsilon(four_model):
-    feeder = feeder_from(four_model, [0, 1, 2, 3])
+    feeder = feeder_of(four_model, [0, 1, 2, 3])
     rng = np.random.default_rng(12)
     model0 = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=0.0)
     for _ in range(50):
@@ -453,7 +460,7 @@ def test_nonlinear_degenerate_epsilon(four_model):
 
 def test_nonlinear_branch_frequency():
     model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=0.3)
-    feeder = feeder_from(model, [0, 1, 2, 3])
+    feeder = feeder_of(model, [0, 1, 2, 3])
     rng = BufferedUniforms(np.random.default_rng(13))
     n = 100_000
     picks = sum(
@@ -464,7 +471,7 @@ def test_nonlinear_branch_frequency():
 
 
 def test_nonlinear_frequencies_match_oracle(four_model):
-    feeder = feeder_from(four_model, [0, 0, 1, 2, 3])
+    feeder = feeder_of(four_model, [0, 0, 1, 2, 3])
     mu = as_vector(feeder, four_model.ladder.space)
     P = exact.interacting_matrix(four_model, 1, mu)  # fixture epsilon = 0.5
     rng = BufferedUniforms(np.random.default_rng(60))
@@ -483,7 +490,7 @@ def test_nonlinear_frequencies_match_oracle(four_model):
 # ---------------------------------------------------------------------------
 
 def test_ee_jump_stays_in_ring(four_model):
-    feeder = feeder_from(four_model, [0, 1, 2, 3, 3])
+    feeder = feeder_of(four_model, [0, 1, 2, 3, 3])
     model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=1.0,
                        variant="ee-jump")
     rng = np.random.default_rng(17)
@@ -498,7 +505,7 @@ def test_ee_jump_stays_in_ring(four_model):
 def test_ee_jump_forced_single_atom():
     model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=1.0,
                        variant="ee-jump")
-    feeder = feeder_from(model, [3])
+    feeder = feeder_of(model, [3])
     rng = np.random.default_rng(18)
     # alpha(2, 3) = 1: deterministic jump to the only atom
     for _ in range(50):
@@ -509,7 +516,7 @@ def test_ee_jump_forced_single_atom():
 def test_ee_jump_epsilon_zero_is_local():
     model = make_model([[0.0] * 4, np.log([1, 1, 2, 4])], labels=[0, 0, 1, 1], epsilon=0.0,
                        variant="ee-jump")
-    feeder = feeder_from(model, [0, 1, 2, 3])
+    feeder = feeder_of(model, [0, 1, 2, 3])
     rng = np.random.default_rng(19)
     for _ in range(50):
         _, info = model.interacting_step(1, 2, feeder, rng)
@@ -518,7 +525,7 @@ def test_ee_jump_epsilon_zero_is_local():
 
 def test_ee_jump_frequencies_match_oracle(four_model):
     model = kernel_copy(four_model, variant="ee-jump")
-    feeder = feeder_from(model, [0, 1, 1, 2, 3])
+    feeder = feeder_of(model, [0, 1, 1, 2, 3])
     mu = as_vector(feeder, model.ladder.space)
     P = exact.interacting_matrix(model, 1, mu)  # fixture epsilon = 0.5
     rng = BufferedUniforms(np.random.default_rng(61))
@@ -553,11 +560,7 @@ def test_generated_models_scalar_step_matches_oracle():
     failures = []
     for seed, (model, counts) in zip(SCALAR_CROSSCHECK_SEEDS, models):
         size = model.ladder.space.size
-        feeder = EmpiricalMeasure(model.partition)
-        for state, count in enumerate(counts):
-            point = model.point(state)
-            for _ in range(count):
-                feeder.insert(state, point.ring, point.levels)
+        feeder = feeder_of(model, np.repeat(np.arange(size), counts).tolist())
         P = np.clip(exact.interacting_matrix(model, 1, counts / counts.sum()), 0.0, 1.0)
         rng = BufferedUniforms(np.random.default_rng([seed, 2]))
         for x0 in range(size):

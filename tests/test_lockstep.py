@@ -10,13 +10,12 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import generated_model
+from conftest import feeder_of, generated_model, lockstep_step
 from eesampler import exact, sampler
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.experiments import slln_rate_study
 from eesampler.kernels import KernelSet, NeighborProposal, UniformProposal
-from eesampler.measures import EmpiricalMeasure
 from eesampler.sampler import LockstepEnsemble
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
@@ -59,7 +58,7 @@ def test_mh_step_lockstep_matches_k_matrix(proposal, level):
     model = four_model(proposal)
     rng = np.random.default_rng([71, level])
     z = worst_z(exact.k_matrix(model, level),
-                lambda x, g: model.mh_step_lockstep(level, x, g), rng)
+                lambda x, g: lockstep_step(model, level, x, g), rng)
     assert z <= 3.0
 
 
@@ -72,7 +71,7 @@ def test_interacting_step_lockstep_matches_oracle(variant, proposal, eps):
     counts = np.tile(np.bincount(CRITERION_7_FEEDER, minlength=4), (R, 1))
     rng = np.random.default_rng(72)
     z = worst_z(exact.interacting_matrix(model, 1, mu),
-                lambda x, g: model.interacting_step_lockstep(1, x, counts, g), rng)
+                lambda x, g: lockstep_step(model, 1, x, g, counts), rng)
     assert z <= 3.0
 
 
@@ -85,7 +84,7 @@ def test_interacting_step_lockstep_empty_ring_falls_back(variant):
     P = exact.interacting_matrix(model, 1, mu)
     np.testing.assert_allclose(P[2:], exact.k_matrix(model, 1)[2:])
     rng = np.random.default_rng(73)
-    z = worst_z(P, lambda x, g: model.interacting_step_lockstep(1, x, counts, g), rng)
+    z = worst_z(P, lambda x, g: lockstep_step(model, 1, x, g, counts), rng)
     assert z <= 3.0
 
 
@@ -100,7 +99,7 @@ def test_interacting_step_lockstep_reads_each_replicates_own_feeder():
     counts = np.array([[5, 0, 0, 7], [0, 9, 4, 0]])
     rng = np.random.default_rng(74)
     for _ in range(20):
-        out = model.interacting_step_lockstep(1, np.array([2, 3]), counts, rng)
+        out = lockstep_step(model, 1, np.array([2, 3]), rng, counts)
         assert out.tolist() == [3, 2]
 
 
@@ -126,7 +125,7 @@ def test_generated_models_lockstep_matches_oracle():
         P = np.clip(exact.interacting_matrix(model, 1, counts / counts.sum()), 0.0, 1.0)
         rng = np.random.default_rng([seed, 1])
         for x0 in range(size):
-            new = model.interacting_step_lockstep(1, np.full(R, x0), counts, rng)
+            new = lockstep_step(model, 1, np.full(R, x0), rng, counts)
             hits = np.bincount(new, minlength=size)
             # a cell expected to see under one hit is judged at the one-hit scale
             se = np.sqrt(np.maximum(P[x0] * (1.0 - P[x0]), 1.0 / R) / R)
@@ -189,18 +188,16 @@ def test_lockstep_steps_check_their_level():
     idle = rng.bit_generator.state
     for level in (-1, 3):
         with pytest.raises(ConfigurationError, match=r"levels are 0\.\.2"):
-            model.mh_step_lockstep(level, x, rng)
+            lockstep_step(model, level, x, rng)
     for level in (-1, 0, 3):
         with pytest.raises(ConfigurationError, match="feeder below it"):
-            model.interacting_step_lockstep(level, x, counts, rng)
+            lockstep_step(model, level, x, rng, counts)
     assert rng.bit_generator.state == idle  # checked before any draw
 
 
 def test_scalar_steps_check_their_level():
     model = table_model(5, "ee-jump", "uniform", seed=6)
-    feeder = EmpiricalMeasure(model.partition)
-    for x in range(5):
-        feeder.insert(x)
+    feeder = feeder_of(model, range(5))
     rng = np.random.default_rng(0)
     idle = rng.bit_generator.state
     for level in (-1, 3):
@@ -338,10 +335,10 @@ def test_lockstep_steps_need_finite_space_and_known_variant():
     model = four_model("uniform", variant="ee-jump")
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        model.interacting_step_lockstep(0, np.zeros(3, dtype=int), np.ones((3, 4)), rng)
+        lockstep_step(model, 0, np.zeros(3, dtype=int), rng, np.ones((3, 4)))
     box = config_from_dict(json.loads((CONFIGS / "double_well.json").read_text()))
     with pytest.raises(ConfigurationError):
-        box.kernels.mh_step_lockstep(0, np.zeros(3, dtype=int), rng)
+        lockstep_step(box.kernels, 0, np.zeros(3, dtype=int), rng)
     with pytest.raises(ConfigurationError):
         LockstepEnsemble(box)
 

@@ -1,24 +1,36 @@
 import numpy as np
 import pytest
 
-from conftest import as_vector, atoms, make_model, ring_mass, single_ring, total_count
+from conftest import (
+    as_vector,
+    atoms,
+    feeder_of,
+    insert_atoms,
+    make_model,
+    ring_mass,
+    total_count,
+)
 from eesampler import exact
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.measures import EmpiricalMeasure, StabilityMonitor, tv_distance
-from eesampler.state_space import BoxSpace, FiniteSpace, RingPartition, tempered_ladder
+from eesampler.state_space import FiniteSpace
+
+TWO_RINGS = make_model([np.zeros(4)], labels=[0, 0, 1, 1])
 
 
 def two_ring_measure(inserted=()):
-    part = RingPartition(FiniteSpace(4), labels=[0, 0, 1, 1])
-    m = EmpiricalMeasure(part)
-    for a in inserted:
-        m.insert(a)
-    return m
+    return feeder_of(TWO_RINGS, inserted)
 
 
-def conditional(m, x, size=4):
+def put(m, *inserted):
+    """Insert atoms of TWO_RINGS into m, as its chain would."""
+    insert_atoms(m, TWO_RINGS, inserted)
+
+
+def conditional(m, x, model=TWO_RINGS):
     """mu_x as a vector: the atoms of ring(x), with multiplicity, over their count."""
-    ring = m.partition.assign(x)
+    ring = model.partition.assign(x)
+    size = model.ladder.space.size
     return np.bincount(list(atoms(m, ring)), minlength=size) / m.counts[ring]
 
 
@@ -28,29 +40,29 @@ def conditional(m, x, size=4):
 
 def test_two_atom_average():
     m = two_ring_measure([0])
-    m.insert(2)
+    put(m, 2)
     np.testing.assert_allclose(as_vector(m, FiniteSpace(4)), [0.5, 0.0, 0.5, 0.0])
     np.testing.assert_allclose(m.masses(), [0.5, 0.5])
 
 
 def test_counting_with_multiplicity():
     m = two_ring_measure([0, 2])
-    m.insert(0)
+    put(m, 0)
     np.testing.assert_allclose(as_vector(m, FiniteSpace(4)), [2 / 3, 0.0, 1 / 3, 0.0])
 
 
 def test_recursive_update_matches_batch_recount():
     # oracle: recount ring membership from scratch after every insertion
     rng = np.random.default_rng(314)
-    part = RingPartition(FiniteSpace(6), labels=[0, 1, 2, 0, 1, 2])
-    m = EmpiricalMeasure(part)
+    model = make_model([np.zeros(6)], labels=[0, 1, 2, 0, 1, 2])
+    m = EmpiricalMeasure(3)
     inserted = []
     for x in rng.integers(6, size=1000):
-        m.insert(int(x))
+        insert_atoms(m, model, [int(x)])
         inserted.append(int(x))
         counts = np.zeros(3)
         for a in inserted:
-            counts[part.assign(a)] += 1
+            counts[model.partition.assign(a)] += 1
         assert total_count(m) == len(inserted)
         np.testing.assert_array_equal(
             m.counts, counts.astype(int)
@@ -58,18 +70,16 @@ def test_recursive_update_matches_batch_recount():
         np.testing.assert_allclose(m.masses(), counts / len(inserted))
 
 
-def test_insert_returns_the_ring_of_the_atom():
-    m = two_ring_measure()
-    for x in (3, 0, 2, 1, 1):
-        assert m.insert(x) == m.partition.assign(x)
-    space = BoxSpace([-2.0], [2.0])
-    box = RingPartition(space, ladder=tempered_ladder(space, lambda x: -float(x[0]) ** 2, [1.0]),
-                        thresholds=[0.5, 2.0])
-    m = EmpiricalMeasure(box)
-    for v in (0.0, -1.0, 1.9, 0.5**0.5, -1.2):
-        x = np.array([v])
-        assert m.insert(x) == box.assign(x)
-    assert m.counts == [1, 3, 1]
+def test_insert_files_the_atom_and_its_levels_under_the_given_ring():
+    # the measure evaluates nothing: the ring and levels are the caller's
+    m = EmpiricalMeasure(3)
+    m.insert("a", 2, (0.5,))
+    m.insert("b", 0, (-1.0,))
+    m.insert("c", 2, (1.5,))
+    assert m.counts == [1, 0, 2] and m.total == 3
+    assert list(atoms(m, 2)) == ["a", "c"]
+    assert m.draw(2, np.random.default_rng(0)) in {("a", (0.5,)), ("c", (1.5,))}
+    assert m.draw(0, np.random.default_rng(0)) == ("b", (-1.0,))
 
 
 def test_insertion_order_preserved():
@@ -101,16 +111,14 @@ def test_restrict_identity_battery():
     model = make_model([np.zeros(6)], labels=labels)
     space = model.ladder.space
     for _ in range(100):
-        m = EmpiricalMeasure(model.partition)
-        for x in rng.integers(6, size=int(rng.integers(6, 60))):
-            m.insert(int(x))
+        m = feeder_of(model, rng.integers(6, size=int(rng.integers(6, 60))).tolist())
         _, W = exact.ring_conditionals(model, as_vector(m, space), allow_empty=True)
         for x in range(6):
             ring = labels[x]
             if m.counts[ring] == 0:
                 np.testing.assert_array_equal(W[x], 0.0)
                 continue
-            mu_x = conditional(m, x, size=6)
+            mu_x = conditional(m, x, model)
             np.testing.assert_allclose(W[x], mu_x, rtol=0, atol=1e-14)
             subset = rng.choice(6, size=int(rng.integers(1, 6)), replace=False)
             rhs = sum(1 for a in atoms(m, ring) if a in subset) / total_count(m)
@@ -119,8 +127,7 @@ def test_restrict_identity_battery():
 
 def test_restrict_empty_ring_raises():
     model = make_model([np.zeros(4)], labels=[0, 0, 1, 1])
-    m = EmpiricalMeasure(model.partition)
-    m.insert(0)
+    m = feeder_of(model, [0])
     with pytest.raises(StabilityError):
         exact.ring_conditionals(model, as_vector(m, model.ladder.space))
 
@@ -168,8 +175,7 @@ def test_draw_empty_ring_raises():
 def test_snapshot_is_frozen_prefix():
     m = two_ring_measure([0, 2])
     snap = m.snapshot()
-    m.insert(1)
-    m.insert(3)
+    put(m, 1, 3)
     assert total_count(snap) == 2
     assert snap.counts[0] == 1 and snap.counts[1] == 1
     np.testing.assert_allclose(as_vector(snap, FiniteSpace(4)), [0.5, 0, 0.5, 0])
@@ -181,7 +187,7 @@ def test_snapshot_is_frozen_prefix():
 def test_snapshot_restrict():
     m = two_ring_measure([0, 2])
     snap = m.snapshot()
-    m.insert(3)
+    put(m, 3)
     assert snap.counts[1] == 1 and list(atoms(snap, 1)) == [2]
     assert m.counts[1] == 2 and list(atoms(m, 1)) == [2, 3]
     np.testing.assert_allclose(conditional(snap, 3), [0, 0, 1.0, 0])
@@ -191,7 +197,7 @@ def test_snapshot_insert_raises():
     m = two_ring_measure([0, 2])
     snap = m.snapshot()
     with pytest.raises(StabilityError):
-        snap.insert(3)
+        put(snap, 3)
     assert total_count(snap) == 2 and total_count(m) == 2
     assert list(atoms(m, 1)) == [2]
 
@@ -206,9 +212,7 @@ def watch(monitor, m, step, chain=0):
 
 
 def test_single_ring_never_violates():
-    part = single_ring(FiniteSpace(3))
-    m = EmpiricalMeasure(part)
-    m.insert(0)
+    m = feeder_of(make_model([np.zeros(3)], labels=[0, 0, 0]), [0])
     monitor = StabilityMonitor(theta=1.0)
     assert watch(monitor, m, step=1) == []
     assert monitor.violations == 0 and monitor.min_mass_seen == 1.0
@@ -285,7 +289,7 @@ def test_monitor_fast_path_matches_array_form():
     # go to check as the d-lists of scalar measures, one per replicate, and
     # as the rows of one (R, d) lockstep array
     rng = np.random.default_rng(0x7E7A)
-    part = RingPartition(FiniteSpace(4), labels=[0, 1, 2, 3])
+    model = make_model([np.zeros(4)], labels=[0, 1, 2, 3])
     for trial in range(400):
         reps = int(rng.integers(1, 4))
         total = int(rng.integers(1, 16))
@@ -302,10 +306,7 @@ def test_monitor_fast_path_matches_array_form():
         rows = StabilityMonitor(theta=theta)
         from_lists = []
         for i, row in enumerate(counts):
-            m = EmpiricalMeasure(part)
-            for state, c in enumerate(row):
-                for _ in range(c):
-                    m.insert(state)
+            m = feeder_of(model, np.repeat(np.arange(4), row).tolist())
             assert m.counts == row.tolist() and m.total == total
             np.testing.assert_array_equal(m.masses(), masses[i])
             from_lists += [(i, *index) for index in watch(rows, m, step=trial, chain=2)]

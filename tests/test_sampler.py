@@ -312,6 +312,18 @@ def test_meta_records_run_facts(four_state):
     assert 0 < meta["min_ring_mass"] <= 1
 
 
+def test_meta_records_the_ensembles_own_replicate():
+    # an ensemble built for replicate 2 writes replicate 2 into its meta,
+    # beside the rows of replicate 2's streams
+    cfg = four_state_config(replicates=3)
+    ens = ChainEnsemble(cfg, replicate=2)
+    ens.run_rounds(cfg.total_rounds)
+    trace = ens.finalize_trace()
+    assert trace.meta["replicate"] == 2
+    assert trace.rows == run(cfg, replicate=2).rows != run(cfg).rows
+    assert run(cfg, replicate=1).meta["replicate"] == 1
+
+
 # ---------------------------------------------------------------------------
 # evaluation and ring caches
 # ---------------------------------------------------------------------------
