@@ -31,7 +31,11 @@ so no other code branches on a proposal's kind.
 
 If the feeder measure holds no atoms in the current state's ring, the
 interaction branch falls back to the local kernel and flags the event; the
-caller logs it as a stability fallback.
+caller logs it as a stability fallback. What an interacting move did (its
+branch, the swap coin's outcome, a fallback) is one of six frozen
+:class:`StepInfo` constants, so a move builds no object. The feeder is any
+measure with ``counts`` and ``draw``: the scalar engine passes a prefix
+view of the feeding chain's measure.
 
 Chain records: each scalar move reads x from its :class:`ChainPoint` (built
 from x when not passed) and writes the new state's ring and level
@@ -165,13 +169,21 @@ class GaussianWalkProposal:
         return tuple([xi + step * normal() for xi in x])
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepInfo:
-    """What a single interacting move did; recorded into the trace."""
+    """What a single interacting move did; recorded into the trace. A move
+    builds none: it returns one of the six constants below."""
 
     branch: str  # "local" | "selection" | "jump"
     swap_accepted: bool | None = None
     fallback: bool = False
+
+
+_LOCAL = StepInfo("local")
+_FALLBACK = StepInfo("local", fallback=True)
+# indexed by the swap coin's outcome: rejected, accepted
+_JUMPS = (StepInfo("jump", False), StepInfo("jump", True))
+_SELECTIONS = (StepInfo("selection", False), StepInfo("selection", True))
 
 
 @dataclass(slots=True)
@@ -341,17 +353,17 @@ class KernelSet:
             self.require_level(level, interacting=True)
         eps = self.epsilons[level]
         if eps <= 0.0 or (eps < 1.0 and rng.random() >= eps):
-            return self.mh_step(level, x, rng, point), StepInfo("local")
+            return self.mh_step(level, x, rng, point), _LOCAL
         point = point or self.point(x)
         if feeder.counts[point.ring] == 0:
-            return self.mh_step(level, x, rng, point), StepInfo("local", fallback=True)
+            return self.mh_step(level, x, rng, point), _FALLBACK
         z, z_levels = feeder.draw(point.ring, rng)
         accepted = rng.random() < _swap_prob(level, point.x, point.levels, z, z_levels)
         if accepted:  # z was drawn from ring(x), so the ring stays
             point.x, point.levels = z, z_levels
         if self.variant == "ee-jump":
-            return point.x, StepInfo("jump", swap_accepted=accepted)
-        return self.mh_step(level, point.x, rng, point), StepInfo("selection", accepted)
+            return point.x, _JUMPS[accepted]
+        return self.mh_step(level, point.x, rng, point), _SELECTIONS[accepted]
 
     # -- per-model tables and lockstep moves on finite spaces -------------------------
     def _table(self, key, build):
@@ -404,13 +416,15 @@ class KernelSet:
         return out
 
     def interacting_rounds_lockstep(
-        self, level: int, x: np.ndarray, feeder: np.ndarray, rng, out: np.ndarray
+        self, level: int, x: np.ndarray, feeder: np.ndarray, edges: np.ndarray, rng,
+        out: np.ndarray,
     ) -> np.ndarray:
         """Interacting moves at `level` from the (R,) states x for the m
         rounds of the (m, R) array `out`, which receives each round's
         states and is returned. ``feeder[t]`` is the (S, R) count array
         that round t reads, column i replicate i's feeder measure in the
-        ring-sorted cumulative form of :class:`RingLayout`. Keeps the
+        ring-sorted cumulative form of :class:`RingLayout`, and ``edges``
+        its ``RingLayout.edges``, which the caller's watch reads too. Keeps the
         semantics of `interacting_step`, including the local fallback when
         a replicate's ring holds no feeder atoms. Draws
         ``rng.random((m, 5, R))``.
@@ -427,7 +441,7 @@ class KernelSet:
         u = rng.random((len(out), 5, reps))
         # a round on the local branch draws past every atom: no pick
         u_feed = np.where(u[:, 0] < self.epsilons[level], u[:, 1], 1.0)
-        picks = self.ring_layout().picks(feeder, u_feed)
+        picks = self.ring_layout().picks(feeder, edges, u_feed)
         # replicate i's entry of ring g's picks in a round's flat (d R) row
         ring_rows = self._table(("ring rows", reps), lambda: self._rings * reps)
         columns = self._table(("columns", reps), lambda: np.arange(reps))
@@ -488,12 +502,13 @@ class RingLayout:
         """(..., S, R) ring-sorted cumulative counts back as counts in state order."""
         return np.diff(cumulative, axis=-2, prepend=0)[..., self.positions, :]
 
-    def ring_totals(self, cumulative: np.ndarray) -> np.ndarray:
-        """(..., d, R) atoms per ring of (..., S, R) ring-sorted cumulative counts."""
-        edges = self._edges(cumulative)
-        return edges[..., 1:, :] - edges[..., :-1, :]
+    @staticmethod
+    def ring_totals(edges: np.ndarray, out=None) -> np.ndarray:
+        """(..., d, R) atoms per ring, from the (..., d + 1, R) :meth:`edges`
+        of ring-sorted cumulative counts; into `out` when given."""
+        return np.subtract(edges[..., 1:, :], edges[..., :-1, :], out=out)
 
-    def _edges(self, cumulative: np.ndarray) -> np.ndarray:
+    def edges(self, cumulative: np.ndarray) -> np.ndarray:
         """(..., d + 1, R): row g the cumulative count below ring g, row d
         the total."""
         *lead, size, reps = cumulative.shape
@@ -509,10 +524,11 @@ class RingLayout:
         (..., R) `states`."""
         return self.positions.take(states)[..., None, :] <= self._position_rows
 
-    def picks(self, cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def picks(self, cumulative: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Per ring, the feeder draws of (m, R) rounds from their uniforms u.
 
-        `cumulative` is (m, S, R) ring-sorted cumulative counts. Of the n
+        `cumulative` is (m, S, R) ring-sorted cumulative counts and `edges`
+        their (m, d + 1, R) :meth:`edges`. Of the n
         atoms that ring g holds before a round, the draw picks the atom
         ``int(n u)`` in state order: the first position j of the ring whose
         cumulative count exceeds ``before + n u``, with ``before`` the
@@ -521,7 +537,6 @@ class RingLayout:
         entry ``g R + i`` is ring g's pick in replicate i, or S for no pick:
         where the ring is empty or u is 1, which passes every atom."""
         m, size, reps = cumulative.shape
-        edges = self._edges(cumulative)
         before = edges[:, :-1]
         below = before + (u[:, None] * (edges[:, 1:] - before)).astype(edges.dtype)
         passed = cumulative <= below.take(self.ring_at, axis=1)

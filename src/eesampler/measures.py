@@ -12,12 +12,15 @@ The conditional measure mu_x of the interaction kernel is the ring of x, and
 ``draw(ring, rng)`` samples it.
 
 :class:`StabilityMonitor` is the one watch of the stability assumption
-(every feeder ring keeps mass at least theta) for both engines: it reads the
-ring counts of a scalar measure and the per-replicate count arrays of the
-lockstep engine alike.
+(every feeder ring keeps mass at least theta) for both engines. One
+``check`` looks at every watched feeder over a whole block of rounds, in
+round order: the ring counts after each round of a scalar measure, or of
+every replicate of a lockstep feeder.
 
-``EmpiricalMeasure.snapshot`` (a frozen prefix view) is taken by no engine;
-it stays only as a target of the benchmark's span tracer.
+``EmpiricalMeasure.snapshot`` is the prefix view through which the scalar
+engine's consumer reads its feeder during a block: the feeder has already
+made the block's moves, and the engine reveals its atoms to the view one
+round at a time.
 """
 
 from __future__ import annotations
@@ -70,9 +73,13 @@ class EmpiricalMeasure:
         return self._ring_atoms[ring][i], self._ring_levels[ring][i]
 
     def snapshot(self) -> "EmpiricalMeasure":
-        """Immutable prefix view of the measure as it stands now: an
-        EmpiricalMeasure sharing the atom lists, with frozen counts, that
-        raises on insert."""
+        """Prefix view of the measure as it stands now: an EmpiricalMeasure
+        sharing the atom lists, with counts and total of its own, that
+        raises on insert. Later inserts stay hidden from draws. A ring's
+        atoms keep insertion order, so raising the view's count of the ring
+        of the measure's next atom, and its total, reveals exactly that
+        atom: the scalar engine replays a feeder's block of inserts this
+        way, one per round."""
         snap = EmpiricalMeasure.__new__(EmpiricalMeasure)
         snap.d = self.d
         snap._ring_atoms = self._ring_atoms
@@ -101,34 +108,37 @@ class StabilityMonitor:
         if not (0.0 < self.theta <= 1.0):
             raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
 
-    def check(self, counts, total: int, lowest: int, step: int, chain: int) -> list[tuple]:
-        """Watch one feeder's ring counts over its ``total`` > 0 atoms.
+    def check(self, counts, totals, first_round: int, chains) -> list[tuple]:
+        """Watch feeders' ring counts over a block of consecutive rounds.
 
-        ``counts`` is a list of d ring counts (a scalar measure) or an
-        (R, d) array with one row per replicate (a lockstep feeder), and
-        ``lowest`` is its smallest entry. Division by the positive atom
-        count keeps the order of the counts, so ``lowest / total`` is the
-        float of the smallest mass; the caller's ``min`` of a short list
-        costs far less than numpy's. Returns the ``(ring,)`` or
-        ``(replicate, ring)`` index of every ring below theta, in row-major
-        order, or raises StabilityError on the first of them under abort.
+        ``counts[t, j]`` holds the ring counts of feeder ``chains[j]`` after
+        round ``first_round + t``: d counts (a scalar measure), or an (R, d)
+        array with one row per replicate (a lockstep feeder). The (m, c)
+        ``totals`` are the feeders' positive atom counts. Division by the
+        atom count keeps the order of the counts, so a round's smallest
+        count over its total is the float of its smallest mass. Returns the
+        ``(round, chain, ring)`` or ``(round, chain, replicate, ring)``
+        index of every ring below theta, in that order; under abort it
+        raises StabilityError naming the first of them instead.
         """
-        lo = lowest / total
-        if lo < self.min_mass_seen:
-            self.min_mass_seen = lo
-        if lo >= self.theta:
+        counts = np.asarray(counts)
+        m, c = counts.shape[:2]
+        totals = np.asarray(totals)
+        lowest = min((counts.min(axis=tuple(range(2, counts.ndim))) / totals).ravel().tolist())
+        self.min_mass_seen = min(self.min_mass_seen, lowest)
+        if lowest >= self.theta:
             return []
-        masses = np.asarray(counts) / total
+        masses = counts / totals.reshape(m, c, *[1] * (counts.ndim - 2))
         low = np.argwhere(masses < self.theta)
         self.violations += len(low)
         if self.abort:
-            first = tuple(int(i) for i in low[0])
-            where = f"replicate {first[0]} " if len(first) == 2 else ""
+            t, j, *rest = low[0].tolist()
+            where = f"replicate {rest[0]} " if len(rest) == 2 else ""
             raise StabilityError(
-                f"round {step}: {where}chain {chain} ring {first[-1]} "
-                f"mass {masses[first]:.4f} below theta={self.theta}"
+                f"round {first_round + t}: {where}chain {chains[j]} ring {rest[-1]} "
+                f"mass {masses[tuple(low[0])]:.4f} below theta={self.theta}"
             )
-        return [tuple(index) for index in low.tolist()]
+        return [(first_round + t, chains[j], *rest) for t, j, *rest in low.tolist()]
 
 
 def tv_distance(mu, xi):

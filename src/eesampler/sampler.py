@@ -8,8 +8,15 @@ k-1's empirical measure. Within a round chains update sequentially in
 chain order, so chain k sees its feeder as already updated this round; the
 optional strict-snapshot mode makes every chain read the feeder as it stood
 at the round's start instead (the two differ by one atom of weight
-1/(count+1)). Both engines keep that rule by holding the round's new atoms
-back until every chain has moved, then adding them in chain order.
+1/(count+1)).
+
+Level by level: chain k reads nothing but chain k-1's measure, so both
+engines advance a block of rounds one chain at a time. Chain 0 makes every
+move of the block first, then chain 1 all of its moves, and so on; each
+consumer reads its feeder's atoms of the block as a prefix that grows by
+one atom per round, before its move in sequential mode and after it under
+strict snapshots. A block ends where a chain activates, and the numbers
+are those of stepping one round at a time.
 
 Records: each chain of :class:`ChainEnsemble` carries a
 :class:`~eesampler.kernels.ChainPoint` (state, ring, level log-densities)
@@ -27,18 +34,23 @@ rate study uses it, and so does the bias study, on a frozen base count
 vector whose long-run bias the oracle predicts exactly. A block draws the
 floats of the rounds it covers, so its numbers are those of stepping one
 round at a time. :class:`ChainEnsemble` stays the reference engine for
-traced runs.
+traced runs: its consumer reads the feeder through a prefix view,
+``EmpiricalMeasure.snapshot``, whose counts the engine raises one atom per
+round, and a block's trace rows go into the trace round by round.
 
 Stability: each engine holds one :class:`~eesampler.measures.StabilityMonitor`
-as ``monitor``. Every round, once a feeding chain's consumer runs, it checks
-that feeder's ring counts: a scalar measure's list, or the lockstep (R, d)
-array of all replicates, which a block hands over round by round. Under
-the abort policy the monitor raises; under warn the scalar engine logs a
-``low_mass`` event per ring below theta.
+as ``monitor``. Once a block's chains have moved, one check reads the ring
+counts after each of its rounds of every feeder whose consumer moves, in
+round order: a scalar measure's counts, built from the rings of the
+feeder's new atoms, or the lockstep (R, d) array of all replicates. Under
+the abort policy the monitor raises, naming the earliest round; under
+warn the scalar engine logs a ``low_mass`` event per ring below theta,
+after the round's fallbacks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +62,7 @@ from .measures import EmpiricalMeasure, StabilityMonitor
 from .state_space import FiniteSpace
 
 _ROUND_BLOCK = 2**14  # elements of a lockstep block's arrays: bounds its rounds
+_SCALAR_ROUNDS = 1024  # rounds of a ChainEnsemble block: bounds its per-level columns
 
 
 @dataclass
@@ -63,8 +76,10 @@ class Trace:
     events: list = field(default_factory=list)  # (round, chain, kind, ring)
     meta: dict = field(default_factory=dict)
 
-    def record(self, chain, rnd, state, ring, branch, swap, hold):
-        self.rows.append((chain, rnd, state, ring, branch, swap, hold))
+    def record(self, rounds) -> None:
+        """Append rows round by round: each item of `rounds` holds one
+        round's rows, in chain order."""
+        self.rows.extend(itertools.chain.from_iterable(rounds))
 
     def chain_rows(self, chain: int, first_round: int = 0) -> list:
         """Chain's rows from round `first_round` on. Rows are written r per
@@ -121,6 +136,13 @@ class ChainEnsemble:
 
     ``points[k]`` is chain k's record, the state with its ring and level
     log-densities.
+
+    Blocks: :meth:`run_rounds` advances the rounds a block at a time, level
+    by level, as :class:`LockstepEnsemble` does for all replicates. A block
+    holds at most ``_SCALAR_ROUNDS`` rounds and ends where a chain
+    activates, so how the rounds are split into calls never shows in a run.
+    After a StabilityError the ensemble's state is undefined: the abort
+    names the right round, but the chains may have moved past it.
     """
 
     def __init__(self, config: ExperimentConfig, replicate: int = 0):
@@ -144,59 +166,115 @@ class ChainEnsemble:
 
         state_dim = 0 if isinstance(config.space, FiniteSpace) else config.space.dim
         self.trace = Trace(r=self.r, state_dim=state_dim)
-        for k, p in enumerate(self.points):
-            self.trace.record(k, 0, p.x, p.ring, "init", None, 0)
+        self.trace.record([[(k, 0, p.x, p.ring, "init", None, 0)
+                            for k, p in enumerate(self.points)]])
 
     # -- the round engine -------------------------------------------------------
-    def step_round(self) -> None:
-        """Advance every active chain by one move; inactive chains hold."""
-        cfg = self.config
-        self.n = n = self.n + 1
-        thresholds, measures, rngs = self.thresholds, self.measures, self.rngs
-        kernels, trace = self.kernels, self.trace
-        record, events = trace.record, trace.events
-        # strict snapshots: the round's inserts wait for the chain loop, so
-        # every chain reads its feeder as it stood at the round's start
-        deferred = [] if cfg.strict_snapshot else None
-        for k, point in enumerate(self.points):
-            if n <= thresholds[k]:
-                record(k, n, point.x, point.ring, "hold", None, 1)
-                continue
-            if k == 0:
-                kernels.mh_step(0, point.x, rngs[0], point)
-                branch, swap = "local", None
-            else:
-                ring = point.ring  # a fallback names the ring it left
-                _, info = kernels.interacting_step(k, point.x, measures[k - 1], rngs[k], point)
-                branch, swap = info.branch, info.swap_accepted
-                if info.fallback:
-                    events.append((n, k, "fallback", ring))
-                    self._fallbacks += 1
-            if deferred is None:
-                measures[k].insert(point.x, point.ring, point.levels)
-            else:
-                deferred.append((measures[k], point.x, point.ring, point.levels))
-            record(k, n, point.x, point.ring, branch, swap, 0)
-        if deferred:
-            for measure, x, ring, levels in deferred:
-                measure.insert(x, ring, levels)
-        self._monitor_feeders()
-        if n % cfg.snapshot_every == 0:
-            for k in range(self.r):
-                trace.snapshot_masses(n, k, measures[k].masses())
-
-    def _monitor_feeders(self) -> None:
-        """A1 watch: each feeding chain's ring masses once its consumer runs."""
-        n, thresholds, check = self.n, self.thresholds, self.monitor.check
-        for k in range(self.r - 1):
-            if n > thresholds[k + 1]:
-                counts = self.measures[k].counts
-                for (ring,) in check(counts, self.measures[k].total, min(counts), n, k):
-                    self.trace.events.append((n, k, "low_mass", ring))
-
     def run_rounds(self, rounds: int) -> None:
-        for _ in range(rounds):
-            self.step_round()
+        """Advance every chain by `rounds` rounds, a block at a time."""
+        end = self.n + rounds
+        while self.n < end:
+            self.step_round(end - self.n)
+
+    def step_round(self, rounds: int = 1) -> int:
+        """Advance every chain by one block of at most `rounds` rounds and
+        return its length. The block also ends after ``_SCALAR_ROUNDS``
+        rounds and where a chain activates, so that in all of its rounds
+        each chain moves or each holds.
+
+        Level by level: chain 0 makes every move of the block, then each
+        chain k its moves, reading chain k-1's measure through a prefix
+        view that reveals one feeder atom per round. Then one watch and the
+        block's mass snapshots read every chain's counts after each round."""
+        n0 = self.n
+        activations = [t - n0 for t in self.thresholds if n0 < t < n0 + rounds]
+        m = min([rounds, _SCALAR_ROUNDS] + activations)
+        block = range(n0 + 1, n0 + m + 1)
+        strict = self.config.strict_snapshot
+        starts = [list(measure.counts) for measure in self.measures]
+        rows, rings, fallbacks = [], [], []
+        feeder = None  # chain k-1's prefix view and the rings of its block's atoms
+        for k, (point, measure, rng) in enumerate(zip(self.points, self.measures, self.rngs)):
+            moves = n0 >= self.thresholds[k]
+            view = measure.snapshot() if k + 1 < self.r and n0 >= self.thresholds[k + 1] else None
+            last_ring = point.ring  # the ring of the measure's last atom
+            if not moves:
+                level = [(k, n, point.x, point.ring, "hold", None, 1) for n in block]
+            elif k == 0:
+                level = self._mh_rounds(point, measure, rng, block)
+            else:
+                level = self._interacting_rounds(k, point, measure, rng, block, feeder, fallbacks)
+            rows.append(level)
+            rings.append([row[3] for row in level] if moves else None)
+            if view is not None:
+                reveal = rings[k]
+                if strict:  # one atom behind: the view starts without the last atom
+                    view.counts[last_ring] -= 1
+                    view.total -= 1
+                    reveal = [last_ring] + reveal[:-1]
+                feeder = view, reveal
+        self.n = n0 + m
+        self.trace.record(zip(*rows))
+        self._close_block(n0, starts, rings, fallbacks)
+        return m
+
+    def _mh_rounds(self, point, measure, rng, block) -> list:
+        """Chain 0's MH moves over the block's rounds; returns its rows."""
+        mh_step, insert = self.kernels.mh_step, measure.insert
+        rows = []
+        for n in block:
+            mh_step(0, point.x, rng, point)
+            insert(point.x, point.ring, point.levels)
+            rows.append((0, n, point.x, point.ring, "local", None, 0))
+        return rows
+
+    def _interacting_rounds(self, k, point, measure, rng, block, feeder, fallbacks) -> list:
+        """Chain k's interacting moves over the block's rounds against the
+        prefix view of chain k-1, which gains one revealed atom before each
+        move; returns its rows and adds its fallbacks to `fallbacks`."""
+        step, insert = self.kernels.interacting_step, measure.insert
+        view, reveal = feeder
+        counts = view.counts
+        rows = []
+        for n, revealed in zip(block, reveal):
+            counts[revealed] += 1
+            view.total += 1
+            ring = point.ring  # a fallback names the ring it left
+            _, info = step(k, point.x, view, rng, point)
+            if info.fallback:
+                fallbacks.append((n, k, "fallback", ring))
+            insert(point.x, point.ring, point.levels)
+            rows.append((k, n, point.x, point.ring, info.branch, info.swap_accepted, 0))
+        return rows
+
+    def _close_block(self, n0: int, starts: list, rings: list, fallbacks: list) -> None:
+        """The A1 watch of every feeder whose consumer moved, the block's
+        events in round order, and its mass snapshots. `starts` are each
+        chain's ring counts before the block, `rings` the rings of the
+        atoms each moving chain added (None for a holding chain)."""
+        m, d, r = self.n - n0, self.config.partition.d, self.r
+        every = self.config.snapshot_every
+        snaps = range(every - 1 - n0 % every, m, every)
+        watched = [k for k in range(r - 1) if n0 >= self.thresholds[k + 1]]
+        lows = []
+        if watched or snaps:
+            # (r, m, d) counts and (r, m) totals after each round
+            grown = np.zeros((r, m, d), dtype=np.int64)
+            for k, added in enumerate(rings):
+                if added is not None:
+                    grown[k, np.arange(m), added] = 1
+            counts = np.cumsum(grown, axis=1) + np.array(starts)[:, None, :]
+            totals = counts.sum(axis=2)
+            if watched:
+                found = self.monitor.check(counts[watched].transpose(1, 0, 2),
+                                           totals[watched].T, n0 + 1, watched)
+                lows = [(n, k, "low_mass", ring) for n, k, ring in found]
+            for t in snaps:
+                for k in range(r):
+                    self.trace.snapshot_masses(n0 + t + 1, k, counts[k, t] / totals[k, t])
+        self._fallbacks += len(fallbacks)
+        # by round; a round's fallbacks, in chain order, before its low_mass events
+        self.trace.events.extend(sorted(fallbacks + lows, key=lambda e: (e[0], e[2] == "low_mass")))
 
     def finalize_trace(self) -> Trace:
         if self.n % self.config.snapshot_every != 0:
@@ -245,10 +323,11 @@ class LockstepEnsemble:
     cumulative counts after each round are one cumulative sum over the
     block, and its consumer reads them as they stood after the feeder's
     move of that round, or at the round's start under strict snapshots.
-    The stability ``monitor`` then checks each watched feeder once per
-    round, in round order. After a StabilityError the ensemble's state is
-    undefined: the abort names the right round, but the other levels may
-    have moved past it.
+    One gather of the feeder's ring edges serves its consumer's picks and
+    the watch: one block-form check of the stability ``monitor`` reads
+    every watched feeder's ring counts after each round, in round order.
+    After a StabilityError the ensemble's state is undefined: the abort
+    names the right round, but the other levels may have moved past it.
 
     Frozen base: given ``frozen_feeder``, an (S,) vector of non-negative
     integer counts with at least one atom (else ConfigurationError), chain 0
@@ -294,8 +373,7 @@ class LockstepEnsemble:
             self.sizes[0] = int(frozen_feeder.sum())
             self.thresholds = [np.inf] + [t - self.thresholds[1] for t in self.thresholds[1:]]
             self._watched = range(1, feeding)
-            totals = self.ring_counts[:, 0]
-            self.monitor.check(totals, self.sizes[0], int(totals.min()), 0, 0)
+            self.monitor.check(self.ring_counts[None, None, :, 0], [[self.sizes[0]]], 0, [0])
 
     @property
     def counts(self) -> np.ndarray:
@@ -305,7 +383,8 @@ class LockstepEnsemble:
     @property
     def ring_counts(self) -> np.ndarray:
         """(R, r - 1, d) atoms per ring of each feeding chain's measure."""
-        return self._layout.ring_totals(self._feeders()).transpose(2, 0, 1)
+        layout = self._layout
+        return layout.ring_totals(layout.edges(self._feeders())).transpose(2, 0, 1)
 
     def _feeders(self) -> np.ndarray:
         """The (r - 1, S, R) cumulative counts of the feeding chains."""
@@ -329,8 +408,14 @@ class LockstepEnsemble:
     def _advance(self, m: int) -> np.ndarray:
         """The next m rounds, in all of which each chain moves or each holds."""
         n0, kernels, strict = self.n, self.kernels, self.config.strict_snapshot
-        block = np.empty((self.r, m, self._x.shape[1]), dtype=np.intp)
-        feeder, watch = None, []
+        layout = self._layout
+        reps = self._x.shape[1]
+        block = np.empty((self.r, m, reps), dtype=np.intp)
+        feeder = edges = None
+        # the watched feeders' ring counts after each round, and their sizes before
+        watched = [k for k in self._watched if n0 >= self.thresholds[k + 1]]
+        watch = np.empty((m, len(watched), reps, layout.d), dtype=np.int64)
+        sizes = [self.sizes[k] for k in watched]
         for k in range(self.r):
             x = self._x[k]
             if n0 < self.thresholds[k]:
@@ -338,12 +423,15 @@ class LockstepEnsemble:
             elif k == 0:
                 kernels.mh_rounds_lockstep(0, x, self.rngs[0], block[0])
             else:
-                kernels.interacting_rounds_lockstep(k, x, feeder, self.rngs[k], block[k])
+                kernels.interacting_rounds_lockstep(k, x, feeder, edges, self.rngs[k], block[k])
             if k == self.r - 1:
                 break
-            start = self._cum[k]
+            start, consumed = self._cum[k], n0 >= self.thresholds[k + 1]
             if n0 < self.thresholds[k]:  # a holding feeder adds no atoms
-                feeder = np.broadcast_to(start, (m, *start.shape))
+                if consumed:
+                    feeder = np.broadcast_to(start, (m, *start.shape))
+                    edges = layout.edges(start)
+                    edges = np.broadcast_to(edges, (m, *edges.shape))
                 continue
             # rows: under strict snapshots the counts at the block's start,
             # then the cumulative counts after each round's atom; a loop over
@@ -353,20 +441,20 @@ class LockstepEnsemble:
             if strict:
                 cum[0] = start
             after, previous = cum[first:], start
-            for row, atom in zip(after, self._layout.atoms(block[k])):
+            for row, atom in zip(after, layout.atoms(block[k])):
                 previous = np.add(previous, atom, out=row)
-            feeder = cum[:m]
             self._cum[k] = after[-1]
-            if k in self._watched and n0 >= self.thresholds[k + 1]:
-                totals = self._layout.ring_totals(after)  # (m, d, R)
-                watch.append((k, totals, totals.min(axis=(1, 2)).tolist(), self.sizes[k]))
+            if consumed:  # one gather of ring edges for the picks and the watch
+                all_edges = layout.edges(cum)
+                feeder, edges = cum[:m], all_edges[:m]
+                if k in watched:
+                    layout.ring_totals(all_edges[first:],
+                                       out=watch[:, watched.index(k)].transpose(0, 2, 1))
             self.sizes[k] += m
         self._x[...] = block[:, -1]
         self.n = n0 + m
-        check = self.monitor.check
-        for t in range(m):
-            for k, totals, lowest, size in watch:
-                check(totals[t].T, size + t + 1, lowest[t], n0 + t + 1, k)
+        if watched:
+            self.monitor.check(watch, np.add.outer(np.arange(1, m + 1), sizes), n0 + 1, watched)
         return block.transpose(1, 2, 0)
 
 

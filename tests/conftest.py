@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eesampler import KernelSet, NeighborProposal, UniformProposal
-from eesampler.config import config_from_dict, four_state_config
+from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.measures import EmpiricalMeasure
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
@@ -90,8 +90,9 @@ def lockstep_step(model, level, x, rng, feeder_counts=None):
     if feeder_counts is None:
         return model.mh_rounds_lockstep(level, x, rng, out)[0]
     counts = np.broadcast_to(feeder_counts, (x.shape[0], model.ladder.space.size))
-    feeder = model.ring_layout().cumulative(counts.T)[None]
-    return model.interacting_rounds_lockstep(level, x, feeder, rng, out)[0]
+    layout = model.ring_layout()
+    feeder = layout.cumulative(counts.T)[None]
+    return model.interacting_rounds_lockstep(level, x, feeder, layout.edges(feeder), rng, out)[0]
 
 
 def single_ring(space, ladder=None):
@@ -168,3 +169,31 @@ def ee_jump_neighbor_config():
         "initial_states": [0, 4, 8],
         "seed": 2718,
     })
+
+
+def eight_state_config(**changes):
+    """The 8-state, 3-ring, three-chain model of CI's
+    ``eight_state_three_chain``: ``four_state`` on 8 states with ee-jump at
+    epsilon 0.5, uniform proposals and offsets [10, 10] over 400 rounds.
+    `changes` replace whole top-level sections."""
+    raw = four_state_raw(
+        space={"kind": "finite", "size": 8},
+        ladder={"temperatures": [4, 2, 1], "base_weights": [3, 1, 1.5, 1, 2, 1, 4, 2.5]},
+        partition={"labels": [0, 2, 1, 2, 1, 2, 0, 0]}, initial_states=[0, 0, 0],
+        kernel={"variant": "ee-jump", "epsilon": 0.5, "proposal": "uniform"},
+        schedule={"offsets": [10, 10], "total_rounds": 400},
+    )
+    raw.update(changes)
+    return config_from_dict(raw)
+
+
+def eight_state_events_config(strict):
+    """The 8-state model with selection-mutation, short offsets and theta
+    0.1 (warn): fallbacks on chains 1 and 2 and ``low_mass`` events on
+    feeders 0 and 1, in several rounds together."""
+    return eight_state_config(
+        kernel={"variant": "selection-mutation", "epsilon": 0.5, "proposal": "uniform"},
+        schedule={"offsets": [2, 2], "total_rounds": 300},
+        stability={"policy": "warn", "theta": 0.1}, seed=24,
+        trace={"snapshot_every": 256, "strict_snapshot": strict},
+    )

@@ -15,8 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the only public defs that no program code calls, each with why it stays
 ALLOWED = {
-    "measures.EmpiricalMeasure.snapshot":
-        "a span target of bench/tracer.py; no engine takes a snapshot",
     "state_space.DensityLadder.log_density":
         "counted by the bench's state_space.log_density_per_step; the moves "
         "call log_densities",

@@ -2,8 +2,12 @@
 configs is pinned, so a change to the engine's speed that moves one byte
 of a trace, a mass snapshot, an event, a summary or the metadata fails here.
 
-The configs are the shipped ``four_state`` and ``four_state_ee_jump`` and
-the strict-snapshot three-chain ee-jump model ``ee_jump_neighbor_config``.
+The configs are the shipped ``four_state`` and ``four_state_ee_jump``, the
+strict-snapshot three-chain ee-jump model ``ee_jump_neighbor_config``, and
+an 8-state, 3-ring, three-chain selection-mutation model in both snapshot
+modes whose rounds hold fallbacks and ``low_mass`` events together (rounds
+5, 6, 16 and 18 under strict snapshots), so the order of a round's events
+is pinned too.
 Box configs are left out: their floats follow numpy's arithmetic, which
 differs between the supported numpy versions.
 
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ee_jump_neighbor_config
+from conftest import ee_jump_neighbor_config, eight_state_events_config
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.experiments import (
     bias_study,
@@ -55,12 +59,28 @@ GOLDEN = {
         "summary.csv": "46d3facb2ccc47b59ff8ec6f8e591247baa618477d490d111e251b7552b5675b",
         "trace_000.csv": "12a8e9cb6f4a7d25bcaa29ee71583a99264d984639e1b9a07915de4ed662a93e",
     },
+    "eight_state_strict": {
+        "events_000.csv": "4241c35064f513e7bcbebc7dcc116530bec03fd6cbe744c089dfdc3aa988f090",
+        "masses_000.csv": "5e03e52e9e5beb62706fd1485edf69343c0927490e1e476758ad3ca0b90985f6",
+        "meta.json": "81533dc3671969bb74449de6aeac50d093d571ace1e1bf81d0baf9dad3136384",
+        "summary.csv": "53fe538a4dd84e371f2fc4f432c150bf55f2647108db070471e700212b0c7475",
+        "trace_000.csv": "8292aa588e4371067cada1062c55e4e24ef5256ab527571ba80c69fd4119ed2e",
+    },
+    "eight_state_sequential": {
+        "events_000.csv": "485515cdf6ff69be8157e9c49b7fa3c7ecc4348f57fd7cd564449ca21478825f",
+        "masses_000.csv": "0cae7ff3f8cdff1a7efb7071f4ba84fdeaa6cc8de4032a8d1a188442151d869d",
+        "meta.json": "519ad7cacf2922456b60d77a0cd8188d8939a62ca6f2723b6bd5d17038c05591",
+        "summary.csv": "b2861e001023823012a1a0082e51e3c69146abe98769f1afcb2cf5ae67875e84",
+        "trace_000.csv": "2ce8c091a701feaee5da0402c588433469e3a00594dd9673af5c3836a9960e94",
+    },
 }
 
 
 def golden_config(name):
     if name == "ee_jump_neighbor_strict":
         return ee_jump_neighbor_config()
+    if name.startswith("eight_state_"):
+        return eight_state_events_config(strict=name.endswith("_strict"))
     return config_from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
 
 

@@ -406,9 +406,9 @@ def test_strict_snapshot_reads_round_start_counts(strict, monkeypatch):
     seen = []
     step = cfg.kernels.interacting_rounds_lockstep
 
-    def spy(level, x, feeder, rng, out):
+    def spy(level, x, feeder, edges, rng, out):
         seen.append(layout.counts(feeder[0]).T)
-        return step(level, x, feeder, rng, out)
+        return step(level, x, feeder, edges, rng, out)
 
     monkeypatch.setattr(cfg.kernels, "interacting_rounds_lockstep", spy)
     for _ in range(10):
@@ -474,9 +474,9 @@ def spy_levels(cfg, monkeypatch) -> list:
     levels = []
     step = cfg.kernels.interacting_rounds_lockstep
 
-    def spy(level, x, feeder, rng, out):
+    def spy(level, x, feeder, edges, rng, out):
         levels.extend([level] * len(out))
-        return step(level, x, feeder, rng, out)
+        return step(level, x, feeder, edges, rng, out)
 
     monkeypatch.setattr(cfg.kernels, "interacting_rounds_lockstep", spy)
     return levels

@@ -207,8 +207,9 @@ def test_snapshot_insert_raises():
 # ---------------------------------------------------------------------------
 
 def watch(monitor, m, step, chain=0):
-    """The scalar engine's call: a measure's ring count list and its total."""
-    return monitor.check(m.counts, m.total, min(m.counts), step, chain)
+    """A block of one round that watches one scalar measure: its ring
+    counts and its total."""
+    return monitor.check([[m.counts]], [[m.total]], step, [chain])
 
 
 def test_single_ring_never_violates():
@@ -221,7 +222,7 @@ def test_single_ring_never_violates():
 def test_empty_ring_violates():
     m = two_ring_measure([0])
     monitor = StabilityMonitor(theta=0.1)
-    assert watch(monitor, m, step=3) == [(1,)]
+    assert watch(monitor, m, step=3) == [(3, 0, 1)]
     assert monitor.violations == 1
     assert monitor.min_mass_seen == 0.0
 
@@ -229,7 +230,7 @@ def test_empty_ring_violates():
 def test_threshold_comparison():
     m = two_ring_measure([0, 2, 2, 2])  # masses (0.25, 0.75)
     monitor = StabilityMonitor(theta=0.3)
-    assert watch(monitor, m, step=9) == [(0,)]
+    assert watch(monitor, m, step=9, chain=2) == [(9, 2, 0)]
     assert monitor.min_mass_seen == pytest.approx(0.25)
 
 
@@ -309,9 +310,11 @@ def test_monitor_fast_path_matches_array_form():
             m = feeder_of(model, np.repeat(np.arange(4), row).tolist())
             assert m.counts == row.tolist() and m.total == total
             np.testing.assert_array_equal(m.masses(), masses[i])
-            from_lists += [(i, *index) for index in watch(rows, m, step=trial, chain=2)]
+            from_lists += [(i, ring) for _, _, ring in watch(rows, m, step=trial, chain=2)]
         array = StabilityMonitor(theta=theta)
-        from_array = array.check(counts, total, int(counts.min()), trial, 2)
+        found = array.check(counts[None, None], [[total]], trial, [2])
+        assert {index[:2] for index in found} <= {(trial, 2)}
+        from_array = [index[2:] for index in found]
 
         assert from_array == expected and from_lists == expected
         assert array.violations == rows.violations == len(expected)
@@ -324,12 +327,33 @@ def test_monitor_abort_messages():
     # row-major order is the one reported, after every ring is counted
     scalar = StabilityMonitor(theta=0.5, abort=True)
     with pytest.raises(StabilityError) as info:
-        scalar.check([3, 1, 0], 4, 0, 7, 2)
+        scalar.check([[[3, 1, 0]]], [[4]], 7, [2])
     assert str(info.value) == "round 7: chain 2 ring 1 mass 0.2500 below theta=0.5"
     assert scalar.violations == 2 and scalar.min_mass_seen == 0.0
     lockstep = StabilityMonitor(theta=0.45, abort=True)
     with pytest.raises(StabilityError) as info:
-        lockstep.check(np.array([[5, 5], [6, 4], [3, 7]]), 10, 3, 51, 0)
+        lockstep.check(np.array([[5, 5], [6, 4], [3, 7]])[None, None], [[10]], 51, [0])
     assert str(info.value) == "round 51: replicate 1 chain 0 ring 1 mass 0.4000 below theta=0.45"
     assert lockstep.violations == 2 and lockstep.min_mass_seen == 0.3
-    assert lockstep.check(np.array([[5, 5]]), 10, 5, 52, 0) == []
+    assert lockstep.check(np.array([[[[5, 5]]]]), [[10]], 52, [0]) == []
+
+
+def test_monitor_block_is_watched_in_round_order():
+    # two feeders over three rounds: counts[t, j] are feeder chains[j]'s
+    # ring counts after round 10 + t, over totals[t, j] atoms. Every ring
+    # below theta is reported in round, then chain, then ring order, and
+    # the block's smallest mass is kept
+    counts = [[[4, 1, 1], [2, 2, 2]],
+              [[4, 2, 2], [1, 3, 3]],
+              [[5, 3, 1], [2, 3, 3]]]
+    totals = [[6, 6], [8, 7], [9, 8]]
+    warn = StabilityMonitor(theta=0.2)
+    assert warn.check(counts, totals, 10, [0, 1]) == [
+        (10, 0, 1), (10, 0, 2), (11, 1, 0), (12, 0, 2)]
+    assert warn.violations == 4 and warn.min_mass_seen == 1 / 9
+    # under abort the earliest round names the ring, though the lower chain
+    # drops below theta later in the block
+    abort = StabilityMonitor(theta=0.15, abort=True)
+    with pytest.raises(StabilityError) as info:
+        abort.check(counts, totals, 10, [0, 1])
+    assert str(info.value) == "round 11: chain 1 ring 0 mass 0.1429 below theta=0.15"

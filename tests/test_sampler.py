@@ -5,8 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_vector, atoms, chain_states, ee_jump_neighbor_config, total_count
+from conftest import (
+    as_vector,
+    atoms,
+    chain_states,
+    ee_jump_neighbor_config,
+    eight_state_config,
+    eight_state_events_config,
+    total_count,
+)
 from eesampler import config as config_module
+from eesampler import sampler
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.measures import EmpiricalMeasure
@@ -287,9 +296,9 @@ def test_writers_match_csv_writer_on_box_traces(tmp_path):
     # hand-made cells: awkward floats in box states (tuples of floats), an
     # empty event list
     hand = Trace(r=2, state_dim=2)
-    hand.record(0, 0, (-0.0, 1e-300), 0, "init", None, 0)
-    hand.record(1, 0, (2.5e16, -1 / 3), 1, "hold", None, True)
-    hand.record(1, 1, (0.1, 7.0), 1, "selection", np.True_, 0)
+    hand.record([[(0, 0, (-0.0, 1e-300), 0, "init", None, 0),
+                  (1, 0, (2.5e16, -1 / 3), 1, "hold", None, True)],
+                 [(1, 1, (0.1, 7.0), 1, "selection", np.True_, 0)]])
     hand.snapshot_masses(1, 0, np.array([1 / 3, 2 / 3]))
     assert_writers_match_reference(hand, tmp_path)
 
@@ -300,6 +309,68 @@ def test_stability_abort_policy():
     with pytest.raises(StabilityError,
                        match=r"^round \d+: chain 0 ring \d mass 0\.\d{4} below theta=0\.9$"):
         run(cfg)
+
+
+def test_abort_names_the_earliest_round_over_all_feeders():
+    # chain 1's ring 1 empties in round 21, chain 0's first drops below
+    # theta in round 27: the block's watch goes round by round over every
+    # feeder, so a level-by-level order would wrongly name round 27, chain 0
+    cfg = eight_state_config(seed=7, stability={"policy": "abort", "theta": 0.18})
+    with pytest.raises(StabilityError) as caught:
+        run(cfg)
+    assert str(caught.value) == "round 21: chain 1 ring 1 mass 0.0000 below theta=0.18"
+    warn = run(eight_state_config(seed=7, stability={"policy": "warn", "theta": 0.18}))
+    lows = [event[:2] for event in warn.events if event[2] == "low_mass"]
+    assert lows[0] == (21, 1) and min(n for n, chain in lows if chain == 0) == 27
+
+
+def split_state(cfg, chunks, one_round_calls=False):
+    """Everything a run leaves, after stepping it in `chunks` of rounds."""
+    ens = ChainEnsemble(cfg)
+    for rounds in chunks:
+        if one_round_calls:
+            assert ens.step_round() == 1
+        else:
+            ens.run_rounds(rounds)
+    assert ens.n == cfg.total_rounds
+    trace = ens.finalize_trace()
+    measures = [(m.counts, m.total, [(atoms(m, g), m._ring_levels[g]) for g in range(m.d)])
+                for m in ens.measures]
+    points = [(p.x, p.ring, p.levels) for p in ens.points]
+    return (trace.rows, trace.events, trace.mass_snapshots, trace.meta, measures, points,
+            ens.monitor.violations, ens.monitor.min_mass_seen)
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [
+        lambda: four_state_config(schedule={"offsets": [20], "total_rounds": 300},
+                                  stability={"policy": "warn", "theta": 0.45}),
+        lambda: four_state_config(schedule={"offsets": [20], "total_rounds": 300},
+                                  stability={"policy": "warn", "theta": 0.45},
+                                  trace={"snapshot_every": 7, "strict_snapshot": True}),
+        lambda: eight_state_events_config(strict=False),
+        lambda: eight_state_events_config(strict=True),
+        lambda: double_well_config(schedule={"offsets": [50], "total_rounds": 300},
+                                   trace={"snapshot_every": 32, "strict_snapshot": False}),
+    ],
+    ids=["two-chains", "two-chains-strict", "three-chains", "three-chains-strict", "box"],
+)
+def test_any_split_of_the_rounds_gives_the_same_run(make_config, monkeypatch):
+    cfg = make_config()
+    total = cfg.total_rounds
+    uneven = [1, 2, 17, 5, 100, 3, 64, 1]
+    uneven.append(total - sum(uneven))
+    whole = split_state(cfg, [total])
+    rows, events, snapshots = whole[:3]
+    assert len(rows) == cfg.r * (total + 1) and snapshots
+    if cfg.r == 3:  # rounds that hold both kinds of event
+        assert {"fallback", "low_mass"} == {event[2] for event in events}
+    assert split_state(cfg, [1] * total, one_round_calls=True) == whole
+    assert split_state(cfg, uneven) == whole
+    monkeypatch.setattr(sampler, "_SCALAR_ROUNDS", 5)  # blocks of at most 5 rounds
+    assert split_state(cfg, [total]) == whole
+    assert split_state(cfg, uneven) == whole
 
 
 def test_meta_records_run_facts(four_state):
@@ -414,8 +485,9 @@ def test_double_well_step_reads_carried_values(monkeypatch):
 
 def test_finite_strict_step_reads_its_lists(monkeypatch):
     # the finite counterpart of the test above: once the ensemble is built,
-    # the moves read the kernel set's per-state records, and strict snapshots
-    # defer the round's inserts instead of freezing a view of each feeder
+    # the moves read the kernel set's per-state records, and a consumer
+    # reads its feeder through one prefix view per block, not one per round
+    monkeypatch.setattr(sampler, "_SCALAR_ROUNDS", 1000)
     cfg = ee_jump_neighbor_config()
     ens = ChainEnsemble(cfg)
     calls = dict.fromkeys(("log_densities", "assign_point", "snapshot"), 0)
@@ -434,7 +506,9 @@ def test_finite_strict_step_reads_its_lists(monkeypatch):
     counting(EmpiricalMeasure, "snapshot")
     ens.run_rounds(cfg.total_rounds)
     trace = ens.finalize_trace()
-    assert calls == {"log_densities": 0, "assign_point": 0, "snapshot": 0}
+    # the blocks end at rounds 30, 60, 1060 and 1500 (offsets 30 and 30):
+    # chain 0 feeds a moving chain in the last three, chain 1 in the last two
+    assert calls == {"log_densities": 0, "assign_point": 0, "snapshot": 3 + 2}
     assert {row[4] for row in trace.rows} >= {"local", "jump", "hold"}
     assert {row[5] for row in trace.rows} >= {True, False}
 
