@@ -12,11 +12,10 @@ Exit codes: 0 success, 2 configuration error, 3 stability abort,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import config_from_dict
+from .config import _read_raw, config_from_dict
 from .errors import ConfigurationError, DomainError, NumericalError, StabilityError
 from .experiments import (
     bias_study,
@@ -76,12 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "ExperimentConfig":
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"config {args.config} is not UTF-8 text: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"a config must be an object, got {type(raw).__name__}")
+    raw = _read_raw(args.config)
     if args.seed is not None:
         raw["seed"] = int(args.seed)
     if args.replicates is not None:
@@ -150,7 +144,7 @@ def main(argv=None) -> int:
                 return EXIT_VERIFY
             return EXIT_OK
         raise ConfigurationError(f"unknown verb {args.verb!r}")
-    except (ConfigurationError, DomainError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigurationError, DomainError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StabilityError as exc:

@@ -466,11 +466,22 @@ def _resolve(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_raw(path))
+
+
+def _read_raw(path) -> dict:
+    """The JSON object of a config file read as UTF-8; ConfigurationError
+    for a file that cannot be read or is not UTF-8, not JSON or not an
+    object."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {exc}") from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"a config must be an object, got {type(raw).__name__}")
+    return raw
 
 
 def four_state_raw(**overrides) -> dict:

@@ -498,10 +498,6 @@ class RingLayout:
         """(..., S, R) counts in state order as ring-sorted cumulative counts."""
         return np.cumsum(counts[..., self.order, :], axis=-2)
 
-    def counts(self, cumulative: np.ndarray) -> np.ndarray:
-        """(..., S, R) ring-sorted cumulative counts back as counts in state order."""
-        return np.diff(cumulative, axis=-2, prepend=0)[..., self.positions, :]
-
     @staticmethod
     def ring_totals(edges: np.ndarray, out=None) -> np.ndarray:
         """(..., d, R) atoms per ring, from the (..., d + 1, R) :meth:`edges`

@@ -10,13 +10,18 @@ optional strict-snapshot mode makes every chain read the feeder as it stood
 at the round's start instead (the two differ by one atom of weight
 1/(count+1)).
 
+One schedule: both engines share the activation thresholds, the one block
+planner and the one driver. Each engine's ``step_round(rounds=1)``
+advances one block of at most `rounds` rounds, which also ends where a
+chain activates and after the engine's own cap; ``blocks(rounds)`` runs
+any number of rounds through it and yields what each block returns.
+
 Level by level: chain k reads nothing but chain k-1's measure, so both
 engines advance a block of rounds one chain at a time. Chain 0 makes every
 move of the block first, then chain 1 all of its moves, and so on; each
 consumer reads its feeder's atoms of the block as a prefix that grows by
 one atom per round, before its move in sequential mode and after it under
-strict snapshots. A block ends where a chain activates, and the numbers
-are those of stepping one round at a time.
+strict snapshots. The numbers are those of stepping one round at a time.
 
 Records: each chain of :class:`ChainEnsemble` carries a
 :class:`~eesampler.kernels.ChainPoint` (state, ring, level log-densities)
@@ -40,10 +45,10 @@ round, and a block's trace rows go into the trace round by round.
 
 Stability: each engine holds one :class:`~eesampler.measures.StabilityMonitor`
 as ``monitor``. Once a block's chains have moved, one check reads the ring
-counts after each of its rounds of every feeder whose consumer moves, in
-round order: a scalar measure's counts, built from the rings of the
-feeder's new atoms, or the lockstep (R, d) array of all replicates. Under
-the abort policy the monitor raises, naming the earliest round; under
+counts after each of its rounds of every moving feeder whose consumer
+moves, in round order: a scalar measure's counts, built from the rings of
+the feeder's new atoms, or the lockstep (R, d) array of all replicates.
+Under the abort policy the monitor raises, naming the earliest round; under
 warn the scalar engine logs a ``low_mass`` event per ring below theta,
 after the round's fallbacks.
 """
@@ -131,32 +136,64 @@ def _write_lines(path, header: list, lines: list) -> None:
         fh.write(",".join(header) + "\r\n" + "".join(lines))
 
 
-class ChainEnsemble:
+class _Schedule:
+    """The staged schedule both engines share: the activation thresholds,
+    the round count ``n``, the stability ``monitor``, the one block planner
+    and the one driver. An engine adds its own ``step_round(rounds=1)``,
+    which advances one block of at most `rounds` rounds."""
+
+    def __init__(self, config: ExperimentConfig, seq: np.random.SeedSequence):
+        self.config = config
+        self.kernels = config.kernels
+        self.r = config.r
+        self.n = 0
+        self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
+        self.rngs = [np.random.default_rng(child) for child in seq.spawn(self.r)]
+        self.monitor = StabilityMonitor(config.theta, config.stability_policy == "abort")
+
+    def blocks(self, rounds: int):
+        """Advance every chain by `rounds` rounds, a block at a time, and
+        yield what each block's ``step_round`` returns."""
+        end = self.n + rounds
+        while self.n != end:
+            yield self.step_round(end - self.n)
+
+    def _block_length(self, rounds: int, longest: int) -> int:
+        """The next block's length: at most `rounds` and `longest` rounds,
+        ending where a chain activates, so that in all of its rounds each
+        chain moves or each holds. A block of fewer than one round is a
+        ConfigurationError."""
+        if rounds < 1:
+            raise ConfigurationError(f"a block needs at least one round, got {rounds}")
+        n = self.n
+        return min([rounds, longest] + [t - n for t in self.thresholds if n < t < n + rounds])
+
+    def _watched(self) -> list:
+        """The feeders the next block watches: each that moves, read by a
+        consumer that moves."""
+        return [k for k in range(self.r - 1) if max(self.thresholds[k:k + 2]) <= self.n]
+
+
+class ChainEnsemble(_Schedule):
     """Chain records, per-chain empirical measures, and the round engine.
 
     ``points[k]`` is chain k's record, the state with its ring and level
     log-densities.
 
-    Blocks: :meth:`run_rounds` advances the rounds a block at a time, level
-    by level, as :class:`LockstepEnsemble` does for all replicates. A block
-    holds at most ``_SCALAR_ROUNDS`` rounds and ends where a chain
-    activates, so how the rounds are split into calls never shows in a run.
-    After a StabilityError the ensemble's state is undefined: the abort
-    names the right round, but the chains may have moved past it.
+    Blocks: :meth:`step_round` advances one block of rounds, level by
+    level, as :class:`LockstepEnsemble` does for all replicates, and
+    ``blocks`` runs any number of rounds through it. A block holds at most
+    ``_SCALAR_ROUNDS`` rounds and ends where a chain activates, so how the
+    rounds are split into calls never shows in a run. After a
+    StabilityError the ensemble's state is undefined: the abort names the
+    right round, but the chains may have moved past it.
     """
 
     def __init__(self, config: ExperimentConfig, replicate: int = 0):
-        self.config = config
-        self.kernels = config.kernels
-        self.r = config.r
-        self.n = 0
+        super().__init__(config, config.replicate_seed_seq(replicate))
         self.replicate = replicate
-        self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
-        seq = config.replicate_seed_seq(replicate)
-        self.rngs = [np.random.default_rng(child) for child in seq.spawn(self.r)]
         if isinstance(config.space, FiniteSpace):  # box chains need standard_normal
             self.rngs = [BufferedUniforms(g) for g in self.rngs]
-        self.monitor = StabilityMonitor(config.theta, config.stability_policy == "abort")
 
         self._fallbacks = 0
         self.points = [self.kernels.point(x) for x in config.initial_states]
@@ -170,25 +207,16 @@ class ChainEnsemble:
                             for k, p in enumerate(self.points)]])
 
     # -- the round engine -------------------------------------------------------
-    def run_rounds(self, rounds: int) -> None:
-        """Advance every chain by `rounds` rounds, a block at a time."""
-        end = self.n + rounds
-        while self.n < end:
-            self.step_round(end - self.n)
-
     def step_round(self, rounds: int = 1) -> int:
-        """Advance every chain by one block of at most `rounds` rounds and
-        return its length. The block also ends after ``_SCALAR_ROUNDS``
-        rounds and where a chain activates, so that in all of its rounds
-        each chain moves or each holds.
+        """Advance every chain by one block of at most `rounds` rounds, at
+        most ``_SCALAR_ROUNDS``, and return its length.
 
         Level by level: chain 0 makes every move of the block, then each
         chain k its moves, reading chain k-1's measure through a prefix
         view that reveals one feeder atom per round. Then one watch and the
         block's mass snapshots read every chain's counts after each round."""
-        n0 = self.n
-        activations = [t - n0 for t in self.thresholds if n0 < t < n0 + rounds]
-        m = min([rounds, _SCALAR_ROUNDS] + activations)
+        n0, watched = self.n, self._watched()
+        m = self._block_length(rounds, _SCALAR_ROUNDS)
         block = range(n0 + 1, n0 + m + 1)
         strict = self.config.strict_snapshot
         starts = [list(measure.counts) for measure in self.measures]
@@ -196,7 +224,7 @@ class ChainEnsemble:
         feeder = None  # chain k-1's prefix view and the rings of its block's atoms
         for k, (point, measure, rng) in enumerate(zip(self.points, self.measures, self.rngs)):
             moves = n0 >= self.thresholds[k]
-            view = measure.snapshot() if k + 1 < self.r and n0 >= self.thresholds[k + 1] else None
+            view = measure.snapshot() if k in watched else None
             last_ring = point.ring  # the ring of the measure's last atom
             if not moves:
                 level = [(k, n, point.x, point.ring, "hold", None, 1) for n in block]
@@ -215,7 +243,7 @@ class ChainEnsemble:
                 feeder = view, reveal
         self.n = n0 + m
         self.trace.record(zip(*rows))
-        self._close_block(n0, starts, rings, fallbacks)
+        self._close_block(n0, watched, starts, rings, fallbacks)
         return m
 
     def _mh_rounds(self, point, measure, rng, block) -> list:
@@ -247,15 +275,15 @@ class ChainEnsemble:
             rows.append((k, n, point.x, point.ring, info.branch, info.swap_accepted, 0))
         return rows
 
-    def _close_block(self, n0: int, starts: list, rings: list, fallbacks: list) -> None:
-        """The A1 watch of every feeder whose consumer moved, the block's
-        events in round order, and its mass snapshots. `starts` are each
-        chain's ring counts before the block, `rings` the rings of the
-        atoms each moving chain added (None for a holding chain)."""
+    def _close_block(self, n0: int, watched: list, starts: list, rings: list,
+                     fallbacks: list) -> None:
+        """The A1 watch of the `watched` feeders, the block's events in
+        round order, and its mass snapshots. `starts` are each chain's ring
+        counts before the block, `rings` the rings of the atoms each moving
+        chain added (None for a holding chain)."""
         m, d, r = self.n - n0, self.config.partition.d, self.r
         every = self.config.snapshot_every
         snaps = range(every - 1 - n0 % every, m, every)
-        watched = [k for k in range(r - 1) if n0 >= self.thresholds[k + 1]]
         lows = []
         if watched or snaps:
             # (r, m, d) counts and (r, m) totals after each round
@@ -299,27 +327,28 @@ def run(config: ExperimentConfig, replicate: int = 0) -> Trace:
     """Execute the staged schedule for the configured rounds; returns the
     complete trace. Bit-reproducible per (config, seed, replicate)."""
     ens = ChainEnsemble(config, replicate=replicate)
-    ens.run_rounds(config.total_rounds)
+    for _ in ens.blocks(config.total_rounds):
+        pass
     return ens.finalize_trace()
 
 
-class LockstepEnsemble:
+class LockstepEnsemble(_Schedule):
     """All replicates of a finite-space run, stepped together with numpy.
 
     States are an (R, r) int array. Only a feeding chain k < r - 1 keeps its
     empirical measure: in replicate i its counts over the S states, held as
-    ring-sorted cumulative counts (:class:`~eesampler.kernels.RingLayout`);
-    ``counts`` and ``ring_counts`` give them in state order and per ring,
+    ring-sorted cumulative counts (:class:`~eesampler.kernels.RingLayout`),
     and ``sizes[k]`` is the number of atoms. Memory is O(R r S) whatever
     the number of rounds, plus the kernel set's O(r S^2) acceptance tables
     and the arrays of one block. The activation schedule, the chain-order
     updates within a round, strict snapshots and the stability policy are
     those of :class:`ChainEnsemble`; there is no trace.
 
-    Blocks: :meth:`blocks` advances the rounds m at a time, with m chosen
-    so that a block's arrays hold about ``_ROUND_BLOCK`` elements, and a
-    block never straddles a chain's activation. Within a block the levels
-    move in chain order, each for all m rounds: a feeding level's
+    Blocks: :meth:`step_round` advances one block of m rounds, with m
+    chosen so that a block's arrays hold about ``_ROUND_BLOCK`` elements,
+    and ``blocks`` runs any number of rounds through it; a block never
+    straddles a chain's activation. Within a block the levels move in
+    chain order, each for all m rounds: a feeding level's
     cumulative counts after each round are one cumulative sum over the
     block, and its consumer reads them as they stood after the feeder's
     move of that round, or at the round's start under strict snapshots.
@@ -349,13 +378,7 @@ class LockstepEnsemble:
             raise ConfigurationError("lockstep ensembles need a finite space")
         if frozen_feeder is not None:
             frozen_feeder = _frozen_counts(frozen_feeder, config.space.size)
-        self.config = config
-        self.kernels = config.kernels
-        self.r = config.r
-        self.n = 0
-        self.thresholds = [config.activation_threshold(k) for k in range(self.r)]
-        self.rngs = [np.random.default_rng(c) for c in config.lockstep_seed_seq().spawn(self.r)]
-        self.monitor = StabilityMonitor(config.theta, config.stability_policy == "abort")
+        super().__init__(config, config.lockstep_seed_seq())
 
         reps, feeding = config.replicates, self.r - 1
         self._layout = layout = self.kernels.ring_layout()
@@ -366,54 +389,29 @@ class LockstepEnsemble:
         # feeding chain k's (S, R) ring-sorted cumulative counts
         self._cum = list(layout.atoms(self._x[:-1]).astype(np.int64))
         self.sizes = [1] * feeding
-        self._watched = range(feeding)  # the moving feeders
         if frozen_feeder is not None:
             self._cum[0] = np.broadcast_to(layout.cumulative(frozen_feeder[:, None]),
                                            self._cum[0].shape)
             self.sizes[0] = int(frozen_feeder.sum())
             self.thresholds = [np.inf] + [t - self.thresholds[1] for t in self.thresholds[1:]]
-            self._watched = range(1, feeding)
-            self.monitor.check(self.ring_counts[None, None, :, 0], [[self.sizes[0]]], 0, [0])
+            rings = layout.ring_totals(layout.edges(self._cum[0]))
+            self.monitor.check(rings.T[None, None], [[self.sizes[0]]], 0, [0])
 
-    @property
-    def counts(self) -> np.ndarray:
-        """(R, r - 1, S) counts of each feeding chain's measure, in state order."""
-        return self._layout.counts(self._feeders()).transpose(2, 0, 1)
-
-    @property
-    def ring_counts(self) -> np.ndarray:
-        """(R, r - 1, d) atoms per ring of each feeding chain's measure."""
-        layout = self._layout
-        return layout.ring_totals(layout.edges(self._feeders())).transpose(2, 0, 1)
-
-    def _feeders(self) -> np.ndarray:
-        """The (r - 1, S, R) cumulative counts of the feeding chains."""
-        return np.reshape(self._cum, (len(self._cum), self.config.space.size, -1))
-
-    def blocks(self, rounds: int):
-        """Advance every active chain of every replicate by `rounds` rounds,
-        a block at a time. Yields each block's (m, R, r) array: the states
-        after each of its m rounds."""
+    def step_round(self, rounds: int = 1) -> np.ndarray:
+        """Advance every active chain of every replicate by one block of at
+        most `rounds` rounds, with at most about ``_ROUND_BLOCK`` elements
+        in its arrays; returns its (m, R, r) array, the states after each
+        of its m rounds."""
+        reps, size = self._x.shape[1], self.config.space.size
         # a round's largest arrays hold S cumulative counts or 5 uniforms
         # per replicate
-        reps, size = self._x.shape[1], self.config.space.size
-        longest = max(1, _ROUND_BLOCK // (reps * max(size, 5)))
-        end = self.n + rounds
-        while self.n < end:
-            # a block ends where a chain activates
-            stop = min([end, self.n + longest]
-                       + [t for t in self.thresholds if self.n < t < end])
-            yield self._advance(stop - self.n)
-
-    def _advance(self, m: int) -> np.ndarray:
-        """The next m rounds, in all of which each chain moves or each holds."""
+        m = self._block_length(rounds, max(1, _ROUND_BLOCK // (reps * max(size, 5))))
         n0, kernels, strict = self.n, self.kernels, self.config.strict_snapshot
         layout = self._layout
-        reps = self._x.shape[1]
         block = np.empty((self.r, m, reps), dtype=np.intp)
         feeder = edges = None
         # the watched feeders' ring counts after each round, and their sizes before
-        watched = [k for k in self._watched if n0 >= self.thresholds[k + 1]]
+        watched = self._watched()
         watch = np.empty((m, len(watched), reps, layout.d), dtype=np.int64)
         sizes = [self.sizes[k] for k in watched]
         for k in range(self.r):

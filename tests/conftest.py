@@ -6,6 +6,7 @@ import pytest
 from eesampler import KernelSet, NeighborProposal, UniformProposal
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.measures import EmpiricalMeasure
+from eesampler.sampler import LockstepEnsemble
 from eesampler.state_space import DensityLadder, FiniteSpace, RingPartition
 
 
@@ -101,6 +102,24 @@ def single_ring(space, ladder=None):
     if isinstance(space, FiniteSpace):
         return RingPartition(space, labels=np.zeros(space.size, dtype=int))
     return RingPartition(space, ladder=ladder, thresholds=[])
+
+
+def advance(ens, rounds: int = 1):
+    """Run `rounds` rounds of a ChainEnsemble or a LockstepEnsemble, a block
+    at a time. Returns the lockstep engine's (rounds, R, r) states after
+    each round, or the number of rounds the scalar engine's blocks held."""
+    blocks = list(ens.blocks(rounds))
+    return np.concatenate(blocks) if isinstance(ens, LockstepEnsemble) else sum(blocks)
+
+
+def feeder_counts(ens, cumulative=None):
+    """(R, r - 1, S) counts in state order of a LockstepEnsemble's feeding
+    chains, read from their ring-sorted cumulative counts ``ens._cum``
+    through its ring layout; or, for a given (..., S, R) array of such
+    counts, its (R, ..., S) counts."""
+    cum = np.stack(ens._cum) if cumulative is None else cumulative
+    counts = np.diff(cum, axis=-2, prepend=0)[..., ens._layout.positions, :]
+    return np.moveaxis(counts, -1, 0)
 
 
 def chain_states(ensemble):

@@ -9,7 +9,7 @@ Generators.
 import numpy as np
 import pytest
 
-from conftest import ee_jump_neighbor_config
+from conftest import advance, ee_jump_neighbor_config
 from eesampler import kernels, sampler
 from eesampler.config import four_state_config
 from eesampler.kernels import BufferedUniforms
@@ -46,13 +46,13 @@ def test_engine_traces_equal_plain_generator_traces(make_config, monkeypatch):
     config = make_config()
     ens = ChainEnsemble(config)
     assert all(isinstance(rng, BufferedUniforms) for rng in ens.rngs)
-    ens.run_rounds(config.total_rounds)
+    advance(ens, config.total_rounds)
     buffered = ens.finalize_trace()
 
     monkeypatch.setattr(sampler, "BufferedUniforms", lambda rng: rng)
     plain_ens = ChainEnsemble(config)
     assert all(isinstance(rng, np.random.Generator) for rng in plain_ens.rngs)
-    plain_ens.run_rounds(config.total_rounds)
+    advance(plain_ens, config.total_rounds)
     plain = plain_ens.finalize_trace()
 
     assert len(buffered.rows) == len(plain.rows)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eesampler import cli, exact, experiments
-from eesampler.config import config_from_dict, four_state_config, four_state_raw
+from eesampler.config import config_from_dict, four_state_config, four_state_raw, load_config
 from eesampler.errors import ConfigurationError
 from eesampler.experiments import (
     bias_study,
@@ -853,6 +853,25 @@ def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
     path.write_bytes(json.dumps(four_state_raw()).encode("utf-8").replace(b"ring1", b"ring\xff"))
     assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # a UTF-16 byte-order mark: not UTF-8
+    b"{\"seed\": 1",  # not JSON
+    b"[1, 2]",  # not an object
+    b"",
+    None,  # no file
+], ids=["not-utf8", "not-json", "not-an-object", "empty", "missing"])
+def test_load_config_and_the_cli_read_a_config_alike(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(path)
+    out = tmp_path / "never"
+    assert cli.main(["run", "--config", str(path), "--out", str(out), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {caught.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["run", "verify", "bias-study", "rate-study"])

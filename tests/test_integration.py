@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_model, reference_numpy_logpdf
+from conftest import advance, make_model, reference_numpy_logpdf
 from eesampler import exact
 from eesampler.config import config_from_dict, four_state_config
 from eesampler.kernels import KernelSet
@@ -107,7 +107,7 @@ def test_float_mixture_run_equals_numpy_mixture_run():
     runs = []
     for config in (cfg, dataclasses.replace(cfg, kernels=kernels)):
         ens = ChainEnsemble(config)
-        ens.run_rounds(config.total_rounds)
+        advance(ens, config.total_rounds)
         # every atom's carried log-densities, to the last bit
         levels = [[v.hex() for lv in m._ring_levels[ring] for v in lv]
                   for m in ens.measures for ring in range(config.partition.d)]

@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import feeder_of, generated_model, lockstep_step
+from conftest import advance, feeder_counts, feeder_of, generated_model, lockstep_step
 from eesampler import exact, sampler
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
@@ -30,11 +30,6 @@ def four_model(proposal: str, eps: float = 0.5, variant: str = "selection-mutati
     ladder = DensityLadder(space, [np.zeros(4), np.log([1.0, 1.0, 2.0, 4.0])])
     partition = RingPartition(space, labels=[0, 0, 1, 1])
     return KernelSet(ladder, partition, [PROPOSALS[proposal]()] * 2, eps, variant)
-
-
-def advance(ens, rounds: int = 1) -> np.ndarray:
-    """Run `rounds` rounds of the ensemble; the (rounds, R, r) states after each."""
-    return np.concatenate(list(ens.blocks(rounds)))
 
 
 def worst_z(P, step, rng) -> float:
@@ -248,11 +243,10 @@ def reference_rounds(ens, rounds: int):
     """Replay `rounds` rounds of a fresh LockstepEnsemble one round at a
     time in the gather form, from copies of its generators and arrays, with
     three-index count updates. Returns (the (rounds, R, r) states after
-    each round, counts, ring_counts, fallbacks)."""
+    each round, the (R, r - 1, S) feeder counts, fallbacks)."""
     model, cfg = ens.kernels, ens.config
-    rings = model.partition.labels()
     rngs = copy.deepcopy(ens.rngs)
-    x, counts, ring_counts = ens.states.T.copy(), ens.counts.copy(), ens.ring_counts.copy()
+    x, counts = ens.states.T.copy(), feeder_counts(ens)
     reps = x.shape[1]
     rows, fallbacks = np.arange(reps), 0
     history = np.empty((rounds, reps, ens.r), dtype=np.intp)
@@ -270,9 +264,8 @@ def reference_rounds(ens, rounds: int):
             x[k] = new
             if k < ens.r - 1:
                 counts[rows, k, new] += 1
-                ring_counts[rows, k, rings[new]] += 1
         history[n - 1] = x.T
-    return history, counts, ring_counts, fallbacks
+    return history, counts, fallbacks
 
 
 ENGINE_CASES = {
@@ -306,7 +299,7 @@ def test_engine_matches_the_gather_form(case, monkeypatch):
     for budget, elements in BUDGETS.items():
         monkeypatch.setattr(sampler, "_ROUND_BLOCK", elements)
         ens = LockstepEnsemble(cfg, frozen_feeder=frozen)
-        history, counts, ring_counts, fallbacks = reference_rounds(ens, 50)
+        history, counts, fallbacks = reference_rounds(ens, 50)
         blocks = list(ens.blocks(50))
         lengths = [len(block) for block in blocks]
         assert sum(lengths) == 50 and ens.n == 50
@@ -317,8 +310,7 @@ def test_engine_matches_the_gather_form(case, monkeypatch):
             assert budget == "default" or max(lengths) == 3
         np.testing.assert_array_equal(np.concatenate(blocks), history)
         np.testing.assert_array_equal(ens.states, history[-1])
-        np.testing.assert_array_equal(ens.counts, counts)
-        np.testing.assert_array_equal(ens.ring_counts, ring_counts)
+        np.testing.assert_array_equal(feeder_counts(ens), counts)
         assert len({row.tobytes() for row in history[-1]}) > 1
         # the watch sees every round's masses, whatever the blocks
         watched.add((ens.monitor.violations, ens.monitor.min_mass_seen))
@@ -326,7 +318,41 @@ def test_engine_matches_the_gather_form(case, monkeypatch):
     if case == "frozen":
         assert fallbacks > 0 and ens.monitor.violations > 0
     if case == "empty at activation":  # chain 1 first moves in round 2
-        assert reference_rounds(LockstepEnsemble(cfg), 2)[3] > 0
+        assert reference_rounds(LockstepEnsemble(cfg), 2)[2] > 0
+
+
+def lockstep_split(cfg, chunks, frozen=None, one_round_calls=False):
+    """Everything a lockstep run leaves, after stepping it in `chunks` of
+    rounds: the states after each round, the feeder counts and sizes, and
+    the stability monitor's record."""
+    ens = LockstepEnsemble(cfg, frozen_feeder=frozen)
+    if one_round_calls:
+        states = [ens.step_round() for _ in chunks]
+        assert {len(block) for block in states} == {1}
+    else:
+        states = [advance(ens, rounds) for rounds in chunks]
+    assert ens.n == cfg.total_rounds
+    return (np.concatenate(states), feeder_counts(ens), ens.sizes,
+            ens.monitor.violations, ens.monitor.min_mass_seen)
+
+
+@pytest.mark.parametrize("case", ["sequential", "strict", "frozen"])
+def test_any_split_of_the_rounds_gives_the_same_lockstep_run(case):
+    cfg = three_chain_config(
+        replicates=20, stability={"policy": "warn", "theta": 0.45},
+        schedule={"offsets": [5, 7], "total_rounds": 300},
+        trace={"snapshot_every": 256, "strict_snapshot": case == "strict"},
+    )
+    frozen = np.array([3, 1, 2, 0]) if case == "frozen" else None
+    total = cfg.total_rounds
+    uneven = [1, 2, 17, 5, 100, 3, 64, 1]
+    uneven.append(total - sum(uneven))
+    whole = lockstep_split(cfg, [total], frozen)
+    assert whole[3] > 0  # rounds with rings below theta
+    for split in (lockstep_split(cfg, [1] * total, frozen, one_round_calls=True),
+                  lockstep_split(cfg, uneven, frozen)):
+        for got, want in zip(split, whole):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_lockstep_steps_need_finite_space_and_known_variant():
@@ -363,11 +389,11 @@ def test_chain_one_holds_through_burn_in():
     cfg = four_state_config(replicates=8, schedule={"offsets": [20], "total_rounds": 64})
     ens = LockstepEnsemble(cfg)
     idle = ens.rngs[1].bit_generator.state
-    assert ens.counts.shape == (8, 1, 4)  # the last chain keeps no measure
+    assert feeder_counts(ens).shape == (8, 1, 4)  # the last chain keeps no measure
     for n in range(1, 21):
         advance(ens)
         assert np.all(ens.states[:, 1] == 0)
-        assert np.all(ens.counts[:, 0].sum(axis=1) == n + 1)
+        assert np.all(feeder_counts(ens)[:, 0].sum(axis=1) == n + 1)
         assert ens.rngs[1].bit_generator.state == idle
     advance(ens)
     assert ens.rngs[1].bit_generator.state != idle
@@ -376,14 +402,14 @@ def test_chain_one_holds_through_burn_in():
 def test_each_active_chain_adds_one_atom_per_round():
     cfg = three_chain_config()
     ens = LockstepEnsemble(cfg)
-    onehot = np.eye(2, dtype=np.int64)[[0, 0, 1, 1]]  # state -> ring
-    assert ens.counts.shape == (6, 2, 4) and ens.ring_counts.shape == (6, 2, 2)
+    assert feeder_counts(ens).shape == (6, 2, 4)
     for n in range(1, 31):
         advance(ens)
+        counts = feeder_counts(ens)
         for k, threshold in enumerate((0, 5)):  # the feeding chains
-            assert np.all(ens.counts[:, k].sum(axis=1) == 1 + max(0, n - threshold))
-            np.testing.assert_array_equal(ens.ring_counts[:, k], ens.counts[:, k] @ onehot)
-            assert np.all(ens.counts[np.arange(6), k, ens.states[:, k]] >= 1)
+            assert np.all(counts[:, k].sum(axis=1) == 1 + max(0, n - threshold))
+            assert ens.sizes[k] == 1 + max(0, n - threshold)
+            assert np.all(counts[np.arange(6), k, ens.states[:, k]] >= 1)
 
 
 def test_rerun_identical_and_replicates_differ():
@@ -392,8 +418,8 @@ def test_rerun_identical_and_replicates_differ():
     advance(a, 30)
     advance(b, 30)
     np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    assert len({row.tobytes() for row in a.counts}) > 1
+    np.testing.assert_array_equal(feeder_counts(a), feeder_counts(b))
+    assert len({row.tobytes() for row in feeder_counts(a)}) > 1
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -402,20 +428,19 @@ def test_strict_snapshot_reads_round_start_counts(strict, monkeypatch):
     raw["trace"] = {"snapshot_every": 256, "strict_snapshot": strict}
     cfg = config_from_dict(raw)
     ens = LockstepEnsemble(cfg)
-    layout = cfg.kernels.ring_layout()
     seen = []
     step = cfg.kernels.interacting_rounds_lockstep
 
     def spy(level, x, feeder, edges, rng, out):
-        seen.append(layout.counts(feeder[0]).T)
+        seen.append(feeder_counts(ens, feeder[0]))
         return step(level, x, feeder, edges, rng, out)
 
     monkeypatch.setattr(cfg.kernels, "interacting_rounds_lockstep", spy)
     for _ in range(10):
-        start = ens.counts[:, 0].copy()
+        start = feeder_counts(ens)[:, 0]
         advance(ens)
         if ens.n > 3:
-            expected = start if strict else ens.counts[:, 0]
+            expected = start if strict else feeder_counts(ens)[:, 0]
             np.testing.assert_array_equal(seen[-1], expected)
             assert np.all(seen[-1].sum(axis=1) == ens.n + (0 if strict else 1))
     assert len(seen) == 7
@@ -490,8 +515,7 @@ def test_frozen_base_holds_its_counts_and_never_draws(monkeypatch):
     levels = spy_levels(cfg, monkeypatch)
     for n in range(1, 31):
         advance(ens)
-        np.testing.assert_array_equal(ens.counts[:, 0], np.tile(frozen, (6, 1)))
-        np.testing.assert_array_equal(ens.ring_counts[:, 0], np.tile([3, 3], (6, 1)))
+        np.testing.assert_array_equal(feeder_counts(ens)[:, 0], np.tile(frozen, (6, 1)))
         assert ens.sizes == [6]
         assert np.all(ens.states[:, 0] == cfg.initial_states[0])
         assert levels == [1] * n  # chain 1 moves from round 1
@@ -502,7 +526,6 @@ def test_frozen_base_schedule_counts_from_chain_one(monkeypatch):
     cfg = three_chain_config()  # offsets [5, 7]: chain 2 moves 7 rounds after chain 1
     ens = LockstepEnsemble(cfg, frozen_feeder=np.array([1, 2, 3, 4]))
     levels = spy_levels(cfg, monkeypatch)
-    onehot = np.eye(2, dtype=np.int64)[[0, 0, 1, 1]]
     for n in range(1, 31):
         advance(ens)
         # chain 2 first moves at round offsets[1] + 1 = 8
@@ -511,8 +534,8 @@ def test_frozen_base_schedule_counts_from_chain_one(monkeypatch):
             assert np.all(ens.states[:, 2] == cfg.initial_states[2])
         assert levels.count(1) == n
         assert ens.sizes == [10, 1 + n]
-        np.testing.assert_array_equal(ens.counts.sum(axis=2), np.tile([10, 1 + n], (6, 1)))
-        np.testing.assert_array_equal(ens.ring_counts, ens.counts @ onehot)
+        np.testing.assert_array_equal(feeder_counts(ens).sum(axis=2),
+                                      np.tile([10, 1 + n], (6, 1)))
 
 
 def test_frozen_feeder_abort_policy_on_thin_ring(monkeypatch):
@@ -560,8 +583,8 @@ def test_frozen_base_rerun_identical():
     advance(a, 30)
     advance(b, 30)
     np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    assert len({row.tobytes() for row in a.counts}) > 1
+    np.testing.assert_array_equal(feeder_counts(a), feeder_counts(b))
+    assert len({row.tobytes() for row in feeder_counts(a)}) > 1
 
 
 def test_fixed_feeder_runs_against_supplied_atoms():

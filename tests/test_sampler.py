@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    advance,
     as_vector,
     atoms,
     chain_states,
@@ -19,7 +20,7 @@ from eesampler import sampler
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.measures import EmpiricalMeasure
-from eesampler.sampler import ChainEnsemble, Trace, run
+from eesampler.sampler import ChainEnsemble, LockstepEnsemble, Trace, run
 from eesampler.state_space import BoxSpace, DensityLadder, RingPartition
 
 
@@ -60,8 +61,8 @@ def test_init_total_atoms_equals_chain_count():
 
 def test_init_same_seed_identical(four_state):
     a, b = ChainEnsemble(four_state), ChainEnsemble(four_state)
-    a.run_rounds(64)
-    b.run_rounds(64)
+    advance(a, 64)
+    advance(b, 64)
     assert chain_states(a) == chain_states(b)
     assert a.trace.rows == b.trace.rows
 
@@ -98,7 +99,7 @@ def test_chain2_never_moves_when_run_too_short():
         schedule={"offsets": [50], "total_rounds": 51}, initial_states=[0, 3]
     )
     ens = ChainEnsemble(cfg)
-    ens.run_rounds(50)
+    advance(ens, 50)
     assert chain_states(ens)[1] == 3 and moves(ens.trace, 1) == 0
     ens.step_round()
     assert moves(ens.trace, 1) == 1
@@ -202,7 +203,7 @@ def test_strict_snapshot_excludes_same_round_atom():
 
         cfg.kernels.interacting_step = spy
         ens = ChainEnsemble(cfg)
-        ens.run_rounds(40)
+        advance(ens, 40)
         seen[strict] = counts
     # chain 1 holds 1 + n atoms after its round-n move; the strict snapshot
     # was taken before that move, so it shows one atom fewer
@@ -331,7 +332,7 @@ def split_state(cfg, chunks, one_round_calls=False):
         if one_round_calls:
             assert ens.step_round() == 1
         else:
-            ens.run_rounds(rounds)
+            advance(ens, rounds)
     assert ens.n == cfg.total_rounds
     trace = ens.finalize_trace()
     measures = [(m.counts, m.total, [(atoms(m, g), m._ring_levels[g]) for g in range(m.d)])
@@ -373,6 +374,23 @@ def test_any_split_of_the_rounds_gives_the_same_run(make_config, monkeypatch):
     assert split_state(cfg, uneven) == whole
 
 
+@pytest.mark.parametrize("engine", [ChainEnsemble, LockstepEnsemble])
+def test_a_block_needs_at_least_one_round(engine):
+    ens = engine(four_state_config(replicates=3))  # chain 1 activates after round 50
+    for rounds in (10, 50):
+        advance(ens, rounds)
+        n = ens.n
+        for bad in (0, -3):
+            with pytest.raises(ConfigurationError, match="at least one round"):
+                ens.step_round(bad)
+            assert ens.n == n
+        with pytest.raises(ConfigurationError, match="at least one round"):
+            advance(ens, -3)
+        assert list(ens.blocks(0)) == [] and ens.n == n
+    if engine is ChainEnsemble:
+        assert len(ens.trace.rows) == ens.r * (ens.n + 1)
+
+
 def test_meta_records_run_facts(four_state):
     trace = run(four_state)
     meta = trace.meta
@@ -388,7 +406,7 @@ def test_meta_records_the_ensembles_own_replicate():
     # beside the rows of replicate 2's streams
     cfg = four_state_config(replicates=3)
     ens = ChainEnsemble(cfg, replicate=2)
-    ens.run_rounds(cfg.total_rounds)
+    advance(ens, cfg.total_rounds)
     trace = ens.finalize_trace()
     assert trace.meta["replicate"] == 2
     assert trace.rows == run(cfg, replicate=2).rows != run(cfg).rows
@@ -504,7 +522,7 @@ def test_finite_strict_step_reads_its_lists(monkeypatch):
     counting(DensityLadder, "log_densities")
     counting(RingPartition, "assign_point")
     counting(EmpiricalMeasure, "snapshot")
-    ens.run_rounds(cfg.total_rounds)
+    advance(ens, cfg.total_rounds)
     trace = ens.finalize_trace()
     # the blocks end at rounds 30, 60, 1060 and 1500 (offsets 30 and 30):
     # chain 0 feeds a moving chain in the last three, chain 1 in the last two
@@ -528,7 +546,7 @@ def test_finite_strict_step_reads_its_lists(monkeypatch):
 def test_records_and_atoms_carry_exact_levels_and_rings(make_config, rounds):
     cfg = make_config()
     ens = ChainEnsemble(cfg)
-    ens.run_rounds(rounds)
+    advance(ens, rounds)
 
     def exact_levels(x):
         return tuple(cfg.ladder.log_density(i, x) for i in range(cfg.r))
