@@ -11,19 +11,14 @@ per-chain generators in chain order; each random decision is one uniform
 (see :mod:`eesampler.kernels`).
 
 The rate and bias studies step all R replicates in lockstep and have their
-own stream contract: ``numpy.random.SeedSequence([s, LOCKSTEP_SALT])``
-spawns one generator per chain level, in chain order, shared by the
-replicates. Each round every active level draws one set of (R,)-vectors
-of uniforms, whatever branch each replicate takes: chain 0 draws (proposal,
-MH coin), an interacting chain (branch coin, feeder draw, swap coin,
-proposal, MH coin); a block of rounds draws the same floats at once (see
-:mod:`eesampler.kernels`). The bias study runs
-the rate study's engine on a frozen base: chain 0 never moves, so its
-generator never draws and chain 1's level-1 generator draws from round 1;
-the frozen atoms come from replicate 0's chain-0 stream above. Numbers of
-both studies at a given seed therefore differ from those of the
-per-replicate streams (and from releases before the lockstep engine);
-reruns stay byte-identical.
+own seeding rule: ``numpy.random.SeedSequence([s, LOCKSTEP_SALT])`` spawns
+one generator per chain level, in chain order, shared by the replicates;
+:mod:`eesampler.kernels` gives the uniforms each level draws per round.
+The bias study runs the rate study's engine on a frozen base: chain 0
+never moves, so its generator never draws and chain 1's level-1 generator
+draws from round 1; the frozen atoms come from replicate 0's chain-0
+stream above. Numbers of both studies at a given seed therefore differ
+from those of the per-replicate streams; reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -266,10 +261,6 @@ def _build_ladder(spec: dict, space) -> DensityLadder:
             if np.any(w <= 0):
                 raise ConfigurationError("base weights must be strictly positive")
             return tempered_ladder(space, np.log(w), temps)
-        if "base_log_weights" in spec:
-            _section("ladder", spec, ("temperatures", "base_log_weights"))
-            return tempered_ladder(space, _reals("ladder.base_log_weights", spec["base_log_weights"]),
-                                   temps)
         if "base" in spec:
             _section("ladder", spec, ("temperatures", "base"))
             base = _section("ladder.base", spec["base"], ("family", "means", "scales", "weights"))

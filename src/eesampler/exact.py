@@ -2,9 +2,9 @@
 
 Everything here is computed by enumeration, independently of the sampling
 code in :mod:`eesampler.kernels`, with two exceptions. The swap acceptance
-matrix is the kernel set's own table, so the lockstep steps and the oracle
-read one formula. The proposal matrix of K comes from the proposal class
-(``matrix``), where each kind's law lives. The oracle still checks the
+matrix is the kernel set's own ``swap_table``, so the lockstep steps and
+the oracle read one formula. The proposal matrix of K comes from the
+proposal class (``matrix``), where each kind's law lives. The oracle still checks the
 sampler independently: ``matrix`` is a formula of its own, not derived
 from the ``index`` and ``indices`` maps that the moves run, and the three
 are pinned against each other by an exact test over u-cells, by criterion
@@ -105,14 +105,6 @@ def k_matrix(model: KernelSet, level: int) -> np.ndarray:
     return model._table(("k", level), build)
 
 
-def swap_alpha(model: KernelSet, level: int) -> np.ndarray:
-    """Matrix of swap acceptance probabilities alpha_i(x, z): the kernel
-    set's read-only swap table, which the lockstep steps read too; `level`
-    must be 1..r-1, as the feeder is level - 1."""
-    _require_finite(model)
-    return model.swap_table(level)
-
-
 def ring_conditionals(model: KernelSet, mu: np.ndarray, *, allow_empty: bool = False):
     """Per-ring conditional masses of mu and the (S, S) matrix W with
     W[x, z] = mu_x({z}); rows of states in empty rings are zero when allowed.
@@ -146,7 +138,7 @@ def _interaction(model: KernelSet, level: int, mu: np.ndarray, jump: bool) -> np
     back to its local move (the oracle's one empty-ring fallback)."""
     masses, W = ring_conditionals(model, mu, allow_empty=True)
     K = k_matrix(model, level)
-    X = W * swap_alpha(model, level)
+    X = W * model.swap_table(level)
     if jump:
         diagonal = np.arange(X.shape[-1])
         X[..., diagonal, diagonal] += 1.0 - X.sum(axis=-1)
@@ -370,7 +362,7 @@ def composition_identity_check(
 
     K = k_matrix(model, level)
     M = np.eye(size) if model.variant == "ee-jump" else K
-    A = swap_alpha(model, level)
+    A = model.swap_table(level)
     # pair kernel by feeder draw: by_draw[b, a, y] = P((a, b), {y})
     by_draw = A.T[:, :, None] * M[:, None, :] + (1.0 - A.T)[:, :, None] * M[None, :, :]
 
@@ -454,18 +446,16 @@ def lipschitz_check(
     return float(worst) if worst.ndim == 0 else worst
 
 
-def invariant_continuity_check(
-    model: KernelSet, level: int, mu: np.ndarray, xi: np.ndarray, epsilon: float | None = None
-):
+def invariant_continuity_check(model: KernelSet, level: int, mu: np.ndarray, xi: np.ndarray):
     """Ratio tv(w(K_mu), w(K_xi)) / sup-norm distance of the two
-    interacting matrices (``interacting_matrix``); exhibits the empirical
-    continuity constant of invariant measures. Guarded to 0 when the
-    kernels coincide. (B, S) stacks of mu and xi give one ratio per pair (a
+    interacting matrices (``interacting_matrix``) at the level's epsilon;
+    exhibits the empirical continuity constant of invariant measures.
+    Guarded to 0 when the kernels coincide. (B, S) stacks of mu and xi give one ratio per pair (a
     float for a single pair). A ring-closed kernel has no unique invariant
     measure; callers leave it out."""
     size = _require_finite(model)
-    Kmu = interacting_matrix(model, level, mu, epsilon).reshape(-1, size, size)
-    Kxi = interacting_matrix(model, level, xi, epsilon).reshape(-1, size, size)
+    Kmu = interacting_matrix(model, level, mu).reshape(-1, size, size)
+    Kxi = interacting_matrix(model, level, xi).reshape(-1, size, size)
     den = np.abs(Kmu - Kxi).sum(axis=-1).max(axis=-1)
     apart = den >= 1e-14
     ratio = np.zeros(den.shape)

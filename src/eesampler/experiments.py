@@ -27,6 +27,9 @@ from .state_space import FiniteSpace
 SLOPE_PASS_BAND = (-0.65, -0.35)
 _VERIFY_SALT = 0x5EED
 _BATTERY_SALT = 0xF1AC
+_BATTERY_FUNCS = 4  # random test functions of the fluctuation battery
+_BATTERY_STEPS = 10_000  # its insertions
+_BIAS_BATCHES = 16  # batch means of a one-replicate bias study
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +303,10 @@ class BiasReport:
         return self.agrees and self.predicted_tv > 0.0
 
 
-def frozen_feeder_atoms(config: ExperimentConfig, freeze_at: int, replicate: int = 0) -> list:
+def frozen_feeder_atoms(config: ExperimentConfig, freeze_at: int) -> list:
     """The feeder history a frozen run conditions on: the initial atom plus
-    `freeze_at` MH moves, generated from the replicate's chain-0 stream."""
-    seq = config.replicate_seed_seq(replicate)
+    `freeze_at` MH moves, generated from replicate 0's chain-0 stream."""
+    seq = config.replicate_seed_seq(0)
     rng = np.random.default_rng(seq.spawn(config.r)[0])
     x = config.initial_states[0]
     point = config.kernels.point(x)
@@ -314,11 +317,7 @@ def frozen_feeder_atoms(config: ExperimentConfig, freeze_at: int, replicate: int
     return atoms
 
 
-def bias_study(
-    config: ExperimentConfig,
-    freeze_at: int,
-    burn_in: int | None = None,
-) -> BiasReport:
+def bias_study(config: ExperimentConfig, freeze_at: int) -> BiasReport:
     """Freeze the feeder, predict the interacting chain's limit with the
     oracle, and compare replicate occupancies against the prediction.
 
@@ -327,7 +326,12 @@ def bias_study(
     replicates all step chain 1 from round 1; the prediction is the
     stationary vector of the exact frozen kernel. The study also reports the
     exact-feeder control: feeding pi_1 itself must reproduce pi_2 (zero
-    predicted bias)."""
+    predicted bias).
+
+    The burn-in is ``max(64, total_rounds // 8)`` rounds; the occupancies
+    average the rounds after it. A one-replicate study takes batch means
+    over ``_BIAS_BATCHES`` batches of them, so it needs at least that many
+    rounds after the burn-in."""
     if not isinstance(config.space, FiniteSpace):
         raise ConfigurationError("the bias study needs a finite space")
     if config.r != 2:
@@ -339,9 +343,14 @@ def bias_study(
         )
     if freeze_at < 0:
         raise ConfigurationError(f"freeze_at must be >= 0, got {freeze_at}")
-    burn = burn_in if burn_in is not None else max(64, config.total_rounds // 8)
+    burn = max(64, config.total_rounds // 8)
     if burn >= config.total_rounds:
         raise ConfigurationError("burn-in must be shorter than the run")
+    if config.replicates == 1 and config.total_rounds - burn < _BIAS_BATCHES:
+        raise ConfigurationError(
+            f"a one-replicate bias study needs at least {_BIAS_BATCHES} rounds after "
+            f"its burn-in of {burn}, got {config.total_rounds - burn}"
+        )
     atoms = frozen_feeder_atoms(config, freeze_at)
     counts = np.bincount(atoms, minlength=config.space.size)
     mu = counts / len(atoms)
@@ -361,7 +370,7 @@ def bias_study(
     sequences = states[burn:].T
     if config.replicates == 1:
         # batch means over the single run stand in for replicate spread
-        sequences = np.array_split(sequences[0], 16)
+        sequences = np.array_split(sequences[0], _BIAS_BATCHES)
     occ = np.array([np.bincount(s, minlength=config.space.size) / s.size for s in sequences])
     mean = occ.mean(axis=0)
     se = occ.std(axis=0, ddof=1) / np.sqrt(len(sequences))
@@ -386,14 +395,10 @@ def bias_study(
 # fluctuation-bound battery
 # ---------------------------------------------------------------------------
 
-def fluctuation_bound_battery(
-    config: ExperimentConfig,
-    steps: int = 10_000,
-    n_funcs: int = 4,
-    seed_salt: int = _BATTERY_SALT,
-) -> dict:
-    """Stream random insertions and check the per-step restricted-mean drift
-    |S_{m+1,x}(f) - S_{m,x}(f)| against (1/theta + 1/theta^2) ||f||_inf / (m+2)
+def fluctuation_bound_battery(config: ExperimentConfig) -> dict:
+    """Stream ``_BATTERY_STEPS`` random insertions and check the per-step
+    restricted-mean drift |S_{m+1,x}(f) - S_{m,x}(f)| of ``_BATTERY_FUNCS``
+    random test functions against (1/theta + 1/theta^2) ||f||_inf / (m+2)
     with theta the observed minimum ring mass over the whole run.
 
     Returns the worst observed ratio (must be <= 1), the theta used, and the
@@ -403,8 +408,9 @@ def fluctuation_bound_battery(
     size = config.space.size
     labels = config.partition.labels()
     d = config.partition.d
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_salt]))
-    fs = rng.uniform(-1.0, 1.0, size=(n_funcs, size))
+    steps = _BATTERY_STEPS
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _BATTERY_SALT]))
+    fs = rng.uniform(-1.0, 1.0, size=(_BATTERY_FUNCS, size))
 
     stream = rng.integers(size, size=steps)
     stream_rings = labels[stream]

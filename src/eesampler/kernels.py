@@ -76,9 +76,9 @@ swap probability for levels 1..r-1; the interacting move reads a copy with
 a column of zeros appended, the acceptance of no pick (z = S), so a round
 without a swap needs no mask. Each table is computed with the
 operations, in the order, of the per-element form, so it holds the same
-floats; together they take O(r S^2) memory. ``exact.swap_alpha`` returns
-the swap table, so the oracle and the sampler read one formula. Scalar
-moves never build them.
+floats; together they take O(r S^2) memory. The oracle reads the swap
+table too, so the oracle and the sampler read one formula. Scalar moves
+never build them.
 
 Every per-model table is built once, on first use, through one memo,
 ``KernelSet._table``: the acceptance tables, the :class:`RingLayout`, the

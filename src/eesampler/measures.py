@@ -40,7 +40,6 @@ class EmpiricalMeasure:
         self._ring_atoms: list[list] = [[] for _ in range(d)]
         self._ring_levels: list[list] = [[] for _ in range(d)]
         self.counts: list[int] = [0] * d  # atoms per ring
-        self.total = 0
         self._frozen = False
 
     # -- update ------------------------------------------------------------
@@ -53,13 +52,13 @@ class EmpiricalMeasure:
         self._ring_atoms[ring].append(x)
         self._ring_levels[ring].append(levels)
         self.counts[ring] += 1
-        self.total += 1
 
     # -- mass queries --------------------------------------------------------
     def masses(self) -> np.ndarray:
-        if self.total == 0:
+        total = sum(self.counts)
+        if total == 0:
             return np.zeros(self.d)
-        return np.array(self.counts, dtype=float) / self.total
+        return np.array(self.counts, dtype=float) / total
 
     # -- sampling ----------------------------------------------------------------
     def draw(self, ring: int, rng: np.random.Generator):
@@ -74,18 +73,16 @@ class EmpiricalMeasure:
 
     def snapshot(self) -> "EmpiricalMeasure":
         """Prefix view of the measure as it stands now: an EmpiricalMeasure
-        sharing the atom lists, with counts and total of its own, that
-        raises on insert. Later inserts stay hidden from draws. A ring's
-        atoms keep insertion order, so raising the view's count of the ring
-        of the measure's next atom, and its total, reveals exactly that
-        atom: the scalar engine replays a feeder's block of inserts this
-        way, one per round."""
+        sharing the atom lists, with counts of its own, that raises on
+        insert. Later inserts stay hidden from draws. A ring's atoms keep
+        insertion order, so raising the view's count of the ring of the
+        measure's next atom reveals exactly that atom: the scalar engine
+        replays a feeder's block of inserts this way, one per round."""
         snap = EmpiricalMeasure.__new__(EmpiricalMeasure)
         snap.d = self.d
         snap._ring_atoms = self._ring_atoms
         snap._ring_levels = self._ring_levels
         snap.counts = list(self.counts)
-        snap.total = self.total
         snap._frozen = True
         return snap
 

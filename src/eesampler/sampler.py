@@ -195,7 +195,6 @@ class ChainEnsemble(_Schedule):
         if isinstance(config.space, FiniteSpace):  # box chains need standard_normal
             self.rngs = [BufferedUniforms(g) for g in self.rngs]
 
-        self._fallbacks = 0
         self.points = [self.kernels.point(x) for x in config.initial_states]
         self.measures = [EmpiricalMeasure(config.partition.d) for _ in range(self.r)]
         for m, p in zip(self.measures, self.points):
@@ -238,7 +237,6 @@ class ChainEnsemble(_Schedule):
                 reveal = rings[k]
                 if strict:  # one atom behind: the view starts without the last atom
                     view.counts[last_ring] -= 1
-                    view.total -= 1
                     reveal = [last_ring] + reveal[:-1]
                 feeder = view, reveal
         self.n = n0 + m
@@ -266,7 +264,6 @@ class ChainEnsemble(_Schedule):
         rows = []
         for n, revealed in zip(block, reveal):
             counts[revealed] += 1
-            view.total += 1
             ring = point.ring  # a fallback names the ring it left
             _, info = step(k, point.x, view, rng, point)
             if info.fallback:
@@ -300,7 +297,6 @@ class ChainEnsemble(_Schedule):
             for t in snaps:
                 for k in range(r):
                     self.trace.snapshot_masses(n0 + t + 1, k, counts[k, t] / totals[k, t])
-        self._fallbacks += len(fallbacks)
         # by round; a round's fallbacks, in chain order, before its low_mass events
         self.trace.events.extend(sorted(fallbacks + lows, key=lambda e: (e[0], e[2] == "low_mass")))
 
@@ -318,7 +314,7 @@ class ChainEnsemble(_Schedule):
             "theta": self.config.theta,
             "min_ring_mass": self.monitor.min_mass_seen,  # inf when no feeder was watched
             "stability_violations": self.monitor.violations,
-            "fallbacks": self._fallbacks,
+            "fallbacks": sum(event[2] == "fallback" for event in self.trace.events),
         }
         return self.trace
 
@@ -364,13 +360,9 @@ class LockstepEnsemble(_Schedule):
     checked once, at construction. Chain 1 moves from round 1, and chain
     k >= 2 after round ``sum(offsets[1:k])``.
 
-    Stream contract: ``config.lockstep_seed_seq()`` spawns one generator per
-    chain level, shared by all replicates. Each round, every active level
-    draws the fixed set of (R,)-vectors documented in :mod:`.kernels`; a
-    block of m rounds draws them as one ``random((m, k, R))``, the floats
-    of those m rounds, so reruns are bit-reproducible per (config, seed)
-    and do not depend on the block length. The numbers differ from those
-    of per-replicate ChainEnsemble runs.
+    Streams: the lockstep seeding rule of :mod:`.config` and the draw
+    order of :mod:`.kernels`, so reruns are bit-reproducible per (config,
+    seed) and do not depend on the block length.
     """
 
     def __init__(self, config: ExperimentConfig, frozen_feeder=None):

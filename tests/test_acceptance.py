@@ -103,8 +103,8 @@ def test_criterion_05_lipschitz_bound(fixture_config):
 
 
 def test_criterion_06_fluctuation_bound(fixture_config):
-    out = fluctuation_bound_battery(fixture_config, steps=10_000)
-    ok = out["max_ratio"] <= 1.0 + 1e-9
+    out = fluctuation_bound_battery(fixture_config)
+    ok = out["max_ratio"] <= 1.0 + 1e-9 and 0.0 < out["theta"] <= 0.5
     report(6, "fluctuation bound", ok,
            f"max ratio {out['max_ratio']:.4f} at theta {out['theta']:.4f}")
 

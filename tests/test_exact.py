@@ -54,7 +54,7 @@ def test_k_matrix_invariance_and_reversibility(four_model, eight_model):
 
 
 def test_shared_matrices_are_read_only(four_model):
-    for M in (exact.k_matrix(four_model, 1), exact.swap_alpha(four_model, 1)):
+    for M in (exact.k_matrix(four_model, 1), four_model.swap_table(1)):
         with pytest.raises(ValueError):
             M[0, 0] = 0.0
     assert exact.k_matrix(four_model, 1) is exact.k_matrix(four_model, 1)
@@ -72,7 +72,7 @@ def test_swap_alpha_needs_a_level_with_a_feeder(four_model):
     # take the target as the feeder of level 0
     for level in (-1, 0, 2):
         with pytest.raises(ConfigurationError, match="feeder below it"):
-            exact.swap_alpha(four_model, level)
+            four_model.swap_table(level)
     pi_target = exact.stationary(exact.k_matrix(four_model, 1))
     for build in (exact.q_matrix, exact.ee_jump_matrix, exact.interacting_matrix):
         with pytest.raises(ConfigurationError, match="feeder below it"):
@@ -485,7 +485,7 @@ def test_invariant_continuity_guards(four_model):
     mu = np.array([0.1, 0.2, 0.3, 0.4])
     assert exact.invariant_continuity_check(four_model, 1, mu, mu) == 0.0
     xi = np.array([0.4, 0.3, 0.2, 0.1])
-    assert exact.invariant_continuity_check(four_model, 1, mu, xi, epsilon=0.0) == 0.0
+    assert exact.invariant_continuity_check(kernel_copy(four_model, epsilon=0.0), 1, mu, xi) == 0.0
 
 
 def test_invariant_continuity_finite_battery(four_model):
@@ -696,7 +696,7 @@ def sequential_composition_rhs(model, mu, f, q):
     labels = model.partition.labels()
     d = model.partition.d
     masses, _ = exact.ring_conditionals(model, mu)
-    K, A = exact.k_matrix(model, 1), exact.swap_alpha(model, 1)
+    K, A = exact.k_matrix(model, 1), model.swap_table(1)
     M = np.eye(len(mu)) if model.variant == "ee-jump" else K
     pair_kernel = A[:, :, None] * M[None, :, :] + (1.0 - A)[:, :, None] * M[:, None, :]
     indicator = [(labels == j).astype(float) for j in range(d)]

@@ -1,12 +1,13 @@
 import copy
 import json
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eesampler import cli, exact, experiments
+from eesampler import KernelSet, cli, exact, experiments
 from eesampler.config import config_from_dict, four_state_config, four_state_raw, load_config
 from eesampler.errors import ConfigurationError
 from eesampler.experiments import (
@@ -211,20 +212,22 @@ def test_bias_study_needs_two_chains(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_fluctuation_battery_respects_drift_bound():
-    cfg = four_state_config()
-    out = fluctuation_bound_battery(cfg, steps=3000)
-    assert out["max_ratio"] <= 1.0 + 1e-9
-    assert 0.0 < out["theta"] <= 0.5
+    # the smallest ring share theta can never exceed 1/d
+    for model in sorted(BATTERY_MODELS):
+        cfg = four_state_config(**BATTERY_MODELS[model])
+        out = fluctuation_bound_battery(cfg)
+        assert out["max_ratio"] <= 1.0 + 1e-9, model
+        assert 0.0 < out["theta"] <= 1.0 / cfg.partition.d, model
 
 
-def scalar_fluctuation_battery(config, steps, seed_salt, n_funcs=4):
+def scalar_fluctuation_battery(config):
     """Reference for fluctuation_bound_battery: one insertion at a time."""
     size = config.space.size
     labels = config.partition.labels()
     d = config.partition.d
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_salt]))
-    fs = rng.uniform(-1.0, 1.0, size=(n_funcs, size))
-    ring_sums = np.zeros((d, n_funcs))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, experiments._BATTERY_SALT]))
+    fs = rng.uniform(-1.0, 1.0, size=(experiments._BATTERY_FUNCS, size))
+    ring_sums = np.zeros((d, experiments._BATTERY_FUNCS))
     ring_counts = np.zeros(d, dtype=int)
     for j in range(d):
         ring_sums[j] += fs[:, np.nonzero(labels == j)[0][0]]
@@ -232,7 +235,7 @@ def scalar_fluctuation_battery(config, steps, seed_salt, n_funcs=4):
     total = d
     theta_obs = ring_counts.min() / total
     worst = 0.0
-    for x in rng.integers(size, size=steps):
+    for x in rng.integers(size, size=experiments._BATTERY_STEPS):
         m_plus_2 = total + 1
         before = ring_sums[labels[x]] / ring_counts[labels[x]]
         ring_sums[labels[x]] += fs[:, x]
@@ -261,14 +264,12 @@ BATTERY_MODELS = {
 
 
 @pytest.mark.parametrize("model", sorted(BATTERY_MODELS))
-@pytest.mark.parametrize("salt", [0xF1AC, 1, 2], ids=["battery-salt", "1", "2"])
-def test_fluctuation_battery_matches_scalar_loop(model, salt):
-    cfg = four_state_config(**BATTERY_MODELS[model])
-    for steps in (0, 1, 2, 3000):
-        out = fluctuation_bound_battery(cfg, steps=steps, seed_salt=salt)
-        assert (out["max_ratio"], out["theta"]) == scalar_fluctuation_battery(cfg, steps, salt)
-        assert out["steps"] == steps
-    assert scalar_fluctuation_battery(cfg, 0, salt) == (0.0, 1 / cfg.partition.d)
+@pytest.mark.parametrize("seed", [74321, 1, 2], ids=["shipped-seed", "1", "2"])
+def test_fluctuation_battery_matches_scalar_loop(model, seed):
+    cfg = four_state_config(seed=seed, **BATTERY_MODELS[model])
+    out = fluctuation_bound_battery(cfg)
+    assert (out["max_ratio"], out["theta"]) == scalar_fluctuation_battery(cfg)
+    assert out["steps"] == experiments._BATTERY_STEPS == 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def test_verify_suite_detects_corrupted_acceptance(four_state, monkeypatch):
         log_ratio = li[None, :] + lf[:, None] - li[:, None] - lf[None, :]
         return np.exp(np.minimum(0.0, -log_ratio))
 
-    monkeypatch.setattr(exact, "swap_alpha", corrupted)
+    monkeypatch.setattr(KernelSet, "swap_table", corrupted)
     report = verify_suite(four_state)
     assert not report.passed
     assert "fixed_point" in report.failing()
@@ -639,6 +640,8 @@ STRICT_VALUES = {
     "sedd": four_state_raw(sedd=7),
     "proposal-keys": four_state_raw(kernel=dict(KERNEL, proposal={"steps": None, "a": "x"})),
     "space-key": four_state_raw(space={"kind": "finite", "size": 4, "dim": 1}),
+    "base-log-weights": four_state_raw(ladder={"base_log_weights": [0, 0, 1, 2],
+                                               "temperatures": [2, 1]}),
     "ladder-second-form": four_state_raw(ladder={"weights": [[1, 1, 1, 1], [1, 1, 2, 4]],
                                                  "temperatures": [2, 1]}),
     "base-key": double_well_raw(ladder={"base": dict(MIXTURE, mean=[0.0]),
@@ -804,6 +807,21 @@ def test_cli_bias_study_refuses_the_ring_closed_kernel(tmp_path, monkeypatch, ca
     assert "ring-closed" in capsys.readouterr().err
     assert not out.exists()
     assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
+
+
+def test_cli_one_replicate_bias_study_too_short_for_its_batches_exits_2(tmp_path, capsys):
+    # 70 rounds leave 6 after the 64-round burn-in, fewer than the batch
+    # means need: exit 2 before any work, with no warning and no artifact
+    raw = four_state_raw(schedule={"offsets": [50], "total_rounds": 70})
+    cfg_path = write_config(tmp_path, raw)
+    out = tmp_path / "never"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["bias-study", "--config", cfg_path, "--out", str(out)])
+    assert code == 2
+    assert not caught
+    assert "one-replicate bias study needs at least 16 rounds" in capsys.readouterr().err
+    assert not (out / "bias_study.json").exists()
 
 
 def test_cli_rate_study_malformed_grid_exits_2(tmp_path, capsys):

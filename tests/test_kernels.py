@@ -313,9 +313,10 @@ def test_swap_prob_hand_values(pair_model):
 
 
 def test_swap_needs_feeder_level(four_model):
-    # level 0 has no feeder below it, and level r is not a level
-    for level in (0, four_model.ladder.r):
-        with pytest.raises(ConfigurationError):
+    # level 0 has no feeder below it, and level r is not a level; reading
+    # level -1 in place of level 0 would take the target as its feeder
+    for level in (-1, 0, four_model.ladder.r):
+        with pytest.raises(ConfigurationError, match="feeder below it"):
             four_model.swap_table(level)
 
 

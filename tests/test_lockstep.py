@@ -163,7 +163,6 @@ def test_tables_equal_the_per_pair_form_bit_for_bit(size, variant, proposal):
         lf, li = logw[level - 1], logw[level]
         old = np.exp(np.minimum(0.0, li[y] + lf[x] - li[x] - lf[y]))
         assert model.swap_table(level).tobytes() == old.tobytes()
-        assert exact.swap_alpha(model, level) is model.swap_table(level)
     layout = model.ring_layout()
     assert layout.order.tolist() == sorted(range(size), key=lambda s: (rings[s], s))
     np.testing.assert_array_equal(layout.ring_at, rings[layout.order])

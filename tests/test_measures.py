@@ -76,7 +76,7 @@ def test_insert_files_the_atom_and_its_levels_under_the_given_ring():
     m.insert("a", 2, (0.5,))
     m.insert("b", 0, (-1.0,))
     m.insert("c", 2, (1.5,))
-    assert m.counts == [1, 0, 2] and m.total == 3
+    assert m.counts == [1, 0, 2] and sum(m.counts) == 3
     assert list(atoms(m, 2)) == ["a", "c"]
     assert m.draw(2, np.random.default_rng(0)) in {("a", (0.5,)), ("c", (1.5,))}
     assert m.draw(0, np.random.default_rng(0)) == ("b", (-1.0,))
@@ -209,7 +209,7 @@ def test_snapshot_insert_raises():
 def watch(monitor, m, step, chain=0):
     """A block of one round that watches one scalar measure: its ring
     counts and its total."""
-    return monitor.check([[m.counts]], [[m.total]], step, [chain])
+    return monitor.check([[m.counts]], [[sum(m.counts)]], step, [chain])
 
 
 def test_single_ring_never_violates():
@@ -308,7 +308,7 @@ def test_monitor_fast_path_matches_array_form():
         from_lists = []
         for i, row in enumerate(counts):
             m = feeder_of(model, np.repeat(np.arange(4), row).tolist())
-            assert m.counts == row.tolist() and m.total == total
+            assert m.counts == row.tolist() and sum(m.counts) == total
             np.testing.assert_array_equal(m.masses(), masses[i])
             from_lists += [(i, ring) for _, _, ring in watch(rows, m, step=trial, chain=2)]
         array = StabilityMonitor(theta=theta)

@@ -335,7 +335,7 @@ def split_state(cfg, chunks, one_round_calls=False):
             advance(ens, rounds)
     assert ens.n == cfg.total_rounds
     trace = ens.finalize_trace()
-    measures = [(m.counts, m.total, [(atoms(m, g), m._ring_levels[g]) for g in range(m.d)])
+    measures = [(m.counts, sum(m.counts), [(atoms(m, g), m._ring_levels[g]) for g in range(m.d)])
                 for m in ens.measures]
     points = [(p.x, p.ring, p.levels) for p in ens.points]
     return (trace.rows, trace.events, trace.mass_snapshots, trace.meta, measures, points,
