@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 stability abort,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -74,6 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parsing leaves it as it was, and building it
+# costs more than a short verb's parse
+_parser = functools.cache(build_parser)
+
+
 def _load(args) -> "ExperimentConfig":
     raw = _read_raw(args.config)
     if args.seed is not None:
@@ -105,7 +111,7 @@ def _check_out(out: Path) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _load(args)
         out = Path(args.out)

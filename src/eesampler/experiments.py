@@ -87,7 +87,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         paths["traces"].append(str(tpath))
         metas.append(trace.meta)
 
-        target_states = [row[2] for row in trace.chain_rows(config.r - 1, burn)]
+        target_states = trace.states[config.r - 1][burn:]
         if isinstance(config.space, FiniteSpace):
             # the vector entries are the values f(s), so the mean reduces
             # the same floats in the same order as the per-state path

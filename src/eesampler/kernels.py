@@ -172,9 +172,10 @@ class GaussianWalkProposal:
 @dataclass(frozen=True)
 class StepInfo:
     """What a single interacting move did; recorded into the trace. A move
-    builds none: it returns one of the six constants below."""
+    builds none: it returns one of the six constants below. The trace
+    records two more, for a chain's first row and for its holds."""
 
-    branch: str  # "local" | "selection" | "jump"
+    branch: str  # "local" | "selection" | "jump" | "init" | "hold"
     swap_accepted: bool | None = None
     fallback: bool = False
 
@@ -184,6 +185,10 @@ _FALLBACK = StepInfo("local", fallback=True)
 # indexed by the swap coin's outcome: rejected, accepted
 _JUMPS = (StepInfo("jump", False), StepInfo("jump", True))
 _SELECTIONS = (StepInfo("selection", False), StepInfo("selection", True))
+# what a trace row of a chain that does not move records: its first row, a hold
+_INIT = StepInfo("init")
+_HOLD = StepInfo("hold")
+_STEP_KINDS = (_LOCAL, _FALLBACK, *_JUMPS, *_SELECTIONS, _INIT, _HOLD)
 
 
 @dataclass(slots=True)

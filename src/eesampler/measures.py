@@ -25,7 +25,7 @@ round at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class StabilityMonitor:
 
     theta: float
     abort: bool = False
-    violations: int = 0  # rings found below theta, over every check
-    min_mass_seen: float = np.inf
+    violations: int = field(default=0, init=False)  # rings found below theta, over every check
+    min_mass_seen: float = field(default=np.inf, init=False)
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):

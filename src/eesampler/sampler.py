@@ -27,6 +27,11 @@ Records: each chain of :class:`ChainEnsemble` carries a
 :class:`~eesampler.kernels.ChainPoint` (state, ring, level log-densities)
 that the kernels update; inserts hand its ring and levels to the measure,
 so the trace, the measure and later feeder draws evaluate nothing again.
+The :class:`Trace` keeps each chain's states, rings and step kinds as
+columns: a block's moves append to per-chain lists, which enter the trace
+in one ``record`` call per block, and the trace writer formats the columns
+a slab of rounds at a time, with table lookups in place of per-row
+formatting. A row costs three references until it is written.
 On finite spaces each chain reads its uniforms, one per random decision,
 through a :class:`~eesampler.kernels.BufferedUniforms`: its Generator's
 values with less overhead per draw. Box chains keep the Generator for the
@@ -41,7 +46,7 @@ floats of the rounds it covers, so its numbers are those of stepping one
 round at a time. :class:`ChainEnsemble` stays the reference engine for
 traced runs: its consumer reads the feeder through a prefix view,
 ``EmpiricalMeasure.snapshot``, whose counts the engine raises one atom per
-round, and a block's trace rows go into the trace round by round.
+round, and a block's columns go into the trace in one call.
 
 Stability: each engine holds one :class:`~eesampler.measures.StabilityMonitor`
 as ``monitor``. Once a block's chains have moved, one check reads the ring
@@ -55,42 +60,65 @@ after the round's fallbacks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError
-from .kernels import BufferedUniforms
+from .kernels import _HOLD, _INIT, _LOCAL, _STEP_KINDS, BufferedUniforms
 from .measures import EmpiricalMeasure, StabilityMonitor
 from .state_space import FiniteSpace
 
 _ROUND_BLOCK = 2**14  # elements of a lockstep block's arrays: bounds its rounds
-_SCALAR_ROUNDS = 1024  # rounds of a ChainEnsemble block: bounds its per-level columns
+_SCALAR_ROUNDS = 1024  # rounds of a ChainEnsemble block and of a trace writer slab
 
 
 @dataclass
 class Trace:
-    """Append-only record of a run: per-chain rows, mass snapshots, events."""
+    """Append-only record of a run: per-chain columns, mass snapshots, events.
+
+    Columns: ``states[k]``, ``rings[k]`` and ``steps[k]`` hold chain k's
+    state, ring and step kind after each round, round 0 first. A step kind
+    is one of the :class:`~eesampler.kernels.StepInfo` constants, shared by
+    every row that records it, so a row stores three references and builds
+    no object. ``rows`` rebuilds the round-major row tuples for readers.
+
+    The trace writer formats the columns a slab of at most
+    ``_SCALAR_ROUNDS`` rounds at a time: each column of each chain fills
+    its cells of the slab's row-major cell list with one extended-slice
+    assignment, read from tables (the ``"i,"`` cell of each finite state
+    and ring, each round of the slab, each step kind's tail), and the slab
+    is joined and written. No table grows with the run beyond one slab.
+    """
 
     r: int
     state_dim: int  # 0 for finite spaces, k for box spaces (states: tuples of k floats)
-    rows: list = field(default_factory=list)  # (chain, round, state, ring, branch, swap, hold)
-    mass_snapshots: list = field(default_factory=list)  # (round, chain, ring, mass)
-    events: list = field(default_factory=list)  # (round, chain, kind, ring)
-    meta: dict = field(default_factory=dict)
+    states: list = field(init=False)
+    rings: list = field(init=False)
+    steps: list = field(init=False)
+    mass_snapshots: list = field(init=False, default_factory=list)  # (round, chain, ring, mass)
+    events: list = field(init=False, default_factory=list)  # (round, chain, kind, ring)
+    meta: dict = field(init=False, default_factory=dict)
 
-    def record(self, rounds) -> None:
-        """Append rows round by round: each item of `rounds` holds one
-        round's rows, in chain order."""
-        self.rows.extend(itertools.chain.from_iterable(rounds))
+    def __post_init__(self):
+        self.states, self.rings, self.steps = ([[] for _ in range(self.r)] for _ in range(3))
 
-    def chain_rows(self, chain: int, first_round: int = 0) -> list:
-        """Chain's rows from round `first_round` on. Rows are written r per
-        round in chain order, so they are every r-th row from its row of
-        that round."""
-        return self.rows[first_round * self.r + chain::self.r]
+    def record(self, states, rings, steps) -> None:
+        """Append a block of rounds: for each chain in chain order, the
+        lists of its states, rings and step kinds after each round."""
+        for columns, block in ((self.states, states), (self.rings, rings), (self.steps, steps)):
+            for column, values in zip(columns, block):
+                column.extend(values)
+
+    @property
+    def rows(self) -> list:
+        """The (chain, round, state, ring, branch, swap_accepted, holds)
+        tuples of the columns, r per round in chain order."""
+        chains = [[(k, n, x, ring, kind.branch, kind.swap_accepted, int(kind is _HOLD))
+                   for n, (x, ring, kind) in enumerate(zip(*columns))]
+                  for k, columns in enumerate(zip(self.states, self.rings, self.steps))]
+        return [row for rnd in zip(*chains) for row in rnd]
 
     def snapshot_masses(self, rnd, chain, masses):
         for ring, mass in enumerate(masses):
@@ -101,26 +129,31 @@ class Trace:
             return ["state"]
         return [f"state_{i}" for i in range(self.state_dim)]
 
-    # The writers format each file in one pass with the bytes csv.writer's
-    # default dialect gives: CRLF line ends and no quoting, as no cell holds
-    # a comma, a quote or a line break.
+    # The writers give the bytes csv.writer's default dialect gives: CRLF
+    # line ends and no quoting, as no cell holds a comma, a quote or a line
+    # break.
     def write_csv(self, path) -> None:
         header = ["chain", "round", *self._state_header(), "ring", "branch", "swap_accept", "holds"]
-        swap_cell = {None: "", False: "0", True: "1"}
-        if self.state_dim == 0:
-            lines = [
-                "%d,%d,%d,%d,%s,%s,%d\r\n" % (chain, rnd, state, ring, branch, swap_cell[swap], hold)
-                for chain, rnd, state, ring, branch, swap, hold in self.rows
-            ]
-        else:
-            lines = [
-                "%d,%d,%s,%d,%s,%s,%d\r\n" % (
-                    chain, rnd, ",".join(map(repr, state)),
-                    ring, branch, swap_cell[swap], hold,
-                )
-                for chain, rnd, state, ring, branch, swap, hold in self.rows
-            ]
-        _write_lines(path, header, lines)
+        r, width, length = self.r, 5 * self.r, len(self.states[0])
+        finite = self.state_dim == 0
+        # cells end in the comma that follows them; a row's tail cell ends it
+        ints = _int_cells(self.rings + self.states if finite else self.rings)
+        state_cell = ints.__getitem__ if finite else _box_cell
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for first in range(0, length, _SCALAR_ROUNDS):
+                last = min(first + _SCALAR_ROUNDS, length)
+                m = last - first
+                rounds = [f"{n}," for n in range(first, last)]
+                cells = [""] * (width * m)
+                for k in range(r):
+                    cells[5 * k::width] = [f"{k},"] * m
+                    cells[5 * k + 1::width] = rounds
+                    cells[5 * k + 2::width] = map(state_cell, self.states[k][first:last])
+                    cells[5 * k + 3::width] = map(ints.__getitem__, self.rings[k][first:last])
+                    cells[5 * k + 4::width] = map(_TAIL_CELLS.__getitem__,
+                                                  map(id, self.steps[k][first:last]))
+                fh.write("".join(cells))
 
     def write_mass_csv(self, path) -> None:
         lines = ["%d,%d,%d,%r\r\n" % snap for snap in self.mass_snapshots]
@@ -129,6 +162,24 @@ class Trace:
     def write_events_csv(self, path) -> None:
         lines = ["%d,%d,%s,%d\r\n" % event for event in self.events]
         _write_lines(path, ["round", "chain", "kind", "ring"], lines)
+
+
+# each step kind's last cells (branch, swap_accept, holds) and the line end,
+# keyed by identity: StepInfo's generated hash is Python code, far slower
+_TAIL_CELLS = {
+    id(kind): "%s,%s,%d\r\n" % (kind.branch, {None: "", False: "0", True: "1"}[kind.swap_accepted],
+                                 kind is _HOLD)
+    for kind in _STEP_KINDS
+}
+
+
+def _int_cells(columns) -> list[str]:
+    """The ``"i,"`` cell of every integer from 0 to the largest in `columns`."""
+    return [f"{i}," for i in range(1 + max(max(column) for column in columns))]
+
+
+def _box_cell(x) -> str:
+    return ",".join(map(repr, x)) + ","
 
 
 def _write_lines(path, header: list, lines: list) -> None:
@@ -202,8 +253,8 @@ class ChainEnsemble(_Schedule):
 
         state_dim = 0 if isinstance(config.space, FiniteSpace) else config.space.dim
         self.trace = Trace(r=self.r, state_dim=state_dim)
-        self.trace.record([[(k, 0, p.x, p.ring, "init", None, 0)
-                            for k, p in enumerate(self.points)]])
+        self.trace.record([[p.x] for p in self.points], [[p.ring] for p in self.points],
+                          [[_INIT]] * self.r)
 
     # -- the round engine -------------------------------------------------------
     def step_round(self, rounds: int = 1) -> int:
@@ -219,49 +270,52 @@ class ChainEnsemble(_Schedule):
         block = range(n0 + 1, n0 + m + 1)
         strict = self.config.strict_snapshot
         starts = [list(measure.counts) for measure in self.measures]
-        rows, rings, fallbacks = [], [], []
+        columns, added, fallbacks = [], [], []
         feeder = None  # chain k-1's prefix view and the rings of its block's atoms
         for k, (point, measure, rng) in enumerate(zip(self.points, self.measures, self.rngs)):
             moves = n0 >= self.thresholds[k]
             view = measure.snapshot() if k in watched else None
             last_ring = point.ring  # the ring of the measure's last atom
             if not moves:
-                level = [(k, n, point.x, point.ring, "hold", None, 1) for n in block]
+                level = [point.x] * m, [point.ring] * m, [_HOLD] * m
             elif k == 0:
                 level = self._mh_rounds(point, measure, rng, block)
             else:
                 level = self._interacting_rounds(k, point, measure, rng, block, feeder, fallbacks)
-            rows.append(level)
-            rings.append([row[3] for row in level] if moves else None)
+            columns.append(level)
+            added.append(level[1] if moves else None)
             if view is not None:
-                reveal = rings[k]
+                reveal = level[1]
                 if strict:  # one atom behind: the view starts without the last atom
                     view.counts[last_ring] -= 1
                     reveal = [last_ring] + reveal[:-1]
                 feeder = view, reveal
         self.n = n0 + m
-        self.trace.record(zip(*rows))
-        self._close_block(n0, watched, starts, rings, fallbacks)
+        self.trace.record(*zip(*columns))
+        self._close_block(n0, watched, starts, added, fallbacks)
         return m
 
-    def _mh_rounds(self, point, measure, rng, block) -> list:
-        """Chain 0's MH moves over the block's rounds; returns its rows."""
+    def _mh_rounds(self, point, measure, rng, block) -> tuple:
+        """Chain 0's MH moves over the block's rounds; returns its states,
+        rings and step kinds."""
         mh_step, insert = self.kernels.mh_step, measure.insert
-        rows = []
-        for n in block:
+        xs, rings = [], []
+        for _ in block:
             mh_step(0, point.x, rng, point)
             insert(point.x, point.ring, point.levels)
-            rows.append((0, n, point.x, point.ring, "local", None, 0))
-        return rows
+            xs.append(point.x)
+            rings.append(point.ring)
+        return xs, rings, [_LOCAL] * len(xs)
 
-    def _interacting_rounds(self, k, point, measure, rng, block, feeder, fallbacks) -> list:
+    def _interacting_rounds(self, k, point, measure, rng, block, feeder, fallbacks) -> tuple:
         """Chain k's interacting moves over the block's rounds against the
         prefix view of chain k-1, which gains one revealed atom before each
-        move; returns its rows and adds its fallbacks to `fallbacks`."""
+        move; returns its states, rings and step kinds and adds its
+        fallbacks to `fallbacks`."""
         step, insert = self.kernels.interacting_step, measure.insert
         view, reveal = feeder
         counts = view.counts
-        rows = []
+        xs, rings, kinds = [], [], []
         for n, revealed in zip(block, reveal):
             counts[revealed] += 1
             ring = point.ring  # a fallback names the ring it left
@@ -269,8 +323,10 @@ class ChainEnsemble(_Schedule):
             if info.fallback:
                 fallbacks.append((n, k, "fallback", ring))
             insert(point.x, point.ring, point.levels)
-            rows.append((k, n, point.x, point.ring, info.branch, info.swap_accepted, 0))
-        return rows
+            xs.append(point.x)
+            rings.append(point.ring)
+            kinds.append(info)
+        return xs, rings, kinds
 
     def _close_block(self, n0: int, watched: list, starts: list, rings: list,
                      fallbacks: list) -> None:

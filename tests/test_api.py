@@ -8,12 +8,13 @@ as strings. The scan is by name alone: a def counts as used when any def of
 its name is.
 
 The same holds for parameters: every parameter with a default, of a public
-function, method or ``__init__``, must be passed, by keyword or by
-position, by some call in that program code. A call of a class passes the
-parameters of its ``__init__``, and ``self`` (or ``cls``) is not counted
-but for a static method. A def whose name appears in program code other
-than as a call's callee (an alias such as ``step = kernels.mh_step``)
-counts as passing every parameter.
+function, method or ``__init__`` (a dataclass's generated one included),
+must be passed, by keyword or by position, by some call in that program
+code. A call of a class passes the parameters of its ``__init__``, and
+``self`` (or ``cls``) is not counted but for a static method. A def whose
+name appears in program code other than as a call's callee (an alias such
+as ``step = kernels.mh_step``) counts as passing every parameter. A
+``field(init=False)`` of a dataclass is no parameter.
 """
 
 import ast
@@ -77,13 +78,45 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
+def _keyword(call, name):
+    """The value of keyword `name` in `call`, or None."""
+    return next((kw.value for kw in call.keywords if kw.arg == name), None)
+
+
+def _dataclass_fields(node):
+    """(field, position) of each defaulted field of a ``@dataclass`` class:
+    a parameter of its generated ``__init__``, at its place among the
+    fields that ``__init__`` takes. A ``field(init=False)`` is none."""
+    if not any(_name(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+               for dec in node.decorator_list):
+        return
+    position = 0
+    for item in node.body:
+        if not isinstance(item, ast.AnnAssign):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            init = _keyword(value, "init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = any(_keyword(value, k) for k in ("default", "default_factory"))
+        else:
+            defaulted = value is not None
+        if defaulted:
+            yield item.target.id, position
+        position += 1
+
+
 def defaulted_parameters():
     """(module.qualified def, parameter, bare def name, position) of every
-    parameter with a default of a public function, method or ``__init__``;
-    position is None for a keyword-only parameter. The def of a class's
-    ``__init__`` is named by its class."""
+    parameter with a default of a public function, method or ``__init__``,
+    generated ``__init__``s of dataclasses included; position is None for a
+    keyword-only parameter. The def of a class's ``__init__`` is named by
+    its class."""
     for qualified, name, node in _defs():
-        if not isinstance(node, ast.FunctionDef):
+        if isinstance(node, ast.ClassDef):
+            for parameter, position in _dataclass_fields(node):
+                yield qualified, parameter, name, position
             continue
         owner, _, method = qualified.rpartition(".")
         if method == "__init__":

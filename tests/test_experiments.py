@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -752,6 +755,32 @@ def test_cli_run_and_verify(tmp_path):
     assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
     blob = json.loads((tmp_path / "v" / "verification.json").read_text())
     assert blob["passed"] is True
+
+
+def test_cli_options_do_not_leak_into_the_next_call(tmp_path):
+    # one parser serves every call of a process: a call without the
+    # override options writes what a fresh process writes
+    cfg_path = write_config(
+        tmp_path, four_state_raw(replicates=50, schedule={"offsets": [10], "total_rounds": 512})
+    )
+    cli.main(["rate-study", "--config", cfg_path, "--out", str(tmp_path / "first"),
+              "--seed", "5", "--replicates", "60", "--abort-on-stability",
+              "--n-grid", "128,256,512"])
+    code = cli.main(["rate-study", "--config", cfg_path, "--out", str(tmp_path / "second")])
+    package_root = str(Path(experiments.__file__).resolve().parent.parent)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "eesampler.cli", "rate-study", "--config", cfg_path,
+         "--out", str(tmp_path / "fresh")],
+        env={**os.environ, "PYTHONPATH": package_root}, capture_output=True,
+    )
+    assert code == fresh.returncode
+    files = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert sorted(p.name for p in (tmp_path / "second").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    # the first call's options took: its report differs
+    report = "rate_study.json"
+    assert (tmp_path / "first" / report).read_bytes() != (tmp_path / "fresh" / report).read_bytes()
 
 
 def test_cli_bad_theta_exits_2_without_outputs(tmp_path):

@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from conftest import (
     total_count,
 )
 from eesampler import config as config_module
-from eesampler import sampler
+from eesampler import kernels, sampler
 from eesampler.config import config_from_dict, four_state_config, four_state_raw
 from eesampler.errors import ConfigurationError, StabilityError
 from eesampler.measures import EmpiricalMeasure
@@ -160,25 +162,39 @@ def test_run_occupation_reaches_target():
 def test_chain_rows_are_the_filtered_rows(make_config):
     cfg = make_config()
     trace = run(cfg)
-    assert len(trace.rows) == cfg.r * (cfg.total_rounds + 1)
+    rows = trace.rows
+    rounds = cfg.total_rounds + 1
+    assert [row[:2] for row in rows] == [(k, n) for n in range(rounds) for k in range(cfg.r)]
     for chain in range(cfg.r):
+        assert [len(trace.states[chain]), len(trace.rings[chain]),
+                len(trace.steps[chain])] == [rounds] * 3
         for first in (0, 1, cfg.activation_threshold(chain), sum(cfg.offsets),
                       cfg.total_rounds, cfg.total_rounds + 1):
-            rows = [row for row in trace.rows if row[0] == chain and row[1] >= first]
-            assert trace.chain_rows(chain, first) == rows, (chain, first)
+            mine = [row for row in rows if row[0] == chain and row[1] >= first]
+            assert trace.states[chain][first:] == [row[2] for row in mine], (chain, first)
+            assert trace.rings[chain][first:] == [row[3] for row in mine], (chain, first)
+            assert [(kind.branch, kind.swap_accepted) for kind in trace.steps[chain][first:]] \
+                == [row[4:6] for row in mine], (chain, first)
+        # every row's step kind is one of the shared constants: a chain's
+        # first row is its init, and only hold rows write holds = 1
+        steps = trace.steps[chain]
+        assert all(any(kind is known for known in kernels._STEP_KINDS) for kind in steps)
+        assert steps[0] is kernels._INIT and kernels._INIT not in steps[1:]
+        assert [row[6] for row in rows if row[0] == chain] \
+            == [int(kind is kernels._HOLD) for kind in steps]
     if cfg.r > 1:
-        assert "hold" in {row[4] for row in trace.chain_rows(cfg.r - 1)}
+        assert kernels._HOLD in trace.steps[cfg.r - 1]
 
 
 def test_trace_replay_matches_mass_snapshots(four_state):
     trace = run(four_state)
+    rows = trace.rows  # built from the columns on each read
     for k in range(2):
-        states = {row[1]: row[2] for row in trace.rows if row[0] == k}
         snaps = [(rnd, ring, mass) for rnd, ch, ring, mass in trace.mass_snapshots if ch == k]
         for rnd, ring, mass in snaps:
             # recompute the measure from recorded moves (holds insert nothing)
             atoms = [
-                row[2] for row in trace.rows
+                row[2] for row in rows
                 if row[0] == k and row[1] <= rnd and row[4] not in ("hold",)
             ]
             counts = np.bincount(
@@ -295,13 +311,51 @@ def test_writers_match_csv_writer_on_box_traces(tmp_path):
     assert {row[5] for row in trace.rows} == {None, True, False}
     assert_writers_match_reference(trace, tmp_path)
     # hand-made cells: awkward floats in box states (tuples of floats), an
-    # empty event list
+    # empty event list, two blocks of columns
     hand = Trace(r=2, state_dim=2)
-    hand.record([[(0, 0, (-0.0, 1e-300), 0, "init", None, 0),
-                  (1, 0, (2.5e16, -1 / 3), 1, "hold", None, True)],
-                 [(1, 1, (0.1, 7.0), 1, "selection", np.True_, 0)]])
+    hand.record([[(-0.0, 1e-300)], [(2.5e16, -1 / 3)]], [[0], [1]],
+                [[kernels._INIT], [kernels._HOLD]])
+    hand.record([[(0.1, 7.0)], [(2.5e16, -1 / 3)]], [[1], [1]],
+                [[kernels._SELECTIONS[True]], [kernels._HOLD]])
+    assert [row[4:] for row in hand.rows] == [
+        ("init", None, 0), ("hold", None, 1), ("selection", True, 0), ("hold", None, 1)]
     hand.snapshot_masses(1, 0, np.array([1 / 3, 2 / 3]))
     assert_writers_match_reference(hand, tmp_path)
+
+
+@pytest.mark.parametrize("space", ["finite", "box"])
+@pytest.mark.parametrize("rounds", [2 * sampler._SCALAR_ROUNDS + 7, 2 * sampler._SCALAR_ROUNDS,
+                                    2 * sampler._SCALAR_ROUNDS - 1])
+def test_writers_match_csv_writer_across_slabs(space, rounds, tmp_path):
+    # the writer formats slabs of at most _SCALAR_ROUNDS rounds: the last
+    # one is short, holds one round, or ends exactly where the trace ends
+    schedule = {"offsets": [50], "total_rounds": rounds}
+    cfg = (four_state_config(schedule=schedule) if space == "finite"
+           else double_well_config(schedule=schedule))
+    trace = run(cfg)
+    assert len(trace.rows) == cfg.r * (rounds + 1)
+    assert_writers_match_reference(trace, tmp_path)
+
+
+def test_a_finished_run_holds_under_100_bytes_per_round():
+    # the live heap a finished two-chain four_state run holds, measured by
+    # tracemalloc, grows by less than 100 B per round: the trace keeps
+    # three references per row (the bound was fixed before the test first
+    # ran; one tuple per row took about 270 B)
+    def live(rounds):
+        cfg = four_state_config(schedule={"offsets": [50], "total_rounds": rounds})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = run(cfg)  # held while the heap is read
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    live(100)  # any table a first run builds and keeps
+    growth = (live(30_000) - live(10_000)) / 20_000
+    assert growth < 100, f"{growth:.0f} B per round"
 
 
 def test_stability_abort_policy():
